@@ -44,13 +44,12 @@ from .descriptives import (
 from .effects import (
     EffectsResult,
     HausmanResult,
-    fit_statistics,
     fixed_effects,
     hausman,
     pooled_ols,
     random_effects,
 )
-from .fmols import FmolsResult, fmols_panel, long_run_covariances
+from .fmols import FmolsResult, fmols_panel
 from .gmm import (
     DiffSample,
     GmmResult,
@@ -58,7 +57,6 @@ from .gmm import (
     build_instruments,
     differenced_sample,
     gmm_estimate,
-    j_statistic,
 )
 from .unitroot import (
     BatteryResult,
@@ -70,6 +68,7 @@ from .unitroot import (
     fisher_pp,
     ips_test,
     llc_test,
+    long_run_covariances,
     neweywest_bandwidth,
     pp_test,
     run_battery,

@@ -427,24 +427,38 @@ def regression_sample(dataset: PanelDataset, spec: ModelSpec) -> RegressionSampl
     )
 
 
-def contiguous_run(values: np.ndarray, periods: tuple) -> np.ndarray:
-    """Longest run of consecutive years with finite values; returns that slice.
+def contiguous_run(entity_ids: np.ndarray, years: np.ndarray) -> tuple:
+    """Start and length of every unbroken calendar run in stacked rows.
 
-    Ties go to the earliest run.  Used by time-series procedures that need an
-    unbroken calendar stretch from an unbalanced panel row.
+    Rows must be sorted by entity then year.  A run breaks where the entity
+    changes or the year does not advance by exactly one, so a calendar gap
+    ends a run even when the rows on both sides are adjacent.  Returns
+    (starts, lengths), integer arrays in row order.
     """
-    finite = np.isfinite(values)
-    n = len(periods)
-    best_start, best_len = 0, 0
-    j = 0
-    while j < n:
-        if not finite[j]:
-            j += 1
-            continue
-        k = j
-        while k + 1 < n and finite[k + 1] and periods[k + 1] == periods[k] + 1:
-            k += 1
-        if k - j + 1 > best_len:
-            best_start, best_len = j, k - j + 1
-        j = k + 1
-    return values[best_start : best_start + best_len]
+    entity_ids = np.asarray(entity_ids)
+    years = np.asarray(years)
+    n = years.shape[0]
+    breaks = np.ones(n, dtype=bool)
+    breaks[1:] = (entity_ids[1:] != entity_ids[:-1]) | (years[1:] != years[:-1] + 1)
+    starts = np.flatnonzero(breaks)
+    return starts, np.diff(np.append(starts, n))
+
+
+def longest_runs(entity_ids: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
+                 n_entities: int) -> tuple:
+    """Each entity's longest run from contiguous_run output; earliest on ties.
+
+    entity_ids are the stacked rows' entity indices in range(n_entities).
+    Returns (starts, lengths) of shape (n_entities,); an entity with no rows
+    gets length 0.
+    """
+    owner = np.asarray(entity_ids)[starts]
+    order = np.lexsort((starts, -lengths, owner))
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = owner[order[1:]] != owner[order[:-1]]
+    pick = order[first]
+    best_start = np.zeros(n_entities, dtype=int)
+    best_len = np.zeros(n_entities, dtype=int)
+    best_start[owner[pick]] = starts[pick]
+    best_len[owner[pick]] = lengths[pick]
+    return best_start, best_len

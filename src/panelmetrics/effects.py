@@ -279,10 +279,3 @@ def hausman(fe: EffectsResult, re: EffectsResult) -> HausmanResult:
     pinv = (eigvec * inv_vals) @ eigvec.T
     H = float(q @ pinv @ q)
     return HausmanResult(H, rank, float(_st.chi2.sf(H, rank)), tuple(common), q)
-
-
-def fit_statistics(result: EffectsResult) -> tuple:
-    """(R squared, adjusted R squared) recorded on the result."""
-    if result.residuals is None:
-        raise ValueError("fit_statistics needs a result with residuals")
-    return result.r_squared, result.adj_r_squared

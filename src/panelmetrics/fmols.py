@@ -5,7 +5,8 @@ first observation of every block is consumed by differencing the regressors.
 Within the aligned window the dependent is corrected for long-run
 endogeneity between the cointegrating residual and regressor innovations,
 and a serial-correlation bias term is subtracted from the pooled cross
-products.  Kernel: Bartlett.  Bandwidth 0 is the documented no-correction
+products.  Kernel: Bartlett, `unitroot.long_run_covariances` (imported
+here, as the bandwidth rule is).  Bandwidth 0 is the documented no-correction
 limit: both corrections are identically zero there and the estimator
 reduces exactly to within-OLS on the aligned window.
 """
@@ -18,8 +19,15 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats as _st
 
-from .data import ModelSpec, PanelDataset, PanelWarning, regression_sample
-from .unitroot import neweywest_bandwidth
+from .data import (
+    ModelSpec,
+    PanelDataset,
+    PanelWarning,
+    contiguous_run,
+    longest_runs,
+    regression_sample,
+)
+from .unitroot import long_run_covariances, neweywest_bandwidth
 
 
 @dataclass(frozen=True)
@@ -47,67 +55,23 @@ class FmolsResult:
         return float(self.coefficients[self.columns.index(name)])
 
 
-def long_run_covariances(eta: np.ndarray, bandwidth: int) -> tuple:
-    """Two-sided and one-sided Bartlett kernel covariances.
-
-    Parameters
-    ----------
-    eta : ndarray, shape (T, m)
-        Stationary residual block.
-    bandwidth : int
-        Kernel truncation M; weights are 1 - j/(M+1).
-
-    Returns
-    -------
-    (omega, lmbda) : two (m, m) arrays
-        omega is the symmetric two-sided estimate, lmbda the one-sided sum
-        over lags 0..M (not symmetric).  Autocovariances use divisor T, and
-        omega == lmbda + lmbda' - Gamma(0) holds exactly.
-    """
-    eta = np.asarray(eta, dtype=float)
-    if eta.ndim == 1:
-        eta = eta[:, None]
-    T = eta.shape[0]
-    if bandwidth < 0:
-        raise ValueError("bandwidth must be nonnegative")
-    if bandwidth > T - 2:
-        raise ValueError(f"bandwidth {bandwidth} too large for {T} rows")
-    gamma0 = eta.T @ eta / T
-    omega = gamma0.copy()
-    lmbda = gamma0.copy()
-    for j in range(1, bandwidth + 1):
-        w = 1.0 - j / (bandwidth + 1.0)
-        gj = eta[j:].T @ eta[:-j] / T  # E[eta_t eta_{t-j}']
-        omega += w * (gj + gj.T)
-        lmbda += w * gj
-    return omega, lmbda
-
-
 def _entity_blocks(sample, k: int):
     """Per-entity contiguous (years, y, X) blocks long enough to difference.
 
     Entities with fewer than k + 3 contiguous rows are dropped; a gap inside
     an entity keeps only its longest run.
     """
+    starts, lengths = contiguous_run(sample.entity_ids, sample.periods)
+    best, length = longest_runs(sample.entity_ids, starts, lengths, sample.n_entities)
+    counts = np.bincount(sample.entity_ids, minlength=sample.n_entities)
     blocks, dropped, clipped = [], [], []
-    for i, entity in enumerate(sample.entities):
-        rows = sample.entity_rows(i)
-        years = sample.periods[rows]
-        # longest run of consecutive years
-        best = (0, 0)
-        start = 0
-        for a in range(1, len(rows) + 1):
-            if a == len(rows) or years[a] != years[a - 1] + 1:
-                if a - start > best[1]:
-                    best = (start, a - start)
-                start = a
-        s, ln = best
-        if ln < len(rows):
+    for entity, s, ln, n_rows in zip(sample.entities, best, length, counts):
+        if ln < n_rows:
             clipped.append(entity)
         if ln < k + 3:
             dropped.append(entity)
             continue
-        sel = rows[s : s + ln]
+        sel = slice(s, s + ln)
         blocks.append((entity, sample.periods[sel], sample.y[sel], sample.X[sel]))
     if clipped:
         warnings.warn(

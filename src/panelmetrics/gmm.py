@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats as _st
 
-from .data import ModelSpec, PanelDataset, PanelWarning, regression_sample
+from .data import ModelSpec, PanelDataset, PanelWarning, contiguous_run, regression_sample
 
 
 @dataclass(frozen=True)
@@ -94,6 +94,14 @@ class GmmResult:
         return float(self.coefficients[self.columns.index(name)])
 
 
+def _follows_previous(entity_ids: np.ndarray, years: np.ndarray) -> np.ndarray:
+    """Rows whose calendar predecessor is the row just before them."""
+    starts, _ = contiguous_run(entity_ids, years)
+    follows = np.ones(years.shape[0], dtype=bool)
+    follows[starts] = False
+    return follows
+
+
 def differenced_sample(dataset: PanelDataset, spec: ModelSpec) -> DiffSample:
     """First-differenced rows of an equation, entity by entity.
 
@@ -101,25 +109,17 @@ def differenced_sample(dataset: PanelDataset, spec: ModelSpec) -> DiffSample:
     Entities contributing no differenced rows are dropped with a warning.
     """
     sample = regression_sample(dataset, spec)
+    cur = np.flatnonzero(_follows_previous(sample.entity_ids, sample.periods))
+    years = sample.periods[cur]
+    dy = sample.y[cur] - sample.y[cur - 1]
+    dX = sample.X[cur] - sample.X[cur - 1]
+    bounds = np.searchsorted(sample.entity_ids[cur], np.arange(sample.n_entities + 1))
     blocks, dropped = [], []
-    for i, entity in enumerate(sample.entities):
-        rows = sample.entity_rows(i)
-        years = sample.periods[rows]
-        have = {int(t): r for t, r in zip(years, rows)}
-        use = [int(t) for t in years if int(t) - 1 in have]
-        if not use:
+    for entity, a, b in zip(sample.entities, bounds[:-1], bounds[1:]):
+        if a == b:
             dropped.append(entity)
             continue
-        cur = np.array([have[t] for t in use])
-        prev = np.array([have[t - 1] for t in use])
-        blocks.append(
-            (
-                entity,
-                np.array(use, dtype=int),
-                sample.y[cur] - sample.y[prev],
-                sample.X[cur] - sample.X[prev],
-            )
-        )
+        blocks.append((entity, years[a:b], dy[a:b], dX[a:b]))
     if dropped:
         warnings.warn(
             f"gmm: dropped {len(dropped)} entity(ies) with no differenceable rows",
@@ -227,13 +227,12 @@ def build_instruments(dataset: PanelDataset, spec: ModelSpec,
 
 def _h_matrix(years: np.ndarray) -> np.ndarray:
     """Second-difference weighting block: 2 on the diagonal, -1 between
-    calendar-adjacent rows."""
+    calendar-adjacent rows.  years must be strictly increasing, as in a
+    DiffSample block."""
     m = years.shape[0]
     H = 2.0 * np.eye(m)
-    for a in range(m):
-        for b in range(a + 1, m):
-            if abs(int(years[a]) - int(years[b])) == 1:
-                H[a, b] = H[b, a] = -1.0
+    r = np.flatnonzero(_follows_previous(np.zeros(m, dtype=int), years))
+    H[r, r - 1] = H[r - 1, r] = -1.0
     return H
 
 
@@ -326,19 +325,3 @@ def gmm_estimate(sample: DiffSample, instruments: InstrumentMatrix,
         one_step_coefficients=beta1,
         weighting=W2,
     )
-
-
-def j_statistic(result: GmmResult, sample: DiffSample, instruments: InstrumentMatrix) -> tuple:
-    """Recompute (J, df, p) for a fitted result from its sample and instruments.
-
-    Uses the weighting stored on the result, so for a two-step fit this
-    reproduces result.j_stat exactly (an internal-consistency check).
-    """
-    L = instruments.n_instruments
-    m = np.zeros(L)
-    for (entity, yrs, dy, dX), (_, _, Z) in zip(sample.blocks, instruments.blocks):
-        m += Z.T @ (dy - dX @ result.coefficients)
-    Wj = result.weighting
-    j = float(m @ Wj @ m)
-    df = L - len(result.columns)
-    return j, df, (float(_st.chi2.sf(j, df)) if df > 0 else None)

@@ -1,8 +1,8 @@
 """Command-line entry points for the report pipeline.
 
 Subcommands map to pipeline stages: describe, unitroot, hausman, and
-estimate run their stage alone; report and run execute everything the
-config enables.  Exit codes: 0 success, 1 configuration error, 2 stage
+estimate run their stage alone; run executes everything the config
+enables.  Exit codes: 0 success, 1 configuration error, 2 stage
 failure, 3 I/O or network error.
 """
 
@@ -55,8 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("hausman", "fixed-versus-random effects contrast table")
     estimate = add("estimate", "one dynamic estimator's table")
     estimate.add_argument("--method", choices=("fmols", "gmm"), required=True)
-    add("report", "all configured analysis stages and the manifest")
-    add("run", "full pipeline (fetch when configured, then report)")
+    add("run", "full pipeline (fetch when configured, then every configured stage)")
     return parser
 
 

@@ -157,9 +157,13 @@ def ingest_dataset(config: PipelineConfig, base_dir=None) -> PanelDataset:
 
 
 def transform_dataset(config: PipelineConfig, dataset: PanelDataset) -> PanelDataset:
-    """Rename sources to configured names and add log series where flagged."""
+    """A new dataset: the input's series, sources renamed to configured names
+    and log series added where flagged.  The input is left unchanged."""
+    out = PanelDataset(
+        entities=dataset.entities, periods=dataset.periods, variables=dict(dataset.variables)
+    )
     for variable in config.variables:
-        series = dataset[variable.source]
+        series = out[variable.source]
         if variable.name != variable.source:
             series = VariableSeries(
                 name=variable.name,
@@ -167,10 +171,10 @@ def transform_dataset(config: PipelineConfig, dataset: PanelDataset) -> PanelDat
                 periods=series.periods,
                 values=series.values,
             )
-            dataset.add(series)
+            out.add(series)
         if variable.log:
-            dataset.add(natural_log(series))
-    return dataset
+            out.add(natural_log(series))
+    return out
 
 
 def _static_spec(spec: ModelSpec) -> ModelSpec:
@@ -275,8 +279,7 @@ def run_pipeline(config: PipelineConfig, base_dir=None, write: bool = True) -> R
         warnings.simplefilter("always")
 
         t0 = time.perf_counter()
-        dataset = ingest_dataset(config, base_dir)
-        transform_dataset(config, dataset)
+        dataset = transform_dataset(config, ingest_dataset(config, base_dir))
         bundle.timings["ingest"] = time.perf_counter() - t0
 
         store = {}
@@ -351,8 +354,7 @@ def write_ingested(config: PipelineConfig, base_dir=None) -> str:
     Returns the written CSV path (long schema, inside the output
     directory).
     """
-    dataset = ingest_dataset(config, base_dir)
-    transform_dataset(config, dataset)
+    dataset = transform_dataset(config, ingest_dataset(config, base_dir))
     out_dir = _resolve(config.output.directory, base_dir)
     try:
         os.makedirs(out_dir, exist_ok=True)

@@ -7,6 +7,10 @@ standardized mean-t test, and Fisher combination of per-entity p-values,
 plus a battery runner that applies all of them to levels and first
 differences of each variable.
 
+The Bartlett kernel (`long_run_covariances`) and the Dickey-Fuller
+regression layout (`_df_design`) are defined here once; FMOLS and
+tools/gen_ips_moments.py import them.
+
 Every series handed to a test must be an unbroken calendar run; the battery
 extracts each entity's longest contiguous stretch and drops entities that
 fail a test's length precondition, with a warning naming them.
@@ -22,7 +26,14 @@ from scipy import stats as _st
 
 from . import _dfconstants as _dfc
 from ._ipsmoments import IPS_MOMENTS, IPS_T_GRID
-from .data import PanelDataset, PanelWarning, VariableSeries, contiguous_run, first_difference
+from .data import (
+    PanelDataset,
+    PanelWarning,
+    VariableSeries,
+    contiguous_run,
+    first_difference,
+    longest_runs,
+)
 
 P_FLOOR = 1e-16  # combination floor; keeps log(p) finite
 
@@ -86,24 +97,35 @@ def _max_feasible_lags(T: int, det: str, min_df: int = 2) -> int:
     return (T - 1 - min_df - DET_TERMS[det] - 1) // 2
 
 
+def _df_design(y: np.ndarray, det: str, lags: int) -> tuple:
+    """Dickey-Fuller regressand and design for the series on y's last axis.
+
+    Returns (dy, X): dy has shape (..., rows) with rows = T - 1 - lags, and
+    X stacks on its last axis the lagged level, the `lags` lagged
+    differences (most recent first), then the deterministic columns of
+    `det`, shape (..., rows, k).
+    """
+    T = y.shape[-1]
+    rows = T - 1 - lags
+    dy = np.diff(y, axis=-1)
+    X = np.empty(y.shape[:-1] + (rows, 1 + lags + DET_TERMS[det]))
+    X[..., 0] = y[..., lags:-1]
+    for j in range(1, lags + 1):
+        X[..., j] = dy[..., lags - j : T - 1 - j]
+    if det in ("c", "ct"):
+        X[..., lags + 1] = 1.0
+    if det == "ct":
+        X[..., lags + 2] = np.arange(rows)
+    return dy[..., lags:], X
+
+
 def _df_regression(y: np.ndarray, det: str, lags: int):
     """Dickey-Fuller regression pieces shared by the tau-based tests.
 
     Returns (tau, rho_hat, se_rho, s, residuals, n_rows).
     """
-    T = y.shape[0]
-    dy = np.diff(y)
-    rows = T - 1 - lags
-    cols = [y[lags:-1]]
-    for j in range(1, lags + 1):
-        cols.append(dy[lags - j : T - 1 - j])
-    if det in ("c", "ct"):
-        cols.append(np.ones(rows))
-    if det == "ct":
-        cols.append(np.arange(rows, dtype=float))
-    X = np.column_stack(cols)
-    yy = dy[lags:]
-    k = X.shape[1]
+    yy, X = _df_design(y, det, lags)
+    rows, k = X.shape
     XtX = X.T @ X
     beta = np.linalg.solve(XtX, X.T @ yy)
     resid = yy - X @ beta
@@ -162,15 +184,47 @@ def adf_test(y, det: str = "c", lags: int | None = None) -> UnitRootResult:
     )
 
 
-def _bartlett_lrv(u: np.ndarray, bandwidth: int) -> float:
-    """Univariate Bartlett long-run variance with divisor T."""
-    T = u.shape[0]
-    gamma0 = float(u @ u) / T
-    out = gamma0
+def _autocovariances(eta: np.ndarray, n: int) -> list:
+    """Gamma(0..n) with divisor T, Gamma(j) = E[eta_t eta_{t-j}'].
+
+    A vector gives scalars from 1-D dot products; a (T, m) block gives
+    (m, m) arrays.
+    """
+    T = eta.shape[0]
+    return [eta[j:].T @ eta[: T - j] / T for j in range(n + 1)]
+
+
+def long_run_covariances(eta: np.ndarray, bandwidth: int) -> tuple:
+    """Two-sided and one-sided Bartlett kernel covariances.
+
+    Parameters
+    ----------
+    eta : ndarray, shape (T, m) or (T,)
+        Stationary residual block; a vector is the case m = 1.
+    bandwidth : int
+        Kernel truncation M; weights are 1 - j/(M+1).
+
+    Returns
+    -------
+    (omega, lmbda) : two (m, m) arrays
+        omega is the symmetric two-sided estimate, lmbda the one-sided sum
+        over lags 0..M (not symmetric).  Autocovariances use divisor T, and
+        omega == lmbda + lmbda' - Gamma(0) holds exactly.
+    """
+    eta = np.asarray(eta, dtype=float)
+    T = eta.shape[0]
+    m = 1 if eta.ndim == 1 else eta.shape[1]
+    if bandwidth < 0:
+        raise ValueError("bandwidth must be nonnegative")
+    if bandwidth > T - 2:
+        raise ValueError(f"bandwidth {bandwidth} too large for {T} rows")
+    gammas = _autocovariances(eta, bandwidth)
+    omega = lmbda = gammas[0]
     for j in range(1, bandwidth + 1):
         w = 1.0 - j / (bandwidth + 1.0)
-        out += 2.0 * w * float(u[j:] @ u[:-j]) / T
-    return out
+        omega = omega + w * (gammas[j] + gammas[j].T)
+        lmbda = lmbda + w * gammas[j]
+    return omega.reshape(m, m), lmbda.reshape(m, m)
 
 
 def neweywest_bandwidth(u: np.ndarray) -> int:
@@ -183,13 +237,10 @@ def neweywest_bandwidth(u: np.ndarray) -> int:
     if u.ndim != 1 or u.shape[0] < 4:
         raise ValueError("neweywest_bandwidth needs a vector of length >= 4")
     T = u.shape[0]
-    n = default_lags(T)
-    n = min(n, T - 2)
-    sig = [float(u @ u) / T]
-    for j in range(1, n + 1):
-        sig.append(float(u[j:] @ u[:-j]) / T)
-    s0 = sig[0] + 2.0 * sum(sig[1:])
-    s1 = 2.0 * sum(j * sig[j] for j in range(1, n + 1))
+    n = min(default_lags(T), T - 2)
+    sig = _autocovariances(u, n)
+    s0 = float(sig[0] + 2.0 * sum(sig[1:]))
+    s1 = float(2.0 * sum(j * sig[j] for j in range(1, n + 1)))
     if s0 <= 0:
         return 0
     m = int(np.floor(1.1447 * ((s1 / s0) ** 2 * T) ** (1.0 / 3.0)))
@@ -224,7 +275,7 @@ def pp_test(y, det: str = "c", bandwidth: int | None = None) -> UnitRootResult:
         if bandwidth > rows - 2:
             raise ValueError(f"pp_test: bandwidth {bandwidth} too large for {rows} rows")
     gamma0 = float(resid @ resid) / rows
-    f0 = _bartlett_lrv(resid, bandwidth)
+    f0 = float(long_run_covariances(resid, bandwidth)[0][0, 0])
     if f0 <= 0:
         raise ValueError("pp_test: nonpositive long-run variance")
     z = tau * np.sqrt(gamma0 / f0) - rows * (f0 - gamma0) * se_rho / (2.0 * np.sqrt(f0) * s)
@@ -263,11 +314,14 @@ def fisher_combine(p_values, df_scale: int = 2) -> tuple:
 
 def _panel_runs(series: VariableSeries, min_len: int, what: str):
     """Longest contiguous run per entity, dropping short entities with one warning."""
+    ent, col = np.nonzero(np.isfinite(series.values))
+    starts, lengths = contiguous_run(ent, np.asarray(series.periods)[col])
+    best, length = longest_runs(ent, starts, lengths, len(series.entities))
+    observed = series.values[ent, col]
     runs, kept, dropped = [], [], []
-    for i, entity in enumerate(series.entities):
-        run = contiguous_run(series.values[i], series.periods)
-        if run.shape[0] >= min_len:
-            runs.append(run)
+    for entity, s, n in zip(series.entities, best, length):
+        if n >= min_len:
+            runs.append(observed[s : s + n])
             kept.append(entity)
         else:
             dropped.append(entity)
@@ -405,20 +459,11 @@ def llc_test(series: VariableSeries, det: str = "c", lags: int | None = None) ->
     for run in runs:
         T = run.shape[0]
         p_i = _entity_lags(T, det, lags)
-        dy = np.diff(run)
         rows = T - 1 - p_i
-        # Common right-hand side: augmentation lags plus deterministics.
-        cols = []
-        for j in range(1, p_i + 1):
-            cols.append(dy[p_i - j : T - 1 - j])
-        if det in ("c", "ct"):
-            cols.append(np.ones(rows))
-        if det == "ct":
-            cols.append(np.arange(rows, dtype=float))
-        target_dy = dy[p_i:]
-        target_lev = run[p_i:-1]
-        if cols:
-            Q = np.column_stack(cols)
+        # Common right-hand side: the Dickey-Fuller design without the level.
+        target_dy, X = _df_design(run, det, p_i)
+        target_lev, Q = X[:, 0], X[:, 1:]
+        if Q.shape[1]:
             QtQ_inv = np.linalg.pinv(Q.T @ Q)
             e_i = target_dy - Q @ (QtQ_inv @ (Q.T @ target_dy))
             v_i = target_lev - Q @ (QtQ_inv @ (Q.T @ target_lev))
@@ -438,9 +483,10 @@ def llc_test(series: VariableSeries, det: str = "c", lags: int | None = None) ->
         # so raw autocovariances apply; demeaning there biases the kernel
         # estimate down by about (K+1)/T and oversizes the test.  The trend
         # model's null leaves a per-entity drift to remove first.
+        dy = np.diff(run)
         d_adj = dy - dy.mean() if det == "ct" else dy
         K = min(int(np.floor(3.21 * d_adj.shape[0] ** (1.0 / 3.0))), d_adj.shape[0] - 2)
-        lrv = _bartlett_lrv(d_adj, max(K, 0))
+        lrv = float(long_run_covariances(d_adj, max(K, 0))[0][0, 0])
         s_ratios.append(np.sqrt(max(lrv, 1e-300) / s2_i))
         t_effs.append(rows)
         lags_pe.append(p_i)

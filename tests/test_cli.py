@@ -89,10 +89,6 @@ class TestAnalysisCommands:
         ]
         assert "wrote" in capsys.readouterr().out
 
-    def test_report_equals_run_for_file_source(self, workspace, capsys):
-        assert main(["report", "--config", workspace()]) == 0
-        assert "comparison.json" in artifacts_in(workspace.dir / "out")
-
     def test_describe_writes_its_tables_only(self, workspace, capsys):
         assert main(["describe", "--config", workspace()]) == 0
         assert artifacts_in(workspace.dir / "out") == [

@@ -13,7 +13,6 @@ from panelmetrics.data import (
 )
 from panelmetrics.effects import (
     EffectsResult,
-    fit_statistics,
     fixed_effects,
     hausman,
     pooled_ols,
@@ -315,11 +314,3 @@ class TestHausman:
                 h = hausman(fixed_effects(s), random_effects(s))
             assert h.statistic >= 0.0
             assert h.df >= 0
-
-
-def test_fit_statistics_passthrough():
-    rng = np.random.default_rng(11)
-    x = rng.standard_normal((4, 6))
-    y = 0.5 * x + rng.standard_normal((4, 6))
-    r = pooled_ols(build_sample(y, x))
-    assert fit_statistics(r) == (r.r_squared, r.adj_r_squared)

@@ -15,8 +15,8 @@ from panelmetrics.gmm import (
     InstrumentMatrix,
     build_instruments,
     differenced_sample,
+    _h_matrix,
     gmm_estimate,
-    j_statistic,
 )
 
 AR_SPEC = ModelSpec(label="ar", dependent="y", regressors=(), lagged_dependent=True)
@@ -135,6 +135,23 @@ class TestBuildInstruments:
 
 
 class TestGmmEstimate:
+    def test_h_matrix_links_only_calendar_neighbours(self):
+        H = _h_matrix(np.array([2001, 2002, 2004, 2005, 2006]))
+        expected = 2.0 * np.eye(5)
+        for a, b in ((0, 1), (2, 3), (3, 4)):
+            expected[a, b] = expected[b, a] = -1.0
+        np.testing.assert_array_equal(H, expected)
+        # against the pairwise definition on random gappy year sets
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            years = np.flatnonzero(rng.random(12) < 0.6) + 1990
+            ref = 2.0 * np.eye(years.size)
+            for a in range(years.size):
+                for b in range(a + 1, years.size):
+                    if abs(years[a] - years[b]) == 1:
+                        ref[a, b] = ref[b, a] = -1.0
+            np.testing.assert_array_equal(_h_matrix(years), ref)
+
     def hand_panel(self):
         y = np.array(
             [[1.0, 2.0, 4.0, 7.0], [3.0, 1.0, 2.0, 6.0], [2.0, 5.0, 3.0, 4.0]]
@@ -301,10 +318,15 @@ class TestJStatistic:
         Z = build_instruments(ds, AR_SPEC, sample=s)
         for step in ("onestep", "twostep"):
             res = gmm_estimate(s, Z, step=step)
-            j, df, p = j_statistic(res, s, Z)
-            assert abs(j - res.j_stat) < 1e-10
-            assert df == res.j_df
-            assert abs(p - res.j_p) < 1e-12
+            # J is the criterion at the reported coefficients under the
+            # stored weighting, for either step
+            m = sum(
+                Zi.T @ (dy - dX @ res.coefficients)
+                for (_, _, dy, dX), (_, _, Zi) in zip(s.blocks, Z.blocks)
+            )
+            assert abs(float(m @ res.weighting @ m) - res.j_stat) < 1e-10
+            assert res.j_df == Z.n_instruments - len(res.columns)
+            assert abs(stats.chi2.sf(res.j_stat, res.j_df) - res.j_p) < 1e-12
 
     def test_valid_instruments_uniform_p(self):
         # under valid moments the J p-values are approximately uniform

@@ -11,6 +11,7 @@ from panelmetrics.data import (
     contiguous_run,
     first_difference,
     lag,
+    longest_runs,
     natural_log,
     read_panel_csv,
     regression_sample,
@@ -234,27 +235,47 @@ class TestRegressionSample:
             regression_sample(ds, spec)
 
 
+def longest_finite_run(values, periods):
+    """One entity's longest unbroken stretch of finite values."""
+    rows = np.flatnonzero(np.isfinite(values))
+    ids = np.zeros(rows.size, dtype=int)
+    starts, lengths = contiguous_run(ids, np.asarray(periods)[rows])
+    (s,), (n,) = longest_runs(ids, starts, lengths, 1)
+    return values[rows][s : s + n]
+
+
 class TestContiguousRun:
+    def test_runs_break_at_entity_and_year_gaps(self):
+        # entity 1 starts the year after entity 0 ends; entity 3 has no rows
+        ids = np.array([0, 0, 0, 0, 1, 1, 2])
+        years = np.array([2000, 2001, 2003, 2004, 2005, 2006, 2001])
+        starts, lengths = contiguous_run(ids, years)
+        np.testing.assert_array_equal(starts, [0, 2, 4, 6])
+        np.testing.assert_array_equal(lengths, [2, 2, 2, 1])
+        best, length = longest_runs(ids, starts, lengths, 4)
+        np.testing.assert_array_equal(best, [0, 4, 6, 0])
+        np.testing.assert_array_equal(length, [2, 2, 1, 0])
+
     def test_picks_longest_consecutive_stretch(self):
         periods = (2000, 2001, 2002, 2004, 2005, 2006, 2007)
         values = np.array([1.0, 2.0, np.nan, 4.0, 5.0, 6.0, 7.0])
-        run = contiguous_run(values, periods)
+        run = longest_finite_run(values, periods)
         np.testing.assert_allclose(run, [4.0, 5.0, 6.0, 7.0])
 
     def test_calendar_gap_breaks_run(self):
         # 2002 -> 2004 jump splits an otherwise finite stretch
         periods = (2000, 2001, 2002, 2004, 2005)
         values = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-        run = contiguous_run(values, periods)
+        run = longest_finite_run(values, periods)
         np.testing.assert_allclose(run, [1.0, 2.0, 3.0])
 
     def test_tie_goes_to_earliest(self):
         periods = (2000, 2001, 2003, 2004)
         values = np.array([1.0, 2.0, 3.0, 4.0])
-        np.testing.assert_allclose(contiguous_run(values, periods), [1.0, 2.0])
+        np.testing.assert_allclose(longest_finite_run(values, periods), [1.0, 2.0])
 
     def test_all_missing_gives_empty(self):
-        run = contiguous_run(np.array([np.nan, np.nan]), (2000, 2001))
+        run = longest_finite_run(np.array([np.nan, np.nan]), (2000, 2001))
         assert run.size == 0
 
 

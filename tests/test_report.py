@@ -23,6 +23,7 @@ from panelmetrics.report.pipeline import (
     PipelineIOError,
     ingest_dataset,
     run_pipeline,
+    transform_dataset,
     write_ingested,
 )
 from panelmetrics.report.render import (
@@ -428,6 +429,20 @@ class TestTableBuilders:
 
 
 class TestPipeline:
+    def test_transform_leaves_input_unchanged(self, tmp_path):
+        path = write_panel_file(tmp_path / "panel.csv")
+        doc = config_doc(path)
+        doc["variables"] = [
+            {"name": "y"},
+            {"name": "aid", "source": "x1", "log": True},
+            {"name": "x2"},
+        ]
+        doc["models"][0]["regressors"] = [{"var": "ln_aid", "lag": 1}]
+        config = validate_config(doc)
+        raw = ingest_dataset(config)
+        out = transform_dataset(config, raw)
+        assert tuple(raw.variables) == ("y", "x1", "x2")
+        assert tuple(out.variables) == ("y", "x1", "x2", "aid", "ln_aid")
     def test_all_stages_on_small_panel(self, panel_config):
         bundle = run_pipeline(panel_config, write=False)
         assert not bundle.failed

@@ -8,12 +8,12 @@ import pytest
 from panelmetrics._dfconstants import mackinnon_p
 from panelmetrics.data import PanelDataset, PanelWarning, VariableSeries
 from panelmetrics.unitroot import (
-    _bartlett_lrv,
     adf_test,
     default_lags,
     fisher_combine,
     ips_test,
     llc_test,
+    long_run_covariances,
     neweywest_bandwidth,
     pp_test,
     run_battery,
@@ -184,10 +184,16 @@ class TestNeweyWestBandwidth:
             neweywest_bandwidth([1.0, 2.0, 3.0])
 
 
+def long_run_variance(u, bandwidth):
+    """Univariate long-run variance: the m = 1 case of the shared kernel."""
+    omega, _ = long_run_covariances(u, bandwidth)
+    return float(omega[0, 0])
+
+
 class TestBartlettVariance:
     def test_bandwidth_zero_is_mean_square(self):
         u = np.array([1.0, -2.0, 3.0, -1.0, 0.5])
-        assert _bartlett_lrv(u, 0) == pytest.approx(float(u @ u) / 5, abs=1e-15)
+        assert long_run_variance(u, 0) == pytest.approx(float(u @ u) / 5, abs=1e-15)
 
     def test_hand_sum_small_vector(self):
         u = np.array([1.0, 2.0, -1.0, 3.0])
@@ -195,14 +201,14 @@ class TestBartlettVariance:
         g1 = (1 * 2 - 2 * 1 - 1 * 3) / 4
         g2 = (1 * -1 + 2 * 3) / 4
         expected = g0 + 2 * (2 / 3) * g1 + 2 * (1 / 3) * g2
-        assert _bartlett_lrv(u, 2) == pytest.approx(expected, abs=1e-12)
+        assert long_run_variance(u, 2) == pytest.approx(expected, abs=1e-12)
 
     def test_ma1_long_run_variance(self):
         # u_t = e_t + 0.5 e_{t-1} has long-run variance (1 + 0.5)^2 = 2.25
         rng = np.random.default_rng(8)
         e = rng.standard_normal(200001)
         u = e[1:] + 0.5 * e[:-1]
-        assert _bartlett_lrv(u, 30) == pytest.approx(2.25, abs=0.15)
+        assert long_run_variance(u, 30) == pytest.approx(2.25, abs=0.15)
 
 
 class TestFisherCombine:

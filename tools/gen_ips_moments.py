@@ -3,9 +3,9 @@
 For each deterministic case, series length T, and augmentation lag p, this
 simulates the Dickey-Fuller t-statistic under a driftless random walk and
 records its mean and variance.  The t-bar standardization consumes exactly
-these moments, so they are simulated through the same regression layout the
-package uses (a test pins the vectorized tau here to unitroot.adf_test at
-1e-10 on shared draws).
+these moments, so they are simulated through the package's own regression
+layout, `unitroot._df_design`, imported from this checkout's src/ (a test
+pins the vectorized tau here to unitroot.adf_test at 1e-10 on shared draws).
 
 Usage: python tools/gen_ips_moments.py [--reps 200000] [--out src/panelmetrics/_ipsmoments.py]
 
@@ -20,6 +20,9 @@ import time
 from pathlib import Path
 
 import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+from panelmetrics.unitroot import _df_design  # noqa: E402
 
 T_GRID = (8, 9, 10, 12, 15, 20, 25, 30, 40, 50, 60, 80, 100)
 MAX_LAG = 8
@@ -37,21 +40,12 @@ def simulate_tau(T: int, p: int, det: str, reps: int, seed) -> np.ndarray:
     """Vectorized DF t-statistics for `reps` driftless random walks."""
     rng = np.random.default_rng(seed)
     taus = np.empty(reps)
-    rows = T - 1 - p
-    k = 1 + p + (1 if det == "c" else 2)
     done = 0
     while done < reps:
         b = min(CHUNK, reps - done)
         y = rng.standard_normal((b, T)).cumsum(axis=1)
-        dy = y[:, 1:] - y[:, :-1]
-        cols = [y[:, p:-1]]
-        for j in range(1, p + 1):
-            cols.append(dy[:, p - j : T - 1 - j])
-        cols.append(np.ones((b, rows)))
-        if det == "ct":
-            cols.append(np.broadcast_to(np.arange(rows, dtype=float), (b, rows)).copy())
-        X = np.stack(cols, axis=2)
-        yy = dy[:, p:]
+        yy, X = _df_design(y, det, p)
+        rows, k = X.shape[1:]
         XtX = np.einsum("brk,brl->bkl", X, X)
         Xty = np.einsum("brk,br->bk", X, yy)
         beta = np.linalg.solve(XtX, Xty[:, :, None])[:, :, 0]
