@@ -38,19 +38,12 @@ class VariableSeries:
         Column labels (calendar years), strictly increasing.
     values : ndarray
         Float array of shape (n_entities, n_periods); NaN is missing.
-    role : str, optional
-        "dependent" or "regressor" when the series has a modeling role.
-    transform : str, optional
-        Tag recording the transform that produced the series, if any
-        ("log", "lag", "diff").
     """
 
     name: str
     entities: tuple
     periods: tuple
     values: np.ndarray
-    role: str | None = None
-    transform: str | None = None
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -66,14 +59,6 @@ class VariableSeries:
     @property
     def n_missing(self) -> int:
         return int(np.isnan(self.values).sum())
-
-    def period_index(self, year: int) -> int | None:
-        """Column index of a calendar year, or None when the grid lacks it."""
-        try:
-            idx = self.periods.index(year)
-        except ValueError:
-            return None
-        return idx
 
 
 @dataclass
@@ -185,14 +170,6 @@ class RegressionSample:
     @property
     def periods_included(self) -> int:
         return len(np.unique(self.periods))
-
-    def entity_counts(self) -> dict:
-        """Usable row count per retained entity."""
-        counts = np.bincount(self.entity_ids, minlength=len(self.entities))
-        return {e: int(c) for e, c in zip(self.entities, counts)}
-
-    def entity_rows(self, i: int) -> np.ndarray:
-        return np.flatnonzero(self.entity_ids == i)
 
 
 def _parse_value(token: str, where: str) -> float:
@@ -347,7 +324,7 @@ def natural_log(series: VariableSeries) -> VariableSeries:
             PanelWarning,
             stacklevel=2,
         )
-    return replace(series, name=f"ln_{series.name}", values=out, transform="log")
+    return replace(series, name=f"ln_{series.name}", values=out)
 
 
 def lag(series: VariableSeries, k: int = 1) -> VariableSeries:
@@ -360,19 +337,19 @@ def lag(series: VariableSeries, k: int = 1) -> VariableSeries:
         raise ValueError("lag must be nonnegative")
     if k == 0:
         return series
+    periods = np.asarray(series.periods)
+    src = np.minimum(np.searchsorted(periods, periods - k), periods.size - 1)
+    found = periods[src] == periods - k
     out = np.full_like(series.values, np.nan)
-    for j, year in enumerate(series.periods):
-        src = series.period_index(year - k)
-        if src is not None:
-            out[:, j] = series.values[:, src]
-    return replace(series, name=f"{series.name}_lag{k}", values=out, transform="lag")
+    out[:, found] = series.values[:, src[found]]
+    return replace(series, name=f"{series.name}_lag{k}", values=out)
 
 
 def first_difference(series: VariableSeries) -> VariableSeries:
     """Calendar first difference, s(t) - s(t-1); missing on both sides of gaps."""
     lagged = lag(series, 1)
     out = series.values - lagged.values
-    return replace(series, name=f"d_{series.name}", values=out, transform="diff")
+    return replace(series, name=f"d_{series.name}", values=out)
 
 
 def regression_sample(dataset: PanelDataset, spec: ModelSpec) -> RegressionSample:

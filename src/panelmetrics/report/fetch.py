@@ -5,8 +5,8 @@ The wire format follows the common public-indicator convention: GET
 per_page=M returns a two-element array [metadata, records], where metadata
 carries page/pages counts and each record holds an entity id, a date, and
 a value (null for missing).  Each descriptor lands in one long-schema CSV
-in the cache, keyed by a digest of (provider, code, years); repeat calls
-never touch the network.
+in the cache, keyed by a digest of (base_url, provider, code, years), so
+two hosts never share a file; repeat calls never touch the network.
 """
 
 from __future__ import annotations
@@ -28,8 +28,10 @@ class FetchDescriptor:
     code: str
     years: str  # "YYYY:YYYY"
 
-    def cache_key(self) -> str:
-        raw = f"{self.provider}|{self.code}|{self.years}".encode("utf-8")
+    def cache_key(self, base_url: str) -> str:
+        """Digest naming this request's cache file; a trailing "/" on
+        base_url does not change it."""
+        raw = f"{base_url.rstrip('/')}|{self.provider}|{self.code}|{self.years}".encode("utf-8")
         return hashlib.sha1(raw).hexdigest()
 
 
@@ -99,7 +101,7 @@ def _get_page(session, url, params, max_attempts, backoff):
 
 
 def _fetch_one(descriptor, base_url, cache_dir, session, per_page, max_attempts, backoff):
-    key = descriptor.cache_key()
+    key = descriptor.cache_key(base_url)
     path = os.path.join(cache_dir, f"{key}.csv")
     if os.path.exists(path):
         return FetchOutcome(descriptor, path=path, from_cache=True)

@@ -81,14 +81,20 @@ def _resolve(path: str, base_dir: str | None) -> str:
     return os.path.join(base_dir, path)
 
 
-def _ingest_file(config: PipelineConfig, base_dir) -> PanelDataset:
-    path = _resolve(config.data.path, base_dir)
+def _read_source(path: str, schema: str) -> PanelDataset:
+    """read_panel_csv, with an unreadable file a PipelineIOError and a
+    malformed one an IngestError, each naming the file."""
     try:
-        dataset = read_panel_csv(path, schema=config.data.schema)
+        return read_panel_csv(path, schema=schema)
     except OSError as exc:
         raise PipelineIOError(f"cannot read data file {path}: {exc}") from None
     except ValueError as exc:
         raise IngestError(f"data file {path} is not a valid panel CSV: {exc}") from None
+
+
+def _ingest_file(config: PipelineConfig, base_dir) -> PanelDataset:
+    path = _resolve(config.data.path, base_dir)
+    dataset = _read_source(path, config.data.schema)
     missing = [v.source for v in config.variables if v.source not in dataset.variables]
     if missing:
         raise IngestError(
@@ -112,10 +118,7 @@ def _ingest_fetch(config: PipelineConfig, base_dir) -> PanelDataset:
         details = "; ".join(f"{o.descriptor.code}: {o.error}" for o in bad)
         raise PipelineIOError(f"indicator download failed: {details}")
 
-    per_code = {}
-    for outcome in outcomes:
-        rows = read_panel_csv(outcome.path, schema="long")
-        per_code[outcome.descriptor.code] = rows
+    per_code = {o.descriptor.code: _read_source(o.path, "long") for o in outcomes}
     start, end = (int(p) for p in data.years.split(":"))
     years = tuple(range(start, end + 1))
     entities = sorted(set().union(*(set(d.entities) for d in per_code.values())))

@@ -13,19 +13,23 @@ tools/gen_ips_moments.py import them.
 
 Every series handed to a test must be an unbroken calendar run; the battery
 extracts each entity's longest contiguous stretch and drops entities that
-fail a test's length precondition, with a warning naming them.
+fail a test's length precondition, with a warning naming them.  Each panel
+test then settles what depends only on run lengths (per-entity lags,
+effective lengths, table coverage) before it fits any entity, so a panel
+its table cannot standardize fails without a per-entity fit.
 """
 
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats as _st
 
 from . import _dfconstants as _dfc
-from ._ipsmoments import IPS_MOMENTS, IPS_T_GRID
+from ._ipsmoments import IPS_MAX_LAG, IPS_MOMENTS, IPS_T_GRID
 from .data import (
     PanelDataset,
     PanelWarning,
@@ -95,6 +99,19 @@ def _check_series(y) -> np.ndarray:
 def _max_feasible_lags(T: int, det: str, min_df: int = 2) -> int:
     # regression rows = T - 1 - p, parameters = p + 1 + det terms
     return (T - 1 - min_df - DET_TERMS[det] - 1) // 2
+
+
+def _shortest_run(det: str) -> int:
+    """Smallest T with _max_feasible_lags(T, det) >= 0: a lag-0 regression."""
+    return DET_TERMS[det] + 4
+
+
+def _ips_lag_cap(T: int, det: str) -> int:
+    """Largest lag the moment table holds at grid length T.
+
+    Three residual degrees of freedom keep the t variance finite.
+    """
+    return min(IPS_MAX_LAG, _max_feasible_lags(T, det, min_df=3))
 
 
 def _df_design(y: np.ndarray, det: str, lags: int) -> tuple:
@@ -346,8 +363,7 @@ def _entity_lags(T: int, det: str, lags: int | None, min_df: int = 2) -> int:
 
 def fisher_adf(series: VariableSeries, det: str = "c", lags: int | None = None) -> UnitRootResult:
     """Fisher combination of per-entity ADF p-values."""
-    min_len = 2 * 0 + DET_TERMS[det] + 1 + 3  # at least a lag-0 regression
-    runs, kept = _panel_runs(series, min_len, "fisher_adf")
+    runs, kept = _panel_runs(series, _shortest_run(det), "fisher_adf")
     stats_pe = []
     for entity, run in zip(kept, runs):
         p_i = _entity_lags(run.shape[0], det, lags)
@@ -363,8 +379,7 @@ def fisher_adf(series: VariableSeries, det: str = "c", lags: int | None = None) 
 
 def fisher_pp(series: VariableSeries, det: str = "c", bandwidth: int | None = None) -> UnitRootResult:
     """Fisher combination of per-entity Phillips-Perron p-values."""
-    min_len = DET_TERMS[det] + 1 + 3
-    runs, kept = _panel_runs(series, min_len, "fisher_pp")
+    runs, kept = _panel_runs(series, _shortest_run(det), "fisher_pp")
     stats_pe = []
     for entity, run in zip(kept, runs):
         r = pp_test(run, det=det, bandwidth=bandwidth)
@@ -378,7 +393,11 @@ def fisher_pp(series: VariableSeries, det: str = "c", bandwidth: int | None = No
 
 
 def _ips_moments(T: int, p: int, det: str) -> tuple:
-    """(mean, variance, usable lag) of the null t-statistic, interpolated in T."""
+    """(mean, variance, usable lag) of the null t-statistic, interpolated in T.
+
+    The lag is capped at what the lower bracketing grid length holds; the
+    cap grows with T, so that length binds.
+    """
     table = IPS_MOMENTS[det]
     grid = IPS_T_GRID
     if T < grid[0]:
@@ -390,19 +409,13 @@ def _ips_moments(T: int, p: int, det: str) -> tuple:
             stacklevel=3,
         )
         T = grid[-1]
-    hi = 0
-    while grid[hi] < T:
-        hi += 1
+    hi = bisect_left(grid, T)
     lo = hi if grid[hi] == T else hi - 1
-    pmax_avail = min(
-        max(pp for (tt, pp) in table if tt == grid[lo]),
-        max(pp for (tt, pp) in table if tt == grid[hi]),
-    )
-    p_eff = min(p, pmax_avail)
+    p_eff = min(p, _ips_lag_cap(grid[lo], det))
     m_lo, v_lo = table[(grid[lo], p_eff)]
-    m_hi, v_hi = table[(grid[hi], p_eff)]
-    if grid[hi] == grid[lo]:
+    if lo == hi:
         return m_lo, v_lo, p_eff
+    m_hi, v_hi = table[(grid[hi], p_eff)]
     w = (T - grid[lo]) / (grid[hi] - grid[lo])
     return m_lo + w * (m_hi - m_lo), v_lo + w * (v_hi - v_lo), p_eff
 
@@ -412,8 +425,8 @@ def ips_test(series: VariableSeries, det: str = "c", lags: int | None = None) ->
 
     W = sqrt(N) (tbar - mean of tabulated means) / sqrt(mean of tabulated
     variances), asymptotically standard normal; p is the lower tail.  The
-    moment table covers intercept and trend cases; per-entity lags are
-    capped so each regression keeps the residual df the table assumes.
+    moment table covers intercept and trend cases; each entity's lag is
+    capped at what the table holds before the entity is fitted once.
     """
     if det not in ("c", "ct"):
         raise ValueError("ips_test supports det 'c' or 'ct' (moment table coverage)")
@@ -422,11 +435,8 @@ def ips_test(series: VariableSeries, det: str = "c", lags: int | None = None) ->
     stats_pe, means, variances = [], [], []
     for entity, run in zip(kept, runs):
         T = run.shape[0]
-        p_i = _entity_lags(T, det, lags, min_df=3)
-        r = adf_test(run, det=det, lags=p_i)
-        m, v, p_used = _ips_moments(T, p_i, det)
-        if p_used != p_i:  # moment table forced a shorter augmentation
-            r = adf_test(run, det=det, lags=p_used)
+        m, v, p_used = _ips_moments(T, _entity_lags(T, det, lags, min_df=3), det)
+        r = adf_test(run, det=det, lags=p_used)
         stats_pe.append((entity, r.statistic, r.p_value, p_used))
         means.append(m)
         variances.append(v)
@@ -448,18 +458,18 @@ def llc_test(series: VariableSeries, det: str = "c", lags: int | None = None) ->
     by the entity's regression standard error, and pooled into one slope.
     The pooled t is then centered and scaled with tabulated adjustments
     indexed by the average effective length; below the table's range the
-    test refuses rather than extrapolate.
+    test refuses rather than extrapolate, before any entity is fitted.
     """
     if det not in DET_TERMS:
         raise ValueError(f"unknown deterministic case {det!r}")
-    min_len = 2 * 0 + DET_TERMS[det] + 1 + 3
-    runs, kept = _panel_runs(series, min_len, "llc_test")
+    runs, kept = _panel_runs(series, _shortest_run(det), "llc_test")
+    lags_pe = [_entity_lags(run.shape[0], det, lags) for run in runs]
+    t_effs = [run.shape[0] - 1 - p_i for run, p_i in zip(runs, lags_pe)]
+    t_tilde = float(np.mean(t_effs))
+    mu_star, sigma_star = _dfc.llc_adjustment(t_tilde, det)
 
-    e_all, v_all, s_ratios, t_effs, lags_pe = [], [], [], [], []
-    for run in runs:
-        T = run.shape[0]
-        p_i = _entity_lags(T, det, lags)
-        rows = T - 1 - p_i
+    e_all, v_all, s_ratios = [], [], []
+    for run, p_i, rows in zip(runs, lags_pe, t_effs):
         # Common right-hand side: the Dickey-Fuller design without the level.
         target_dy, X = _df_design(run, det, p_i)
         target_lev, Q = X[:, 0], X[:, 1:]
@@ -488,8 +498,6 @@ def llc_test(series: VariableSeries, det: str = "c", lags: int | None = None) ->
         K = min(int(np.floor(3.21 * d_adj.shape[0] ** (1.0 / 3.0))), d_adj.shape[0] - 2)
         lrv = float(long_run_covariances(d_adj, max(K, 0))[0][0, 0])
         s_ratios.append(np.sqrt(max(lrv, 1e-300) / s2_i))
-        t_effs.append(rows)
-        lags_pe.append(p_i)
 
     N = len(runs)
     e = np.concatenate(e_all)
@@ -502,8 +510,6 @@ def llc_test(series: VariableSeries, det: str = "c", lags: int | None = None) ->
     std_delta = np.sqrt(sigma2_eps / denom)
     t_delta = delta / std_delta
 
-    t_tilde = float(np.mean(t_effs))
-    mu_star, sigma_star = _dfc.llc_adjustment(t_tilde, det)
     s_bar = float(np.mean(s_ratios))
     adj = N * t_tilde * s_bar * std_delta / sigma2_eps * mu_star
     t_star = (t_delta - adj) / sigma_star

@@ -12,6 +12,7 @@ import yaml
 
 from panelmetrics.data import read_panel_csv
 from panelmetrics.report.cli import main
+from panelmetrics.report.fetch import FetchDescriptor
 
 
 def write_panel(path, n=12, width=9):
@@ -240,6 +241,18 @@ class TestFetchCommands:
         config = self.write_config(tmp_path, doc)
         assert main(["fetch", "--config", config]) == 3
         assert "FAILED" in capsys.readouterr().err
+
+    def test_corrupt_cache_file_is_ingest_error(self, indicator_server, tmp_path, capsys):
+        config = self.write_config(tmp_path, fetch_doc(indicator_server))
+        assert main(["fetch", "--config", config]) == 0
+        key = FetchDescriptor("prov", "VARY", "2013:2016").cache_key(indicator_server)
+        cached = tmp_path / "cache" / f"{key}.csv"
+        cached.write_text("\x00garbage")
+        capsys.readouterr()
+        assert main(["run", "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert "ingest error" in err
+        assert str(cached) in err
 
     def test_ingest_merges_indicators(self, indicator_server, tmp_path, capsys):
         config = self.write_config(tmp_path, fetch_doc(indicator_server))

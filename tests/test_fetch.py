@@ -90,9 +90,12 @@ def fetch_one(srv, tmp_path, code, **kwargs):
 class TestCacheKey:
     def test_stable_and_distinct(self):
         a = FetchDescriptor("prov", "GOOD", "2013:2021")
-        assert a.cache_key() == FetchDescriptor("prov", "GOOD", "2013:2021").cache_key()
-        assert a.cache_key() != FetchDescriptor("prov", "GOOD", "2013:2020").cache_key()
-        assert a.cache_key() != FetchDescriptor("other", "GOOD", "2013:2021").cache_key()
+        host = "http://one.example"
+        assert a.cache_key(host) == FetchDescriptor("prov", "GOOD", "2013:2021").cache_key(host)
+        assert a.cache_key(host) != FetchDescriptor("prov", "GOOD", "2013:2020").cache_key(host)
+        assert a.cache_key(host) != FetchDescriptor("other", "GOOD", "2013:2021").cache_key(host)
+        assert a.cache_key(host) != a.cache_key("http://two.example")
+        assert a.cache_key(host + "/") == a.cache_key(host)
 
 
 class TestFetch:

@@ -123,6 +123,11 @@ class TestTransforms:
         assert np.isnan(lagged.values[0, 0])
         assert lagged.values[0, 1] == 1.0
         assert np.isnan(lagged.values[0, 2])
+        # k=2 reaches across the missing 2002: 2003 takes the 2001 value
+        lagged2 = lag(ds["x"], 2)
+        assert lagged2.name == "x_lag2"
+        assert np.isnan(lagged2.values[0, :2]).all()
+        assert lagged2.values[0, 2] == 2.0
 
     def test_lag_zero_is_identity(self):
         ds = make_dataset({"x": [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]})

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from panelmetrics import unitroot
 from panelmetrics._dfconstants import mackinnon_p
 from panelmetrics.data import PanelDataset, PanelWarning, VariableSeries
 from panelmetrics.unitroot import (
+    _shortest_run,
     adf_test,
     default_lags,
     fisher_combine,
@@ -91,6 +93,15 @@ class TestAdf:
     def test_too_short_for_lags(self):
         with pytest.raises(ValueError, match="cannot support"):
             adf_test([1.0, 2.0, 1.0], det="c", lags=1)
+
+    @pytest.mark.parametrize("det", ["n", "c", "ct"])
+    def test_shortest_run_is_first_fittable_length(self, det):
+        # the panel tests' length floor is the shortest series ADF can fit
+        T = _shortest_run(det)
+        y = np.arange(T) + np.sin(np.arange(T))
+        assert adf_test(y, det=det).lags == 0
+        with pytest.raises(ValueError, match="too short"):
+            adf_test(y[:-1], det=det)
 
     def test_missing_values_rejected(self):
         with pytest.raises(ValueError, match="missing"):
@@ -293,6 +304,20 @@ class TestIps:
         with pytest.raises(ValueError, match="moment table"):
             ips_test(make_series(ar_panel(rng, 3, 30, 0.3)), det="n")
 
+    def test_each_entity_fitted_once_at_table_lag(self, monkeypatch):
+        # T=16 allows 5 lags, but the table's lower grid length 15 holds 4
+        rng = np.random.default_rng(17)
+        calls = []
+
+        def counting_adf(y, det="c", lags=None):
+            calls.append(lags)
+            return adf_test(y, det=det, lags=lags)
+
+        monkeypatch.setattr(unitroot, "adf_test", counting_adf)
+        r = ips_test(make_series(ar_panel(rng, 3, 16, 0.5)), lags=5)
+        assert calls == [4, 4, 4]
+        assert [row[3] for row in r.per_entity] == [4, 4, 4]
+
     def test_short_entities_dropped_then_error(self):
         rng = np.random.default_rng(18)
         with pytest.warns(PanelWarning, match="dropped"):
@@ -306,7 +331,13 @@ class TestLlc:
         with pytest.raises(ValueError, match="fewer than two"):
             llc_test(make_series(rng.standard_normal((1, 40))))
 
-    def test_short_panel_below_adjustment_table(self):
+    def test_short_panel_below_adjustment_table(self, monkeypatch):
+        # the table refuses before any entity is partialled out or smoothed
+        def fail(*args, **kwargs):
+            raise AssertionError("an entity was fitted before the table check")
+
+        monkeypatch.setattr(unitroot, "_df_design", fail)
+        monkeypatch.setattr(unitroot, "long_run_covariances", fail)
         rng = np.random.default_rng(23)
         rows = np.cumsum(rng.standard_normal((4, 9)), axis=1)
         with pytest.raises(ValueError, match="adjustment table"):

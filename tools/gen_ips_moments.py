@@ -6,6 +6,9 @@ records its mean and variance.  The t-bar standardization consumes exactly
 these moments, so they are simulated through the package's own regression
 layout, `unitroot._df_design`, imported from this checkout's src/ (a test
 pins the vectorized tau here to unitroot.adf_test at 1e-10 on shared draws).
+The lag cap per length is `unitroot._ips_lag_cap`, the same rule the t-bar
+test applies when it reads the table, so the table holds exactly the lags
+the test asks for; its IPS_MAX_LAG is carried over from the current table.
 
 Usage: python tools/gen_ips_moments.py [--reps 200000] [--out src/panelmetrics/_ipsmoments.py]
 
@@ -22,18 +25,11 @@ from pathlib import Path
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-from panelmetrics.unitroot import _df_design  # noqa: E402
+from panelmetrics.unitroot import IPS_MAX_LAG, _df_design, _ips_lag_cap as p_max  # noqa: E402
 
 T_GRID = (8, 9, 10, 12, 15, 20, 25, 30, 40, 50, 60, 80, 100)
-MAX_LAG = 8
 MASTER_SEED = 20260816
 CHUNK = 20_000
-
-
-def p_max(T: int, det: str) -> int:
-    # Keep residual df >= 3 so the t variance exists.
-    d = {"c": 1, "ct": 2}[det]
-    return min(MAX_LAG, (T - 4 - d - 1) // 2)
 
 
 def simulate_tau(T: int, p: int, det: str, reps: int, seed) -> np.ndarray:
@@ -94,7 +90,7 @@ def main(argv=None):
         '"""',
         "",
         f"IPS_T_GRID = {T_GRID!r}",
-        f"IPS_MAX_LAG = {MAX_LAG}",
+        f"IPS_MAX_LAG = {IPS_MAX_LAG}",
         "",
         "# det -> (T, p) -> (mean, variance)",
         "IPS_MOMENTS = {",
