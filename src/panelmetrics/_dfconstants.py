@@ -8,6 +8,7 @@ polynomial split at TAU_STAR and hard 0/1 clamps outside [TAU_MIN, TAU_MAX].
 """
 
 import numpy as np
+from scipy.special import ndtr
 
 # Split points and validity bounds for the tau response surface.
 TAU_STAR = {"n": -1.04, "c": -1.61, "ct": -2.89}
@@ -61,8 +62,6 @@ def mackinnon_p(stat: float, det: str) -> float:
     bounds the small-p polynomial applies at or below TAU_STAR and the
     large-p polynomial above it.
     """
-    from scipy.stats import norm
-
     if det not in TAU_STAR:
         raise ValueError(f"unknown deterministic case {det!r}")
     if stat > TAU_MAX[det]:
@@ -70,7 +69,7 @@ def mackinnon_p(stat: float, det: str) -> float:
     if stat < TAU_MIN[det]:
         return 0.0
     coef = TAU_SMALLP[det] if stat <= TAU_STAR[det] else TAU_LARGEP[det]
-    return float(norm.cdf(np.polyval(coef[::-1], stat)))
+    return float(ndtr(np.polyval(coef[::-1], stat)))
 
 
 def llc_adjustment(t_tilde: float, det: str) -> tuple:

@@ -136,6 +136,11 @@ def build_instruments(dataset: PanelDataset, spec: ModelSpec,
                       sample: DiffSample | None = None) -> InstrumentMatrix:
     """Instrument matrix for the differenced equation of a dynamic spec.
 
+    The level at year t - d instruments equation year t for each lag
+    distance 2 <= d <= min(t - first period, max_depth + 1); a source year
+    off the panel grid, or a non-finite level, leaves a zero.  Columns are
+    "lev[t,t-d]" year by year with d descending, or collapsed "lev[t-d]".
+
     Parameters
     ----------
     dataset, spec : data and equation; spec must set lagged_dependent.
@@ -160,50 +165,35 @@ def build_instruments(dataset: PanelDataset, spec: ModelSpec,
     elif sample.spec != spec:
         raise ValueError("sample was built from a different spec")
     dep = dataset[spec.dependent]
-    lev = dep.values
-    year_col = {y: j for j, y in enumerate(dep.periods)}
-    first_year = dep.periods[0]
+    periods = np.asarray(dep.periods)
     ent_row = {e: i for i, e in enumerate(dep.entities)}
 
-    def sources(t: int):
-        lo = t - 1 - max_depth if max_depth is not None else first_year
-        return range(max(first_year, lo), t - 1)  # s <= t-2
-
-    all_years = sorted({int(t) for b in sample.blocks for t in b[1]})
+    eq_years = np.unique(np.concatenate([b[1] for b in sample.blocks]))
+    reach = eq_years - periods[0]
+    if max_depth is not None:
+        reach = np.minimum(reach, max_depth + 1)
+    dists = np.arange(2, reach.max() + 1)
     if collapse:
-        dists = sorted({t - s for t in all_years for s in sources(t)})
-        level_cols = [("dist", d) for d in dists]
+        level_cols = [f"lev[t-{d}]" for d in dists.tolist()]
     else:
-        level_cols = [("pair", t, s) for t in all_years for s in sources(t)]
-    exog_cols = [("diff", name) for name in sample.columns[1:]]
-    col_index = {key: j for j, key in enumerate(level_cols)}
-    L = len(level_cols) + len(exog_cols)
+        level_cols = [f"lev[{t},{t - d}]" for t, r in zip(eq_years.tolist(), reach.tolist())
+                      for d in range(r, 1, -1)]
+        last_col = np.cumsum(np.maximum(reach - 1, 0)) - 1  # year t's d = 2 column
+    columns = level_cols + [f"d_{name}" for name in sample.columns[1:]]
+    L = len(columns)
 
     blocks = []
     for entity, years, dy, dX in sample.blocks:
-        i = ent_row[entity]
+        k = np.searchsorted(eq_years, years)
+        src = years[:, None] - dists  # (rows, distances) grid of source years
+        j = np.minimum(np.searchsorted(periods, src), periods.size - 1)
+        vals = dep.values[ent_row[entity], j]
+        r, c = np.nonzero((dists <= reach[k, None]) & (periods[j] == src) & np.isfinite(vals))
         Z = np.zeros((years.shape[0], L))
-        for r, t in enumerate(years):
-            for s in sources(int(t)):
-                j = year_col.get(s)
-                if j is None:
-                    continue
-                val = lev[i, j]
-                if not np.isfinite(val):
-                    continue
-                key = ("dist", int(t) - s) if collapse else ("pair", int(t), s)
-                Z[r, col_index[key]] = val
+        Z[r, c if collapse else last_col[k[r]] - c] = vals[r, c]
         Z[:, len(level_cols):] = dX[:, 1:]
         blocks.append((entity, years, Z))
 
-    def label(key):
-        if key[0] == "pair":
-            return f"lev[{key[1]},{key[2]}]"
-        if key[0] == "dist":
-            return f"lev[t-{key[1]}]"
-        return f"d_{key[1]}"
-
-    columns = [label(k) for k in level_cols] + [label(k) for k in exog_cols]
     nonzero = np.zeros(L, dtype=bool)
     for _, _, Z in blocks:
         nonzero |= np.any(Z != 0.0, axis=0)

@@ -13,8 +13,7 @@ import os
 import sys
 
 from .config import ConfigError, load_config
-from .fetch import FetchDescriptor, fetch_indicators
-from .pipeline import IngestError, PipelineIOError, run_pipeline, write_ingested
+from .pipeline import IngestError, PipelineIOError, fetch_configured, run_pipeline, write_ingested
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -75,17 +74,11 @@ def _load(args):
 
 
 def _cmd_fetch(config, base_dir) -> int:
-    data = config.data
-    if data.kind != "fetch":
+    if config.data.kind != "fetch":
         print("config data source is a file; nothing to fetch", file=sys.stderr)
         return EXIT_CONFIG
-    cache_dir = data.cache_dir if os.path.isabs(data.cache_dir) else os.path.join(base_dir, data.cache_dir)
-    descriptors = [
-        FetchDescriptor(provider=data.provider, code=v.source, years=data.years)
-        for v in config.variables
-    ]
     failures = 0
-    for outcome in fetch_indicators(descriptors, data.base_url, cache_dir):
+    for outcome in fetch_configured(config, base_dir):
         code = outcome.descriptor.code
         if outcome.ok:
             origin = "cache" if outcome.from_cache else f"{outcome.pages} page(s)"

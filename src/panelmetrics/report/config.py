@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import yaml
 
@@ -77,9 +77,9 @@ class OutputOptions:
 class PipelineConfig:
     """Validated pipeline configuration.
 
-    normalized holds the canonical plain-data form of the document (defaults
-    filled in, key order fixed); its JSON serialization defines digest(),
-    which the manifest records so identical runs are recognizable.
+    digest() hashes the canonical plain-data form of the analysis
+    (defaults filled in, key order fixed), which the manifest records so
+    identical runs are recognizable.
     """
 
     version: int
@@ -90,7 +90,6 @@ class PipelineConfig:
     tests: TestOptions
     stages: tuple
     output: OutputOptions
-    normalized: dict = field(repr=False)
 
     def analysis_series(self) -> tuple:
         """Series names the analysis stages run on, in variable order."""
@@ -102,30 +101,63 @@ class PipelineConfig:
         Where artifacts land does not change what was computed, so two runs
         of the same analysis into different directories share a digest.
         """
-        content = {k: v for k, v in self.normalized.items() if k != "output"}
         return hashlib.sha256(
-            json.dumps(content, sort_keys=True).encode("utf-8")
+            json.dumps(_canonical(self), sort_keys=True).encode("utf-8")
         ).hexdigest()
 
     def with_overrides(self, seed=None, out_dir=None, formats=None, stages=None):
-        """Copy with CLI-level overrides applied (normalized form updated)."""
+        """Copy with CLI-level overrides applied."""
         cfg = self
-        norm = dict(self.normalized)
         if seed is not None:
-            norm["seed"] = int(seed)
             cfg = replace(cfg, seed=int(seed))
         if out_dir is not None:
-            norm["output"] = dict(norm["output"], directory=str(out_dir))
             cfg = replace(cfg, output=replace(cfg.output, directory=str(out_dir)))
         if formats is not None:
             fmts = _canonical_subset(formats, FORMATS, "formats")
-            norm["output"] = dict(norm["output"], formats=list(fmts))
             cfg = replace(cfg, output=replace(cfg.output, formats=fmts))
         if stages is not None:
-            st = _canonical_subset(stages, STAGES, "stages")
-            norm["stages"] = list(st)
-            cfg = replace(cfg, stages=st)
-        return replace(cfg, normalized=norm)
+            cfg = replace(cfg, stages=_canonical_subset(stages, STAGES, "stages"))
+        return cfg
+
+
+def _canonical(cfg: PipelineConfig) -> dict:
+    """Plain-data form of everything but the output block."""
+    data = cfg.data
+    return {
+        "config_version": cfg.version,
+        "seed": cfg.seed,
+        "data": {
+            "source": data.kind,
+            "path": data.path,
+            "schema": data.schema,
+            "base_url": data.base_url,
+            "provider": data.provider,
+            "years": data.years,
+            "cache_dir": data.cache_dir,
+        },
+        "variables": [
+            {"name": v.name, "source": v.source, "log": v.log} for v in cfg.variables
+        ],
+        "models": [
+            {
+                "label": m.label,
+                "dependent": m.dependent,
+                "regressors": [{"var": v, "lag": k} for v, k in m.regressors],
+                "lagged_dependent": m.lagged_dependent,
+                "intercept": m.intercept,
+            }
+            for m in cfg.models
+        ],
+        "tests": {
+            "det": cfg.tests.det,
+            "lags": cfg.tests.lags,
+            "bandwidth": cfg.tests.bandwidth,
+            "gmm_depth": cfg.tests.gmm_depth,
+            "gmm_collapse": cfg.tests.gmm_collapse,
+            "variables": list(cfg.tests.variables),
+        },
+        "stages": list(cfg.stages),
+    }
 
 
 def _require_mapping(obj, where: str) -> dict:
@@ -352,42 +384,6 @@ def validate_config(document) -> PipelineConfig:
     )
     output = _validate_output(document.get("output"))
 
-    normalized = {
-        "config_version": version,
-        "seed": seed,
-        "data": {
-            "source": data.kind,
-            "path": data.path,
-            "schema": data.schema,
-            "base_url": data.base_url,
-            "provider": data.provider,
-            "years": data.years,
-            "cache_dir": data.cache_dir,
-        },
-        "variables": [
-            {"name": v.name, "source": v.source, "log": v.log} for v in variables
-        ],
-        "models": [
-            {
-                "label": m.label,
-                "dependent": m.dependent,
-                "regressors": [{"var": v, "lag": k} for v, k in m.regressors],
-                "lagged_dependent": m.lagged_dependent,
-                "intercept": m.intercept,
-            }
-            for m in models
-        ],
-        "tests": {
-            "det": tests.det,
-            "lags": tests.lags,
-            "bandwidth": tests.bandwidth,
-            "gmm_depth": tests.gmm_depth,
-            "gmm_collapse": tests.gmm_collapse,
-            "variables": list(tests.variables),
-        },
-        "stages": list(stages),
-        "output": {"directory": output.directory, "formats": list(output.formats)},
-    }
     return PipelineConfig(
         version=version,
         seed=seed,
@@ -397,7 +393,6 @@ def validate_config(document) -> PipelineConfig:
         tests=tests,
         stages=stages,
         output=output,
-        normalized=normalized,
     )
 
 

@@ -6,7 +6,9 @@ per_page=M returns a two-element array [metadata, records], where metadata
 carries page/pages counts and each record holds an entity id, a date, and
 a value (null for missing).  Each descriptor lands in one long-schema CSV
 in the cache, keyed by a digest of (base_url, provider, code, years), so
-two hosts never share a file; repeat calls never touch the network.
+two hosts never share a file; repeat calls never touch the network.  A
+cache file is reused only when it parses as a long-schema panel holding
+exactly the descriptor's code; any other file is downloaded again.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ import time
 from dataclasses import dataclass
 
 import requests
+
+from ..data import read_panel_csv
 
 
 @dataclass(frozen=True)
@@ -100,10 +104,18 @@ def _get_page(session, url, params, max_attempts, backoff):
     raise ConnectionError(f"gave up after {max_attempts} attempts: {last_exc}")
 
 
+def _cache_holds(path: str, code: str) -> bool:
+    """Whether path is a long-schema panel CSV of exactly one variable, code."""
+    try:
+        return list(read_panel_csv(path, "long").variables) == [code]
+    except (OSError, ValueError):
+        return False
+
+
 def _fetch_one(descriptor, base_url, cache_dir, session, per_page, max_attempts, backoff):
     key = descriptor.cache_key(base_url)
     path = os.path.join(cache_dir, f"{key}.csv")
-    if os.path.exists(path):
+    if _cache_holds(path, descriptor.code):
         return FetchOutcome(descriptor, path=path, from_cache=True)
 
     url = f"{base_url.rstrip('/')}/{descriptor.provider}/indicator/{descriptor.code}"

@@ -104,15 +104,20 @@ def _ingest_file(config: PipelineConfig, base_dir) -> PanelDataset:
     return dataset
 
 
-def _ingest_fetch(config: PipelineConfig, base_dir) -> PanelDataset:
-    """Download per-indicator files and merge them on the (entity, year) grid."""
+def fetch_configured(config: PipelineConfig, base_dir=None) -> list:
+    """One FetchOutcome per configured variable, cached under base_dir."""
     data = config.data
-    cache_dir = _resolve(data.cache_dir, base_dir)
     descriptors = [
         FetchDescriptor(provider=data.provider, code=v.source, years=data.years)
         for v in config.variables
     ]
-    outcomes = fetch_indicators(descriptors, data.base_url, cache_dir)
+    return fetch_indicators(descriptors, data.base_url, _resolve(data.cache_dir, base_dir))
+
+
+def _ingest_fetch(config: PipelineConfig, base_dir) -> PanelDataset:
+    """Download per-indicator files and merge them on the (entity, year) grid."""
+    data = config.data
+    outcomes = fetch_configured(config, base_dir)
     bad = [o for o in outcomes if not o.ok]
     if bad:
         details = "; ".join(f"{o.descriptor.code}: {o.error}" for o in bad)

@@ -274,7 +274,7 @@ def pp_test(y, det: str = "c", bandwidth: int | None = None) -> UnitRootResult:
 
     where g0 is the residual variance with divisor T.  At bandwidth 0,
     f0 == g0 and Z reduces to tau exactly.  bandwidth=None applies the
-    automatic rule to the residuals.
+    automatic rule to the residuals, or bandwidth 0 below four of them.
     """
     y = _check_series(y)
     if det not in DET_TERMS:
@@ -284,7 +284,7 @@ def pp_test(y, det: str = "c", bandwidth: int | None = None) -> UnitRootResult:
         raise ValueError(f"pp_test: series too short (T={T}) for det={det!r}")
     tau, _, se_rho, s, resid, rows = _df_regression(y, det, 0)
     if bandwidth is None:
-        bandwidth = neweywest_bandwidth(resid)
+        bandwidth = neweywest_bandwidth(resid) if rows >= 4 else 0
     else:
         bandwidth = int(bandwidth)
         if bandwidth < 0:

@@ -141,6 +141,14 @@ class TestExitCodes:
         assert main(["run", "--config", config]) == 3
         assert "I/O error" in capsys.readouterr().err
 
+    def test_malformed_data_file_is_2(self, workspace, capsys):
+        config = workspace()
+        (workspace.dir / "panel.csv").write_text("\x00garbage")
+        assert main(["run", "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert "ingest error" in err
+        assert str(workspace.dir / "panel.csv") in err
+
     def test_stage_failure_is_2(self, workspace, capsys):
         doc = file_doc()
         for model in doc["models"]:
@@ -242,17 +250,17 @@ class TestFetchCommands:
         assert main(["fetch", "--config", config]) == 3
         assert "FAILED" in capsys.readouterr().err
 
-    def test_corrupt_cache_file_is_ingest_error(self, indicator_server, tmp_path, capsys):
+    def test_corrupt_cache_file_is_fetched_again(self, indicator_server, tmp_path, capsys):
         config = self.write_config(tmp_path, fetch_doc(indicator_server))
         assert main(["fetch", "--config", config]) == 0
         key = FetchDescriptor("prov", "VARY", "2013:2016").cache_key(indicator_server)
         cached = tmp_path / "cache" / f"{key}.csv"
         cached.write_text("\x00garbage")
         capsys.readouterr()
-        assert main(["run", "--config", config]) == 2
-        err = capsys.readouterr().err
-        assert "ingest error" in err
-        assert str(cached) in err
+        assert main(["fetch", "--config", config]) == 0
+        vary, varx = capsys.readouterr().out.splitlines()
+        assert vary.endswith("(1 page(s))") and varx.endswith("(cache)")
+        assert list(read_panel_csv(cached, schema="long").variables) == ["VARY"]
 
     def test_ingest_merges_indicators(self, indicator_server, tmp_path, capsys):
         config = self.write_config(tmp_path, fetch_doc(indicator_server))

@@ -74,6 +74,18 @@ def server():
         thread.join()
 
 
+class _FakeSession:
+    """Answers every request with one page holding one GOOD record."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def get(self, url, params, timeout):
+        self.calls += 1
+        body = [{"page": 1, "pages": 1}, _records([("AAA", 2013, 1.5)])]
+        return type("Response", (), {"status_code": 200, "text": "", "json": lambda _: body})()
+
+
 def base_url(srv):
     return f"http://127.0.0.1:{srv.server_address[1]}"
 
@@ -122,6 +134,26 @@ class TestFetch:
             bytes_first = fh.read()
         with open(second.path, "rb") as fh:
             assert fh.read() == bytes_first
+
+    @pytest.mark.parametrize("cached", [
+        "\x00garbage",
+        "entity,year,variable,value\nAAA,2013,OTHER,1.0\n",
+        "entity,year,variable,value\nAAA,2013,GOOD,1.0\nAAA,2013,OTHER,1.0\n",
+    ], ids=["garbage", "other-code", "extra-code"])
+    def test_invalid_cache_file_is_downloaded_again(self, tmp_path, cached):
+        descriptor = FetchDescriptor("prov", "GOOD", "2013:2021")
+        path = tmp_path / "cache" / f"{descriptor.cache_key('http://fake')}.csv"
+        path.parent.mkdir()
+        path.write_text(cached)
+        session = _FakeSession()
+        (outcome,) = fetch_indicators([descriptor], "http://fake", str(tmp_path / "cache"),
+                                      session=session)
+        assert (outcome.ok, outcome.from_cache, outcome.rows) == (True, False, 1)
+        assert session.calls == 1
+        assert path.read_text() == "entity,year,variable,value\nAAA,2013,GOOD,1.5\n"
+        assert fetch_indicators([descriptor], "http://fake", str(tmp_path / "cache"),
+                                session=session)[0].from_cache
+        assert session.calls == 1
 
     def test_unknown_code_surfaces_status_and_body(self, server, tmp_path):
         outcome = fetch_one(server, tmp_path, "MISSING")

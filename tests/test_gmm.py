@@ -1,5 +1,7 @@
 """Tests for first-difference dynamic panel GMM."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -68,6 +70,36 @@ class TestDifferencedSample:
         assert [b[0] for b in s.blocks] == ["E0"]
 
 
+def per_cell_instruments(ds, spec, max_depth, collapse):
+    """Reference instrument matrix, one cell at a time: the level at source
+    year s instruments equation year t when 2 <= t - s <= max_depth + 1 and
+    s is a panel year.  Returns (columns, dropped_columns, blocks)."""
+    sample = differenced_sample(ds, spec)
+    dep = ds[spec.dependent]
+    years = sorted({int(t) for b in sample.blocks for t in b[1]})
+    pairs = [(t, s) for t in years for s in range(dep.periods[0], t - 1)
+             if max_depth is None or t - s <= max_depth + 1]
+    keys = sorted({t - s for t, s in pairs}) if collapse else pairs
+    columns = [f"lev[t-{d}]" if collapse else f"lev[{d[0]},{d[1]}]" for d in keys]
+    columns += [f"d_{name}" for name in sample.columns[1:]]
+    blocks = []
+    for entity, yrs, _, dX in sample.blocks:
+        Z = np.zeros((yrs.shape[0], len(columns)))
+        for r, t in enumerate(yrs):
+            for t_pair, s in pairs:
+                if t_pair != t or s not in dep.periods:
+                    continue
+                v = dep.values[dep.entities.index(entity), dep.periods.index(s)]
+                if np.isfinite(v):
+                    Z[r, keys.index(t - s if collapse else (t, s))] = v
+        Z[:, len(keys):] = dX[:, 1:]
+        blocks.append((entity, yrs, Z))
+    keep = np.any([np.any(Z != 0.0, axis=0) for _, _, Z in blocks], axis=0)
+    dropped = tuple(c for c, k in zip(columns, keep) if not k)
+    kept = tuple(c for c, k in zip(columns, keep) if k)
+    return kept, dropped, [(e, yrs, Z[:, keep]) for e, yrs, Z in blocks]
+
+
 class TestBuildInstruments:
     def test_t4_uncollapsed_layout(self):
         # t = 3 instruments {y1}; t = 4 instruments {y1, y2}: 3 columns
@@ -114,6 +146,47 @@ class TestBuildInstruments:
             Z = build_instruments(build_panel({"y": y}), AR_SPEC)
         assert Z.dropped_columns == ("lev[4,1]", "lev[5,1]")
         assert "lev[4,1]" not in Z.columns
+
+    def test_matches_per_cell_rule_on_random_panels(self):
+        # grid years missing, NaN and zero levels, entities with no
+        # differenceable rows, every depth and both layouts
+        rng = np.random.default_rng(2024)
+        checked = 0
+        for _ in range(60):
+            n, T = int(rng.integers(1, 6)), int(rng.integers(3, 11))
+            span = np.arange(1990, 1990 + T + int(rng.integers(0, 4)))
+            periods = tuple(int(y) for y in np.union1d(span[:1], rng.choice(span, T - 1)))
+            y = rng.standard_normal((n, len(periods)))
+            y[rng.random(y.shape) < 0.15] = np.nan
+            y[rng.random(y.shape) < 0.05] = 0.0
+            ds = PanelDataset(entities=tuple(f"E{i}" for i in range(n)), periods=periods)
+            for name, vals in (("y", y), ("x", rng.standard_normal(y.shape))):
+                ds.add(VariableSeries(name=name, entities=ds.entities, periods=periods,
+                                      values=vals))
+            spec = ModelSpec(label="r", dependent="y", regressors=(("x", 0),) * (n % 2),
+                             lagged_dependent=True)
+            for depth in (None, 1, 2, 3):
+                for collapse in (False, True):
+                    with warnings.catch_warnings(record=True) as caught:
+                        warnings.simplefilter("always")
+                        try:
+                            Z = build_instruments(ds, spec, max_depth=depth, collapse=collapse)
+                        except ValueError:
+                            continue
+                        columns, dropped, blocks = per_cell_instruments(ds, spec, depth, collapse)
+                    assert Z.columns == columns
+                    assert Z.dropped_columns == dropped
+                    assert any("all-zero" in str(w.message) for w in caught) == bool(dropped)
+                    assert len(Z.blocks) == len(blocks)
+                    for (e, yrs, got), (e_ref, yrs_ref, want) in zip(Z.blocks, blocks):
+                        assert e == e_ref
+                        np.testing.assert_array_equal(yrs, yrs_ref)
+                        # own C-ordered block; dropping columns may re-lay it out
+                        assert got.flags.owndata or dropped
+                        assert got.flags.c_contiguous or dropped
+                        np.testing.assert_array_equal(got, want)
+                    checked += 1
+        assert checked > 200
 
     def test_requires_dynamic_spec(self):
         static = ModelSpec(label="s", dependent="y", regressors=(("x", 0),))

@@ -286,6 +286,9 @@ class TestDigest:
         config = validate_config(doc)
         assert config.digest() != config.with_overrides(seed=100).digest()
         assert config.digest() == config.with_overrides(out_dir="elsewhere").digest()
+        staged = validate_config(dict(doc, stages=["gmm", "describe"])).digest()
+        assert config.with_overrides(stages=["describe", "gmm"]).digest() == staged
+        assert staged != config.digest()
 
 
 class TestFormatting:

@@ -169,6 +169,21 @@ class TestPhillipsPerron:
         with pytest.raises(ValueError, match="too large"):
             pp_test(y, bandwidth=50)
 
+    def test_three_residuals_get_bandwidth_zero(self):
+        # the automatic rule needs 4 residuals; the shortest "n" run leaves
+        # 3, which get bandwidth 0, where Z is exactly the Dickey-Fuller tau
+        y = np.cos(np.arange(4.0)) + 0.3 * np.arange(4.0)
+        r = pp_test(y, det="n")
+        assert (r.n_obs, r.bandwidth) == (3, 0)
+        assert r.statistic == pytest.approx(adf_test(y, det="n", lags=0).statistic, abs=1e-12)
+
+    def test_fisher_pp_keeps_a_shortest_run_entity(self):
+        rows = ar_panel(np.random.default_rng(21), 3, 10, 0.5)
+        rows[2, 4:] = np.nan  # E2 observed for 4 years, the "n" shortest run
+        r = unitroot.fisher_pp(make_series(rows), det="n")
+        assert r.n_entities == 3
+        assert r.per_entity[2][3] == 0
+
 
 class TestNeweyWestBandwidth:
     def test_matches_documented_formula(self):
