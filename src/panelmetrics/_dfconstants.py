@@ -55,21 +55,23 @@ LLC_SIGMA = {
 }
 
 
-def mackinnon_p(stat: float, det: str) -> float:
-    """Dickey-Fuller tau p-value from the response surface.
+def mackinnon_p(stat, det: str):
+    """Dickey-Fuller tau p-value from the response surface, elementwise.
 
     Values above TAU_MAX map to 1.0 and below TAU_MIN to 0.0; between the
     bounds the small-p polynomial applies at or below TAU_STAR and the
-    large-p polynomial above it.
+    large-p polynomial above it.  A scalar returns a float, an array an
+    array of its shape; NaN stays NaN.
     """
     if det not in TAU_STAR:
         raise ValueError(f"unknown deterministic case {det!r}")
-    if stat > TAU_MAX[det]:
-        return 1.0
-    if stat < TAU_MIN[det]:
-        return 0.0
-    coef = TAU_SMALLP[det] if stat <= TAU_STAR[det] else TAU_LARGEP[det]
-    return float(ndtr(np.polyval(coef[::-1], stat)))
+    tau = np.asarray(stat, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # only clamped values overflow
+        small = np.polyval(TAU_SMALLP[det][::-1], tau)
+        large = np.polyval(TAU_LARGEP[det][::-1], tau)
+    p = ndtr(np.where(tau <= TAU_STAR[det], small, large))
+    p = np.where(tau > TAU_MAX[det], 1.0, np.where(tau < TAU_MIN[det], 0.0, p))
+    return float(p) if p.ndim == 0 else p
 
 
 def llc_adjustment(t_tilde: float, det: str) -> tuple:

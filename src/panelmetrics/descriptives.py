@@ -12,7 +12,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _st
+from scipy.special import chdtrc
 
 from .data import PanelDataset, PanelWarning, VariableSeries
 
@@ -50,7 +50,7 @@ def jarque_bera(n: int, skewness: float, kurtosis: float) -> tuple:
     if n < 1:
         raise ValueError("jarque_bera needs n >= 1")
     jb = n / 6.0 * (skewness**2 + (kurtosis - 3.0) ** 2 / 4.0)
-    return float(jb), float(_st.chi2.sf(jb, 2))
+    return float(jb), float(chdtrc(2, jb))
 
 
 def describe(source, name: str | None = None) -> DescriptiveStats:

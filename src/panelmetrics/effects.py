@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import linalg as _sla
-from scipy import stats as _st
+from scipy.special import chdtrc, stdtr
 
 from .data import PanelWarning, RegressionSample
 
@@ -95,7 +95,7 @@ def _finish(method, columns, X, y, beta, df_resid, sst, n_ent, sample, demeaned_
     se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where(se > 0, beta / se, np.nan)
-    p = 2.0 * _st.t.sf(np.abs(t), df_resid)
+    p = 2.0 * stdtr(df_resid, -np.abs(t))
     n = y.shape[0]
     r2 = 1.0 - ssr / sst if sst > 0 else float("nan")
     k_all = X.shape[1] + absorbed
@@ -278,4 +278,5 @@ def hausman(fe: EffectsResult, re: EffectsResult) -> HausmanResult:
     inv_vals[keep] = 1.0 / eigval[keep]
     pinv = (eigvec * inv_vals) @ eigvec.T
     H = float(q @ pinv @ q)
-    return HausmanResult(H, rank, float(_st.chi2.sf(H, rank)), tuple(common), q)
+    # chdtrc is NaN below zero, where a chi-square survival is 1; rounding can get there
+    return HausmanResult(H, rank, float(chdtrc(rank, max(H, 0.0))), tuple(common), q)

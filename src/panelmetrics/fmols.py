@@ -17,7 +17,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as _st
+from scipy.special import ndtr
 
 from .data import (
     ModelSpec,
@@ -172,7 +172,7 @@ def fmols_panel(dataset: PanelDataset, spec: ModelSpec, bandwidth: int | None = 
     se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where(se > 0, beta / se, np.nan)
-    p = 2.0 * _st.norm.sf(np.abs(t))
+    p = 2.0 * ndtr(-np.abs(t))
 
     y_all = np.concatenate([y_dd for _, _, y_dd, _, _ in aligned])
     X_all = np.vstack([X_dd for _, _, _, X_dd, _ in aligned])

@@ -16,7 +16,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as _st
+from scipy.special import chdtrc, ndtr
 
 from .data import ModelSpec, PanelDataset, PanelWarning, contiguous_run, regression_sample
 
@@ -290,12 +290,13 @@ def gmm_estimate(sample: DiffSample, instruments: InstrumentMatrix,
         m += Z.T @ (dy - dX @ beta)
     j_stat = float(m @ W2 @ m)
     j_df = L - k
-    j_p = float(_st.chi2.sf(j_stat, j_df)) if j_df > 0 else None
+    # chdtrc is NaN below zero, where a chi-square survival is 1
+    j_p = float(chdtrc(j_df, max(j_stat, 0.0))) if j_df > 0 else None
 
     se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where(se > 0, beta / se, np.nan)
-    p = 2.0 * _st.norm.sf(np.abs(t))
+    p = 2.0 * ndtr(-np.abs(t))
     return GmmResult(
         method="gmm",
         step=step,

@@ -7,8 +7,11 @@ carries page/pages counts and each record holds an entity id, a date, and
 a value (null for missing).  Each descriptor lands in one long-schema CSV
 in the cache, keyed by a digest of (base_url, provider, code, years), so
 two hosts never share a file; repeat calls never touch the network.  A
-cache file is reused only when it parses as a long-schema panel holding
-exactly the descriptor's code; any other file is downloaded again.
+download is cached only when it parses as a long-schema panel holding
+exactly the descriptor's code, and a cache file is reused only under the
+same condition; any other file is downloaded again.  Either way the parsed
+panel rides on the outcome, so callers never read the file again.  A
+provider reporting more than MAX_PAGES pages is refused, not followed.
 """
 
 from __future__ import annotations
@@ -17,11 +20,13 @@ import csv
 import hashlib
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import requests
 
-from ..data import read_panel_csv
+from ..data import PanelDataset, read_panel_csv
+
+MAX_PAGES = 1000  # bounds the requests one descriptor can make
 
 
 @dataclass(frozen=True)
@@ -41,7 +46,8 @@ class FetchDescriptor:
 
 @dataclass(frozen=True)
 class FetchOutcome:
-    """Result of one descriptor: a cached CSV path or an error record."""
+    """Result of one descriptor: a cached CSV path and its parsed panel, or an
+    error record."""
 
     descriptor: FetchDescriptor
     path: str | None = None
@@ -51,6 +57,7 @@ class FetchOutcome:
     error: str | None = None
     status: int | None = None
     raw_body: str | None = None
+    dataset: PanelDataset | None = field(default=None, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -104,19 +111,22 @@ def _get_page(session, url, params, max_attempts, backoff):
     raise ConnectionError(f"gave up after {max_attempts} attempts: {last_exc}")
 
 
-def _cache_holds(path: str, code: str) -> bool:
-    """Whether path is a long-schema panel CSV of exactly one variable, code."""
-    try:
-        return list(read_panel_csv(path, "long").variables) == [code]
-    except (OSError, ValueError):
-        return False
+def _read_holding(path: str, code: str) -> PanelDataset:
+    """The long-schema panel CSV at path; ValueError unless its one variable is code."""
+    dataset = read_panel_csv(path, "long")
+    if list(dataset.variables) != [code]:
+        raise ValueError(f"{path}: holds {sorted(dataset.variables)}, not [{code!r}]")
+    return dataset
 
 
 def _fetch_one(descriptor, base_url, cache_dir, session, per_page, max_attempts, backoff):
     key = descriptor.cache_key(base_url)
     path = os.path.join(cache_dir, f"{key}.csv")
-    if _cache_holds(path, descriptor.code):
-        return FetchOutcome(descriptor, path=path, from_cache=True)
+    try:
+        return FetchOutcome(descriptor, path=path, from_cache=True,
+                            dataset=_read_holding(path, descriptor.code))
+    except (OSError, ValueError):
+        pass  # absent or invalid: download again
 
     url = f"{base_url.rstrip('/')}/{descriptor.provider}/indicator/{descriptor.code}"
     rows, page, pages = [], 1, 1
@@ -153,6 +163,13 @@ def _fetch_one(descriptor, base_url, cache_dir, session, per_page, max_attempts,
                 status=response.status_code,
                 raw_body=response.text,
             )
+        if pages > MAX_PAGES:
+            return FetchOutcome(
+                descriptor,
+                error=f"provider reports {pages} pages for {descriptor.code!r}, "
+                f"above the limit of {MAX_PAGES}",
+                status=response.status_code,
+            )
         page += 1
 
     rows.sort(key=lambda r: (r[0], r[1]))
@@ -163,8 +180,13 @@ def _fetch_one(descriptor, base_url, cache_dir, session, per_page, max_attempts,
         writer.writerow(["entity", "year", "variable", "value"])
         for entity, year, value in rows:
             writer.writerow([entity, year, descriptor.code, value])
+    try:
+        dataset = _read_holding(tmp, descriptor.code)
+    except ValueError as exc:
+        os.remove(tmp)
+        return FetchOutcome(descriptor, error=f"invalid payload for {descriptor.code!r}: {exc}")
     os.replace(tmp, path)
-    return FetchOutcome(descriptor, path=path, pages=pages, rows=len(rows))
+    return FetchOutcome(descriptor, path=path, pages=pages, rows=len(rows), dataset=dataset)
 
 
 def fetch_indicators(

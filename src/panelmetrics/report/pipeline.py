@@ -81,20 +81,14 @@ def _resolve(path: str, base_dir: str | None) -> str:
     return os.path.join(base_dir, path)
 
 
-def _read_source(path: str, schema: str) -> PanelDataset:
-    """read_panel_csv, with an unreadable file a PipelineIOError and a
-    malformed one an IngestError, each naming the file."""
+def _ingest_file(config: PipelineConfig, base_dir) -> PanelDataset:
+    path = _resolve(config.data.path, base_dir)
     try:
-        return read_panel_csv(path, schema=schema)
+        dataset = read_panel_csv(path, schema=config.data.schema)
     except OSError as exc:
         raise PipelineIOError(f"cannot read data file {path}: {exc}") from None
     except ValueError as exc:
         raise IngestError(f"data file {path} is not a valid panel CSV: {exc}") from None
-
-
-def _ingest_file(config: PipelineConfig, base_dir) -> PanelDataset:
-    path = _resolve(config.data.path, base_dir)
-    dataset = _read_source(path, config.data.schema)
     missing = [v.source for v in config.variables if v.source not in dataset.variables]
     if missing:
         raise IngestError(
@@ -123,7 +117,7 @@ def _ingest_fetch(config: PipelineConfig, base_dir) -> PanelDataset:
         details = "; ".join(f"{o.descriptor.code}: {o.error}" for o in bad)
         raise PipelineIOError(f"indicator download failed: {details}")
 
-    per_code = {o.descriptor.code: _read_source(o.path, "long") for o in outcomes}
+    per_code = {o.descriptor.code: o.dataset for o in outcomes}
     start, end = (int(p) for p in data.years.split(":"))
     years = tuple(range(start, end + 1))
     entities = sorted(set().union(*(set(d.entities) for d in per_code.values())))
@@ -131,12 +125,10 @@ def _ingest_fetch(config: PipelineConfig, base_dir) -> PanelDataset:
     merged = PanelDataset(entities=tuple(entities), periods=years)
     ent_index = {e: i for i, e in enumerate(entities)}
     for variable in config.variables:
-        source = per_code[variable.source]
         code = variable.source
+        source = per_code[code]
+        series = source[code]
         grid = np.full((len(entities), len(years)), np.nan)
-        series = source[code] if code in source.variables else None
-        if series is None:
-            raise IngestError(f"indicator file for {code!r} holds no such variable")
         for i, entity in enumerate(source.entities):
             row = ent_index[entity]
             for j, year in enumerate(source.periods):

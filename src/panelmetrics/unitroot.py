@@ -8,15 +8,17 @@ plus a battery runner that applies all of them to levels and first
 differences of each variable.
 
 The Bartlett kernel (`long_run_covariances`) and the Dickey-Fuller
-regression layout (`_df_design`) are defined here once; FMOLS and
-tools/gen_ips_moments.py import them.
+regression (`_df_design`, and `_df_regression`, which fits every series on
+its input's last axis in one stacked solve) are defined here once; FMOLS
+and tools/gen_ips_moments.py import them.
 
 Every series handed to a test must be an unbroken calendar run; the battery
 extracts each entity's longest contiguous stretch and drops entities that
 fail a test's length precondition, with a warning naming them.  Each panel
-test then settles what depends only on run lengths (per-entity lags,
-effective lengths, table coverage) before it fits any entity, so a panel
-its table cannot standardize fails without a per-entity fit.
+test settles what depends only on run lengths (lags, bandwidth checks,
+table coverage) before any fit, then fits each (length, lag) group of runs
+in one call and reads all p-values from one `mackinnon_p` call; adf_test
+and pp_test are batches of one.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _st
+from scipy.special import chdtrc, ndtr
 
 from . import _dfconstants as _dfc
 from ._ipsmoments import IPS_MAX_LAG, IPS_MOMENTS, IPS_T_GRID
@@ -89,7 +91,9 @@ def default_lags(n_obs: int) -> int:
     return int(np.floor(4.0 * (n_obs / 100.0) ** (2.0 / 9.0)))
 
 
-def _check_series(y) -> np.ndarray:
+def _check_series(y, det: str) -> np.ndarray:
+    if det not in DET_TERMS:
+        raise ValueError(f"unknown deterministic case {det!r}")
     y = np.ravel(np.asarray(y, dtype=float))
     if not np.all(np.isfinite(y)):
         raise ValueError("unit-root tests need a contiguous series with no missing values")
@@ -137,20 +141,37 @@ def _df_design(y: np.ndarray, det: str, lags: int) -> tuple:
 
 
 def _df_regression(y: np.ndarray, det: str, lags: int):
-    """Dickey-Fuller regression pieces shared by the tau-based tests.
+    """Dickey-Fuller regressions of every series on y's last axis, one stacked solve.
 
-    Returns (tau, rho_hat, se_rho, s, residuals, n_rows).
+    Returns (tau, se_rho, s, residuals, rows): the level coefficient's t, its
+    standard error and the regression standard error, each of y's leading
+    shape, and residuals of shape (..., rows).
     """
-    yy, X = _df_design(y, det, lags)
-    rows, k = X.shape
-    XtX = X.T @ X
-    beta = np.linalg.solve(XtX, X.T @ yy)
-    resid = yy - X @ beta
-    df = rows - k
-    s2 = float(resid @ resid) / df
-    se = np.sqrt(s2 * np.linalg.inv(XtX)[0, 0])
-    tau = float(beta[0] / se)
-    return tau, float(beta[0]), float(se), float(np.sqrt(s2)), resid, rows
+    dy, X = _df_design(y, det, lags)
+    rows, k = X.shape[-2:]
+    Xt = np.swapaxes(X, -1, -2)
+    XtX = Xt @ X
+    beta = np.linalg.solve(XtX, Xt @ dy[..., None])
+    resid = dy - (X @ beta)[..., 0]
+    s2 = (resid * resid).sum(axis=-1) / (rows - k)
+    se = np.sqrt(s2 * np.linalg.inv(XtX)[..., 0, 0])
+    return beta[..., 0, 0] / se, se, np.sqrt(s2), resid, rows
+
+
+def _fit_runs(runs: list, det: str, lags_pe) -> tuple:
+    """_df_regression of each run at its lag, one call per (length, lag) group:
+    (tau, se_rho, s) as arrays in run order and the list of residuals."""
+    groups = {}
+    for i, key in enumerate(zip(map(len, runs), lags_pe)):
+        groups.setdefault(key, []).append(i)
+    tau, se_rho, s = np.empty((3, len(runs)))
+    resid = [None] * len(runs)
+    for (_, p), idx in groups.items():
+        fit = _df_regression(np.stack([runs[i] for i in idx]), det, p)
+        tau[idx], se_rho[idx], s[idx] = fit[:3]
+        for i, r in zip(idx, fit[3]):
+            resid[i] = r
+    return tau, se_rho, s, resid
 
 
 def adf_test(y, det: str = "c", lags: int | None = None) -> UnitRootResult:
@@ -172,9 +193,7 @@ def adf_test(y, det: str = "c", lags: int | None = None) -> UnitRootResult:
         statistic is the tau on the lagged level; p-value from the
         response-surface approximation.
     """
-    y = _check_series(y)
-    if det not in DET_TERMS:
-        raise ValueError(f"unknown deterministic case {det!r}")
+    y = _check_series(y, det)
     T = y.shape[0]
     cap = _max_feasible_lags(T, det)
     if lags is None:
@@ -190,14 +209,10 @@ def adf_test(y, det: str = "c", lags: int | None = None) -> UnitRootResult:
                 f"adf_test: T={T} cannot support {lags} lags with det={det!r} "
                 f"(maximum {max(cap, 0)})"
             )
-    tau, _, _, _, _, rows = _df_regression(y, det, lags)
+    tau, _, _, _, rows = _df_regression(y, det, lags)
     return UnitRootResult(
-        test="adf",
-        statistic=tau,
-        p_value=_dfc.mackinnon_p(tau, det),
-        det=det,
-        lags=lags,
-        n_obs=rows,
+        test="adf", statistic=float(tau), p_value=_dfc.mackinnon_p(float(tau), det), det=det,
+        lags=lags, n_obs=rows,
     )
 
 
@@ -276,35 +291,41 @@ def pp_test(y, det: str = "c", bandwidth: int | None = None) -> UnitRootResult:
     f0 == g0 and Z reduces to tau exactly.  bandwidth=None applies the
     automatic rule to the residuals, or bandwidth 0 below four of them.
     """
-    y = _check_series(y)
-    if det not in DET_TERMS:
-        raise ValueError(f"unknown deterministic case {det!r}")
+    y = _check_series(y, det)
     T = y.shape[0]
     if _max_feasible_lags(T, det) < 0:
         raise ValueError(f"pp_test: series too short (T={T}) for det={det!r}")
-    tau, _, se_rho, s, resid, rows = _df_regression(y, det, 0)
+    bandwidth = _check_bandwidth(bandwidth, T - 1)
+    tau, se_rho, s, resid, rows = _df_regression(y, det, 0)
+    z, bandwidth = _pp_z(tau, se_rho, s, resid, bandwidth)
+    return UnitRootResult(
+        test="pp", statistic=float(z), p_value=_dfc.mackinnon_p(float(z), det), det=det,
+        lags=0, n_obs=rows, bandwidth=bandwidth,
+    )
+
+
+def _check_bandwidth(bandwidth: int | None, rows: int) -> int | None:
+    if bandwidth is None:
+        return None
+    bandwidth = int(bandwidth)
+    if bandwidth < 0:
+        raise ValueError("bandwidth must be nonnegative")
+    if bandwidth > rows - 2:
+        raise ValueError(f"pp_test: bandwidth {bandwidth} too large for {rows} rows")
+    return bandwidth
+
+
+def _pp_z(tau, se_rho, s, resid: np.ndarray, bandwidth: int | None) -> tuple:
+    """(Z, bandwidth) from one unaugmented fit; None applies the automatic rule."""
+    rows = resid.shape[0]
     if bandwidth is None:
         bandwidth = neweywest_bandwidth(resid) if rows >= 4 else 0
-    else:
-        bandwidth = int(bandwidth)
-        if bandwidth < 0:
-            raise ValueError("bandwidth must be nonnegative")
-        if bandwidth > rows - 2:
-            raise ValueError(f"pp_test: bandwidth {bandwidth} too large for {rows} rows")
     gamma0 = float(resid @ resid) / rows
     f0 = float(long_run_covariances(resid, bandwidth)[0][0, 0])
     if f0 <= 0:
         raise ValueError("pp_test: nonpositive long-run variance")
     z = tau * np.sqrt(gamma0 / f0) - rows * (f0 - gamma0) * se_rho / (2.0 * np.sqrt(f0) * s)
-    return UnitRootResult(
-        test="pp",
-        statistic=float(z),
-        p_value=_dfc.mackinnon_p(float(z), det),
-        det=det,
-        lags=0,
-        n_obs=rows,
-        bandwidth=bandwidth,
-    )
+    return z, bandwidth
 
 
 def fisher_combine(p_values, df_scale: int = 2) -> tuple:
@@ -326,7 +347,7 @@ def fisher_combine(p_values, df_scale: int = 2) -> tuple:
         )
     stat = -2.0 * float(np.log(np.clip(p, P_FLOOR, 1.0)).sum())
     df = df_scale * p.size
-    return stat, df, float(_st.chi2.sf(stat, df))
+    return stat, df, float(chdtrc(df, stat))
 
 
 def _panel_runs(series: VariableSeries, min_len: int, what: str):
@@ -361,35 +382,32 @@ def _entity_lags(T: int, det: str, lags: int | None, min_df: int = 2) -> int:
     return max(0, min(p, cap))
 
 
+def _fisher(test: str, det: str, kept: tuple, runs: list, stat_pe, extra_pe) -> UnitRootResult:
+    """Fisher combination of the per-entity statistics' response-surface p-values."""
+    p_pe = _dfc.mackinnon_p(stat_pe, det)
+    stat, df, p = fisher_combine(p_pe)
+    return UnitRootResult(
+        test=test, statistic=stat, p_value=p, det=det,
+        lags=None, n_obs=sum(r.shape[0] for r in runs), n_entities=len(kept), df=df,
+        per_entity=tuple(zip(kept, np.asarray(stat_pe).tolist(), p_pe.tolist(), extra_pe)),
+    )
+
+
 def fisher_adf(series: VariableSeries, det: str = "c", lags: int | None = None) -> UnitRootResult:
     """Fisher combination of per-entity ADF p-values."""
     runs, kept = _panel_runs(series, _shortest_run(det), "fisher_adf")
-    stats_pe = []
-    for entity, run in zip(kept, runs):
-        p_i = _entity_lags(run.shape[0], det, lags)
-        r = adf_test(run, det=det, lags=p_i)
-        stats_pe.append((entity, r.statistic, r.p_value, r.lags))
-    stat, df, p = fisher_combine([row[2] for row in stats_pe])
-    return UnitRootResult(
-        test="fisher-adf", statistic=stat, p_value=p, det=det,
-        lags=None, n_obs=sum(r.shape[0] for r in runs),
-        n_entities=len(kept), df=df, per_entity=tuple(stats_pe),
-    )
+    lags_pe = [_entity_lags(run.shape[0], det, lags) for run in runs]
+    return _fisher("fisher-adf", det, kept, runs, _fit_runs(runs, det, lags_pe)[0], lags_pe)
 
 
 def fisher_pp(series: VariableSeries, det: str = "c", bandwidth: int | None = None) -> UnitRootResult:
-    """Fisher combination of per-entity Phillips-Perron p-values."""
+    """Fisher combination of per-entity Phillips-Perron p-values; a fixed
+    bandwidth is checked against every entity before any is fitted."""
     runs, kept = _panel_runs(series, _shortest_run(det), "fisher_pp")
-    stats_pe = []
-    for entity, run in zip(kept, runs):
-        r = pp_test(run, det=det, bandwidth=bandwidth)
-        stats_pe.append((entity, r.statistic, r.p_value, r.bandwidth))
-    stat, df, p = fisher_combine([row[2] for row in stats_pe])
-    return UnitRootResult(
-        test="fisher-pp", statistic=stat, p_value=p, det=det,
-        lags=None, n_obs=sum(r.shape[0] for r in runs),
-        n_entities=len(kept), df=df, per_entity=tuple(stats_pe),
-    )
+    bw_pe = [_check_bandwidth(bandwidth, len(run) - 1) for run in runs]
+    tau, se_rho, s, resid = _fit_runs(runs, det, [0] * len(runs))
+    z_pe, bw_pe = zip(*map(_pp_z, tau, se_rho, s, resid, bw_pe))
+    return _fisher("fisher-pp", det, kept, runs, z_pe, bw_pe)
 
 
 def _ips_moments(T: int, p: int, det: str) -> tuple:
@@ -430,23 +448,17 @@ def ips_test(series: VariableSeries, det: str = "c", lags: int | None = None) ->
     """
     if det not in ("c", "ct"):
         raise ValueError("ips_test supports det 'c' or 'ct' (moment table coverage)")
-    min_len = IPS_T_GRID[0]
-    runs, kept = _panel_runs(series, min_len, "ips_test")
-    stats_pe, means, variances = [], [], []
-    for entity, run in zip(kept, runs):
-        T = run.shape[0]
-        m, v, p_used = _ips_moments(T, _entity_lags(T, det, lags, min_df=3), det)
-        r = adf_test(run, det=det, lags=p_used)
-        stats_pe.append((entity, r.statistic, r.p_value, p_used))
-        means.append(m)
-        variances.append(v)
+    runs, kept = _panel_runs(series, IPS_T_GRID[0], "ips_test")
+    means, variances, lags_pe = zip(*[
+        _ips_moments(len(run), _entity_lags(len(run), det, lags, min_df=3), det) for run in runs
+    ])
+    tau = _fit_runs(runs, det, lags_pe)[0]
     N = len(kept)
-    tbar = float(np.mean([row[1] for row in stats_pe]))
-    W = np.sqrt(N) * (tbar - float(np.mean(means))) / np.sqrt(float(np.mean(variances)))
+    W = np.sqrt(N) * (np.mean(tau) - np.mean(means)) / np.sqrt(np.mean(variances))
     return UnitRootResult(
-        test="ips", statistic=float(W), p_value=float(_st.norm.cdf(W)), det=det,
-        lags=None, n_obs=sum(r.shape[0] for r in runs),
-        n_entities=N, per_entity=tuple(stats_pe),
+        test="ips", statistic=float(W), p_value=float(ndtr(W)), det=det,
+        lags=None, n_obs=sum(r.shape[0] for r in runs), n_entities=N,
+        per_entity=tuple(zip(kept, tau.tolist(), _dfc.mackinnon_p(tau, det).tolist(), lags_pe)),
     )
 
 
@@ -514,7 +526,7 @@ def llc_test(series: VariableSeries, det: str = "c", lags: int | None = None) ->
     adj = N * t_tilde * s_bar * std_delta / sigma2_eps * mu_star
     t_star = (t_delta - adj) / sigma_star
     return UnitRootResult(
-        test="llc", statistic=float(t_star), p_value=float(_st.norm.cdf(t_star)),
+        test="llc", statistic=float(t_star), p_value=float(ndtr(t_star)),
         det=det, lags=None, n_obs=n_total, n_entities=N,
         per_entity=tuple(zip(kept, [float("nan")] * N, [float("nan")] * N, lags_pe)),
     )
@@ -532,22 +544,20 @@ def run_battery(dataset: PanelDataset, variables=None, det: str = "c",
     (reason preserved) instead of aborting the battery.
     """
     names = tuple(variables) if variables is not None else tuple(dataset.variables)
+    calls = (  # in BATTERY_TESTS order
+        (fisher_pp, {"bandwidth": bandwidth}),
+        (fisher_adf, {"lags": lags}),
+        (ips_test, {"lags": lags}),
+        (llc_test, {"lags": lags}),
+    )
     cells = {}
     for name in names:
         level = dataset[name]
-        diff = first_difference(level)
-        for order, series in (("level", level), ("difference", diff)):
-            for test in BATTERY_TESTS:
+        for order, series in (("level", level), ("difference", first_difference(level))):
+            for test, (fn, options) in zip(BATTERY_TESTS, calls):
                 try:
-                    if test == "fisher-pp":
-                        res = fisher_pp(series, det=det, bandwidth=bandwidth)
-                    elif test == "fisher-adf":
-                        res = fisher_adf(series, det=det, lags=lags)
-                    elif test == "ips":
-                        res = ips_test(series, det=det, lags=lags)
-                    else:
-                        res = llc_test(series, det=det, lags=lags)
-                    cells[(name, order, test)] = BatteryCell(name, order, test, res)
+                    cell = BatteryCell(name, order, test, fn(series, det=det, **options))
                 except ValueError as exc:
-                    cells[(name, order, test)] = BatteryCell(name, order, test, None, str(exc))
+                    cell = BatteryCell(name, order, test, None, str(exc))
+                cells[(name, order, test)] = cell
     return BatteryResult(variables=names, orders=BATTERY_ORDERS, tests=BATTERY_TESTS, cells=cells)

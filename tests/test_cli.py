@@ -3,6 +3,9 @@
 import csv
 import http.server
 import json
+import os
+import subprocess
+import sys
 import threading
 from urllib.parse import parse_qs, urlparse
 
@@ -10,8 +13,11 @@ import numpy as np
 import pytest
 import yaml
 
+import panelmetrics
 from panelmetrics.data import read_panel_csv
+from panelmetrics.report import fetch, pipeline
 from panelmetrics.report.cli import main
+from panelmetrics.report.config import load_config
 from panelmetrics.report.fetch import FetchDescriptor
 
 
@@ -262,6 +268,24 @@ class TestFetchCommands:
         assert vary.endswith("(1 page(s))") and varx.endswith("(cache)")
         assert list(read_panel_csv(cached, schema="long").variables) == ["VARY"]
 
+    def test_warm_cache_run_parses_each_indicator_once(self, indicator_server, tmp_path,
+                                                       monkeypatch):
+        config = self.write_config(tmp_path, fetch_doc(indicator_server))
+        assert main(["fetch", "--config", config]) == 0
+        parsed = []
+
+        def counting(path, schema="wide"):
+            parsed.append(os.path.basename(path))
+            return read_panel_csv(path, schema)
+
+        monkeypatch.setattr(fetch, "read_panel_csv", counting)
+        monkeypatch.setattr(pipeline, "read_panel_csv", counting)
+        cfg = load_config(config).with_overrides(stages=["describe"])
+        bundle = pipeline.run_pipeline(cfg, base_dir=str(tmp_path), write=False)
+        assert "describe" in bundle.tables
+        assert sorted(parsed) == sorted(p.name for p in (tmp_path / "cache").iterdir())
+        assert len(parsed) == 2
+
     def test_ingest_merges_indicators(self, indicator_server, tmp_path, capsys):
         config = self.write_config(tmp_path, fetch_doc(indicator_server))
         with pytest.warns(UserWarning, match="no rows for entities"):
@@ -283,3 +307,13 @@ class TestIngestFileSource:
         dataset = read_panel_csv(workspace.dir / "out" / "panel.csv", schema="long")
         assert len(dataset.entities) == 12
         assert set(dataset.variables) == {"y", "x1", "x2"}
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    # tail probabilities come from scipy.special; scipy.stats alone outweighs the package
+    src = os.path.dirname(os.path.dirname(os.path.abspath(panelmetrics.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, panelmetrics.report.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "False"

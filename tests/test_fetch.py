@@ -8,7 +8,7 @@ from urllib.parse import parse_qs, urlparse
 
 import pytest
 
-from panelmetrics.report.fetch import FetchDescriptor, fetch_indicators
+from panelmetrics.report.fetch import MAX_PAGES, FetchDescriptor, fetch_indicators
 
 # GOOD pages: (entity, year, value); value None renders as an empty cell
 PAGES = (
@@ -74,15 +74,21 @@ def server():
         thread.join()
 
 
-class _FakeSession:
-    """Answers every request with one page holding one GOOD record."""
+def _one_good_record(page):
+    return {"page": 1, "pages": 1}, [("AAA", 2013, 1.5)]
 
-    def __init__(self):
+
+class _FakeSession:
+    """Answers page N with reply(N): (metadata, GOOD page records)."""
+
+    def __init__(self, reply=_one_good_record):
+        self.reply = reply
         self.calls = 0
 
     def get(self, url, params, timeout):
         self.calls += 1
-        body = [{"page": 1, "pages": 1}, _records([("AAA", 2013, 1.5)])]
+        meta, page = self.reply(params["page"])
+        body = [meta, _records(page)]
         return type("Response", (), {"status_code": 200, "text": "", "json": lambda _: body})()
 
 
@@ -204,3 +210,28 @@ class TestFetch:
         )
         assert not outcome.ok
         assert "2 attempts" in outcome.error
+
+    @pytest.mark.parametrize("reported, requests", [
+        (lambda page: 10**9, 1),
+        (lambda page: page + 1, MAX_PAGES),
+    ], ids=["huge", "one-more-each-page"])
+    def test_page_count_above_limit_is_refused(self, tmp_path, reported, requests):
+        session = _FakeSession(lambda page: (
+            {"page": page, "pages": reported(page)}, [(f"E{page}", 2013, 1.0)]
+        ))
+        (outcome,) = fetch_indicators([FetchDescriptor("prov", "GOOD", "2013:2021")],
+                                      "http://fake", str(tmp_path / "cache"), session=session)
+        assert not outcome.ok
+        assert f"reports {reported(requests)} pages" in outcome.error
+        assert session.calls == requests
+        assert not (tmp_path / "cache").exists()
+
+    def test_duplicate_record_across_pages_is_not_cached(self, tmp_path):
+        pages = [[("AAA", 2013, 1.0), ("AAA", 2014, 2.0)], [("AAA", 2013, 3.0)]]
+        session = _FakeSession(lambda page: ({"page": page, "pages": 2}, pages[page - 1]))
+        (outcome,) = fetch_indicators([FetchDescriptor("prov", "GOOD", "2013:2021")],
+                                      "http://fake", str(tmp_path / "cache"), session=session)
+        assert not outcome.ok
+        assert "duplicate cell ('AAA', 2013, 'GOOD')" in outcome.error
+        assert (outcome.path, outcome.dataset) == (None, None)
+        assert list((tmp_path / "cache").iterdir()) == []

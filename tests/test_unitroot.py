@@ -5,6 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from scipy.special import ndtr
+
+from panelmetrics import _dfconstants as dfc
 from panelmetrics import unitroot
 from panelmetrics._dfconstants import mackinnon_p
 from panelmetrics.data import PanelDataset, PanelWarning, VariableSeries
@@ -136,6 +139,33 @@ class TestMacKinnonSurface:
         p = np.array([mackinnon_p(float(s), det) for s in grid])
         assert np.all(np.diff(p) >= 0.0)
         assert np.all((p >= 0.0) & (p <= 1.0))
+
+
+    @pytest.mark.parametrize("det", ["n", "c", "ct"])
+    def test_vector_equals_scalar_calls_bitwise(self, det):
+        def branchy(stat):
+            # the scalar rule, one branch per region
+            if stat > dfc.TAU_MAX[det]:
+                return 1.0
+            if stat < dfc.TAU_MIN[det]:
+                return 0.0
+            coef = dfc.TAU_SMALLP[det] if stat <= dfc.TAU_STAR[det] else dfc.TAU_LARGEP[det]
+            return float(ndtr(np.polyval(coef[::-1], stat)))
+
+        edges = np.array([dfc.TAU_MIN[det], dfc.TAU_STAR[det], dfc.TAU_MAX[det]])
+        taus = np.concatenate([
+            np.linspace(-25.0, 5.0, 601), edges,
+            np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf), [np.nan],
+        ])
+        scalar = [mackinnon_p(float(t), det) for t in taus]
+        assert all(type(p) is float for p in scalar)
+        vector = mackinnon_p(taus, det)
+        assert vector.shape == taus.shape
+        assert vector.tobytes() == np.array(scalar).tobytes()
+        assert np.isnan(scalar[-1])
+        with np.errstate(over="ignore", invalid="ignore"):  # the branchy rule at +inf for "n"
+            expected = [branchy(t) for t in taus[:-1]]
+        assert np.array(scalar[:-1]).tobytes() == np.array(expected).tobytes()
 
 
 class TestPhillipsPerron:
@@ -323,14 +353,15 @@ class TestIps:
         # T=16 allows 5 lags, but the table's lower grid length 15 holds 4
         rng = np.random.default_rng(17)
         calls = []
+        kernel = unitroot._df_regression
 
-        def counting_adf(y, det="c", lags=None):
-            calls.append(lags)
-            return adf_test(y, det=det, lags=lags)
+        def recording(y, det, lags):
+            calls.append((y.shape, lags))
+            return kernel(y, det, lags)
 
-        monkeypatch.setattr(unitroot, "adf_test", counting_adf)
+        monkeypatch.setattr(unitroot, "_df_regression", recording)
         r = ips_test(make_series(ar_panel(rng, 3, 16, 0.5)), lags=5)
-        assert calls == [4, 4, 4]
+        assert calls == [((3, 16), 4)]
         assert [row[3] for row in r.per_entity] == [4, 4, 4]
 
     def test_short_entities_dropped_then_error(self):
@@ -338,6 +369,76 @@ class TestIps:
         with pytest.warns(PanelWarning, match="dropped"):
             with pytest.raises(ValueError, match="fewer than two"):
                 ips_test(make_series(rng.standard_normal((3, 6))))
+
+
+def longest_run(values):
+    """The earliest longest stretch of finite values."""
+    runs, current = [], []
+    for v in values:
+        if np.isfinite(v):
+            current.append(v)
+        else:
+            runs.append(current)
+            current = []
+    runs.append(current)
+    return np.array(max(runs, key=len))
+
+
+def gappy_series(seed, n=40, T=30):
+    """Random walks whose longest runs span 8..30 years; where room is left,
+    the last year is observed again alone, past a gap."""
+    rng = np.random.default_rng(seed)
+    rows = np.cumsum(rng.standard_normal((n, T)), axis=1)
+    for row in rows:
+        length = rng.integers(8, T + 1)
+        start = rng.integers(0, T - length + 1)
+        last = row[-1]
+        row[:start] = np.nan
+        row[start + length :] = np.nan
+        if start + length + 1 < T:
+            row[-1] = last
+    return make_series(rows)
+
+
+class TestStackedKernel:
+    """Panel tests fit runs in stacked groups; each row equals a batch of one."""
+
+    @pytest.mark.parametrize("det", ["c", "ct"])
+    @pytest.mark.parametrize("lags", [None, 2])
+    def test_adf_rows_equal_single_series_fits(self, det, lags):
+        series = gappy_series(31)
+        runs = [longest_run(row) for row in series.values]
+        assert len({len(r) for r in runs}) > 10
+        for test in (unitroot.fisher_adf, ips_test):
+            r = test(series, det=det, lags=lags)
+            assert [row[0] for row in r.per_entity] == list(series.entities)
+            for (entity, tau, p, p_lags), run in zip(r.per_entity, runs):
+                direct = adf_test(run, det=det, lags=p_lags)
+                assert tau == pytest.approx(direct.statistic, rel=0, abs=1e-12)
+                assert p == pytest.approx(direct.p_value, rel=0, abs=1e-12)
+                if test is unitroot.fisher_adf and lags is None:
+                    assert p_lags == adf_test(run, det=det).lags
+
+    @pytest.mark.parametrize("det", ["c", "ct"])
+    @pytest.mark.parametrize("bandwidth", [None, 3])
+    def test_pp_rows_equal_single_series_fits(self, det, bandwidth):
+        series = gappy_series(32)
+        runs = [longest_run(row) for row in series.values]
+        r = unitroot.fisher_pp(series, det=det, bandwidth=bandwidth)
+        assert [row[0] for row in r.per_entity] == list(series.entities)
+        for (entity, z, p, bw), run in zip(r.per_entity, runs):
+            direct = pp_test(run, det=det, bandwidth=bandwidth)
+            assert z == pytest.approx(direct.statistic, rel=0, abs=1e-12)
+            assert p == pytest.approx(direct.p_value, rel=0, abs=1e-12)
+            assert bw == direct.bandwidth
+
+    def test_fixed_bandwidth_checked_before_any_fit(self, monkeypatch):
+        rows = ar_panel(np.random.default_rng(33), 4, 20, 0.5)
+        rows[1, 7:] = np.nan  # 6 rows: the first entity too short for bandwidth 6
+        rows[3, 6:] = np.nan  # 5 rows
+        monkeypatch.setattr(unitroot, "_df_regression", None)
+        with pytest.raises(ValueError, match="^pp_test: bandwidth 6 too large for 6 rows$"):
+            unitroot.fisher_pp(make_series(rows), bandwidth=6)
 
 
 class TestLlc:

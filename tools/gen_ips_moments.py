@@ -3,9 +3,10 @@
 For each deterministic case, series length T, and augmentation lag p, this
 simulates the Dickey-Fuller t-statistic under a driftless random walk and
 records its mean and variance.  The t-bar standardization consumes exactly
-these moments, so they are simulated through the package's own regression
-layout, `unitroot._df_design`, imported from this checkout's src/ (a test
-pins the vectorized tau here to unitroot.adf_test at 1e-10 on shared draws).
+these moments, so they are simulated through the package's own stacked
+Dickey-Fuller regression, `unitroot._df_regression`, imported from this
+checkout's src/; it is the kernel behind unitroot.adf_test and the panel
+tests (a test pins the tau here to adf_test at 1e-10 on shared draws).
 The lag cap per length is `unitroot._ips_lag_cap`, the same rule the t-bar
 test applies when it reads the table, so the table holds exactly the lags
 the test asks for; its IPS_MAX_LAG is carried over from the current table.
@@ -25,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-from panelmetrics.unitroot import IPS_MAX_LAG, _df_design, _ips_lag_cap as p_max  # noqa: E402
+from panelmetrics.unitroot import IPS_MAX_LAG, _df_regression, _ips_lag_cap as p_max  # noqa: E402
 
 T_GRID = (8, 9, 10, 12, 15, 20, 25, 30, 40, 50, 60, 80, 100)
 MASTER_SEED = 20260816
@@ -33,24 +34,11 @@ CHUNK = 20_000
 
 
 def simulate_tau(T: int, p: int, det: str, reps: int, seed) -> np.ndarray:
-    """Vectorized DF t-statistics for `reps` driftless random walks."""
+    """DF t-statistics for `reps` driftless random walks, fitted a chunk at a time."""
     rng = np.random.default_rng(seed)
-    taus = np.empty(reps)
-    done = 0
-    while done < reps:
-        b = min(CHUNK, reps - done)
-        y = rng.standard_normal((b, T)).cumsum(axis=1)
-        yy, X = _df_design(y, det, p)
-        rows, k = X.shape[1:]
-        XtX = np.einsum("brk,brl->bkl", X, X)
-        Xty = np.einsum("brk,br->bk", X, yy)
-        beta = np.linalg.solve(XtX, Xty[:, :, None])[:, :, 0]
-        resid = yy - np.einsum("brk,bk->br", X, beta)
-        s2 = (resid**2).sum(axis=1) / (rows - k)
-        inv00 = np.linalg.inv(XtX)[:, 0, 0]
-        taus[done : done + b] = beta[:, 0] / np.sqrt(s2 * inv00)
-        done += b
-    return taus
+    chunks = [min(CHUNK, reps - done) for done in range(0, reps, CHUNK)]
+    walks = (rng.standard_normal((b, T)).cumsum(axis=1) for b in chunks)
+    return np.concatenate([_df_regression(y, det, p)[0] for y in walks])
 
 
 def main(argv=None):
