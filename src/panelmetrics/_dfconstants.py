@@ -58,10 +58,10 @@ LLC_SIGMA = {
 def mackinnon_p(stat, det: str):
     """Dickey-Fuller tau p-value from the response surface, elementwise.
 
-    Values above TAU_MAX map to 1.0 and below TAU_MIN to 0.0; between the
-    bounds the small-p polynomial applies at or below TAU_STAR and the
-    large-p polynomial above it.  A scalar returns a float, an array an
-    array of its shape; NaN stays NaN.
+    Values above TAU_MAX map to 1.0, as does +inf where TAU_MAX is +inf, and
+    values below TAU_MIN to 0.0; between the bounds the small-p polynomial
+    applies at or below TAU_STAR and the large-p polynomial above it.  A
+    scalar returns a float, an array an array of its shape; NaN stays NaN.
     """
     if det not in TAU_STAR:
         raise ValueError(f"unknown deterministic case {det!r}")
@@ -70,7 +70,7 @@ def mackinnon_p(stat, det: str):
         small = np.polyval(TAU_SMALLP[det][::-1], tau)
         large = np.polyval(TAU_LARGEP[det][::-1], tau)
     p = ndtr(np.where(tau <= TAU_STAR[det], small, large))
-    p = np.where(tau > TAU_MAX[det], 1.0, np.where(tau < TAU_MIN[det], 0.0, p))
+    p = np.where((tau > TAU_MAX[det]) | (tau == np.inf), 1.0, np.where(tau < TAU_MIN[det], 0.0, p))
     return float(p) if p.ndim == 0 else p
 
 

@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg as _sla
 from scipy.special import chdtrc, stdtr
 
 from .data import PanelWarning, RegressionSample
@@ -73,8 +72,10 @@ def _entity_means(values: np.ndarray, ids: np.ndarray, n_groups: int) -> np.ndar
 def _solve_ols(X: np.ndarray, y: np.ndarray, what: str, columns=None) -> np.ndarray:
     beta, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
     if rank < X.shape[1]:
+        from scipy.linalg import qr  # only a collinear design pays for this import
+
         # pivoted QR puts the linearly dependent columns after the rank cut
-        _, _, pivot = _sla.qr(X, mode="economic", pivoting=True)
+        _, _, pivot = qr(X, mode="economic", pivoting=True)
         bad = sorted(int(j) for j in pivot[rank:])
         names = ", ".join(
             str(columns[j]) if columns is not None else f"column {j}" for j in bad

@@ -204,7 +204,7 @@ def build_instruments(dataset: PanelDataset, spec: ModelSpec,
             PanelWarning,
             stacklevel=2,
         )
-        blocks = [(e, yrs, Z[:, nonzero]) for e, yrs, Z in blocks]
+        blocks = [(e, yrs, Z[:, nonzero].copy()) for e, yrs, Z in blocks]  # own, C-ordered
         columns = [c for c, keep in zip(columns, nonzero) if keep]
     return InstrumentMatrix(
         columns=tuple(columns),
@@ -257,12 +257,16 @@ def gmm_estimate(sample: DiffSample, instruments: InstrumentMatrix,
     S_zx = np.zeros((L, k))
     s_zy = np.zeros(L)
     A1 = np.zeros((L, L))
+    H = {}  # one weighting block per distinct year vector
     for (e1, yrs, dy, dX), (e2, yrs2, Z) in zip(sample.blocks, instruments.blocks):
         if e1 != e2 or yrs.shape != yrs2.shape or np.any(yrs != yrs2):
             raise ValueError("instrument blocks are not aligned with the sample")
         S_zx += Z.T @ dX
         s_zy += Z.T @ dy
-        A1 += Z.T @ _h_matrix(yrs) @ Z
+        key = yrs.tobytes()
+        if key not in H:
+            H[key] = _h_matrix(yrs)
+        A1 += Z.T @ H[key] @ Z
     W1 = _inv_psd(A1, "gmm one-step")
 
     def solve_beta(W):

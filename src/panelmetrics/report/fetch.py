@@ -22,8 +22,6 @@ import os
 import time
 from dataclasses import dataclass, field
 
-import requests
-
 from ..data import PanelDataset, read_panel_csv
 
 MAX_PAGES = 1000  # bounds the requests one descriptor can make
@@ -95,6 +93,8 @@ def _get_page(session, url, params, max_attempts, backoff):
     backoff; 4xx responses are provider errors and surface immediately.
     Returns the response object.
     """
+    import requests  # imported on the fetch path only; file-source runs never load it
+
     last_exc = None
     for attempt in range(max_attempts):
         if attempt:
@@ -205,6 +205,8 @@ def fetch_indicators(
     or malformed-payload diagnostics (raw body preserved for the last
     two).  Cached descriptors are returned without network traffic.
     """
+    import requests
+
     own_session = session is None
     session = session or requests.Session()
     try:

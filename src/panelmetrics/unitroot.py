@@ -7,17 +7,18 @@ standardized mean-t test, and Fisher combination of per-entity p-values,
 plus a battery runner that applies all of them to levels and first
 differences of each variable.
 
-The Bartlett kernel (`long_run_covariances`) and the Dickey-Fuller
-regression (`_df_design`, and `_df_regression`, which fits every series on
-its input's last axis in one stacked solve) are defined here once; FMOLS
-and tools/gen_ips_moments.py import them.
+The Bartlett kernel (`long_run_covariances`, with the Newey-West bandwidth
+rule) and the Dickey-Fuller regression (`_df_design`, `_df_regression`) are
+defined here once and work on blocks stacked on leading axes, a vector being
+one block; FMOLS and tools/gen_ips_moments.py import them.
 
 Every series handed to a test must be an unbroken calendar run; the battery
 extracts each entity's longest contiguous stretch and drops entities that
 fail a test's length precondition, with a warning naming them.  Each panel
 test settles what depends only on run lengths (lags, bandwidth checks,
-table coverage) before any fit, then fits each (length, lag) group of runs
-in one call and reads all p-values from one `mackinnon_p` call; adf_test
+table coverage) before any fit, then stacks runs by (length, lag) or by
+length (`_stacks`), so each group takes one fit and, for Phillips-Perron,
+one kernel call; all p-values come from one `mackinnon_p` call.  adf_test
 and pp_test are batches of one.
 """
 
@@ -158,20 +159,22 @@ def _df_regression(y: np.ndarray, det: str, lags: int):
     return beta[..., 0, 0] / se, se, np.sqrt(s2), resid, rows
 
 
-def _fit_runs(runs: list, det: str, lags_pe) -> tuple:
-    """_df_regression of each run at its lag, one call per (length, lag) group:
-    (tau, se_rho, s) as arrays in run order and the list of residuals."""
+def _stacks(blocks: list, keys) -> list:
+    """(key, positions, stacked blocks) for each group of blocks sharing a key,
+    in first-seen order: the batches every stacked kernel call takes."""
     groups = {}
-    for i, key in enumerate(zip(map(len, runs), lags_pe)):
+    for i, key in enumerate(keys):
         groups.setdefault(key, []).append(i)
-    tau, se_rho, s = np.empty((3, len(runs)))
-    resid = [None] * len(runs)
-    for (_, p), idx in groups.items():
-        fit = _df_regression(np.stack([runs[i] for i in idx]), det, p)
-        tau[idx], se_rho[idx], s[idx] = fit[:3]
-        for i, r in zip(idx, fit[3]):
-            resid[i] = r
-    return tau, se_rho, s, resid
+    return [(key, idx, np.stack([blocks[i] for i in idx])) for key, idx in groups.items()]
+
+
+def _fit_runs(runs: list, det: str, lags_pe) -> np.ndarray:
+    """Dickey-Fuller tau of each run at its lag, in run order, from one
+    _df_regression call per (length, lag) group."""
+    tau = np.empty(len(runs))
+    for (_, p), idx, stacked in _stacks(runs, zip(map(len, runs), lags_pe)):
+        tau[idx] = _df_regression(stacked, det, p)[0]
+    return tau
 
 
 def adf_test(y, det: str = "c", lags: int | None = None) -> UnitRootResult:
@@ -216,71 +219,72 @@ def adf_test(y, det: str = "c", lags: int | None = None) -> UnitRootResult:
     )
 
 
-def _autocovariances(eta: np.ndarray, n: int) -> list:
-    """Gamma(0..n) with divisor T, Gamma(j) = E[eta_t eta_{t-j}'].
-
-    A vector gives scalars from 1-D dot products; a (T, m) block gives
-    (m, m) arrays.
-    """
-    T = eta.shape[0]
-    return [eta[j:].T @ eta[: T - j] / T for j in range(n + 1)]
+def _autocovariance(eta: np.ndarray, j: int) -> np.ndarray:
+    """Gamma(j) = E[eta_t eta_{t-j}'] of blocks (..., T, m), divisor T: (..., m, m)."""
+    T = eta.shape[-2]
+    return np.swapaxes(eta[..., j:, :], -1, -2) @ eta[..., : T - j, :] / T
 
 
-def long_run_covariances(eta: np.ndarray, bandwidth: int) -> tuple:
-    """Two-sided and one-sided Bartlett kernel covariances.
+def long_run_covariances(eta: np.ndarray, bandwidth) -> tuple:
+    """Two-sided and one-sided Bartlett kernel covariances of stacked blocks.
 
     Parameters
     ----------
-    eta : ndarray, shape (T, m) or (T,)
-        Stationary residual block; a vector is the case m = 1.
-    bandwidth : int
-        Kernel truncation M; weights are 1 - j/(M+1).
+    eta : ndarray, shape (..., T, m) or (T,)
+        Stationary residual blocks stacked on leading axes; a vector is one
+        block with m = 1.
+    bandwidth : int or int array of eta's leading shape
+        Kernel truncation M per block; weights are 1 - j/(M+1).
 
     Returns
     -------
-    (omega, lmbda) : two (m, m) arrays
+    (omega, lmbda) : two arrays of shape (..., m, m)
         omega is the symmetric two-sided estimate, lmbda the one-sided sum
         over lags 0..M (not symmetric).  Autocovariances use divisor T, and
-        omega == lmbda + lmbda' - Gamma(0) holds exactly.
+        omega == lmbda + lmbda' - Gamma(0) holds exactly.  Lags beyond a
+        block's own M get weight 0, so each block equals its batch of one.
     """
     eta = np.asarray(eta, dtype=float)
-    T = eta.shape[0]
-    m = 1 if eta.ndim == 1 else eta.shape[1]
-    if bandwidth < 0:
+    eta = eta[:, None] if eta.ndim == 1 else eta
+    T = eta.shape[-2]
+    M = np.asarray(bandwidth)[..., None, None]
+    if np.any(M < 0):
         raise ValueError("bandwidth must be nonnegative")
-    if bandwidth > T - 2:
-        raise ValueError(f"bandwidth {bandwidth} too large for {T} rows")
-    gammas = _autocovariances(eta, bandwidth)
-    omega = lmbda = gammas[0]
-    for j in range(1, bandwidth + 1):
-        w = 1.0 - j / (bandwidth + 1.0)
-        omega = omega + w * (gammas[j] + gammas[j].T)
-        lmbda = lmbda + w * gammas[j]
-    return omega.reshape(m, m), lmbda.reshape(m, m)
+    if np.any(M > T - 2):
+        raise ValueError(f"bandwidth {M.max()} too large for {T} rows")
+    omega = lmbda = _autocovariance(eta, 0)
+    for j in range(1, int(M.max()) + 1):
+        w = np.maximum(1.0 - j / (M + 1.0), 0.0)
+        gamma = _autocovariance(eta, j)
+        omega = omega + w * (gamma + np.swapaxes(gamma, -1, -2))
+        lmbda = lmbda + w * gamma
+    return omega, lmbda
 
 
-def neweywest_bandwidth(u: np.ndarray) -> int:
-    """Automatic Bartlett bandwidth (plug-in form).
+def neweywest_bandwidth(u: np.ndarray):
+    """Automatic Bartlett bandwidth (plug-in form) of the series on u's last axis.
 
     Uses n = floor(4 (T/100)^(2/9)) autocovariances in the pilot step and
-    returns floor(1.1447 ((s1/s0)^2 T)^(1/3)) clamped to [0, T-2].
+    returns floor(1.1447 ((s1/s0)^2 T)^(1/3)) clamped to [0, T-2]: an int
+    for a vector, an int array of u's leading shape for stacked series.
     """
-    u = np.ravel(np.asarray(u, dtype=float))
-    if u.ndim != 1 or u.shape[0] < 4:
-        raise ValueError("neweywest_bandwidth needs a vector of length >= 4")
-    T = u.shape[0]
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    T = u.shape[-1]
+    if T < 4:
+        raise ValueError("neweywest_bandwidth needs series of length >= 4")
     n = min(default_lags(T), T - 2)
-    sig = _autocovariances(u, n)
-    s0 = float(sig[0] + 2.0 * sum(sig[1:]))
-    s1 = float(2.0 * sum(j * sig[j] for j in range(1, n + 1)))
-    if s0 <= 0:
-        return 0
-    m = int(np.floor(1.1447 * ((s1 / s0) ** 2 * T) ** (1.0 / 3.0)))
-    return int(np.clip(m, 0, T - 2))
+    sig = [_autocovariance(u[..., None], j)[..., 0, 0] for j in range(n + 1)]
+    s0 = sig[0] + 2.0 * sum(sig[1:])
+    s1 = 2.0 * sum(j * sig[j] for j in range(1, n + 1))
+    # Python floats for the last step: numpy's power can differ in the last
+    # bit, and the floor (int() of a nonnegative value) can make that another M.
+    M = [0 if a <= 0 else min(int(1.1447 * ((b / a) ** 2 * T) ** (1.0 / 3.0)), T - 2)
+         for a, b in zip(np.ravel(s0).tolist(), np.ravel(s1).tolist())]
+    return M[0] if u.ndim == 1 else np.reshape(M, u.shape[:-1])
 
 
 def pp_test(y, det: str = "c", bandwidth: int | None = None) -> UnitRootResult:
-    """Phillips-Perron Z-tau test.
+    """Phillips-Perron Z-tau test, a batch of one.
 
     The statistic corrects the unaugmented Dickey-Fuller tau with the
     Bartlett long-run variance f0 of its residuals:
@@ -295,37 +299,36 @@ def pp_test(y, det: str = "c", bandwidth: int | None = None) -> UnitRootResult:
     T = y.shape[0]
     if _max_feasible_lags(T, det) < 0:
         raise ValueError(f"pp_test: series too short (T={T}) for det={det!r}")
-    bandwidth = _check_bandwidth(bandwidth, T - 1)
-    tau, se_rho, s, resid, rows = _df_regression(y, det, 0)
-    z, bandwidth = _pp_z(tau, se_rho, s, resid, bandwidth)
+    z, bw = _pp_runs([y], det, bandwidth)
     return UnitRootResult(
-        test="pp", statistic=float(z), p_value=_dfc.mackinnon_p(float(z), det), det=det,
-        lags=0, n_obs=rows, bandwidth=bandwidth,
+        test="pp", statistic=float(z[0]), p_value=_dfc.mackinnon_p(float(z[0]), det), det=det,
+        lags=0, n_obs=T - 1, bandwidth=bw[0],
     )
 
 
-def _check_bandwidth(bandwidth: int | None, rows: int) -> int | None:
-    if bandwidth is None:
-        return None
-    bandwidth = int(bandwidth)
-    if bandwidth < 0:
-        raise ValueError("bandwidth must be nonnegative")
-    if bandwidth > rows - 2:
-        raise ValueError(f"pp_test: bandwidth {bandwidth} too large for {rows} rows")
-    return bandwidth
-
-
-def _pp_z(tau, se_rho, s, resid: np.ndarray, bandwidth: int | None) -> tuple:
-    """(Z, bandwidth) from one unaugmented fit; None applies the automatic rule."""
-    rows = resid.shape[0]
-    if bandwidth is None:
-        bandwidth = neweywest_bandwidth(resid) if rows >= 4 else 0
-    gamma0 = float(resid @ resid) / rows
-    f0 = float(long_run_covariances(resid, bandwidth)[0][0, 0])
-    if f0 <= 0:
-        raise ValueError("pp_test: nonpositive long-run variance")
-    z = tau * np.sqrt(gamma0 / f0) - rows * (f0 - gamma0) * se_rho / (2.0 * np.sqrt(f0) * s)
-    return z, bandwidth
+def _pp_runs(runs: list, det: str, bandwidth: int | None) -> tuple:
+    """Phillips-Perron Z and bandwidth of each run, in run order; a fixed bandwidth is
+    checked against every run before any fit, then each length takes one fit and one kernel call."""
+    if bandwidth is not None:
+        bandwidth = int(bandwidth)
+        if bandwidth < 0:
+            raise ValueError("bandwidth must be nonnegative")
+        short = [len(run) - 1 for run in runs if bandwidth > len(run) - 3]
+        if short:
+            raise ValueError(f"pp_test: bandwidth {bandwidth} too large for {short[0]} rows")
+    z, bw = np.empty(len(runs)), np.empty(len(runs), dtype=int)
+    for _, idx, stacked in _stacks(runs, map(len, runs)):
+        tau, se_rho, s, resid, rows = _df_regression(stacked, det, 0)
+        M = bandwidth
+        if M is None:
+            M = neweywest_bandwidth(resid) if rows >= 4 else 0
+        gamma0 = _autocovariance(resid[..., None], 0)[..., 0, 0]
+        f0 = long_run_covariances(resid[..., None], M)[0][..., 0, 0]
+        if np.any(f0 <= 0):
+            raise ValueError("pp_test: nonpositive long-run variance")
+        z[idx] = tau * np.sqrt(gamma0 / f0) - rows * (f0 - gamma0) * se_rho / (2.0 * np.sqrt(f0) * s)
+        bw[idx] = M
+    return z, bw.tolist()
 
 
 def fisher_combine(p_values, df_scale: int = 2) -> tuple:
@@ -397,17 +400,13 @@ def fisher_adf(series: VariableSeries, det: str = "c", lags: int | None = None) 
     """Fisher combination of per-entity ADF p-values."""
     runs, kept = _panel_runs(series, _shortest_run(det), "fisher_adf")
     lags_pe = [_entity_lags(run.shape[0], det, lags) for run in runs]
-    return _fisher("fisher-adf", det, kept, runs, _fit_runs(runs, det, lags_pe)[0], lags_pe)
+    return _fisher("fisher-adf", det, kept, runs, _fit_runs(runs, det, lags_pe), lags_pe)
 
 
 def fisher_pp(series: VariableSeries, det: str = "c", bandwidth: int | None = None) -> UnitRootResult:
-    """Fisher combination of per-entity Phillips-Perron p-values; a fixed
-    bandwidth is checked against every entity before any is fitted."""
+    """Fisher combination of per-entity Phillips-Perron p-values."""
     runs, kept = _panel_runs(series, _shortest_run(det), "fisher_pp")
-    bw_pe = [_check_bandwidth(bandwidth, len(run) - 1) for run in runs]
-    tau, se_rho, s, resid = _fit_runs(runs, det, [0] * len(runs))
-    z_pe, bw_pe = zip(*map(_pp_z, tau, se_rho, s, resid, bw_pe))
-    return _fisher("fisher-pp", det, kept, runs, z_pe, bw_pe)
+    return _fisher("fisher-pp", det, kept, runs, *_pp_runs(runs, det, bandwidth))
 
 
 def _ips_moments(T: int, p: int, det: str) -> tuple:
@@ -452,7 +451,7 @@ def ips_test(series: VariableSeries, det: str = "c", lags: int | None = None) ->
     means, variances, lags_pe = zip(*[
         _ips_moments(len(run), _entity_lags(len(run), det, lags, min_df=3), det) for run in runs
     ])
-    tau = _fit_runs(runs, det, lags_pe)[0]
+    tau = _fit_runs(runs, det, lags_pe)
     N = len(kept)
     W = np.sqrt(N) * (np.mean(tau) - np.mean(means)) / np.sqrt(np.mean(variances))
     return UnitRootResult(

@@ -310,10 +310,26 @@ class TestIngestFileSource:
 
 
 def test_cli_import_leaves_scipy_stats_out():
-    # tail probabilities come from scipy.special; scipy.stats alone outweighs the package
+    # tail probabilities come from scipy.special; scipy.stats alone outweighs the package.
+    # requests loads on the fetch path and scipy.linalg on a collinear design only.
     src = os.path.dirname(os.path.dirname(os.path.abspath(panelmetrics.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, panelmetrics.report.cli; print('scipy.stats' in sys.modules)"
+    code = ("import sys, panelmetrics.report.cli; "
+            "print([m for m in ('scipy.stats', 'requests', 'scipy.linalg') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
+
+
+def test_benchmark_tracer_finds_every_name(monkeypatch):
+    # a traced benchmark run reports correct: false when a wrapped name is gone
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
+    import spans
+    import worker
+
+    tracer = spans.Tracer()
+    try:
+        assert worker.install_tracer(tracer) == []
+    finally:
+        tracer.uninstall()

@@ -1,12 +1,16 @@
 """Tests for fully modified OLS and long-run covariance estimation."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from scipy import stats
 
+from panelmetrics import fmols
 from panelmetrics.data import (
     ModelSpec,
     PanelDataset,
+    PanelWarning,
     VariableSeries,
     regression_sample,
 )
@@ -31,7 +35,33 @@ def build_panel(y, x, start=2000):
 LEVEL_SPEC = ModelSpec(label="level", dependent="y", regressors=(("x", 0),))
 
 
+def bartlett_reference(eta, bandwidth):
+    """One block's kernel as a loop over lags, vector blocks by 1-D dot products."""
+    T = eta.shape[0]
+    omega = lmbda = eta.T @ eta / T
+    for j in range(1, bandwidth + 1):
+        w = 1.0 - j / (bandwidth + 1.0)
+        gamma = eta[j:].T @ eta[: T - j] / T
+        omega = omega + w * (gamma + gamma.T)
+        lmbda = lmbda + w * gamma
+    return omega, lmbda
+
+
 class TestLongRunCovariances:
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    def test_stacked_blocks_equal_the_reference_bitwise(self, m):
+        # m = 0 stands for vector blocks, stacked as (..., T, 1)
+        rng = np.random.default_rng(84)
+        eta = rng.standard_normal((2, 9, 25) + ((m,) if m else ()))
+        bws = rng.integers(0, 8, size=(2, 9))
+        omega, lmbda = long_run_covariances(eta if m else eta[..., None], bws)
+        assert omega.shape == lmbda.shape == (2, 9, max(m, 1), max(m, 1))
+        for block, bw, o, lam in zip(eta.reshape((18,) + eta.shape[2:]), bws.ravel(),
+                                     omega.reshape(18, -1), lmbda.reshape(18, -1)):
+            o_ref, lam_ref = bartlett_reference(block, int(bw))
+            assert o.tobytes() == np.ravel(o_ref).tobytes()
+            assert lam.tobytes() == np.ravel(lam_ref).tobytes()
+
     def test_bandwidth_zero_is_contemporaneous_moment(self):
         rng = np.random.default_rng(80)
         eta = rng.standard_normal((60, 2))
@@ -183,6 +213,43 @@ class TestFmolsPanel:
             res = fmols_panel(build_panel(y, x), LEVEL_SPEC, bandwidth=1)
         assert res.n_entities == 2
         assert sorted(res.bandwidths) == ["E0", "E1"]
+
+    def test_constant_regressor_entity_dropped_with_warning(self):
+        # a regressor constant over a block makes that entity's long-run
+        # regressor covariance singular; the entity goes before any fit
+        rng = np.random.default_rng(78)
+        x = np.cumsum(rng.standard_normal((50, 20)), axis=1)
+        y = 2.0 * x + rng.standard_normal((50, 20))
+        x[7] = 1.5
+        warning = r"dropped 1 entity\(ies\) with a constant regressor: E7$"
+        with pytest.warns(PanelWarning, match=warning):
+            res = fmols_panel(build_panel(y, x), LEVEL_SPEC)
+        assert res.n_entities == 49
+        assert "E7" not in res.bandwidths
+        with pytest.raises(ValueError, match="varying regressor"):
+            with pytest.warns(PanelWarning, match="dropped 2 entity"):
+                fmols_panel(build_panel(y[:2], np.ones((2, 20))), LEVEL_SPEC)
+
+    def test_one_kernel_call_per_block_length(self, monkeypatch):
+        rng = np.random.default_rng(79)
+        x = np.cumsum(rng.standard_normal((40, 24)), axis=1)
+        y = 2.0 * x + rng.standard_normal((40, 24))
+        ends = 12 + np.arange(40) % 6
+        for row, end in zip(y, ends):
+            row[end:] = np.nan
+        shapes = []
+
+        def counted(eta, bandwidth):
+            shapes.append(eta.shape)
+            return long_run_covariances(eta, bandwidth)
+
+        monkeypatch.setattr(fmols, "long_run_covariances", counted)
+        res = fmols_panel(build_panel(y, x), LEVEL_SPEC)
+        # differencing consumes each block's first row
+        aligned = dict(zip((f"E{i}" for i in range(40)), ends - 1))
+        assert 0 < sum(M == 0 for M in res.bandwidths.values()) < 40
+        kernel = Counter(aligned[e] for e, M in res.bandwidths.items() if M > 0)
+        assert sorted((m, n) for n, m, _ in shapes) == sorted(kernel.items())
 
     def test_noncontiguous_entity_keeps_longest_run(self):
         rng = np.random.default_rng(75)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from panelmetrics import gmm
 from panelmetrics.data import (
     ModelSpec,
     PanelDataset,
@@ -146,6 +147,8 @@ class TestBuildInstruments:
             Z = build_instruments(build_panel({"y": y}), AR_SPEC)
         assert Z.dropped_columns == ("lev[4,1]", "lev[5,1]")
         assert "lev[4,1]" not in Z.columns
+        # each block still owns a C-ordered array, as without a drop
+        assert all(b.flags.owndata and b.flags.c_contiguous for _, _, b in Z.blocks)
 
     def test_matches_per_cell_rule_on_random_panels(self):
         # grid years missing, NaN and zero levels, entities with no
@@ -181,9 +184,9 @@ class TestBuildInstruments:
                     for (e, yrs, got), (e_ref, yrs_ref, want) in zip(Z.blocks, blocks):
                         assert e == e_ref
                         np.testing.assert_array_equal(yrs, yrs_ref)
-                        # own C-ordered block; dropping columns may re-lay it out
-                        assert got.flags.owndata or dropped
-                        assert got.flags.c_contiguous or dropped
+                        # own C-ordered block, with or without dropped columns
+                        assert got.flags.owndata
+                        assert got.flags.c_contiguous
                         np.testing.assert_array_equal(got, want)
                     checked += 1
         assert checked > 200
@@ -259,6 +262,24 @@ class TestGmmEstimate:
         b2 = np.linalg.solve(S_zx.T @ W2 @ S_zx, S_zx.T @ W2 @ s_zy)
         m = sum(Zi.T @ (dyi - dXi @ b2) for Zi, dyi, dXi in entity_blocks)
         return b1, b2, float(m @ W2 @ m)
+
+    def test_h_matrix_built_once_per_year_vector(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        y, _ = ar_panel(rng, 30, 8, 0.5)
+        y[4, 3] = np.nan  # E4 and E9 keep three differenced rows each, in
+        y[9, 4] = np.nan  # different years, and the balanced rest keep six
+        ds = build_panel({"y": y})
+        s = differenced_sample(ds, AR_SPEC)
+        Z = build_instruments(ds, AR_SPEC, sample=s)
+        built = []
+
+        def counted(years):
+            built.append(tuple(years))
+            return _h_matrix(years)
+
+        monkeypatch.setattr(gmm, "_h_matrix", counted)
+        gmm_estimate(s, Z)
+        assert len(built) == len(set(built)) == len({tuple(b[1]) for b in s.blocks}) == 3
 
     def test_matches_hand_matrix_algebra(self):
         y, s, Z = self.hand_panel()

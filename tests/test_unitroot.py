@@ -145,7 +145,7 @@ class TestMacKinnonSurface:
     def test_vector_equals_scalar_calls_bitwise(self, det):
         def branchy(stat):
             # the scalar rule, one branch per region
-            if stat > dfc.TAU_MAX[det]:
+            if stat > dfc.TAU_MAX[det] or stat == np.inf:
                 return 1.0
             if stat < dfc.TAU_MIN[det]:
                 return 0.0
@@ -163,9 +163,16 @@ class TestMacKinnonSurface:
         assert vector.shape == taus.shape
         assert vector.tobytes() == np.array(scalar).tobytes()
         assert np.isnan(scalar[-1])
-        with np.errstate(over="ignore", invalid="ignore"):  # the branchy rule at +inf for "n"
+        with np.errstate(over="ignore"):  # the branchy rule just below +inf for "n"
             expected = [branchy(t) for t in taus[:-1]]
         assert np.array(scalar[:-1]).tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("det", ["n", "c", "ct"])
+    def test_infinite_tau_maps_to_the_tails(self, det):
+        # a perfect-fit entity can give an infinite tau; TAU_MAX["n"] is +inf itself
+        assert mackinnon_p(np.inf, det) == 1.0
+        assert mackinnon_p(-np.inf, det) == 0.0
+        assert mackinnon_p(np.array([np.inf, -np.inf]), det).tolist() == [1.0, 0.0]
 
 
 class TestPhillipsPerron:
@@ -238,6 +245,15 @@ class TestNeweyWestBandwidth:
     def test_short_vector_rejected(self):
         with pytest.raises(ValueError):
             neweywest_bandwidth([1.0, 2.0, 3.0])
+
+    def test_stacked_series_equal_single_calls(self):
+        rng = np.random.default_rng(18)
+        u = np.vstack([ar_panel(rng, 10, 40, rho) for rho in (-0.3, 0.0, 0.5, 0.9)])
+        single = [neweywest_bandwidth(row) for row in u]
+        assert all(type(m) is int for m in single) and len(set(single)) > 3
+        stacked = neweywest_bandwidth(u.reshape(2, 20, 40))
+        assert stacked.shape == (2, 20)
+        assert stacked.ravel().tolist() == single
 
 
 def long_run_variance(u, bandwidth):
@@ -431,6 +447,21 @@ class TestStackedKernel:
             assert z == pytest.approx(direct.statistic, rel=0, abs=1e-12)
             assert p == pytest.approx(direct.p_value, rel=0, abs=1e-12)
             assert bw == direct.bandwidth
+
+    def test_fisher_pp_one_kernel_call_per_run_length(self, monkeypatch):
+        series = gappy_series(32)
+        lengths = sorted({len(longest_run(row)) for row in series.values})
+        shapes = []
+
+        def counted(eta, bandwidth):
+            shapes.append(eta.shape)
+            return long_run_covariances(eta, bandwidth)
+
+        monkeypatch.setattr(unitroot, "long_run_covariances", counted)
+        unitroot.fisher_pp(series)
+        assert len(lengths) > 10
+        # residual blocks (runs, T - 1, 1), one stack per run length T
+        assert sorted(rows + 1 for _, rows, _ in shapes) == lengths
 
     def test_fixed_bandwidth_checked_before_any_fit(self, monkeypatch):
         rows = ar_panel(np.random.default_rng(33), 4, 20, 0.5)
