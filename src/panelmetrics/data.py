@@ -381,16 +381,10 @@ def regression_sample(dataset: PanelDataset, spec: ModelSpec) -> RegressionSampl
     if ent_rows.size == 0:
         raise ValueError(f"equation {spec.label!r}: no usable observations")
 
-    retained = sorted(set(ent_rows.tolist()))
-    remap = {old: new for new, old in enumerate(retained)}
+    # np.nonzero walks the grid row-major: rows come out by entity, then period
+    retained, entity_ids = np.unique(ent_rows, return_inverse=True)
     entities = tuple(dataset.entities[i] for i in retained)
-    entity_ids = np.array([remap[i] for i in ent_rows], dtype=int)
-    periods = np.array([dataset.periods[j] for j in per_cols], dtype=int)
-
-    order = np.lexsort((periods, entity_ids))
-    entity_ids, periods = entity_ids[order], periods[order]
-    ent_rows, per_cols = ent_rows[order], per_cols[order]
-
+    periods = np.asarray(dataset.periods, dtype=int)[per_cols]
     y = y_grid[ent_rows, per_cols]
     X = np.column_stack([col[ent_rows, per_cols] for col in design_cols]) if design_cols else np.empty((y.size, 0))
     return RegressionSample(

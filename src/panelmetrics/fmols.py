@@ -2,7 +2,9 @@
 
 Each entity contributes a contiguous block of its regression sample; the
 first observation of every block is consumed by differencing the regressors.
-Within the aligned window the dependent is corrected for long-run
+The rest of the blocks, the aligned window, is one flat sample in entity
+order, and the within step is the fixed-effects transform on it
+(`effects._within`).  The dependent is then corrected for long-run
 endogeneity between the cointegrating residual and regressor innovations,
 and a serial-correlation bias term is subtracted from the pooled cross
 products.  Kernel: Bartlett, `unitroot.long_run_covariances`, and its
@@ -15,7 +17,7 @@ reduces exactly to within-OLS on the aligned window.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import ndtr
@@ -28,7 +30,8 @@ from .data import (
     longest_runs,
     regression_sample,
 )
-from .unitroot import _stacks, long_run_covariances, neweywest_bandwidth
+from .effects import _within
+from .unitroot import long_run_covariances, neweywest_bandwidth
 
 
 @dataclass(frozen=True)
@@ -57,12 +60,13 @@ class FmolsResult:
 
 
 def _entity_blocks(sample, k: int):
-    """Per-entity contiguous (years, y, X) blocks long enough to difference.
+    """Kept entities' contiguous blocks, long enough to difference.
 
     Entities with fewer than k + 3 contiguous rows are dropped; a gap inside
     an entity keeps only its longest run.  An entity with a regressor
     constant over its block is dropped too: its long-run regressor
-    covariance is singular.
+    covariance is singular.  Returns the kept entities' labels, block starts
+    and block lengths, in entity order.
     """
     starts, lengths = contiguous_run(sample.entity_ids, sample.periods)
     best, length = longest_runs(sample.entity_ids, starts, lengths, sample.n_entities)
@@ -70,40 +74,33 @@ def _entity_blocks(sample, k: int):
     # changes[i] counts each column's value changes over rows 0..i
     changes = np.cumsum(np.vstack([np.zeros((1, k), bool), sample.X[1:] != sample.X[:-1]]), axis=0)
     flat = np.any(changes[best + np.maximum(length, 1) - 1] == changes[best], axis=1)
-    blocks, dropped, clipped, constant = [], [], [], []
-    for entity, s, ln, n_rows, is_flat in zip(sample.entities, best, length, counts, flat):
-        if ln < n_rows:
-            clipped.append(entity)
-        sel = slice(s, s + ln)
-        if ln < k + 3:
-            dropped.append(entity)
-        elif is_flat:
-            constant.append(entity)
-        else:
-            blocks.append((entity, sample.periods[sel], sample.y[sel], sample.X[sel]))
-    if clipped:
+    labels = np.asarray(sample.entities, dtype=object)
+    clipped, short = length < counts, length < k + 3
+    constant = flat & ~short
+    if clipped.any():
         warnings.warn(
-            f"fmols: non-contiguous sample for {len(clipped)} entity(ies); "
+            f"fmols: non-contiguous sample for {int(clipped.sum())} entity(ies); "
             "kept each entity's longest run",
             PanelWarning,
             stacklevel=3,
         )
-    if dropped:
+    if short.any():
         warnings.warn(
-            f"fmols: dropped {len(dropped)} entity(ies) shorter than {k + 3} rows",
+            f"fmols: dropped {int(short.sum())} entity(ies) shorter than {k + 3} rows",
             PanelWarning,
             stacklevel=3,
         )
-    if constant:
+    if constant.any():
         warnings.warn(
-            f"fmols: dropped {len(constant)} entity(ies) with a constant regressor: "
-            + ", ".join(map(str, constant)),
+            f"fmols: dropped {int(constant.sum())} entity(ies) with a constant regressor: "
+            + ", ".join(map(str, labels[constant])),
             PanelWarning,
             stacklevel=3,
         )
-    if not blocks:
+    kept = ~short & ~flat
+    if not kept.any():
         raise ValueError("fmols: no entity has enough contiguous rows and a varying regressor")
-    return blocks
+    return tuple(labels[kept]), best[kept], length[kept]
 
 
 def fmols_panel(dataset: PanelDataset, spec: ModelSpec, bandwidth: int | None = None) -> FmolsResult:
@@ -116,8 +113,9 @@ def fmols_panel(dataset: PanelDataset, spec: ModelSpec, bandwidth: int | None = 
         Must use individual intercepts; design columns come from the spec's
         lag structure (lagged dependent first when present).
     bandwidth : int, optional
-        Fixed Bartlett bandwidth for every entity; None applies the
-        automatic rule entity by entity.
+        Fixed Bartlett bandwidth for every entity, capped with a warning at
+        m - 2 for a block of m aligned rows; None applies the automatic rule
+        entity by entity.
 
     Returns
     -------
@@ -135,51 +133,58 @@ def fmols_panel(dataset: PanelDataset, spec: ModelSpec, bandwidth: int | None = 
     k = sample.X.shape[1]
     if k == 0:
         raise ValueError("fmols_panel needs at least one regressor")
-    blocks = _entity_blocks(sample, k)
+    entities, starts, lengths = _entity_blocks(sample, k)
 
-    # First pass: align, demean, difference; within moments in entity order.
-    aligned = []
-    sxx = np.zeros((k, k))
-    sxy = np.zeros(k)
-    for entity, years, y, X in blocks:
-        v = X[1:] - X[:-1]
-        ya, Xa, yrs = y[1:], X[1:], years[1:]
-        y_dd = ya - ya.mean()
-        X_dd = Xa - Xa.mean(axis=0)
-        aligned.append((entity, yrs, y_dd, X_dd, v))
-        sxx += X_dd.T @ X_dd
-        sxy += X_dd.T @ y_dd
-    b0 = np.linalg.solve(sxx, sxy)
+    # The aligned window drops each block's first row, used up by v = dX.
+    N, m = len(entities), lengths - 1
+    first = np.cumsum(m) - m
+    rows = np.arange(m.sum()) + np.repeat(starts + 1 - first, m)
+    aligned = replace(
+        sample,
+        entities=entities,
+        entity_ids=np.repeat(np.arange(N), m),
+        periods=sample.periods[rows],
+        y=sample.y[rows],
+        X=sample.X[rows],
+    )
+    y_dd, X_dd, _, _ = _within(aligned)
+    v = aligned.X - sample.X[rows - 1]
+    sxx = X_dd.T @ X_dd
+    u = y_dd - X_dd @ np.linalg.solve(sxx, X_dd.T @ y_dd)
+    eta = np.column_stack([u, v])
 
-    # Second pass: long-run corrections, one kernel call per block length.
-    # Bandwidth 0 keeps the definitional branch: no corrections, scale u'u/m.
-    us = [y_dd - X_dd @ b0 for _, _, y_dd, X_dd, _ in aligned]
-    etas = [np.column_stack([u, a[4]]) for u, a in zip(us, aligned)]
-    y_plus = [a[2] for a in aligned]
-    lam_plus = np.zeros((len(aligned), k))
-    scales = np.array([float(u @ u) / u.shape[0] for u in us])
-    bws = np.empty(len(aligned), dtype=int)
-    for m, idx, eta in _stacks(etas, map(len, etas)):
-        if bandwidth is None:
-            bws[idx] = neweywest_bandwidth(eta.sum(axis=-1)) if m >= 4 else 0
-        else:
-            bws[idx] = min(int(bandwidth), m - 2)
+    # Long-run corrections, one kernel call per block length.  Bandwidth 0
+    # keeps the definitional branch: no corrections, scale u'u/m.
+    scales = np.bincount(aligned.entity_ids, weights=u * u) / m
+    lam_plus = np.zeros((N, k))
+    y_plus = y_dd.copy()
+    if bandwidth is None:
+        bws = np.zeros(N, dtype=int)
+    else:
+        bws = np.minimum(int(bandwidth), m - 2)
+        capped = int((bws < bandwidth).sum())
+        if capped:
+            warnings.warn(
+                f"fmols: bandwidth {bandwidth} capped at m - 2 for {capped} entity(ies)",
+                PanelWarning,
+                stacklevel=2,
+            )
+    for length in np.unique(m):
+        idx = np.flatnonzero(m == length)
+        r = first[idx, None] + np.arange(length)
+        if bandwidth is None and length >= 4:
+            bws[idx] = neweywest_bandwidth(eta[r].sum(axis=-1))
         kernel = bws[idx] > 0
         if not kernel.any():
             continue
-        idx = np.asarray(idx)[kernel]
-        omega, lmbda = long_run_covariances(eta[kernel], bws[idx])
+        idx, r = idx[kernel], r[kernel]
+        omega, lmbda = long_run_covariances(eta[r], bws[idx])
         solve_vu = np.linalg.solve(omega[:, 1:, 1:], omega[:, 0, 1:, None])
         lam_plus[idx] = lmbda[:, 0, 1:] - (np.swapaxes(solve_vu, -1, -2) @ lmbda[:, 1:, 1:])[:, 0]
         scales[idx] = omega[:, 0, 0] - (omega[:, None, 0, 1:] @ solve_vu)[:, 0, 0]
-        for i, s_vu in zip(idx, solve_vu[..., 0]):
-            y_plus[i] = aligned[i][2] - aligned[i][4] @ s_vu
+        y_plus[r] -= (v[r] @ solve_vu)[..., 0]
 
-    sxy_plus = np.zeros(k)
-    for (_, _, _, X_dd, _), yp, lp in zip(aligned, y_plus, lam_plus):
-        sxy_plus += X_dd.T @ yp - X_dd.shape[0] * lp
-
-    beta = np.linalg.solve(sxx, sxy_plus)
+    beta = np.linalg.solve(sxx, X_dd.T @ y_plus - m @ lam_plus)
     omega_bar = float(np.mean(np.clip(scales, 0.0, None)))
     cov = omega_bar * np.linalg.inv(sxx)
     se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
@@ -187,17 +192,12 @@ def fmols_panel(dataset: PanelDataset, spec: ModelSpec, bandwidth: int | None = 
         t = np.where(se > 0, beta / se, np.nan)
     p = 2.0 * ndtr(-np.abs(t))
 
-    y_all = np.concatenate([y_dd for _, _, y_dd, _, _ in aligned])
-    X_all = np.vstack([X_dd for _, _, _, X_dd, _ in aligned])
-    years_all = np.concatenate([yrs for _, yrs, _, _, _ in aligned])
-    y_raw = np.concatenate([blk[2][1:] for blk in blocks])
-    resid = y_all - X_all @ beta
+    resid = y_dd - X_dd @ beta
     ssr = float(resid @ resid)
     # Entity intercepts are part of the fit, so the total is grand-centered
     # (same convention as the within estimator's reported fit).
-    sst = float(((y_raw - y_raw.mean()) ** 2).sum())
-    n = y_all.shape[0]
-    N = len(aligned)
+    sst = float(((aligned.y - aligned.y.mean()) ** 2).sum())
+    n = aligned.n_obs
     r2 = 1.0 - ssr / sst if sst > 0 else float("nan")
     k_all = k + N
     adj = 1.0 - (1.0 - r2) * (n - 1) / (n - k_all) if n > k_all else float("nan")
@@ -212,11 +212,11 @@ def fmols_panel(dataset: PanelDataset, spec: ModelSpec, bandwidth: int | None = 
         cov=cov,
         n_obs=n,
         n_entities=N,
-        periods_included=int(np.unique(years_all).size),
+        periods_included=aligned.periods_included,
         r_squared=r2,
         adj_r_squared=adj,
         long_run_scale=omega_bar,
-        bandwidths=dict(zip((a[0] for a in aligned), bws.tolist())),
+        bandwidths=dict(zip(aligned.entities, bws.tolist())),
         residuals=resid,
-        demeaned_dependent=y_all,
+        demeaned_dependent=y_dd,
     )

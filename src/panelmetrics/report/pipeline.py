@@ -123,17 +123,14 @@ def _ingest_fetch(config: PipelineConfig, base_dir) -> PanelDataset:
     entities = sorted(set().union(*(set(d.entities) for d in per_code.values())))
 
     merged = PanelDataset(entities=tuple(entities), periods=years)
-    ent_index = {e: i for i, e in enumerate(entities)}
     for variable in config.variables:
         code = variable.source
         source = per_code[code]
-        series = source[code]
+        fetched = np.asarray(source.periods, dtype=int)
+        inside = (fetched >= start) & (fetched <= end)  # other years are skipped
         grid = np.full((len(entities), len(years)), np.nan)
-        for i, entity in enumerate(source.entities):
-            row = ent_index[entity]
-            for j, year in enumerate(source.periods):
-                if year in years:
-                    grid[row, years.index(year)] = series.values[i, j]
+        rows = np.searchsorted(entities, source.entities)
+        grid[rows[:, None], fetched[inside] - start] = source[code].values[:, inside]
         unmatched = sorted(set(entities) - set(source.entities))
         if unmatched:
             warnings.warn(

@@ -166,7 +166,9 @@ class TestExitCodes:
         assert "fmols.json" in artifacts_in(workspace.dir / "out")
 
 
-FETCH_ENTITIES = {"VARY": ("AAA", "BBB", "CCC"), "VARX": ("AAA", "BBB")}
+FETCH_ENTITIES = {"VARY": ("AAA", "BBB", "CCC"), "VARX": ("AAA", "BBB"), "VARW": ("AAA", "CCC")}
+# codes served one year beyond each end of the requested range
+WIDER_YEARS = ("VARW",)
 
 
 class _IndicatorHandler(http.server.BaseHTTPRequestHandler):
@@ -177,11 +179,12 @@ class _IndicatorHandler(http.server.BaseHTTPRequestHandler):
             body = b"backend down"
             self.send_response(500)
         else:
-            years = parse_qs(url.query)["date"][0].split(":")
+            first, last = (int(y) for y in parse_qs(url.query)["date"][0].split(":"))
+            pad = 1 if code in WIDER_YEARS else 0
             records = [
                 {"entity": e, "date": str(year), "value": float(len(e) + year % 7 + i)}
                 for i, e in enumerate(FETCH_ENTITIES[code])
-                for year in range(int(years[0]), int(years[1]) + 1)
+                for year in range(first - pad, last + 1 + pad)
             ]
             body = json.dumps([{"page": 1, "pages": 1}, records]).encode()
             self.send_response(200)
@@ -299,6 +302,17 @@ class TestFetchCommands:
         # VARX has no CCC rows; the merged grid leaves them missing
         assert np.isnan(dataset["varx"].values[2]).all()
         assert np.isfinite(dataset["vary"].values).all()
+
+    def test_ingest_skips_years_outside_the_range(self, indicator_server, tmp_path):
+        # VARW is served for 2012-2017 against the configured 2013:2016
+        config = self.write_config(tmp_path, fetch_doc(indicator_server, ("VARY", "VARW")))
+        with pytest.warns(UserWarning, match=r"'VARW': no rows for entities \['BBB'\]"):
+            assert main(["ingest", "--config", config]) == 0
+        dataset = read_panel_csv(tmp_path / "out" / "panel.csv", schema="long")
+        assert dataset.periods == (2013, 2014, 2015, 2016)
+        years = np.arange(2013, 2017)
+        expected = [3 + years % 7, np.full(4, np.nan), 4 + years % 7]
+        np.testing.assert_array_equal(dataset["varw"].values, expected)
 
 
 class TestIngestFileSource:

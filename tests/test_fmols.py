@@ -1,12 +1,13 @@
 """Tests for fully modified OLS and long-run covariance estimation."""
 
+import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from panelmetrics import fmols
+from panelmetrics import effects, fmols
 from panelmetrics.data import (
     ModelSpec,
     PanelDataset,
@@ -45,6 +46,74 @@ def bartlett_reference(eta, bandwidth):
         omega = omega + w * (gamma + gamma.T)
         lmbda = lmbda + w * gamma
     return omega, lmbda
+
+
+def fmols_reference(dataset, spec, bandwidth=None):
+    """FMOLS entity by entity: each aligned block demeaned by .mean(), the
+    moments summed per entity, and one kernel call per entity."""
+    sample = regression_sample(dataset, spec)
+    k = sample.X.shape[1]
+    blocks = []
+    for e, entity in enumerate(sample.entities):
+        rows = np.flatnonzero(sample.entity_ids == e)
+        runs = np.split(rows, np.flatnonzero(np.diff(sample.periods[rows]) != 1) + 1)
+        run = max(runs, key=len)  # the earliest of the longest runs
+        X = sample.X[run]
+        if len(run) >= k + 3 and not (X == X[0]).all(axis=0).any():
+            blocks.append((entity, sample.y[run][1:], X[1:], np.diff(X, axis=0)))
+    sxx, sxy, demeaned = np.zeros((k, k)), np.zeros(k), []
+    for _, y, X, _ in blocks:
+        y_dd, X_dd = y - y.mean(), X - X.mean(axis=0)
+        demeaned.append((y_dd, X_dd))
+        sxx += X_dd.T @ X_dd
+        sxy += X_dd.T @ y_dd
+    b0 = np.linalg.solve(sxx, sxy)
+    sxy_plus, scales, bws = np.zeros(k), [], {}
+    for (entity, _, _, v), (y_dd, X_dd) in zip(blocks, demeaned):
+        u = y_dd - X_dd @ b0
+        m = u.size
+        eta = np.column_stack([u, v])
+        if bandwidth is None:
+            bws[entity] = neweywest_bandwidth(eta.sum(axis=1)) if m >= 4 else 0
+        else:
+            bws[entity] = min(bandwidth, m - 2)
+        if bws[entity] == 0:
+            scales.append(u @ u / m)
+            sxy_plus += X_dd.T @ y_dd
+            continue
+        omega, lmbda = long_run_covariances(eta, bws[entity])
+        s_vu = np.linalg.solve(omega[1:, 1:], omega[1:, 0])
+        scales.append(omega[0, 0] - omega[0, 1:] @ s_vu)
+        sxy_plus += X_dd.T @ (y_dd - v @ s_vu) - m * (lmbda[0, 1:] - s_vu @ lmbda[1:, 1:])
+    beta = np.linalg.solve(sxx, sxy_plus)
+    scale = np.mean(np.clip(scales, 0.0, None))
+    resid = np.concatenate([y_dd - X_dd @ beta for y_dd, X_dd in demeaned])
+    y_raw = np.concatenate([y for _, y, _, _ in blocks])
+    return {
+        "coefficients": beta,
+        "std_errors": np.sqrt(np.diag(scale * np.linalg.inv(sxx))),
+        "long_run_scale": scale,
+        "r_squared": 1.0 - resid @ resid / ((y_raw - y_raw.mean()) ** 2).sum(),
+        "residuals": resid,
+        "bandwidths": bws,
+        "lengths": [y.size for _, y, _, _ in blocks],
+    }
+
+
+def gappy_panel(seed=88, n=60, width=30):
+    """y, x and z on a ragged panel with holes: many block lengths, some
+    blocks too short for an automatic bandwidth, E5's x constant."""
+    rng = np.random.default_rng(seed)
+    x = np.cumsum(rng.standard_normal((n, width)), axis=1)
+    z = np.cumsum(rng.standard_normal((n, width)), axis=1)
+    y = 1.0 + 2.0 * x - 0.5 * z + rng.standard_normal((n, width))
+    x[5] = 0.25
+    for row, start, end in zip(y, rng.integers(0, 12, n), rng.integers(16, width + 1, n)):
+        row[:start] = row[end:] = np.nan
+        row[rng.integers(0, width, 2)] = np.nan
+    ds = build_panel(y, x)
+    ds.add(VariableSeries(name="z", entities=ds.entities, periods=ds.periods, values=z))
+    return ds
 
 
 class TestLongRunCovariances:
@@ -250,6 +319,51 @@ class TestFmolsPanel:
         assert 0 < sum(M == 0 for M in res.bandwidths.values()) < 40
         kernel = Counter(aligned[e] for e, M in res.bandwidths.items() if M > 0)
         assert sorted((m, n) for n, m, _ in shapes) == sorted(kernel.items())
+
+    @pytest.mark.parametrize("bandwidth", [None, 3])
+    @pytest.mark.parametrize("regressors", [(("x", 0),), (("x", 0), ("z", 0))])
+    def test_flat_rows_equal_the_per_entity_reference(self, regressors, bandwidth):
+        spec = ModelSpec(label="gappy", dependent="y", regressors=regressors)
+        ds = gappy_panel()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = fmols_panel(ds, spec, bandwidth)
+        assert any(str(w.message).endswith("constant regressor: E5") for w in caught)
+        ref = fmols_reference(ds, spec, bandwidth)
+        assert len(set(ref.pop("lengths"))) > 10
+        assert res.bandwidths == ref.pop("bandwidths")
+        if bandwidth is None:
+            assert 0 < sum(M == 0 for M in res.bandwidths.values()) < res.n_entities
+        for name, want in ref.items():
+            got, want = np.asarray(getattr(res, name)), np.asarray(want)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
+
+    def test_within_step_is_the_fixed_effects_transform(self, monkeypatch):
+        assert fmols._within is effects._within
+        calls = []
+
+        def counted(sample):
+            calls.append(sample.n_obs)
+            return effects._within(sample)
+
+        monkeypatch.setattr(fmols, "_within", counted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PanelWarning)
+            res = fmols_panel(gappy_panel(), LEVEL_SPEC)
+        assert calls == [res.n_obs]
+
+    def test_capped_fixed_bandwidth_warns(self):
+        rng = np.random.default_rng(81)
+        x = np.cumsum(rng.standard_normal((4, 12)), axis=1)
+        y = 2.0 * x + rng.standard_normal((4, 12))
+        y[1:3, 7:] = np.nan  # E1 and E2 keep 7 rows, 6 aligned
+        with pytest.warns(PanelWarning, match=r"bandwidth 5 capped at m - 2 for 2 entity\(ies\)"):
+            res = fmols_panel(build_panel(y, x), LEVEL_SPEC, bandwidth=5)
+        assert res.bandwidths == {"E0": 5, "E1": 4, "E2": 4, "E3": 5}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fmols_panel(build_panel(y, x), LEVEL_SPEC, bandwidth=4)
 
     def test_noncontiguous_entity_keeps_longest_run(self):
         rng = np.random.default_rng(75)
