@@ -51,7 +51,6 @@ from .effects import (
 )
 from .fmols import FmolsResult, fmols_panel
 from .gmm import (
-    DiffSample,
     GmmResult,
     InstrumentMatrix,
     build_instruments,

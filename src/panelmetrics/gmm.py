@@ -3,9 +3,12 @@
 The levels equation with entity effects is differenced to remove the
 effects; the differenced lagged dependent is instrumented with earlier
 levels of the dependent (optionally depth-limited or collapsed), while
-differenced exogenous regressors instrument themselves.  One-step weighting
-uses the tridiagonal second-difference form implied by iid level errors;
-two-step reweights with the clustered outer product of one-step moments.
+differenced exogenous regressors instrument themselves.  The differenced
+rows are one RegressionSample, sorted by entity then year, and the
+instruments one matrix aligned with it row for row; moments are summed
+entity by entity over row slices.  One-step weighting uses the tridiagonal
+second-difference form implied by iid level errors; two-step reweights
+with the clustered outer product of one-step moments.
 Overidentification is summarized by the J statistic at the two-step
 weighting, which equals the minimized criterion by construction.
 """
@@ -13,52 +16,33 @@ weighting, which equals the minimized criterion by construction.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import chdtrc, ndtr
 
-from .data import ModelSpec, PanelDataset, PanelWarning, contiguous_run, regression_sample
-
-
-@dataclass(frozen=True)
-class DiffSample:
-    """Per-entity differenced equation rows.
-
-    blocks hold (entity, years, dy, dX); a year is usable when the level
-    equation is complete at it and at the preceding year.
-    """
-
-    columns: tuple
-    blocks: tuple
-    spec: ModelSpec
-
-    @property
-    def n_obs(self) -> int:
-        return sum(b[2].shape[0] for b in self.blocks)
-
-    @property
-    def n_entities(self) -> int:
-        return len(self.blocks)
-
-    @property
-    def periods_included(self) -> int:
-        years = np.concatenate([b[1] for b in self.blocks])
-        return int(np.unique(years).size)
+from .data import (ModelSpec, PanelDataset, PanelWarning, RegressionSample, contiguous_run,
+                   regression_sample)
 
 
 @dataclass(frozen=True)
 class InstrumentMatrix:
-    """Instrument blocks aligned with a DiffSample.
+    """Instruments for the rows of a differenced sample.
 
-    columns are labels; uncollapsed level instruments are keyed by
-    (equation year, source year), collapsed ones by lag distance.  Cells
-    with no usable level are zero.  Columns that would be entirely zero
-    are dropped (recorded in dropped_columns).
+    Z is one C-ordered (rows, instruments) array, aligned row for row with
+    the sample it was built for; entities, entity_ids and periods are that
+    sample's, so an estimate can refuse rows it was not built for.  columns
+    are labels: uncollapsed level instruments are "lev[t,s]" for equation
+    year t and source year s, collapsed ones "lev[t-d]" by lag distance d.
+    Cells with no usable level are zero.  Columns that would be entirely
+    zero are dropped (recorded in dropped_columns).
     """
 
     columns: tuple
-    blocks: tuple  # (entity, years, Z_i) aligned with the sample blocks
+    Z: np.ndarray
+    entities: tuple
+    entity_ids: np.ndarray
+    periods: np.ndarray
     collapse: bool
     max_depth: int | None
     dropped_columns: tuple = ()
@@ -102,38 +86,40 @@ def _follows_previous(entity_ids: np.ndarray, years: np.ndarray) -> np.ndarray:
     return follows
 
 
-def differenced_sample(dataset: PanelDataset, spec: ModelSpec) -> DiffSample:
-    """First-differenced rows of an equation, entity by entity.
+def differenced_sample(dataset: PanelDataset, spec: ModelSpec) -> RegressionSample:
+    """First-differenced rows of an equation, sorted by entity then year.
 
-    A differenced row at year t requires complete level rows at t and t-1.
-    Entities contributing no differenced rows are dropped with a warning.
+    A differenced row at year t requires complete level rows at t and t-1;
+    y and X hold the differences and periods the year t.  Entities
+    contributing no differenced rows are dropped with a warning naming them.
     """
     sample = regression_sample(dataset, spec)
     cur = np.flatnonzero(_follows_previous(sample.entity_ids, sample.periods))
-    years = sample.periods[cur]
-    dy = sample.y[cur] - sample.y[cur - 1]
-    dX = sample.X[cur] - sample.X[cur - 1]
-    bounds = np.searchsorted(sample.entity_ids[cur], np.arange(sample.n_entities + 1))
-    blocks, dropped = [], []
-    for entity, a, b in zip(sample.entities, bounds[:-1], bounds[1:]):
-        if a == b:
-            dropped.append(entity)
-            continue
-        blocks.append((entity, years[a:b], dy[a:b], dX[a:b]))
-    if dropped:
+    kept, entity_ids = np.unique(sample.entity_ids[cur], return_inverse=True)
+    names = np.array(sample.entities, dtype=object)
+    dropped = np.delete(names, kept)
+    if dropped.size:
         warnings.warn(
-            f"gmm: dropped {len(dropped)} entity(ies) with no differenceable rows",
+            f"gmm: dropped {dropped.size} entity(ies) with no differenceable rows: "
+            f"{', '.join(map(str, dropped[:8]))}" + ("..." if dropped.size > 8 else ""),
             PanelWarning,
             stacklevel=2,
         )
-    if not blocks:
+    if cur.size == 0:
         raise ValueError(f"equation {spec.label!r}: no differenceable observations")
-    return DiffSample(columns=sample.columns, blocks=tuple(blocks), spec=spec)
+    return replace(
+        sample,
+        entities=tuple(names[kept]),
+        entity_ids=entity_ids,
+        periods=sample.periods[cur],
+        y=sample.y[cur] - sample.y[cur - 1],
+        X=sample.X[cur] - sample.X[cur - 1],
+    )
 
 
 def build_instruments(dataset: PanelDataset, spec: ModelSpec,
                       max_depth: int | None = None, collapse: bool = False,
-                      sample: DiffSample | None = None) -> InstrumentMatrix:
+                      sample: RegressionSample | None = None) -> InstrumentMatrix:
     """Instrument matrix for the differenced equation of a dynamic spec.
 
     The level at year t - d instruments equation year t for each lag
@@ -149,8 +135,8 @@ def build_instruments(dataset: PanelDataset, spec: ModelSpec,
         None means all available back to the panel start.
     collapse : bool
         Collapse level instruments to one column per lag distance.
-    sample : DiffSample, optional
-        Reuse an existing aligned sample (built from the same spec).
+    sample : RegressionSample, optional
+        Reuse an existing differenced sample (built from the same spec).
 
     Returns
     -------
@@ -166,9 +152,11 @@ def build_instruments(dataset: PanelDataset, spec: ModelSpec,
         raise ValueError("sample was built from a different spec")
     dep = dataset[spec.dependent]
     periods = np.asarray(dep.periods)
-    ent_row = {e: i for i, e in enumerate(dep.entities)}
+    grid_row = dict(zip(dep.entities, range(len(dep.entities))))  # entity -> dataset row
+    ent = np.fromiter(map(grid_row.__getitem__, sample.entities), int)[sample.entity_ids]
 
-    eq_years = np.unique(np.concatenate([b[1] for b in sample.blocks]))
+    years = sample.periods
+    eq_years = np.unique(years)
     reach = eq_years - periods[0]
     if max_depth is not None:
         reach = np.minimum(reach, max_depth + 1)
@@ -180,23 +168,17 @@ def build_instruments(dataset: PanelDataset, spec: ModelSpec,
                       for d in range(r, 1, -1)]
         last_col = np.cumsum(np.maximum(reach - 1, 0)) - 1  # year t's d = 2 column
     columns = level_cols + [f"d_{name}" for name in sample.columns[1:]]
-    L = len(columns)
 
-    blocks = []
-    for entity, years, dy, dX in sample.blocks:
-        k = np.searchsorted(eq_years, years)
-        src = years[:, None] - dists  # (rows, distances) grid of source years
-        j = np.minimum(np.searchsorted(periods, src), periods.size - 1)
-        vals = dep.values[ent_row[entity], j]
-        r, c = np.nonzero((dists <= reach[k, None]) & (periods[j] == src) & np.isfinite(vals))
-        Z = np.zeros((years.shape[0], L))
-        Z[r, c if collapse else last_col[k[r]] - c] = vals[r, c]
-        Z[:, len(level_cols):] = dX[:, 1:]
-        blocks.append((entity, years, Z))
+    k = np.searchsorted(eq_years, years)
+    src = years[:, None] - dists  # (rows, distances) grid of source years
+    j = np.minimum(np.searchsorted(periods, src), periods.size - 1)
+    vals = dep.values[ent[:, None], j]
+    r, c = np.nonzero((dists <= reach[k, None]) & (periods[j] == src) & np.isfinite(vals))
+    Z = np.zeros((years.shape[0], len(columns)))
+    Z[r, c if collapse else last_col[k[r]] - c] = vals[r, c]
+    Z[:, len(level_cols):] = sample.X[:, 1:]
 
-    nonzero = np.zeros(L, dtype=bool)
-    for _, _, Z in blocks:
-        nonzero |= np.any(Z != 0.0, axis=0)
+    nonzero = np.any(Z != 0.0, axis=0)
     dropped = tuple(c for c, keep in zip(columns, nonzero) if not keep)
     if dropped:
         warnings.warn(
@@ -204,11 +186,14 @@ def build_instruments(dataset: PanelDataset, spec: ModelSpec,
             PanelWarning,
             stacklevel=2,
         )
-        blocks = [(e, yrs, Z[:, nonzero].copy()) for e, yrs, Z in blocks]  # own, C-ordered
+        Z = Z.compress(nonzero, axis=1)  # one copy, C-ordered like the undropped Z
         columns = [c for c, keep in zip(columns, nonzero) if keep]
     return InstrumentMatrix(
         columns=tuple(columns),
-        blocks=tuple(blocks),
+        Z=Z,
+        entities=sample.entities,
+        entity_ids=sample.entity_ids,
+        periods=years,
         collapse=collapse,
         max_depth=max_depth,
         dropped_columns=dropped,
@@ -217,8 +202,8 @@ def build_instruments(dataset: PanelDataset, spec: ModelSpec,
 
 def _h_matrix(years: np.ndarray) -> np.ndarray:
     """Second-difference weighting block: 2 on the diagonal, -1 between
-    calendar-adjacent rows.  years must be strictly increasing, as in a
-    DiffSample block."""
+    calendar-adjacent rows.  years must be strictly increasing, as in one
+    entity's rows of a differenced sample."""
     m = years.shape[0]
     H = 2.0 * np.eye(m)
     r = np.flatnonzero(_follows_previous(np.zeros(m, dtype=int), years))
@@ -235,49 +220,62 @@ def _inv_psd(A: np.ndarray, what: str) -> np.ndarray:
         return np.linalg.pinv(A)
 
 
-def gmm_estimate(sample: DiffSample, instruments: InstrumentMatrix,
+def gmm_estimate(sample: RegressionSample, instruments: InstrumentMatrix,
                  step: str = "twostep") -> GmmResult:
     """Estimate the differenced equation by one- or two-step GMM.
 
+    Moments are summed entity by entity, in entity order, over row slices.
     Standard errors: one-step uses the robust sandwich; two-step uses the
     optimal-weighting form (no small-sample correction).  The J statistic
     is the criterion at the reported step's residual moments under the
     clustered one-step-residual weighting (stored as `weighting`); with
-    df = instruments - columns equal to zero the p-value is None.
+    df = instruments - columns equal to zero the p-value is None.  More
+    instruments than entities make that weighting singular; this warns.
     """
     if step not in ("onestep", "twostep"):
         raise ValueError("step must be 'onestep' or 'twostep'")
-    if len(sample.blocks) != len(instruments.blocks):
+    if instruments.entities != sample.entities:
         raise ValueError("sample and instruments have different entity sets")
-    k = sample.blocks[0][3].shape[1]
+    if (instruments.Z.shape[0] != sample.n_obs
+            or not np.array_equal(instruments.entity_ids, sample.entity_ids)
+            or not np.array_equal(instruments.periods, sample.periods)):
+        raise ValueError("instrument rows are not aligned with the sample")
+    k = sample.X.shape[1]
     L = instruments.n_instruments
+    N = sample.n_entities
     if L < k:
         raise ValueError(f"underidentified: {L} instruments for {k} parameters")
+    if L > N:  # B below has rank at most N (Roodman 2009)
+        warnings.warn(f"gmm: {L} instruments outnumber {N} entities; two-step SEs and J "
+                      "are unreliable", PanelWarning, stacklevel=2)
 
+    Z, dy, dX, years = instruments.Z, sample.y, sample.X, sample.periods
+    bounds = np.searchsorted(sample.entity_ids, np.arange(N + 1)).tolist()
+    rows = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
     S_zx = np.zeros((L, k))
     s_zy = np.zeros(L)
     A1 = np.zeros((L, L))
     H = {}  # one weighting block per distinct year vector
-    for (e1, yrs, dy, dX), (e2, yrs2, Z) in zip(sample.blocks, instruments.blocks):
-        if e1 != e2 or yrs.shape != yrs2.shape or np.any(yrs != yrs2):
-            raise ValueError("instrument blocks are not aligned with the sample")
-        S_zx += Z.T @ dX
-        s_zy += Z.T @ dy
-        key = yrs.tobytes()
+    for r in rows:
+        S_zx += Z[r].T @ dX[r]
+        s_zy += Z[r].T @ dy[r]
+        key = years[r].tobytes()
         if key not in H:
-            H[key] = _h_matrix(yrs)
-        A1 += Z.T @ H[key] @ Z
+            H[key] = _h_matrix(years[r])
+        A1 += Z[r].T @ H[key] @ Z[r]
     W1 = _inv_psd(A1, "gmm one-step")
 
     def solve_beta(W):
         M = S_zx.T @ W @ S_zx
         return np.linalg.solve(M, S_zx.T @ W @ s_zy), M
 
+    def moments(beta):
+        return (Z[r].T @ (dy[r] - dX[r] @ beta) for r in rows)
+
     beta1, M1 = solve_beta(W1)
 
     B = np.zeros((L, L))
-    for (entity, yrs, dy, dX), (_, _, Z) in zip(sample.blocks, instruments.blocks):
-        g = Z.T @ (dy - dX @ beta1)
+    for g in moments(beta1):
         B += np.outer(g, g)
     W2 = _inv_psd(B, "gmm two-step")
 
@@ -289,9 +287,7 @@ def gmm_estimate(sample: DiffSample, instruments: InstrumentMatrix,
         Minv = np.linalg.inv(M1)
         cov = Minv @ (S_zx.T @ W1 @ B @ W1 @ S_zx) @ Minv
 
-    m = np.zeros(L)
-    for (entity, yrs, dy, dX), (_, _, Z) in zip(sample.blocks, instruments.blocks):
-        m += Z.T @ (dy - dX @ beta)
+    m = sum(moments(beta), np.zeros(L))
     j_stat = float(m @ W2 @ m)
     j_df = L - k
     # chdtrc is NaN below zero, where a chi-square survival is 1
@@ -311,7 +307,7 @@ def gmm_estimate(sample: DiffSample, instruments: InstrumentMatrix,
         p_values=p,
         cov=cov,
         n_obs=sample.n_obs,
-        n_entities=sample.n_entities,
+        n_entities=N,
         periods_included=sample.periods_included,
         instrument_count=L,
         j_stat=j_stat,

@@ -230,6 +230,7 @@ def _stage_gmm(config, dataset, store):
             sample=sample,
         )
         results.append(gmm_estimate(sample, instruments, step="twostep"))
+        del instruments  # free this model's Z before the next model's is built
     store["gmm"] = results
     return build_gmm_table(results, [spec.label for spec in config.models])
 

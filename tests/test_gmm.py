@@ -1,6 +1,7 @@
 """Tests for first-difference dynamic panel GMM."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,12 +11,13 @@ from panelmetrics import gmm
 from panelmetrics.data import (
     ModelSpec,
     PanelDataset,
+    PanelWarning,
+    RegressionSample,
     VariableSeries,
     regression_sample,
 )
 from panelmetrics.effects import fixed_effects
 from panelmetrics.gmm import (
-    InstrumentMatrix,
     build_instruments,
     differenced_sample,
     _h_matrix,
@@ -48,14 +50,22 @@ def ar_panel(rng, n, width, rho, effect_scale=0.3):
     return y, eps
 
 
+def entity_rows(rows):
+    """(entity, row slice) of each entity in stacked entity-sorted rows."""
+    bounds = np.searchsorted(rows.entity_ids, np.arange(len(rows.entities) + 1))
+    return [(e, slice(a, b)) for e, a, b in zip(rows.entities, bounds[:-1], bounds[1:])]
+
+
 class TestDifferencedSample:
     def test_hand_rows(self):
         # y = 1, 2, 4, 7: differenced rows usable at t = 3 and 4
         s = differenced_sample(build_panel({"y": [1.0, 2.0, 4.0, 7.0]}), AR_SPEC)
-        entity, years, dy, dX = s.blocks[0]
-        assert list(years) == [3, 4]
-        np.testing.assert_array_equal(dy, [2.0, 3.0])
-        np.testing.assert_array_equal(dX.ravel(), [1.0, 2.0])
+        assert isinstance(s, RegressionSample)
+        assert s.entities == ("E0",)
+        np.testing.assert_array_equal(s.entity_ids, [0, 0])
+        assert list(s.periods) == [3, 4]
+        np.testing.assert_array_equal(s.y, [2.0, 3.0])
+        np.testing.assert_array_equal(s.X.ravel(), [1.0, 2.0])
         assert s.n_obs == 2
         assert s.periods_included == 2
 
@@ -66,25 +76,42 @@ class TestDifferencedSample:
 
     def test_entity_without_consecutive_rows_dropped(self):
         y = np.array([[1.0, 2.0, 3.0, 4.0, 5.0], [1.0, 2.0, np.nan, 4.0, 5.0]])
-        with pytest.warns(UserWarning, match="dropped 1 entity"):
+        with pytest.warns(UserWarning, match="dropped 1 entity") as caught:
             s = differenced_sample(build_panel({"y": y}), AR_SPEC)
-        assert [b[0] for b in s.blocks] == ["E0"]
+        assert [str(w.message) for w in caught] == [
+            "gmm: dropped 1 entity(ies) with no differenceable rows: E1"
+        ]
+        assert s.entities == ("E0",)
+        np.testing.assert_array_equal(s.entity_ids, [0, 0, 0])
+
+    def test_dropped_entity_names_stop_after_eight(self):
+        y = np.tile([1.0, 2.0, np.nan, 4.0, 5.0], (12, 1))
+        y[5] = [1.0, 2.0, 3.0, 4.0, 5.0]
+        with pytest.warns(PanelWarning) as caught:
+            s = differenced_sample(build_panel({"y": y}), AR_SPEC)
+        assert [str(w.message) for w in caught] == [
+            "gmm: dropped 11 entity(ies) with no differenceable rows: "
+            "E0, E1, E2, E3, E4, E6, E7, E8..."
+        ]
+        assert s.entities == ("E5",)
 
 
 def per_cell_instruments(ds, spec, max_depth, collapse):
     """Reference instrument matrix, one cell at a time: the level at source
     year s instruments equation year t when 2 <= t - s <= max_depth + 1 and
-    s is a panel year.  Returns (columns, dropped_columns, blocks)."""
+    s is a panel year.  Returns (columns, dropped_columns, blocks), one
+    (entity, years, Z_i) block per entity."""
     sample = differenced_sample(ds, spec)
     dep = ds[spec.dependent]
-    years = sorted({int(t) for b in sample.blocks for t in b[1]})
+    years = sorted({int(t) for t in sample.periods})
     pairs = [(t, s) for t in years for s in range(dep.periods[0], t - 1)
              if max_depth is None or t - s <= max_depth + 1]
     keys = sorted({t - s for t, s in pairs}) if collapse else pairs
     columns = [f"lev[t-{d}]" if collapse else f"lev[{d[0]},{d[1]}]" for d in keys]
     columns += [f"d_{name}" for name in sample.columns[1:]]
     blocks = []
-    for entity, yrs, _, dX in sample.blocks:
+    for entity, r in entity_rows(sample):
+        yrs, dX = sample.periods[r], sample.X[r]
         Z = np.zeros((yrs.shape[0], len(columns)))
         for r, t in enumerate(yrs):
             for t_pair, s in pairs:
@@ -106,9 +133,8 @@ class TestBuildInstruments:
         # t = 3 instruments {y1}; t = 4 instruments {y1, y2}: 3 columns
         Z = build_instruments(build_panel({"y": [1.0, 2.0, 4.0, 7.0]}), AR_SPEC)
         assert Z.columns == ("lev[3,1]", "lev[4,1]", "lev[4,2]")
-        np.testing.assert_array_equal(
-            Z.blocks[0][2], [[1.0, 0.0, 0.0], [0.0, 1.0, 2.0]]
-        )
+        np.testing.assert_array_equal(Z.Z, [[1.0, 0.0, 0.0], [0.0, 1.0, 2.0]])
+        np.testing.assert_array_equal(Z.periods, [3, 4])
 
     def test_t4_collapsed_layout(self):
         # one column per lag distance (2 and 3)
@@ -116,7 +142,7 @@ class TestBuildInstruments:
             build_panel({"y": [1.0, 2.0, 4.0, 7.0]}), AR_SPEC, collapse=True
         )
         assert Z.columns == ("lev[t-2]", "lev[t-3]")
-        np.testing.assert_array_equal(Z.blocks[0][2], [[1.0, 0.0], [2.0, 1.0]])
+        np.testing.assert_array_equal(Z.Z, [[1.0, 0.0], [2.0, 1.0]])
 
     @pytest.mark.parametrize("width", [5, 6, 8])
     def test_balanced_count_formula(self, width):
@@ -136,8 +162,9 @@ class TestBuildInstruments:
         Z = build_instruments(ds, spec)
         assert Z.columns[-1] == "d_x_lag1"
         s = differenced_sample(ds, spec)
-        hand = np.array([x[0, t - 2] - x[0, t - 3] for t in s.blocks[0][1]])
-        np.testing.assert_array_equal(Z.blocks[0][2][:, -1], hand)
+        first = s.entity_ids == 0
+        hand = np.array([x[0, t - 2] - x[0, t - 3] for t in s.periods[first]])
+        np.testing.assert_array_equal(Z.Z[first, -1], hand)
 
     def test_all_zero_columns_dropped(self):
         rng = np.random.default_rng(4)
@@ -147,8 +174,9 @@ class TestBuildInstruments:
             Z = build_instruments(build_panel({"y": y}), AR_SPEC)
         assert Z.dropped_columns == ("lev[4,1]", "lev[5,1]")
         assert "lev[4,1]" not in Z.columns
-        # each block still owns a C-ordered array, as without a drop
-        assert all(b.flags.owndata and b.flags.c_contiguous for _, _, b in Z.blocks)
+        # Z still owns a C-ordered array, as without a drop
+        assert Z.Z.flags.owndata and Z.Z.flags.c_contiguous
+        assert Z.Z.shape == (8, 3)
 
     def test_matches_per_cell_rule_on_random_panels(self):
         # grid years missing, NaN and zero levels, entities with no
@@ -180,14 +208,15 @@ class TestBuildInstruments:
                     assert Z.columns == columns
                     assert Z.dropped_columns == dropped
                     assert any("all-zero" in str(w.message) for w in caught) == bool(dropped)
-                    assert len(Z.blocks) == len(blocks)
-                    for (e, yrs, got), (e_ref, yrs_ref, want) in zip(Z.blocks, blocks):
+                    # one owned C-ordered Z, with or without dropped columns
+                    assert Z.Z.flags.owndata
+                    assert Z.Z.flags.c_contiguous
+                    assert Z.Z.shape[0] == sum(yrs.shape[0] for _, yrs, _ in blocks)
+                    assert len(entity_rows(Z)) == len(blocks)
+                    for (e, r), (e_ref, yrs_ref, want) in zip(entity_rows(Z), blocks):
                         assert e == e_ref
-                        np.testing.assert_array_equal(yrs, yrs_ref)
-                        # own C-ordered block, with or without dropped columns
-                        assert got.flags.owndata
-                        assert got.flags.c_contiguous
-                        np.testing.assert_array_equal(got, want)
+                        np.testing.assert_array_equal(Z.periods[r], yrs_ref)
+                        np.testing.assert_array_equal(Z.Z[r], want)
                     checked += 1
         assert checked > 200
 
@@ -279,7 +308,8 @@ class TestGmmEstimate:
 
         monkeypatch.setattr(gmm, "_h_matrix", counted)
         gmm_estimate(s, Z)
-        assert len(built) == len(set(built)) == len({tuple(b[1]) for b in s.blocks}) == 3
+        year_vectors = {tuple(s.periods[r]) for _, r in entity_rows(s)}
+        assert len(built) == len(set(built)) == len(year_vectors) == 3
 
     def test_matches_hand_matrix_algebra(self):
         y, s, Z = self.hand_panel()
@@ -299,8 +329,8 @@ class TestGmmEstimate:
         Z = build_instruments(ds, AR_SPEC, max_depth=1, collapse=True, sample=s)
         assert Z.n_instruments == 1
         res = gmm_estimate(s, Z)
-        num = sum(Zi.T @ dy for (_, _, dy, _), (_, _, Zi) in zip(s.blocks, Z.blocks))
-        den = sum(Zi.T @ dX for (_, _, _, dX), (_, _, Zi) in zip(s.blocks, Z.blocks))
+        num = sum(Z.Z[r].T @ s.y[r] for _, r in entity_rows(s))
+        den = sum(Z.Z[r].T @ s.X[r] for _, r in entity_rows(s))
         assert abs(res.coefficients[0] - num[0] / den[0, 0]) < 1e-12
         assert abs(res.j_stat) < 1e-8
         assert res.j_df == 0
@@ -309,12 +339,7 @@ class TestGmmEstimate:
     def test_column_reorder_invariance(self):
         _, s, Z = self.hand_panel()
         perm = [2, 0, 1]
-        Zp = InstrumentMatrix(
-            columns=tuple(Z.columns[j] for j in perm),
-            blocks=tuple((e, yrs, Zi[:, perm]) for e, yrs, Zi in Z.blocks),
-            collapse=False,
-            max_depth=None,
-        )
+        Zp = replace(Z, columns=tuple(Z.columns[j] for j in perm), Z=Z.Z[:, perm])
         base = gmm_estimate(s, Z)
         permuted = gmm_estimate(s, Zp)
         assert abs(base.coefficients - permuted.coefficients).max() < 1e-8
@@ -363,12 +388,7 @@ class TestGmmEstimate:
 
     def test_underidentified_is_error(self):
         _, s, Z = self.hand_panel()
-        empty = InstrumentMatrix(
-            columns=(),
-            blocks=tuple((e, yrs, Zi[:, :0]) for e, yrs, Zi in Z.blocks),
-            collapse=False,
-            max_depth=None,
-        )
+        empty = replace(Z, columns=(), Z=Z.Z[:, :0])
         with pytest.raises(ValueError, match="underidentified"):
             gmm_estimate(s, empty)
 
@@ -379,11 +399,44 @@ class TestGmmEstimate:
 
     def test_rejects_misaligned_blocks(self):
         _, s, Z = self.hand_panel()
-        short = InstrumentMatrix(
-            columns=Z.columns, blocks=Z.blocks[:2], collapse=False, max_depth=None
+        first_two = Z.entity_ids < 2
+        short = replace(
+            Z,
+            Z=Z.Z[first_two],
+            entities=Z.entities[:2],
+            entity_ids=Z.entity_ids[first_two],
+            periods=Z.periods[first_two],
         )
         with pytest.raises(ValueError, match="entity sets"):
             gmm_estimate(s, short)
+        # same entities, but other years or other rows
+        for other in (replace(Z, periods=Z.periods + 1), replace(Z, Z=Z.Z[:-1]),
+                      replace(Z, entity_ids=np.repeat([0, 1, 2], [1, 3, 2]))):
+            with pytest.raises(ValueError, match="not aligned"):
+                gmm_estimate(s, other)
+
+    def test_more_instruments_than_entities_warns(self):
+        # 20 entities, 20 years, x at lag 1: 171 level columns plus d_x_lag1
+        rng = np.random.default_rng(20)
+        y, _ = ar_panel(rng, 20, 20, 0.5)
+        ds = build_panel({"y": y, "x": rng.standard_normal((20, 20))})
+        spec = ModelSpec(label="dyn", dependent="y", regressors=(("x", 1),),
+                         lagged_dependent=True)
+        s = differenced_sample(ds, spec)
+        Z = build_instruments(ds, spec, sample=s)
+        with pytest.warns(PanelWarning) as caught:
+            res = gmm_estimate(s, Z)
+        assert [str(w.message) for w in caught if "outnumber" in str(w.message)] == [
+            "gmm: 172 instruments outnumber 20 entities; two-step SEs and J are unreliable"
+        ]
+        assert (res.instrument_count, res.n_entities) == (172, 20)
+
+    def test_as_many_instruments_as_entities_is_silent(self):
+        _, s, Z = self.hand_panel()
+        assert Z.n_instruments == s.n_entities == 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gmm_estimate(s, Z)
 
     def test_result_bookkeeping(self):
         _, s, Z = self.hand_panel()
@@ -415,8 +468,7 @@ class TestJStatistic:
             # J is the criterion at the reported coefficients under the
             # stored weighting, for either step
             m = sum(
-                Zi.T @ (dy - dX @ res.coefficients)
-                for (_, _, dy, dX), (_, _, Zi) in zip(s.blocks, Z.blocks)
+                Z.Z[r].T @ (s.y[r] - s.X[r] @ res.coefficients) for _, r in entity_rows(s)
             )
             assert abs(float(m @ res.weighting @ m) - res.j_stat) < 1e-10
             assert res.j_df == Z.n_instruments - len(res.columns)
@@ -447,17 +499,11 @@ class TestJStatistic:
             ds = build_panel({"y": y})
             s = differenced_sample(ds, AR_SPEC)
             Z = build_instruments(ds, AR_SPEC, sample=s, collapse=True)
-            blocks = []
-            for (e, yrs, dy, dX), (_, _, Zi) in zip(s.blocks, Z.blocks):
-                i = int(e[1:])
-                diff_err = np.array([eps[i, t - 1] - eps[i, t - 2] for t in yrs])
-                bad = diff_err + noise_scale * rng.standard_normal(diff_err.size)
-                blocks.append((e, yrs, np.column_stack([Zi, bad])))
-            contaminated = InstrumentMatrix(
-                columns=Z.columns + ("z_bad",),
-                blocks=tuple(blocks),
-                collapse=True,
-                max_depth=None,
+            i = np.array([int(e[1:]) for e in s.entities])[s.entity_ids]
+            diff_err = eps[i, s.periods - 1] - eps[i, s.periods - 2]
+            bad = diff_err + noise_scale * rng.standard_normal(diff_err.size)
+            contaminated = replace(
+                Z, columns=Z.columns + ("z_bad",), Z=np.column_stack([Z.Z, bad])
             )
             rejections += gmm_estimate(s, contaminated).j_p < 0.05
         assert rejections > 100
