@@ -433,3 +433,11 @@ def longest_runs(entity_ids: np.ndarray, starts: np.ndarray, lengths: np.ndarray
     best_start[owner[pick]] = starts[pick]
     best_len[owner[pick]] = lengths[pick]
     return best_start, best_len
+
+
+def blocks_by_length(starts: np.ndarray, lengths: np.ndarray):
+    """Yield (length, positions, rows) per distinct block length, shortest first:
+    rows[i] holds the row indices of block positions[i], so values[rows] stacks them."""
+    for length in np.unique(lengths):
+        idx = np.flatnonzero(lengths == length)
+        yield length, idx, starts[idx, None] + np.arange(length)

@@ -26,6 +26,7 @@ from .data import (
     ModelSpec,
     PanelDataset,
     PanelWarning,
+    blocks_by_length,
     contiguous_run,
     longest_runs,
     regression_sample,
@@ -169,9 +170,7 @@ def fmols_panel(dataset: PanelDataset, spec: ModelSpec, bandwidth: int | None = 
                 PanelWarning,
                 stacklevel=2,
             )
-    for length in np.unique(m):
-        idx = np.flatnonzero(m == length)
-        r = first[idx, None] + np.arange(length)
+    for length, idx, r in blocks_by_length(first, m):
         if bandwidth is None and length >= 4:
             bws[idx] = neweywest_bandwidth(eta[r].sum(axis=-1))
         kernel = bws[idx] > 0

@@ -78,14 +78,6 @@ class GmmResult:
         return float(self.coefficients[self.columns.index(name)])
 
 
-def _follows_previous(entity_ids: np.ndarray, years: np.ndarray) -> np.ndarray:
-    """Rows whose calendar predecessor is the row just before them."""
-    starts, _ = contiguous_run(entity_ids, years)
-    follows = np.ones(years.shape[0], dtype=bool)
-    follows[starts] = False
-    return follows
-
-
 def differenced_sample(dataset: PanelDataset, spec: ModelSpec) -> RegressionSample:
     """First-differenced rows of an equation, sorted by entity then year.
 
@@ -94,7 +86,8 @@ def differenced_sample(dataset: PanelDataset, spec: ModelSpec) -> RegressionSamp
     contributing no differenced rows are dropped with a warning naming them.
     """
     sample = regression_sample(dataset, spec)
-    cur = np.flatnonzero(_follows_previous(sample.entity_ids, sample.periods))
+    starts, _ = contiguous_run(sample.entity_ids, sample.periods)
+    cur = np.delete(np.arange(sample.n_obs), starts)  # rows that follow their calendar predecessor
     kept, entity_ids = np.unique(sample.entity_ids[cur], return_inverse=True)
     names = np.array(sample.entities, dtype=object)
     dropped = np.delete(names, kept)
@@ -204,9 +197,8 @@ def _h_matrix(years: np.ndarray) -> np.ndarray:
     """Second-difference weighting block: 2 on the diagonal, -1 between
     calendar-adjacent rows.  years must be strictly increasing, as in one
     entity's rows of a differenced sample."""
-    m = years.shape[0]
-    H = 2.0 * np.eye(m)
-    r = np.flatnonzero(_follows_previous(np.zeros(m, dtype=int), years))
+    H = 2.0 * np.eye(years.shape[0])
+    r = np.flatnonzero(np.diff(years) == 1) + 1
     H[r, r - 1] = H[r - 1, r] = -1.0
     return H
 

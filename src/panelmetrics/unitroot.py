@@ -14,12 +14,13 @@ one block; FMOLS and tools/gen_ips_moments.py import them.
 
 Every series handed to a test must be an unbroken calendar run; the battery
 extracts each entity's longest contiguous stretch and drops entities that
-fail a test's length precondition, with a warning naming them.  Each panel
-test settles what depends only on run lengths (lags, bandwidth checks,
-table coverage) before any fit, then stacks runs by (length, lag) or by
-length (`_stacks`), so each group takes one fit and, for Phillips-Perron,
-one kernel call; all p-values come from one `mackinnon_p` call.  adf_test
-and pp_test are batches of one.
+fail a test's length precondition, with a warning naming them.  A test's
+lag depends on run length alone, so each panel test settles the length rules
+(lags, bandwidth checks, table coverage) once per distinct length before any
+fit, then stacks each length's runs from the flat observed values
+(`data.blocks_by_length`) for one fit and, for Phillips-Perron, one kernel
+call; all p-values come from one `mackinnon_p` call.  adf_test and pp_test
+are batches of one.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .data import (
     PanelDataset,
     PanelWarning,
     VariableSeries,
+    blocks_by_length,
     contiguous_run,
     first_difference,
     longest_runs,
@@ -159,21 +161,12 @@ def _df_regression(y: np.ndarray, det: str, lags: int):
     return beta[..., 0, 0] / se, se, np.sqrt(s2), resid, rows
 
 
-def _stacks(blocks: list, keys) -> list:
-    """(key, positions, stacked blocks) for each group of blocks sharing a key,
-    in first-seen order: the batches every stacked kernel call takes."""
-    groups = {}
-    for i, key in enumerate(keys):
-        groups.setdefault(key, []).append(i)
-    return [(key, idx, np.stack([blocks[i] for i in idx])) for key, idx in groups.items()]
-
-
-def _fit_runs(runs: list, det: str, lags_pe) -> np.ndarray:
+def _fit_runs(flat, starts, lengths, det: str, lags_pe) -> np.ndarray:
     """Dickey-Fuller tau of each run at its lag, in run order, from one
-    _df_regression call per (length, lag) group."""
-    tau = np.empty(len(runs))
-    for (_, p), idx, stacked in _stacks(runs, zip(map(len, runs), lags_pe)):
-        tau[idx] = _df_regression(stacked, det, p)[0]
+    _df_regression call per run length (a test's lag depends on length alone)."""
+    tau = np.empty(len(starts))
+    for _, idx, rows in blocks_by_length(starts, lengths):
+        tau[idx] = _df_regression(flat[rows], det, lags_pe[idx[0]])[0]
     return tau
 
 
@@ -299,26 +292,26 @@ def pp_test(y, det: str = "c", bandwidth: int | None = None) -> UnitRootResult:
     T = y.shape[0]
     if _max_feasible_lags(T, det) < 0:
         raise ValueError(f"pp_test: series too short (T={T}) for det={det!r}")
-    z, bw = _pp_runs([y], det, bandwidth)
+    z, bw = _pp_runs(y, np.zeros(1, dtype=int), np.array([T]), det, bandwidth)
     return UnitRootResult(
         test="pp", statistic=float(z[0]), p_value=_dfc.mackinnon_p(float(z[0]), det), det=det,
         lags=0, n_obs=T - 1, bandwidth=bw[0],
     )
 
 
-def _pp_runs(runs: list, det: str, bandwidth: int | None) -> tuple:
+def _pp_runs(flat, starts, lengths, det: str, bandwidth: int | None) -> tuple:
     """Phillips-Perron Z and bandwidth of each run, in run order; a fixed bandwidth is
     checked against every run before any fit, then each length takes one fit and one kernel call."""
     if bandwidth is not None:
         bandwidth = int(bandwidth)
         if bandwidth < 0:
             raise ValueError("bandwidth must be nonnegative")
-        short = [len(run) - 1 for run in runs if bandwidth > len(run) - 3]
-        if short:
+        short = lengths[bandwidth > lengths - 3] - 1
+        if short.size:
             raise ValueError(f"pp_test: bandwidth {bandwidth} too large for {short[0]} rows")
-    z, bw = np.empty(len(runs)), np.empty(len(runs), dtype=int)
-    for _, idx, stacked in _stacks(runs, map(len, runs)):
-        tau, se_rho, s, resid, rows = _df_regression(stacked, det, 0)
+    z, bw = np.empty(len(starts)), np.empty(len(starts), dtype=int)
+    for _, idx, r in blocks_by_length(starts, lengths):
+        tau, se_rho, s, resid, rows = _df_regression(flat[r], det, 0)
         M = bandwidth
         if M is None:
             M = neweywest_bandwidth(resid) if rows >= 4 else 0
@@ -354,29 +347,26 @@ def fisher_combine(p_values, df_scale: int = 2) -> tuple:
 
 
 def _panel_runs(series: VariableSeries, min_len: int, what: str):
-    """Longest contiguous run per entity, dropping short entities with one warning."""
+    """Each entity's longest contiguous run, dropping short entities with one warning.
+    Returns the observed values, flat in entity-then-period order, the kept runs'
+    starts and lengths in them, and the kept labels."""
     ent, col = np.nonzero(np.isfinite(series.values))
     starts, lengths = contiguous_run(ent, np.asarray(series.periods)[col])
     best, length = longest_runs(ent, starts, lengths, len(series.entities))
-    observed = series.values[ent, col]
-    runs, kept, dropped = [], [], []
-    for entity, s, n in zip(series.entities, best, length):
-        if n >= min_len:
-            runs.append(observed[s : s + n])
-            kept.append(entity)
-        else:
-            dropped.append(entity)
-    if dropped:
+    labels = np.asarray(series.entities, dtype=object)
+    keep = length >= min_len
+    dropped = labels[~keep]
+    if dropped.size:
         warnings.warn(
-            f"{what}({series.name}): dropped {len(dropped)} entity(ies) below "
+            f"{what}({series.name}): dropped {dropped.size} entity(ies) below "
             f"{min_len} contiguous observations: {', '.join(map(str, dropped[:8]))}"
-            + ("..." if len(dropped) > 8 else ""),
+            + ("..." if dropped.size > 8 else ""),
             PanelWarning,
             stacklevel=3,
         )
-    if len(kept) < 2:
+    if keep.sum() < 2:
         raise ValueError(f"{what}({series.name}): fewer than two usable entities")
-    return runs, tuple(kept)
+    return series.values[ent, col], best[keep], length[keep], tuple(labels[keep])
 
 
 def _entity_lags(T: int, det: str, lags: int | None, min_df: int = 2) -> int:
@@ -385,28 +375,36 @@ def _entity_lags(T: int, det: str, lags: int | None, min_df: int = 2) -> int:
     return max(0, min(p, cap))
 
 
-def _fisher(test: str, det: str, kept: tuple, runs: list, stat_pe, extra_pe) -> UnitRootResult:
+def _by_length(rule, lengths) -> np.ndarray:
+    """rule(T) of each run's length T, one row per run; once per distinct T, first seen first."""
+    _, first, inverse = np.unique(lengths, return_index=True, return_inverse=True)
+    seen = np.argsort(first)
+    return np.array([rule(T) for T in lengths[first[seen]].tolist()])[np.argsort(seen)[inverse]]
+
+
+def _fisher(test: str, det: str, kept: tuple, lengths, stat_pe, extra_pe) -> UnitRootResult:
     """Fisher combination of the per-entity statistics' response-surface p-values."""
     p_pe = _dfc.mackinnon_p(stat_pe, det)
     stat, df, p = fisher_combine(p_pe)
     return UnitRootResult(
         test=test, statistic=stat, p_value=p, det=det,
-        lags=None, n_obs=sum(r.shape[0] for r in runs), n_entities=len(kept), df=df,
+        lags=None, n_obs=int(lengths.sum()), n_entities=len(kept), df=df,
         per_entity=tuple(zip(kept, np.asarray(stat_pe).tolist(), p_pe.tolist(), extra_pe)),
     )
 
 
 def fisher_adf(series: VariableSeries, det: str = "c", lags: int | None = None) -> UnitRootResult:
     """Fisher combination of per-entity ADF p-values."""
-    runs, kept = _panel_runs(series, _shortest_run(det), "fisher_adf")
-    lags_pe = [_entity_lags(run.shape[0], det, lags) for run in runs]
-    return _fisher("fisher-adf", det, kept, runs, _fit_runs(runs, det, lags_pe), lags_pe)
+    flat, starts, lengths, kept = _panel_runs(series, _shortest_run(det), "fisher_adf")
+    lags_pe = _by_length(lambda T: _entity_lags(T, det, lags), lengths)
+    tau = _fit_runs(flat, starts, lengths, det, lags_pe)
+    return _fisher("fisher-adf", det, kept, lengths, tau, lags_pe.tolist())
 
 
 def fisher_pp(series: VariableSeries, det: str = "c", bandwidth: int | None = None) -> UnitRootResult:
     """Fisher combination of per-entity Phillips-Perron p-values."""
-    runs, kept = _panel_runs(series, _shortest_run(det), "fisher_pp")
-    return _fisher("fisher-pp", det, kept, runs, *_pp_runs(runs, det, bandwidth))
+    flat, starts, lengths, kept = _panel_runs(series, _shortest_run(det), "fisher_pp")
+    return _fisher("fisher-pp", det, kept, lengths, *_pp_runs(flat, starts, lengths, det, bandwidth))
 
 
 def _ips_moments(T: int, p: int, det: str) -> tuple:
@@ -447,16 +445,17 @@ def ips_test(series: VariableSeries, det: str = "c", lags: int | None = None) ->
     """
     if det not in ("c", "ct"):
         raise ValueError("ips_test supports det 'c' or 'ct' (moment table coverage)")
-    runs, kept = _panel_runs(series, IPS_T_GRID[0], "ips_test")
-    means, variances, lags_pe = zip(*[
-        _ips_moments(len(run), _entity_lags(len(run), det, lags, min_df=3), det) for run in runs
-    ])
-    tau = _fit_runs(runs, det, lags_pe)
+    flat, starts, lengths, kept = _panel_runs(series, IPS_T_GRID[0], "ips_test")
+    means, variances, lags_pe = _by_length(
+        lambda T: _ips_moments(T, _entity_lags(T, det, lags, min_df=3), det), lengths
+    ).T
+    lags_pe = lags_pe.astype(int).tolist()
+    tau = _fit_runs(flat, starts, lengths, det, lags_pe)
     N = len(kept)
     W = np.sqrt(N) * (np.mean(tau) - np.mean(means)) / np.sqrt(np.mean(variances))
     return UnitRootResult(
         test="ips", statistic=float(W), p_value=float(ndtr(W)), det=det,
-        lags=None, n_obs=sum(r.shape[0] for r in runs), n_entities=N,
+        lags=None, n_obs=int(lengths.sum()), n_entities=N,
         per_entity=tuple(zip(kept, tau.tolist(), _dfc.mackinnon_p(tau, det).tolist(), lags_pe)),
     )
 
@@ -473,14 +472,15 @@ def llc_test(series: VariableSeries, det: str = "c", lags: int | None = None) ->
     """
     if det not in DET_TERMS:
         raise ValueError(f"unknown deterministic case {det!r}")
-    runs, kept = _panel_runs(series, _shortest_run(det), "llc_test")
-    lags_pe = [_entity_lags(run.shape[0], det, lags) for run in runs]
-    t_effs = [run.shape[0] - 1 - p_i for run, p_i in zip(runs, lags_pe)]
+    flat, starts, lengths, kept = _panel_runs(series, _shortest_run(det), "llc_test")
+    lags_pe = _by_length(lambda T: _entity_lags(T, det, lags), lengths)
+    t_effs = lengths - 1 - lags_pe
     t_tilde = float(np.mean(t_effs))
     mu_star, sigma_star = _dfc.llc_adjustment(t_tilde, det)
 
     e_all, v_all, s_ratios = [], [], []
-    for run, p_i, rows in zip(runs, lags_pe, t_effs):
+    for s, T, p_i, rows in zip(starts.tolist(), lengths.tolist(), lags_pe.tolist(), t_effs.tolist()):
+        run = flat[s : s + T]
         # Common right-hand side: the Dickey-Fuller design without the level.
         target_dy, X = _df_design(run, det, p_i)
         target_lev, Q = X[:, 0], X[:, 1:]
@@ -510,7 +510,7 @@ def llc_test(series: VariableSeries, det: str = "c", lags: int | None = None) ->
         lrv = float(long_run_covariances(d_adj, max(K, 0))[0][0, 0])
         s_ratios.append(np.sqrt(max(lrv, 1e-300) / s2_i))
 
-    N = len(runs)
+    N = len(kept)
     e = np.concatenate(e_all)
     v = np.concatenate(v_all)
     denom = float(v @ v)
@@ -527,7 +527,7 @@ def llc_test(series: VariableSeries, det: str = "c", lags: int | None = None) ->
     return UnitRootResult(
         test="llc", statistic=float(t_star), p_value=float(ndtr(t_star)),
         det=det, lags=None, n_obs=n_total, n_entities=N,
-        per_entity=tuple(zip(kept, [float("nan")] * N, [float("nan")] * N, lags_pe)),
+        per_entity=tuple(zip(kept, [float("nan")] * N, [float("nan")] * N, lags_pe.tolist())),
     )
 
 

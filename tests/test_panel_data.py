@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from panelmetrics import data, fmols, unitroot
 from panelmetrics.data import (
     ModelSpec,
     PanelDataset,
     PanelWarning,
     VariableSeries,
+    blocks_by_length,
     contiguous_run,
     first_difference,
     lag,
@@ -266,6 +268,20 @@ class TestContiguousRun:
         values = np.array([1.0, 2.0, np.nan, 4.0, 5.0, 6.0, 7.0])
         run = longest_finite_run(values, periods)
         np.testing.assert_allclose(run, [4.0, 5.0, 6.0, 7.0])
+
+    def test_blocks_grouped_by_length(self):
+        starts = np.array([0, 3, 5, 9, 12])
+        lengths = np.array([3, 2, 4, 3, 2])
+        groups = list(blocks_by_length(starts, lengths))
+        assert [int(n) for n, _, _ in groups] == [2, 3, 4]
+        for (_, idx, rows), want_idx, want_rows in zip(
+            groups,
+            ([1, 4], [0, 3], [2]),
+            ([[3, 4], [12, 13]], [[0, 1, 2], [9, 10, 11]], [[5, 6, 7, 8]]),
+        ):
+            np.testing.assert_array_equal(idx, want_idx)
+            np.testing.assert_array_equal(rows, want_rows)
+        assert fmols.blocks_by_length is unitroot.blocks_by_length is data.blocks_by_length
 
     def test_calendar_gap_breaks_run(self):
         # 2002 -> 2004 jump splits an otherwise finite stretch

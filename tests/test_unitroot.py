@@ -472,6 +472,69 @@ class TestStackedKernel:
             unitroot.fisher_pp(make_series(rows), bandwidth=6)
 
 
+def longest_run_panel(seed, n=40, T=60):
+    """Random walks with one run of 30..T years each, plus scattered cells
+    past a blank year on either side; and a copy with only the runs kept."""
+    rng = np.random.default_rng(seed)
+    rows = np.cumsum(rng.standard_normal((n, T)), axis=1)
+    scattered = np.where(rng.random((n, T)) < 0.6, rows, np.nan)
+    runs_only = np.full((n, T), np.nan)
+    for i in range(n):
+        length = rng.integers(30, T + 1)
+        start = rng.integers(0, T - length + 1)
+        runs_only[i, start : start + length] = rows[i, start : start + length]
+        scattered[i, max(start - 1, 0) : start + length + 1] = np.nan
+    return make_series(np.where(np.isfinite(runs_only), runs_only, scattered)), make_series(runs_only)
+
+
+class TestPanelRuns:
+    def test_drop_warning_names_count_then_first_eight(self):
+        rows = np.cumsum(np.random.default_rng(34).standard_normal((12, 20)), axis=1)
+        short = [i for i in range(12) if i not in (5, 11)]
+        rows[short, 8:] = np.nan
+        rows[short, 4] = np.nan  # eight observed years in two runs of four
+        with pytest.warns(PanelWarning) as caught:
+            r = unitroot.fisher_adf(make_series(rows))
+        assert [str(w.message) for w in caught] == [
+            "fisher_adf(v): dropped 10 entity(ies) below 5 contiguous observations: "
+            "E0, E1, E2, E3, E4, E6, E7, E8..."
+        ]
+        assert [row[0] for row in r.per_entity] == ["E5", "E11"]
+
+    def test_only_each_longest_run_is_read(self):
+        gappy, runs_only = longest_run_panel(35)
+        assert np.isfinite(gappy.values).sum() > np.isfinite(runs_only.values).sum()
+        for test in (unitroot.fisher_adf, unitroot.fisher_pp, ips_test, llc_test):
+            r = test(gappy)
+            assert math.isfinite(r.statistic)
+            # repr prints each float's shortest round-trip form: equal reprs, equal bits
+            assert repr(r) == repr(test(runs_only))
+
+    def test_length_rules_evaluated_once_per_distinct_length(self, monkeypatch):
+        series, _ = longest_run_panel(36)
+        lengths = [len(longest_run(row)) for row in series.values]
+        first_seen = list(dict.fromkeys(lengths))
+        assert len(first_seen) < len(lengths)
+        entity_lags, ips_moments = unitroot._entity_lags, unitroot._ips_moments
+        lag_calls, moment_calls = [], []
+
+        def lags_counted(T, *args, **kwargs):
+            lag_calls.append(T)
+            return entity_lags(T, *args, **kwargs)
+
+        def moments_counted(T, p, det):
+            moment_calls.append(T)
+            return ips_moments(T, p, det)
+
+        monkeypatch.setattr(unitroot, "_entity_lags", lags_counted)
+        monkeypatch.setattr(unitroot, "_ips_moments", moments_counted)
+        for test in (unitroot.fisher_adf, ips_test, llc_test):
+            lag_calls.clear()
+            test(series)
+            assert lag_calls == first_seen
+        assert moment_calls == first_seen
+
+
 class TestLlc:
     def test_single_entity_rejected(self):
         rng = np.random.default_rng(22)
