@@ -4,11 +4,16 @@ A panel is a rectangular entity-by-period grid per variable, with NaN marking
 missing cells.  Periods are calendar years, and every lag or difference is a
 calendar shift: an entity observed in 2013 and 2015 has no 2014 value, so a
 one-period lag at 2015 is missing rather than the 2013 value.
+
+CSV ingest reads the wide and the long schema into one cell table of
+(entity, year, variable, value); the schemas differ only in the header and
+in where a value's variable is named, and one vectorized pass fills every grid.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -172,140 +177,120 @@ class RegressionSample:
         return len(np.unique(self.periods))
 
 
-def _parse_value(token: str, where: str) -> float:
-    if token in MISSING_TOKENS:
-        return math.nan
-    try:
-        value = float(token)
-    except ValueError:
-        raise ValueError(f"unparseable numeric value {token!r} at {where}") from None
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite numeric value {token!r} at {where}")
-    return value
-
-
-def _parse_year(token: str, where: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ValueError(f"unparseable year {token!r} at {where}") from None
-
-
 def read_panel_csv(path, schema: str = "wide") -> PanelDataset:
-    """Read a panel from CSV.
+    """Read a panel from a CSV file in the wide or long schema.
 
-    Parameters
-    ----------
-    path : str or Path
-        File to read.
-    schema : {"wide", "long"}
-        Wide has header ``entity,year,<var1>,<var2>,...`` with one row per
-        entity-year.  Long has header ``entity,year,variable,value`` with one
-        row per cell.
-
-    Returns
-    -------
-    PanelDataset
-
-    Raises
-    ------
-    ValueError
-        Empty file, duplicate cells, or malformed numeric/year fields.
+    Wide has header ``entity,year,<var1>,<var2>,...`` and one row per
+    entity-year; long has header ``entity,year,variable,value`` and one row
+    per cell, its variables in order of first appearance.  Raises ValueError
+    on an empty file, a bad header, a duplicate cell, or a malformed field,
+    naming the first such field's line (and wide column) in file order.
     """
     if schema not in ("wide", "long"):
         raise ValueError(f"unknown schema {schema!r}")
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    rows = [r for r in rows if r]
+        rows = list(filter(None, csv.reader(fh)))
     if not rows:
         raise ValueError(f"{path}: empty file")
-    header, body = rows[0], rows[1:]
-    if not body:
+    if len(rows) == 1:
         raise ValueError(f"{path}: no data rows")
-
+    header = rows[0]
+    # The schemas differ only in the header and in what names a value's
+    # variable: the header above its column (wide) or its row (long).
     if schema == "wide":
-        if len(header) < 3 or header[0] != "entity" or header[1] != "year":
+        if len(header) < 3 or header[:2] != ["entity", "year"]:
             raise ValueError(f"{path}: wide header must be entity,year,<variables>")
-        var_names = header[2:]
-        if len(set(var_names)) != len(var_names):
+        if len(set(header[2:])) != len(header) - 2:
             raise ValueError(f"{path}: duplicate variable columns")
-        cells = {}  # (entity, year) -> list of values
-        for lineno, row in enumerate(body, start=2):
-            if len(row) != len(header):
-                raise ValueError(f"{path}: row {lineno} has {len(row)} fields, expected {len(header)}")
-            entity = row[0]
-            year = _parse_year(row[1], f"{path}:{lineno}")
-            key = (entity, year)
-            if key in cells:
-                raise ValueError(f"{path}: duplicate entity-year ({entity!r}, {year})")
-            cells[key] = [
-                _parse_value(tok, f"{path}:{lineno} column {name}")
-                for tok, name in zip(row[2:], var_names)
-            ]
-        entities = tuple(sorted({e for e, _ in cells}))
-        periods = tuple(sorted({y for _, y in cells}))
-        e_idx = {e: i for i, e in enumerate(entities)}
-        p_idx = {y: j for j, y in enumerate(periods)}
-        grids = {name: np.full((len(entities), len(periods)), np.nan) for name in var_names}
-        for (entity, year), values in cells.items():
-            for name, value in zip(var_names, values):
-                grids[name][e_idx[entity], p_idx[year]] = value
+        first, labels, what = 2, np.s_[:1, 2:], "entity-year"
+        where = [f" column {name}" for name in header[2:]]
     else:
         if header != ["entity", "year", "variable", "value"]:
             raise ValueError(f"{path}: long header must be entity,year,variable,value")
-        triples = {}  # (entity, year, variable) -> value
-        for lineno, row in enumerate(body, start=2):
-            if len(row) != 4:
-                raise ValueError(f"{path}: row {lineno} has {len(row)} fields, expected 4")
-            entity, variable = row[0], row[2]
-            year = _parse_year(row[1], f"{path}:{lineno}")
-            key = (entity, year, variable)
-            if key in triples:
-                raise ValueError(
-                    f"{path}: duplicate cell ({entity!r}, {year}, {variable!r})"
-                )
-            triples[key] = _parse_value(row[3], f"{path}:{lineno}")
-        entities = tuple(sorted({e for e, _, _ in triples}))
-        periods = tuple(sorted({y for _, y, _ in triples}))
-        var_names = []
-        for _, _, v in triples:  # first-appearance order
-            if v not in var_names:
-                var_names.append(v)
-        e_idx = {e: i for i, e in enumerate(entities)}
-        p_idx = {y: j for j, y in enumerate(periods)}
-        grids = {name: np.full((len(entities), len(periods)), np.nan) for name in var_names}
-        for (entity, year, variable), value in triples.items():
-            grids[variable][e_idx[entity], p_idx[year]] = value
-
+        first, labels, what, where = 3, np.s_[1:, 2:3], "cell", [""]
+    try:  # each step in bulk; any failure rescans the rows in file order for the first fault
+        if set(map(len, rows)) != {len(header)}:
+            raise ValueError
+        table = np.array(rows, dtype=object)  # header row first
+        years = np.fromiter(map(int, table[1:, 1]), int, len(rows) - 1)
+        tokens = table[1:, first:]
+        observed = ~np.isin(tokens, MISSING_TOKENS)
+        values = np.fromiter(map(float, tokens[observed]), float)
+        entities, e = np.unique(table[1:, 0], return_inverse=True)
+        periods, p = np.unique(years, return_inverse=True)
+        names, v = _first_seen(table[labels])
+        # the cell table: each token's flat index in one (variable, entity, period) grid
+        cells = (v * entities.size + e[:, None]) * periods.size + p[:, None]
+        if not np.isfinite(values).all() or np.unique(cells, return_counts=True)[1].max() > 1:
+            raise ValueError
+    except (ValueError, OverflowError):
+        _raise_first_fault(path, rows, first, what, where)
+    grids = np.full((names.size, entities.size, periods.size), np.nan)
+    grids.reshape(-1)[cells[observed]] = values
+    entities, periods = tuple(entities.tolist()), tuple(periods.tolist())
     dataset = PanelDataset(entities=entities, periods=periods)
-    for name in var_names:
-        dataset.add(VariableSeries(name=name, entities=entities, periods=periods, values=grids[name]))
+    for name, grid in zip(names.tolist(), grids):
+        dataset.add(VariableSeries(name=name, entities=entities, periods=periods, values=grid))
     return dataset
 
 
+def _first_seen(labels: np.ndarray) -> tuple:
+    """Distinct labels in order of first appearance, and each label's index in them."""
+    distinct, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return distinct[order], np.argsort(order)[inverse].reshape(labels.shape)
+
+
+def _raise_first_fault(path, rows: list, first: int, what: str, where: list):
+    """Raise the error of the first faulty row of a CSV in file order.
+
+    rows[0] is the header.  A row's key is its entity, year and any columns
+    before first, where its values start; where[j] locates value j in messages.
+    """
+    header, seen = rows[0], set()
+    for lineno, row in enumerate(rows[1:], start=2):
+        if len(row) != len(header):
+            raise ValueError(f"{path}: row {lineno} has {len(row)} fields, expected {len(header)}")
+        try:
+            key = (row[0], int(np.int64(int(row[1]))), *row[2:first])  # periods are int64
+        except (ValueError, OverflowError):
+            raise ValueError(f"unparseable year {row[1]!r} at {path}:{lineno}") from None
+        if key in seen:
+            raise ValueError(f"{path}: duplicate {what} {key!r}")
+        seen.add(key)
+        for token, column in zip(row[first:], where):
+            try:
+                finite = token in MISSING_TOKENS or math.isfinite(float(token))
+            except ValueError:
+                raise ValueError(
+                    f"unparseable numeric value {token!r} at {path}:{lineno}{column}"
+                ) from None
+            if not finite:
+                raise ValueError(f"non-finite numeric value {token!r} at {path}:{lineno}{column}")
+
+
 def write_panel_csv(dataset: PanelDataset, path, schema: str = "wide"):
-    """Write a panel to CSV so that reading it back reproduces the dataset."""
+    """Write a panel to CSV so that reading it back reproduces the dataset.
+
+    Both schemas write one token matrix, a row per (entity, year) and a
+    column per variable: wide row by row, long one row per token.
+    """
     if schema not in ("wide", "long"):
         raise ValueError(f"unknown schema {schema!r}")
     names = list(dataset.variables)
+    shape = (dataset.n_entities * dataset.n_periods, len(names))
+    values = np.reshape([s.values for s in dataset.variables.values()], shape[::-1]).T.ravel()
+    tokens = np.array(list(map(repr, values.tolist())), dtype=object)
+    tokens[np.isnan(values)] = ""
+    rows = zip(itertools.product(dataset.entities, dataset.periods), tokens.reshape(shape).tolist())
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         if schema == "wide":
-            writer.writerow(["entity", "year"] + names)
-            for i, entity in enumerate(dataset.entities):
-                for j, year in enumerate(dataset.periods):
-                    row = [entity, year]
-                    for name in names:
-                        v = dataset.variables[name].values[i, j]
-                        row.append("" if math.isnan(v) else repr(float(v)))
-                    writer.writerow(row)
+            writer.writerow(["entity", "year", *names])
+            writer.writerows([*key, *row] for key, row in rows)
         else:
             writer.writerow(["entity", "year", "variable", "value"])
-            for i, entity in enumerate(dataset.entities):
-                for j, year in enumerate(dataset.periods):
-                    for name in names:
-                        v = dataset.variables[name].values[i, j]
-                        writer.writerow([entity, year, name, "" if math.isnan(v) else repr(float(v))])
+            writer.writerows([*key, *cell] for key, row in rows for cell in zip(names, row))
 
 
 def natural_log(series: VariableSeries) -> VariableSeries:

@@ -202,11 +202,16 @@ def _get_count(mapping: dict, key: str, where: str, minimum=0):
     return value
 
 
+def _strings(values, what) -> tuple:
+    if not isinstance(values, (list, tuple)) or not all(isinstance(v, str) for v in values):
+        raise ConfigError(f"{what}: expected a list of strings")
+    return tuple(values)
+
+
 def _canonical_subset(values, universe, what) -> tuple:
-    if isinstance(values, str):
-        values = [values]
-    if not isinstance(values, (list, tuple)) or not values:
-        raise ConfigError(f"{what}: expected a nonempty list")
+    values = _strings([values] if isinstance(values, str) else values, what)
+    if not values:
+        raise ConfigError(f"{what}: expected a nonempty list of strings")
     bad = sorted(set(values) - set(universe))
     if bad:
         raise ConfigError(f"{what}: unknown entries {bad}; allowed {list(universe)}")
@@ -243,7 +248,7 @@ def _validate_data(raw) -> DataSource:
 def _validate_variables(raw) -> tuple:
     if not isinstance(raw, list) or not raw:
         raise ConfigError("variables: expected a nonempty list")
-    out, seen = [], set()
+    out, defined_by = [], {}  # series name -> index of the variable defining it
     for i, item in enumerate(raw):
         where = f"variables[{i}]"
         item = _require_mapping(item, where)
@@ -251,9 +256,13 @@ def _validate_variables(raw) -> tuple:
         name = _get_str(item, "name", where, required=True)
         source = _get_str(item, "source", where, default=name)
         log = _get_bool(item, "log", where)
-        if name in seen:
-            raise ConfigError(f"{where}: duplicate variable name {name!r}")
-        seen.add(name)
+        for series in (name, f"ln_{name}") if log else (name,):
+            if series in defined_by:
+                raise ConfigError(
+                    f"{where}: duplicate variable series {series!r}, "
+                    f"also defined by variables[{defined_by[series]}]"
+                )
+            defined_by[series] = i
         out.append(VariableDef(name=name, source=source, log=log))
     return tuple(out)
 
@@ -316,16 +325,10 @@ def _validate_tests(raw, available) -> TestOptions:
     det = _get_str(raw, "det", "tests", default="c")
     if det not in DET_KINDS:
         raise ConfigError(f"tests.det: expected one of {list(DET_KINDS)}, got {det!r}")
-    variables = raw.get("variables", [])
-    if variables:
-        if not isinstance(variables, list):
-            raise ConfigError("tests.variables: expected a list")
-        bad = sorted(set(variables) - set(available))
-        if bad:
-            raise ConfigError(f"tests.variables: {bad} are not defined series")
-        variables = tuple(str(v) for v in variables)
-    else:
-        variables = ()
+    variables = _strings(raw.get("variables") or [], "tests.variables")
+    bad = sorted(set(variables) - set(available))
+    if bad:
+        raise ConfigError(f"tests.variables: {bad} are not defined series")
     return TestOptions(
         det=det,
         lags=_get_count(raw, "lags", "tests"),

@@ -160,7 +160,7 @@ def transform_dataset(config: PipelineConfig, dataset: PanelDataset) -> PanelDat
         entities=dataset.entities, periods=dataset.periods, variables=dict(dataset.variables)
     )
     for variable in config.variables:
-        series = out[variable.source]
+        series = dataset[variable.source]
         if variable.name != variable.source:
             series = VariableSeries(
                 name=variable.name,

@@ -1,9 +1,12 @@
 """Panel containers, CSV schemas, and calendar-aware transforms."""
 
+import csv
+import math
+
 import numpy as np
 import pytest
 
-from panelmetrics import data, fmols, unitroot
+from panelmetrics import data, fixture, fmols, unitroot
 from panelmetrics.data import (
     ModelSpec,
     PanelDataset,
@@ -96,6 +99,189 @@ class TestCsvRoundTrip:
     def test_unknown_schema_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown schema"):
             read_panel_csv(tmp_path / "p.csv", schema="tall")
+
+    def test_write_fixture_reproduces_shipped_csv(self, tmp_path):
+        path = tmp_path / "fixture.csv"
+        fixture.write_fixture(path)
+        with open(fixture.fixture_path(), "rb") as fh:
+            assert path.read_bytes() == fh.read()
+
+
+# (schema, file text, message); {path} stands for the file read
+MALFORMED = [
+    ("wide", "entity,year,y\nA,2000,1.0,5\n", "{path}: row 2 has 4 fields, expected 3"),
+    ("wide", "entity,year,y\nA,2000,1.0\nB,2000\n", "{path}: row 3 has 2 fields, expected 3"),
+    ("wide", "entity,year,y\nA,20x0,1.0\n", "unparseable year '20x0' at {path}:2"),
+    ("wide", "entity,year,y\nA,,1.0\n", "unparseable year '' at {path}:2"),
+    ("wide", "entity,year,y,x\nA,2000,1.0,abc\n",
+     "unparseable numeric value 'abc' at {path}:2 column x"),
+    ("wide", "entity,year,y\nA,2000,na\n", "unparseable numeric value 'na' at {path}:2 column y"),
+    ("wide", "entity,year,y\nA,2000,inf\n", "non-finite numeric value 'inf' at {path}:2 column y"),
+    ("wide", "entity,year,y\nA,2000,1\nA,2001,NaN\n",
+     "non-finite numeric value 'NaN' at {path}:3 column y"),
+    ("wide", "entity,year,y\nA,2000,1.0\nB,2000,1.0\nA, 2000,\n",
+     "{path}: duplicate entity-year ('A', 2000)"),
+    ("wide", "entity,yr,y\nA,2000,1.0\n", "{path}: wide header must be entity,year,<variables>"),
+    ("wide", "entity,year\nA,2000\n", "{path}: wide header must be entity,year,<variables>"),
+    ("wide", "entity,year,y,x,y\nA,2000,1,2,3\n", "{path}: duplicate variable columns"),
+    ("wide", "entity,year,y\nA,2000,1.0\nA,2000,x\nB,2001\n",
+     "{path}: duplicate entity-year ('A', 2000)"),
+    ("wide", "entity,year,y\nA,2000,nan\nB,2000,1,2\n",
+     "non-finite numeric value 'nan' at {path}:2 column y"),
+    ("wide", "entity,year,y,x\nA,2000,1,2\nB,2000,3,x\nB,y2k,4,5\n",
+     "unparseable numeric value 'x' at {path}:3 column x"),
+    ("long", "entity,year,variable,value\nA,2000,y\n", "{path}: row 2 has 3 fields, expected 4"),
+    ("long", "entity,year,variable,value\nA,2000.0,y,1\n",
+     "unparseable year '2000.0' at {path}:2"),
+    ("long", "entity,year,variable,value\nA,2000,y,1\nA,2000,x,1..2\n",
+     "unparseable numeric value '1..2' at {path}:3"),
+    ("long", "entity,year,variable,value\nA,2000,y,-inf\n",
+     "non-finite numeric value '-inf' at {path}:2"),
+    ("long", "entity,year,variable,value\nA,2000,y,1\nA,2000,x,2\nA,+2000,y,NA\n",
+     "{path}: duplicate cell ('A', 2000, 'y')"),
+    ("long", "entity,year,value,variable\nA,2000,1,y\n",
+     "{path}: long header must be entity,year,variable,value"),
+    ("long", "entity,year,y\nA,2000,1\n", "{path}: long header must be entity,year,variable,value"),
+    ("long", "entity,year,variable,value\nA,2000,y,1\nA,2000,y,abc\nB,2000,y\n",
+     "{path}: duplicate cell ('A', 2000, 'y')"),
+    ("long", "entity,year,variable,value\nA,2000,y,abc\nA,twenty,y,1\n",
+     "unparseable numeric value 'abc' at {path}:2"),
+]
+
+
+@pytest.mark.parametrize("schema,text,message", MALFORMED)
+def test_malformed_file_message(tmp_path, schema, text, message):
+    path = tmp_path / "p.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as err:
+        read_panel_csv(path, schema=schema)
+    assert str(err.value) == message.format(path=path)
+
+
+def test_year_beyond_int64_is_unparseable(tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_text("entity,year,y\nA,2000,1\nA,99999999999999999999,2\n")
+    with pytest.raises(ValueError) as err:
+        read_panel_csv(path)
+    assert str(err.value) == f"unparseable year '99999999999999999999' at {path}:3"
+
+
+def reference_read(path, schema):
+    """Per-cell CSV reader: each token parsed on its own into a dict keyed by
+    cell, then copied into the grids one cell at a time.  Returns the
+    dataset's labels and grids, or the ValueError message."""
+    with open(path, newline="") as fh:
+        rows = [r for r in csv.reader(fh) if r]
+    header, body = rows[0], rows[1:]
+    wide = schema == "wide"
+    cells, seen, names = {}, set(), list(header[2:]) if wide else []
+    for lineno, row in enumerate(body, start=2):
+        if len(row) != len(header):
+            return f"{path}: row {lineno} has {len(row)} fields, expected {len(header)}"
+        try:
+            year = int(row[1])
+        except ValueError:
+            return f"unparseable year {row[1]!r} at {path}:{lineno}"
+        key = (row[0], year) if wide else (row[0], year, row[2])
+        if key in seen:
+            return f"{path}: duplicate {'entity-year' if wide else 'cell'} {key!r}"
+        seen.add(key)
+        columns = zip(names, row[2:]) if wide else [(row[2], row[3])]
+        for name, token in columns:
+            where = f"{path}:{lineno} column {name}" if wide else f"{path}:{lineno}"
+            value = math.nan
+            if token not in ("", "NA"):
+                try:
+                    value = float(token)
+                except ValueError:
+                    return f"unparseable numeric value {token!r} at {where}"
+                if not math.isfinite(value):
+                    return f"non-finite numeric value {token!r} at {where}"
+            cells[(row[0], year, name)] = value
+            if name not in names:
+                names.append(name)
+    entities = sorted({e for e, _, _ in cells})
+    periods = sorted({y for _, y, _ in cells})
+    grids = {name: np.full((len(entities), len(periods)), np.nan) for name in names}
+    for (entity, year, name), value in cells.items():
+        grids[name][entities.index(entity), periods.index(year)] = value
+    return tuple(entities), tuple(periods), grids
+
+
+VALUE_TOKENS = (" 1.5", "+2", "1e-3", "-0.0", "NA", "", "0.1", "7")
+FAULTS = ("abc", "nan", "inf", "1,5", "20x1", "short", "duplicate")
+FAULT_KINDS = ("fields", "unparseable year", "unparseable numeric", "non-finite", "duplicate")
+
+
+def random_panel_rows(rng, schema):
+    """Header and shuffled rows of a random gappy panel with varied tokens."""
+    labels = ["A,1", 'B "q"', " C", "D", "e", "F,,"]
+    entities = rng.choice(labels, rng.integers(1, 6), replace=False)
+    years = rng.choice(np.arange(1990, 2010), rng.integers(1, 8), replace=False)
+    names = list(rng.choice(["y", "x", "z w", "v"], rng.integers(1, 5), replace=False))
+    rows = []
+    for entity in entities:
+        for year in years:
+            if rows and rng.random() < 0.3:
+                continue  # an absent entity-year
+            tokens = [
+                rng.choice(VALUE_TOKENS) if rng.random() < 0.5
+                else repr(float(rng.normal() * 10.0 ** rng.integers(-3, 4)))
+                for _ in names
+            ]
+            year_token = rng.choice([str(year), f" {year}", f"+{year}"], p=[0.8, 0.1, 0.1])
+            if schema == "wide":
+                rows.append([str(entity), year_token, *tokens])
+            else:
+                rows.extend([str(entity), year_token, n, t] for n, t in zip(names, tokens))
+    header = ["entity", "year", *(names if schema == "wide" else ["variable", "value"])]
+    return header, [rows[i] for i in rng.permutation(len(rows))]
+
+
+def add_fault(rng, rows):
+    """Copy of rows with one fault of a random kind at a random row."""
+    rows = [list(r) for r in rows]
+    at = int(rng.integers(len(rows)))
+    fault = rng.choice(FAULTS)
+    if fault == "short":
+        rows[at].pop()
+    elif fault == "duplicate":
+        rows.insert(at + 1, list(rows[int(rng.integers(at + 1))]))
+    elif fault == "20x1":
+        rows[at][1] = fault
+    else:
+        rows[at][int(rng.integers(2, len(rows[at])))] = fault
+    return rows
+
+
+@pytest.mark.parametrize("schema", ["wide", "long"])
+def test_reader_matches_per_cell_reference(tmp_path, schema):
+    rng = np.random.default_rng(20240611)
+    path = tmp_path / "p.csv"
+    outcomes = set()
+    for trial in range(120):
+        header, rows = random_panel_rows(rng, schema)
+        for _ in range(trial % 3):
+            rows = add_fault(rng, rows)
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows([header, *rows])
+        want = reference_read(path, schema)
+        if isinstance(want, str):
+            outcomes.add(next(k for k in FAULT_KINDS if k in want.replace(str(path), "")))
+            with pytest.raises(ValueError) as err:
+                read_panel_csv(path, schema=schema)
+            assert str(err.value) == want
+            continue
+        outcomes.add("ok")
+        got = read_panel_csv(path, schema=schema)
+        entities, periods, grids = want
+        assert got.entities == entities
+        assert got.periods == periods
+        assert all(type(p) is int for p in got.periods)
+        assert list(got.variables) == list(grids)
+        for name, grid in grids.items():
+            assert got[name].values.tobytes() == grid.tobytes(), name
+    assert outcomes == {"ok", *FAULT_KINDS}
 
 
 class TestTransforms:

@@ -5,16 +5,18 @@ import csv as csv_mod
 import io
 import json
 import os
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
 
-from panelmetrics.data import ModelSpec
+from panelmetrics.data import ModelSpec, PanelDataset, VariableSeries
 from panelmetrics.descriptives import describe
 from panelmetrics.effects import HausmanResult
 from panelmetrics.report.config import (
     ConfigError,
+    VariableDef,
     load_config,
     validate_config,
 )
@@ -225,6 +227,39 @@ class TestConfigValidation:
         doc = self.base(tmp_path)
         doc["models"][1]["label"] = "1"
         with pytest.raises(ConfigError, match="duplicate model label"):
+            validate_config(doc)
+
+    @pytest.mark.parametrize(
+        "first,second,series",
+        [
+            ({"name": "y", "log": True}, {"name": "ln_y"}, "ln_y"),
+            ({"name": "ln_y"}, {"name": "y", "log": True}, "ln_y"),
+            ({"name": "ln_y", "log": True}, {"name": "y", "log": True}, "ln_y"),
+        ],
+    )
+    def test_variables_defining_one_series_rejected(self, tmp_path, first, second, series):
+        doc = self.base(tmp_path)
+        doc["variables"][0] = first
+        doc["variables"].append(second)
+        with pytest.raises(ConfigError) as err:
+            validate_config(doc)
+        assert str(err.value) == (
+            f"variables[3]: duplicate variable series {series!r}, also defined by variables[0]"
+        )
+
+    @pytest.mark.parametrize(
+        "key,value,where",
+        [
+            ("stages", [{"a": 1}], "stages"),
+            ("tests", {"variables": [{"a": 1}]}, "tests.variables"),
+            ("output", {"formats": [["md"]]}, "output.formats"),
+        ],
+    )
+    def test_non_string_list_entries_rejected(self, tmp_path, key, value, where):
+        doc = self.base(tmp_path)
+        doc[key] = value
+        message = rf"^{re.escape(where)}: expected a .*list of strings$"
+        with pytest.raises(ConfigError, match=message):
             validate_config(doc)
 
     def test_fetch_source_year_range_checked(self, tmp_path):
@@ -446,6 +481,18 @@ class TestPipeline:
         out = transform_dataset(config, raw)
         assert tuple(raw.variables) == ("y", "x1", "x2")
         assert tuple(out.variables) == ("y", "x1", "x2", "aid", "ln_aid")
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_transform_reads_each_source_from_the_input(self, panel_config, order):
+        grid = np.ones((2, 3))
+        raw = PanelDataset(entities=("A", "B"), periods=(2000, 2001, 2002))
+        for name, value in (("b", 1.0), ("c", 2.0)):
+            raw.add(VariableSeries(name, raw.entities, raw.periods, value * grid))
+        variables = (VariableDef(name="b", source="c"), VariableDef(name="a", source="b"))
+        out = transform_dataset(replace(panel_config, variables=variables[::order]), raw)
+        assert (out["a"].values == 1.0).all()
+        assert (out["b"].values == 2.0).all()
+        assert (out["c"].values == 2.0).all()
+
     def test_all_stages_on_small_panel(self, panel_config):
         bundle = run_pipeline(panel_config, write=False)
         assert not bundle.failed
