@@ -184,7 +184,8 @@ def read_panel_csv(path, schema: str = "wide") -> PanelDataset:
     entity-year; long has header ``entity,year,variable,value`` and one row
     per cell, its variables in order of first appearance.  Raises ValueError
     on an empty file, a bad header, a duplicate cell, or a malformed field,
-    naming the first such field's line (and wide column) in file order.
+    naming the line where the first faulty record starts (and the wide
+    column); blank lines and each line of a quoted multi-line field count.
     """
     if schema not in ("wide", "long"):
         raise ValueError(f"unknown schema {schema!r}")
@@ -224,7 +225,7 @@ def read_panel_csv(path, schema: str = "wide") -> PanelDataset:
         if not np.isfinite(values).all() or np.unique(cells, return_counts=True)[1].max() > 1:
             raise ValueError
     except (ValueError, OverflowError):
-        _raise_first_fault(path, rows, first, what, where)
+        _raise_first_fault(path, first, what, where)
     grids = np.full((names.size, entities.size, periods.size), np.nan)
     grids.reshape(-1)[cells[observed]] = values
     entities, periods = tuple(entities.tolist()), tuple(periods.tolist())
@@ -241,14 +242,24 @@ def _first_seen(labels: np.ndarray) -> tuple:
     return distinct[order], np.argsort(order)[inverse].reshape(labels.shape)
 
 
-def _raise_first_fault(path, rows: list, first: int, what: str, where: list):
-    """Raise the error of the first faulty row of a CSV in file order.
+def _raise_first_fault(path, first: int, what: str, where: list):
+    """Raise the error of the CSV's first faulty record in file order.
 
-    rows[0] is the header.  A row's key is its entity, year and any columns
-    before first, where its values start; where[j] locates value j in messages.
+    The file is read again to name the line each record starts on: blank
+    lines and quoted fields that span lines make that differ from the
+    record's position.  The header is the first record.  A record's key is
+    its entity, year and any columns before first, where its values start;
+    where[j] locates value j in messages.
     """
-    header, seen = rows[0], set()
-    for lineno, row in enumerate(rows[1:], start=2):
+    records, end = [], 0  # (line the record starts on, fields)
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        for row in reader:
+            start, end = end + 1, reader.line_num
+            if row:
+                records.append((start, row))
+    header, seen = records[0][1], set()
+    for lineno, row in records[1:]:
         if len(row) != len(header):
             raise ValueError(f"{path}: row {lineno} has {len(row)} fields, expected {len(header)}")
         try:

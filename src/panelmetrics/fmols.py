@@ -8,7 +8,8 @@ order, and the within step is the fixed-effects transform on it
 endogeneity between the cointegrating residual and regressor innovations,
 and a serial-correlation bias term is subtracted from the pooled cross
 products.  Kernel: Bartlett, `unitroot.long_run_covariances`, and its
-bandwidth rule, each called once per block length on the stacked blocks.
+bandwidth rule, each called once per model on the blocks zero-padded to the
+longest.
 Bandwidth 0 is the documented no-correction limit: both corrections are
 identically zero there, so those blocks skip the kernel, and the estimator
 reduces exactly to within-OLS on the aligned window.
@@ -26,7 +27,6 @@ from .data import (
     ModelSpec,
     PanelDataset,
     PanelWarning,
-    blocks_by_length,
     contiguous_run,
     longest_runs,
     regression_sample,
@@ -152,15 +152,22 @@ def fmols_panel(dataset: PanelDataset, spec: ModelSpec, bandwidth: int | None = 
     v = aligned.X - sample.X[rows - 1]
     sxx = X_dd.T @ X_dd
     u = y_dd - X_dd @ np.linalg.solve(sxx, X_dd.T @ y_dd)
-    eta = np.column_stack([u, v])
+    # eta = [u, v] per block, zero-padded at the end to the longest block
+    pos = np.arange(m.sum()) - np.repeat(first, m)
+    eta = np.zeros((N, m.max(), 1 + k))
+    eta[aligned.entity_ids, pos] = np.column_stack([u, v])
 
-    # Long-run corrections, one kernel call per block length.  Bandwidth 0
-    # keeps the definitional branch: no corrections, scale u'u/m.
+    # Long-run corrections: one bandwidth call, one kernel call and one solve
+    # over the padded blocks.  Bandwidth 0 keeps the definitional branch: no
+    # corrections, scale u'u/m.
     scales = np.bincount(aligned.entity_ids, weights=u * u) / m
     lam_plus = np.zeros((N, k))
-    y_plus = y_dd.copy()
+    correction = np.zeros(eta.shape[:2])
     if bandwidth is None:
         bws = np.zeros(N, dtype=int)
+        auto = m >= 4
+        if auto.any():
+            bws[auto] = neweywest_bandwidth(eta[auto].sum(axis=-1), m[auto])
     else:
         bws = np.minimum(int(bandwidth), m - 2)
         capped = int((bws < bandwidth).sum())
@@ -170,18 +177,15 @@ def fmols_panel(dataset: PanelDataset, spec: ModelSpec, bandwidth: int | None = 
                 PanelWarning,
                 stacklevel=2,
             )
-    for length, idx, r in blocks_by_length(first, m):
-        if bandwidth is None and length >= 4:
-            bws[idx] = neweywest_bandwidth(eta[r].sum(axis=-1))
-        kernel = bws[idx] > 0
-        if not kernel.any():
-            continue
-        idx, r = idx[kernel], r[kernel]
-        omega, lmbda = long_run_covariances(eta[r], bws[idx])
+    kernel = bws > 0
+    if kernel.any():
+        blocks = eta[kernel]
+        omega, lmbda = long_run_covariances(blocks, bws[kernel], m[kernel])
         solve_vu = np.linalg.solve(omega[:, 1:, 1:], omega[:, 0, 1:, None])
-        lam_plus[idx] = lmbda[:, 0, 1:] - (np.swapaxes(solve_vu, -1, -2) @ lmbda[:, 1:, 1:])[:, 0]
-        scales[idx] = omega[:, 0, 0] - (omega[:, None, 0, 1:] @ solve_vu)[:, 0, 0]
-        y_plus[r] -= (v[r] @ solve_vu)[..., 0]
+        lam_plus[kernel] = lmbda[:, 0, 1:] - (np.swapaxes(solve_vu, -1, -2) @ lmbda[:, 1:, 1:])[:, 0]
+        scales[kernel] = omega[:, 0, 0] - (omega[:, None, 0, 1:] @ solve_vu)[:, 0, 0]
+        correction[kernel] = (blocks[..., 1:] @ solve_vu)[..., 0]
+    y_plus = y_dd - correction[aligned.entity_ids, pos]
 
     beta = np.linalg.solve(sxx, X_dd.T @ y_plus - m @ lam_plus)
     omega_bar = float(np.mean(np.clip(scales, 0.0, None)))

@@ -10,7 +10,9 @@ differences of each variable.
 The Bartlett kernel (`long_run_covariances`, with the Newey-West bandwidth
 rule) and the Dickey-Fuller regression (`_df_design`, `_df_regression`) are
 defined here once and work on blocks stacked on leading axes, a vector being
-one block; FMOLS and tools/gen_ips_moments.py import them.
+one block; FMOLS and tools/gen_ips_moments.py import them.  The kernel and
+the bandwidth rule also take blocks of different lengths, zero-padded at the
+end to a common one, with each block's own length.
 
 Every series handed to a test must be an unbroken calendar run; the battery
 extracts each entity's longest contiguous stretch and drops entities that
@@ -18,9 +20,10 @@ fail a test's length precondition, with a warning naming them.  A test's
 lag depends on run length alone, so each panel test settles the length rules
 (lags, bandwidth checks, table coverage) once per distinct length before any
 fit, then stacks each length's runs from the flat observed values
-(`data.blocks_by_length`) for one fit and, for Phillips-Perron, one kernel
-call; all p-values come from one `mackinnon_p` call.  adf_test and pp_test
-are batches of one.
+(`data.blocks_by_length`) for one fit.  Phillips-Perron then pads every
+run's residuals into one array for one bandwidth call and one kernel call
+per series; all p-values come from one `mackinnon_p` call.  adf_test and
+pp_test are batches of one.
 """
 
 from __future__ import annotations
@@ -212,13 +215,15 @@ def adf_test(y, det: str = "c", lags: int | None = None) -> UnitRootResult:
     )
 
 
-def _autocovariance(eta: np.ndarray, j: int) -> np.ndarray:
-    """Gamma(j) = E[eta_t eta_{t-j}'] of blocks (..., T, m), divisor T: (..., m, m)."""
+def _autocovariance(eta: np.ndarray, j: int, lengths=None) -> np.ndarray:
+    """Gamma(j) = E[eta_t eta_{t-j}'] of blocks (..., T, m), each zero-padded at the
+    end to T and divided by its own length (lengths, of eta's leading shape; default T)."""
     T = eta.shape[-2]
-    return np.swapaxes(eta[..., j:, :], -1, -2) @ eta[..., : T - j, :] / T
+    n = T if lengths is None else np.asarray(lengths)[..., None, None]
+    return np.swapaxes(eta[..., j:, :], -1, -2) @ eta[..., : T - j, :] / n
 
 
-def long_run_covariances(eta: np.ndarray, bandwidth) -> tuple:
+def long_run_covariances(eta: np.ndarray, bandwidth, lengths=None) -> tuple:
     """Two-sided and one-sided Bartlett kernel covariances of stacked blocks.
 
     Parameters
@@ -228,51 +233,63 @@ def long_run_covariances(eta: np.ndarray, bandwidth) -> tuple:
         block with m = 1.
     bandwidth : int or int array of eta's leading shape
         Kernel truncation M per block; weights are 1 - j/(M+1).
+    lengths : int array of eta's leading shape, optional
+        Each block's own length, for blocks zero-padded at the end to T;
+        None means every block has T rows.
 
     Returns
     -------
     (omega, lmbda) : two arrays of shape (..., m, m)
         omega is the symmetric two-sided estimate, lmbda the one-sided sum
-        over lags 0..M (not symmetric).  Autocovariances use divisor T, and
-        omega == lmbda + lmbda' - Gamma(0) holds exactly.  Lags beyond a
-        block's own M get weight 0, so each block equals its batch of one.
+        over lags 0..M (not symmetric).  Autocovariances use the block's
+        length as divisor, and omega == lmbda + lmbda' - Gamma(0) holds
+        exactly.  Lags beyond a block's own M get weight 0 and padded rows
+        add exact zeros, so each block equals its unpadded batch of one up
+        to summation order.
     """
     eta = np.asarray(eta, dtype=float)
     eta = eta[:, None] if eta.ndim == 1 else eta
-    T = eta.shape[-2]
-    M = np.asarray(bandwidth)[..., None, None]
+    rows = eta.shape[-2] if lengths is None else np.asarray(lengths)[..., None, None]
+    M, rows = np.broadcast_arrays(np.asarray(bandwidth)[..., None, None], rows)
     if np.any(M < 0):
         raise ValueError("bandwidth must be nonnegative")
-    if np.any(M > T - 2):
-        raise ValueError(f"bandwidth {M.max()} too large for {T} rows")
-    omega = lmbda = _autocovariance(eta, 0)
+    over = M > rows - 2
+    if np.any(over):
+        raise ValueError(f"bandwidth {M[over][0]} too large for {rows[over][0]} rows")
+    omega = lmbda = _autocovariance(eta, 0, lengths)
     for j in range(1, int(M.max()) + 1):
         w = np.maximum(1.0 - j / (M + 1.0), 0.0)
-        gamma = _autocovariance(eta, j)
+        gamma = _autocovariance(eta, j, lengths)
         omega = omega + w * (gamma + np.swapaxes(gamma, -1, -2))
         lmbda = lmbda + w * gamma
     return omega, lmbda
 
 
-def neweywest_bandwidth(u: np.ndarray):
+def neweywest_bandwidth(u: np.ndarray, lengths=None):
     """Automatic Bartlett bandwidth (plug-in form) of the series on u's last axis.
 
-    Uses n = floor(4 (T/100)^(2/9)) autocovariances in the pilot step and
-    returns floor(1.1447 ((s1/s0)^2 T)^(1/3)) clamped to [0, T-2]: an int
+    Each series of length T (its entry of lengths, of u's leading shape, when
+    the series are zero-padded at the end; else u's last axis) uses
+    n = min(floor(4 (T/100)^(2/9)), T-2) autocovariances in the pilot step
+    and gets floor(1.1447 ((s1/s0)^2 T)^(1/3)) clamped to [0, T-2]: an int
     for a vector, an int array of u's leading shape for stacked series.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    T = u.shape[-1]
-    if T < 4:
+    T = np.broadcast_to(u.shape[-1] if lengths is None else lengths, u.shape[:-1])
+    if np.any(T < 4):
         raise ValueError("neweywest_bandwidth needs series of length >= 4")
-    n = min(default_lags(T), T - 2)
-    sig = [_autocovariance(u[..., None], j)[..., 0, 0] for j in range(n + 1)]
+    n = _by_length(lambda t: min(default_lags(t), t - 2), T.ravel()).reshape(T.shape)
+    x = u[..., None]
+    # pilot lags past a series' own n add exact zeros to both sums
+    sig = [_autocovariance(x, 0, T)[..., 0, 0]] + [
+        np.where(j <= n, _autocovariance(x, j, T)[..., 0, 0], 0.0) for j in range(1, int(n.max()) + 1)
+    ]
     s0 = sig[0] + 2.0 * sum(sig[1:])
-    s1 = 2.0 * sum(j * sig[j] for j in range(1, n + 1))
+    s1 = 2.0 * sum(j * sig[j] for j in range(1, len(sig)))
     # Python floats for the last step: numpy's power can differ in the last
     # bit, and the floor (int() of a nonnegative value) can make that another M.
-    M = [0 if a <= 0 else min(int(1.1447 * ((b / a) ** 2 * T) ** (1.0 / 3.0)), T - 2)
-         for a, b in zip(np.ravel(s0).tolist(), np.ravel(s1).tolist())]
+    M = [0 if a <= 0 else min(int(1.1447 * ((b / a) ** 2 * t) ** (1.0 / 3.0)), t - 2)
+         for a, b, t in zip(np.ravel(s0).tolist(), np.ravel(s1).tolist(), T.ravel().tolist())]
     return M[0] if u.ndim == 1 else np.reshape(M, u.shape[:-1])
 
 
@@ -300,8 +317,9 @@ def pp_test(y, det: str = "c", bandwidth: int | None = None) -> UnitRootResult:
 
 
 def _pp_runs(flat, starts, lengths, det: str, bandwidth: int | None) -> tuple:
-    """Phillips-Perron Z and bandwidth of each run, in run order; a fixed bandwidth is
-    checked against every run before any fit, then each length takes one fit and one kernel call."""
+    """Phillips-Perron Z and bandwidth of each run, in run order.  A fixed bandwidth is
+    checked against every run before any fit; each run length takes one fit, and the
+    residuals, zero-padded to the longest, one bandwidth call and one kernel call."""
     if bandwidth is not None:
         bandwidth = int(bandwidth)
         if bandwidth < 0:
@@ -309,19 +327,24 @@ def _pp_runs(flat, starts, lengths, det: str, bandwidth: int | None) -> tuple:
         short = lengths[bandwidth > lengths - 3] - 1
         if short.size:
             raise ValueError(f"pp_test: bandwidth {bandwidth} too large for {short[0]} rows")
-    z, bw = np.empty(len(starts)), np.empty(len(starts), dtype=int)
-    for _, idx, r in blocks_by_length(starts, lengths):
-        tau, se_rho, s, resid, rows = _df_regression(flat[r], det, 0)
-        M = bandwidth
-        if M is None:
-            M = neweywest_bandwidth(resid) if rows >= 4 else 0
-        gamma0 = _autocovariance(resid[..., None], 0)[..., 0, 0]
-        f0 = long_run_covariances(resid[..., None], M)[0][..., 0, 0]
-        if np.any(f0 <= 0):
-            raise ValueError("pp_test: nonpositive long-run variance")
-        z[idx] = tau * np.sqrt(gamma0 / f0) - rows * (f0 - gamma0) * se_rho / (2.0 * np.sqrt(f0) * s)
-        bw[idx] = M
-    return z, bw.tolist()
+    rows = lengths - 1
+    tau, se_rho, s = np.empty((3, len(starts)))
+    resid = np.zeros((len(starts), rows.max()))
+    for length, idx, r in blocks_by_length(starts, lengths):
+        tau[idx], se_rho[idx], s[idx], resid[idx, : length - 1], _ = _df_regression(flat[r], det, 0)
+    if bandwidth is None:
+        M = np.zeros(len(starts), dtype=int)
+        auto = rows >= 4
+        if auto.any():
+            M[auto] = neweywest_bandwidth(resid[auto], rows[auto])
+    else:
+        M = np.full(len(starts), bandwidth)
+    gamma0 = _autocovariance(resid[..., None], 0, rows)[..., 0, 0]
+    f0 = long_run_covariances(resid[..., None], M, rows)[0][..., 0, 0]
+    if np.any(f0 <= 0):
+        raise ValueError("pp_test: nonpositive long-run variance")
+    z = tau * np.sqrt(gamma0 / f0) - rows * (f0 - gamma0) * se_rho / (2.0 * np.sqrt(f0) * s)
+    return z, M.tolist()
 
 
 def fisher_combine(p_values, df_scale: int = 2) -> tuple:

@@ -1,7 +1,6 @@
 """Tests for fully modified OLS and long-run covariance estimation."""
 
 import warnings
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -299,26 +298,32 @@ class TestFmolsPanel:
             with pytest.warns(PanelWarning, match="dropped 2 entity"):
                 fmols_panel(build_panel(y[:2], np.ones((2, 20))), LEVEL_SPEC)
 
-    def test_one_kernel_call_per_block_length(self, monkeypatch):
+    @pytest.mark.parametrize("bandwidth", [None, 0, 3])
+    def test_at_most_one_kernel_call_per_model(self, monkeypatch, bandwidth):
         rng = np.random.default_rng(79)
         x = np.cumsum(rng.standard_normal((40, 24)), axis=1)
         y = 2.0 * x + rng.standard_normal((40, 24))
         ends = 12 + np.arange(40) % 6
         for row, end in zip(y, ends):
             row[end:] = np.nan
-        shapes = []
+        calls = []
 
-        def counted(eta, bandwidth):
-            shapes.append(eta.shape)
-            return long_run_covariances(eta, bandwidth)
+        def counted(eta, bandwidth, lengths):
+            calls.append((eta.shape, np.asarray(bandwidth).tolist(), np.asarray(lengths).tolist()))
+            return long_run_covariances(eta, bandwidth, lengths)
 
         monkeypatch.setattr(fmols, "long_run_covariances", counted)
-        res = fmols_panel(build_panel(y, x), LEVEL_SPEC)
-        # differencing consumes each block's first row
-        aligned = dict(zip((f"E{i}" for i in range(40)), ends - 1))
-        assert 0 < sum(M == 0 for M in res.bandwidths.values()) < 40
-        kernel = Counter(aligned[e] for e, M in res.bandwidths.items() if M > 0)
-        assert sorted((m, n) for n, m, _ in shapes) == sorted(kernel.items())
+        res = fmols_panel(build_panel(y, x), LEVEL_SPEC, bandwidth)
+        # differencing consumes each block's first row; blocks zero-padded to the longest
+        aligned = dict(zip((f"E{i}" for i in range(40)), (ends - 1).tolist()))
+        kernel = [(M, aligned[e]) for e, M in res.bandwidths.items() if M > 0]
+        if bandwidth == 0:
+            assert calls == []
+            return
+        if bandwidth is None:
+            assert 0 < len(kernel) < 40
+            assert len({m for _, m in kernel}) > 1
+        assert calls == [((len(kernel), max(aligned.values()), 2), *map(list, zip(*kernel)))]
 
     @pytest.mark.parametrize("bandwidth", [None, 3])
     @pytest.mark.parametrize("regressors", [(("x", 0),), (("x", 0), ("z", 0))])

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from panelmetrics import data, fixture, fmols, unitroot
+from panelmetrics import data, fixture, unitroot
 from panelmetrics.data import (
     ModelSpec,
     PanelDataset,
@@ -146,6 +146,15 @@ MALFORMED = [
      "{path}: duplicate cell ('A', 2000, 'y')"),
     ("long", "entity,year,variable,value\nA,2000,y,abc\nA,twenty,y,1\n",
      "unparseable numeric value 'abc' at {path}:2"),
+    # lines, not records: blank lines and quoted fields spanning lines count
+    ("wide", "entity,year,y\n\nA,2000,abc\n", "unparseable numeric value 'abc' at {path}:3 column y"),
+    ("wide", "entity,year,y\nA,2000,1\n\n\nB,2000\n", "{path}: row 5 has 2 fields, expected 3"),
+    ("wide", 'entity,year,y\n"A\nB",2000,1\nC,2000,inf\n',
+     "non-finite numeric value 'inf' at {path}:4 column y"),
+    ("long", 'entity,year,variable,value\nA,2000,y,1\n"B\n\nC",20x0,y,1\n',
+     "unparseable year '20x0' at {path}:3"),
+    ("long", '\nentity,year,variable,value\nA,2000,"y\nz",1\nA,2000,y,abc\n',
+     "unparseable numeric value 'abc' at {path}:5"),
 ]
 
 
@@ -170,12 +179,17 @@ def reference_read(path, schema):
     """Per-cell CSV reader: each token parsed on its own into a dict keyed by
     cell, then copied into the grids one cell at a time.  Returns the
     dataset's labels and grids, or the ValueError message."""
+    records, end = [], 0  # (line the record starts on, fields)
     with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r]
-    header, body = rows[0], rows[1:]
+        reader = csv.reader(fh)
+        for row in reader:
+            start, end = end + 1, reader.line_num
+            if row:
+                records.append((start, row))
+    header = records[0][1]
     wide = schema == "wide"
     cells, seen, names = {}, set(), list(header[2:]) if wide else []
-    for lineno, row in enumerate(body, start=2):
+    for lineno, row in records[1:]:
         if len(row) != len(header):
             return f"{path}: row {lineno} has {len(row)} fields, expected {len(header)}"
         try:
@@ -215,7 +229,7 @@ FAULT_KINDS = ("fields", "unparseable year", "unparseable numeric", "non-finite"
 
 def random_panel_rows(rng, schema):
     """Header and shuffled rows of a random gappy panel with varied tokens."""
-    labels = ["A,1", 'B "q"', " C", "D", "e", "F,,"]
+    labels = ["A,1", 'B "q"', " C", "D", "e", "F,,", "G\nh"]
     entities = rng.choice(labels, rng.integers(1, 6), replace=False)
     years = rng.choice(np.arange(1990, 2010), rng.integers(1, 8), replace=False)
     names = list(rng.choice(["y", "x", "z w", "v"], rng.integers(1, 5), replace=False))
@@ -263,8 +277,11 @@ def test_reader_matches_per_cell_reference(tmp_path, schema):
         header, rows = random_panel_rows(rng, schema)
         for _ in range(trial % 3):
             rows = add_fault(rng, rows)
+        lines = [header, *rows]
+        for _ in range(trial % 4):  # blank lines, so records and lines part
+            lines.insert(int(rng.integers(len(lines) + 1)), [])
         with open(path, "w", newline="") as fh:
-            csv.writer(fh).writerows([header, *rows])
+            csv.writer(fh).writerows(lines)
         want = reference_read(path, schema)
         if isinstance(want, str):
             outcomes.add(next(k for k in FAULT_KINDS if k in want.replace(str(path), "")))
@@ -467,7 +484,7 @@ class TestContiguousRun:
         ):
             np.testing.assert_array_equal(idx, want_idx)
             np.testing.assert_array_equal(rows, want_rows)
-        assert fmols.blocks_by_length is unitroot.blocks_by_length is data.blocks_by_length
+        assert unitroot.blocks_by_length is data.blocks_by_length
 
     def test_calendar_gap_breaks_run(self):
         # 2002 -> 2004 jump splits an otherwise finite stretch

@@ -1,6 +1,7 @@
 """Unit-root battery: ADF, Phillips-Perron, LLC, IPS, Fisher combination."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -448,20 +449,29 @@ class TestStackedKernel:
             assert p == pytest.approx(direct.p_value, rel=0, abs=1e-12)
             assert bw == direct.bandwidth
 
-    def test_fisher_pp_one_kernel_call_per_run_length(self, monkeypatch):
+    @pytest.mark.parametrize("bandwidth", [None, 3])
+    def test_fisher_pp_one_kernel_call_per_series(self, monkeypatch, bandwidth):
         series = gappy_series(32)
-        lengths = sorted({len(longest_run(row)) for row in series.values})
-        shapes = []
+        rows = [len(longest_run(row)) - 1 for row in series.values]
+        calls = []
 
-        def counted(eta, bandwidth):
-            shapes.append(eta.shape)
-            return long_run_covariances(eta, bandwidth)
+        def counted(name, fn):
+            def wrapper(eta, *args):
+                calls.append((name, eta.shape, np.asarray(args[-1]).tolist()))
+                return fn(eta, *args)
 
-        monkeypatch.setattr(unitroot, "long_run_covariances", counted)
-        unitroot.fisher_pp(series)
-        assert len(lengths) > 10
-        # residual blocks (runs, T - 1, 1), one stack per run length T
-        assert sorted(rows + 1 for _, rows, _ in shapes) == lengths
+            monkeypatch.setattr(unitroot, name, wrapper)
+
+        counted("long_run_covariances", long_run_covariances)
+        counted("neweywest_bandwidth", neweywest_bandwidth)
+        unitroot.fisher_pp(series, bandwidth=bandwidth)
+        assert len(set(rows)) > 10
+        # every run's residuals, zero-padded to the longest: (runs, max rows[, 1])
+        padded = (len(rows), max(rows))
+        want = [("long_run_covariances", padded + (1,), rows)]
+        if bandwidth is None:
+            want.insert(0, ("neweywest_bandwidth", padded, rows))
+        assert calls == want
 
     def test_fixed_bandwidth_checked_before_any_fit(self, monkeypatch):
         rows = ar_panel(np.random.default_rng(33), 4, 20, 0.5)
@@ -470,6 +480,82 @@ class TestStackedKernel:
         monkeypatch.setattr(unitroot, "_df_regression", None)
         with pytest.raises(ValueError, match="^pp_test: bandwidth 6 too large for 6 rows$"):
             unitroot.fisher_pp(make_series(rows), bandwidth=6)
+
+
+def padded_blocks(rng, n, m, lo=5, hi=60):
+    """n blocks of m AR(1) columns with lengths lo..hi, zero-padded at the end
+    to the longest; and the lengths."""
+    lengths = rng.integers(lo, hi + 1, n)
+    eta = np.zeros((n, lengths.max(), m))
+    for block, T in zip(eta, lengths):
+        block[:T] = ar_panel(rng, m, T, rng.uniform(-0.5, 0.9)).T
+    return eta, lengths
+
+
+def random_run_series(rng, n=30, T=60, lo=5):
+    """Random walks observed on one run of lo..T years each; and the runs."""
+    rows = np.full((n, T), np.nan)
+    runs = []
+    for row in rows:
+        length = rng.integers(lo, T + 1)
+        start = rng.integers(0, T - length + 1)
+        row[start : start + length] = np.cumsum(rng.standard_normal(length))
+        runs.append(row[start : start + length])
+    return make_series(rows), runs
+
+
+class TestPaddedKernel:
+    """One kernel call over zero-padded blocks equals each block's own call."""
+
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_padded_blocks_equal_batches_of_one(self, seed, m):
+        eta, lengths = padded_blocks(np.random.default_rng(90 + seed), 60, m)
+        auto = neweywest_bandwidth(eta.sum(axis=-1), lengths)
+        blocks = [block[:T] for block, T in zip(eta, lengths)]
+        assert auto.tolist() == [neweywest_bandwidth(b.sum(axis=-1)) for b in blocks]
+        assert len(set(auto.tolist())) > 3
+        for M in (auto, np.minimum(3, lengths - 2)):
+            omega, lmbda = long_run_covariances(eta, M, lengths)
+            for i, block in enumerate(blocks):
+                want = long_run_covariances(block, M[i])
+                np.testing.assert_allclose(omega[i], want[0], rtol=0, atol=1e-12)
+                np.testing.assert_allclose(lmbda[i], want[1], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_full_lengths_are_the_unpadded_call(self, m):
+        eta, _ = padded_blocks(np.random.default_rng(95), 50, m, lo=40, hi=40)
+        full = np.full(50, 40)
+        u = eta.sum(axis=-1)
+        M = neweywest_bandwidth(u)
+        assert neweywest_bandwidth(u, full).tobytes() == M.tobytes()
+        for got, want in zip(long_run_covariances(eta, M, full), long_run_covariances(eta, M)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_lengths_set_each_blocks_bandwidth_cap(self):
+        eta, lengths = padded_blocks(np.random.default_rng(96), 5, 1, lo=6, hi=9)
+        shortest = lengths.min()
+        assert shortest < lengths.max()
+        long_run_covariances(eta, lengths - 2, lengths)
+        with pytest.raises(ValueError, match=f"^bandwidth {shortest - 1} too large for {shortest} rows$"):
+            long_run_covariances(eta, np.where(lengths == shortest, shortest - 1, 0), lengths)
+        with pytest.raises(ValueError, match="length >= 4"):
+            neweywest_bandwidth(eta[..., 0], np.array([4, 5, 3, 6, 7]))
+
+    @pytest.mark.parametrize("bandwidth", [None, 2])
+    @pytest.mark.parametrize("det", ["c", "ct"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_pp_on_random_gappy_panels(self, seed, det, bandwidth):
+        series, runs = random_run_series(np.random.default_rng(97 + seed))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PanelWarning)  # det ct drops runs of 5
+            r = unitroot.fisher_pp(series, det=det, bandwidth=bandwidth)
+        kept = dict(zip(series.entities, runs))
+        assert len({len(kept[e]) for e, *_ in r.per_entity}) > 10
+        for entity, z, p, bw in r.per_entity:
+            direct = pp_test(kept[entity], det=det, bandwidth=bandwidth)
+            assert bw == direct.bandwidth
+            assert z == pytest.approx(direct.statistic, rel=0, abs=1e-12)
 
 
 def longest_run_panel(seed, n=40, T=60):
