@@ -431,6 +431,15 @@ def longest_runs(entity_ids: np.ndarray, starts: np.ndarray, lengths: np.ndarray
     return best_start, best_len
 
 
+def constant_runs(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Whether each run of the rows of values is constant, column by column: a bool
+    array of shape (runs,) + values.shape[1:].  A run of length 0 counts as constant."""
+    changed = values[1:] != values[:-1]
+    # changes[i] counts each column's value changes over rows 0..i
+    changes = np.cumsum(np.concatenate([np.zeros((1,) + changed.shape[1:], bool), changed]), axis=0)
+    return changes[starts + np.maximum(lengths, 1) - 1] == changes[starts]
+
+
 def blocks_by_length(starts: np.ndarray, lengths: np.ndarray):
     """Yield (length, positions, rows) per distinct block length, shortest first:
     rows[i] holds the row indices of block positions[i], so values[rows] stacks them."""

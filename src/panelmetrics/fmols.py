@@ -27,6 +27,7 @@ from .data import (
     ModelSpec,
     PanelDataset,
     PanelWarning,
+    constant_runs,
     contiguous_run,
     longest_runs,
     regression_sample,
@@ -72,9 +73,7 @@ def _entity_blocks(sample, k: int):
     starts, lengths = contiguous_run(sample.entity_ids, sample.periods)
     best, length = longest_runs(sample.entity_ids, starts, lengths, sample.n_entities)
     counts = np.bincount(sample.entity_ids, minlength=sample.n_entities)
-    # changes[i] counts each column's value changes over rows 0..i
-    changes = np.cumsum(np.vstack([np.zeros((1, k), bool), sample.X[1:] != sample.X[:-1]]), axis=0)
-    flat = np.any(changes[best + np.maximum(length, 1) - 1] == changes[best], axis=1)
+    flat = np.any(constant_runs(sample.X, best, length), axis=1)
     labels = np.asarray(sample.entities, dtype=object)
     clipped, short = length < counts, length < k + 3
     constant = flat & ~short

@@ -8,22 +8,24 @@ plus a battery runner that applies all of them to levels and first
 differences of each variable.
 
 The Bartlett kernel (`long_run_covariances`, with the Newey-West bandwidth
-rule) and the Dickey-Fuller regression (`_df_design`, `_df_regression`) are
-defined here once and work on blocks stacked on leading axes, a vector being
-one block; FMOLS and tools/gen_ips_moments.py import them.  The kernel and
-the bandwidth rule also take blocks of different lengths, zero-padded at the
+rule) and the Dickey-Fuller regression (`_df_regression`) are defined here
+once and work on blocks stacked on leading axes, a vector being one block;
+FMOLS and tools/gen_ips_moments.py import them.  The kernel and the
+bandwidth rule also take blocks of different lengths, zero-padded at the
 end to a common one, with each block's own length.
 
 Every series handed to a test must be an unbroken calendar run; the battery
 extracts each entity's longest contiguous stretch and drops entities that
-fail a test's length precondition, with a warning naming them.  A test's
-lag depends on run length alone, so each panel test settles the length rules
-(lags, bandwidth checks, table coverage) once per distinct length before any
-fit, then stacks each length's runs from the flat observed values
-(`data.blocks_by_length`) for one fit.  Phillips-Perron then pads every
-run's residuals into one array for one bandwidth call and one kernel call
-per series; all p-values come from one `mackinnon_p` call.  adf_test and
-pp_test are batches of one.
+fail a test's length precondition or are constant over that stretch, with a
+warning naming them.  A test's lag depends on run length alone, so each
+panel test settles the length rules (lags, bandwidth checks, table coverage)
+once per distinct length before any fit, then stacks each length's runs
+from the flat observed values (`data.blocks_by_length`) for one fit
+(`_fit_runs`).  Phillips-Perron then pads every run's residuals into one
+array for one bandwidth call and one kernel call per series, and LLC pools
+the fits' sums and pads every run's first differences for one kernel call;
+all per-entity p-values come from one `mackinnon_p` call.  adf_test and pp_test
+are batches of one.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .data import (
     PanelWarning,
     VariableSeries,
     blocks_by_length,
+    constant_runs,
     contiguous_run,
     first_difference,
     longest_runs,
@@ -124,13 +127,15 @@ def _ips_lag_cap(T: int, det: str) -> int:
     return min(IPS_MAX_LAG, _max_feasible_lags(T, det, min_df=3))
 
 
-def _df_design(y: np.ndarray, det: str, lags: int) -> tuple:
-    """Dickey-Fuller regressand and design for the series on y's last axis.
+def _df_regression(y: np.ndarray, det: str, lags: int):
+    """Dickey-Fuller regressions of every series on y's last axis, one stacked solve.
 
-    Returns (dy, X): dy has shape (..., rows) with rows = T - 1 - lags, and
-    X stacks on its last axis the lagged level, the `lags` lagged
-    differences (most recent first), then the deterministic columns of
-    `det`, shape (..., rows, k).
+    The first difference over rows = T - 1 - lags is regressed on the lagged
+    level, the `lags` lagged differences (most recent first), then the
+    deterministic columns of `det`.  Returns (tau, se_rho, s, residuals,
+    rows): the level coefficient's t, its standard error and the regression
+    standard error, each of y's leading shape, and residuals of shape
+    (..., rows).
     """
     T = y.shape[-1]
     rows = T - 1 - lags
@@ -143,34 +148,27 @@ def _df_design(y: np.ndarray, det: str, lags: int) -> tuple:
         X[..., lags + 1] = 1.0
     if det == "ct":
         X[..., lags + 2] = np.arange(rows)
-    return dy[..., lags:], X
-
-
-def _df_regression(y: np.ndarray, det: str, lags: int):
-    """Dickey-Fuller regressions of every series on y's last axis, one stacked solve.
-
-    Returns (tau, se_rho, s, residuals, rows): the level coefficient's t, its
-    standard error and the regression standard error, each of y's leading
-    shape, and residuals of shape (..., rows).
-    """
-    dy, X = _df_design(y, det, lags)
-    rows, k = X.shape[-2:]
+    dy = dy[..., lags:]
     Xt = np.swapaxes(X, -1, -2)
     XtX = Xt @ X
     beta = np.linalg.solve(XtX, Xt @ dy[..., None])
     resid = dy - (X @ beta)[..., 0]
-    s2 = (resid * resid).sum(axis=-1) / (rows - k)
+    s2 = (resid * resid).sum(axis=-1) / (rows - X.shape[-1])
     se = np.sqrt(s2 * np.linalg.inv(XtX)[..., 0, 0])
     return beta[..., 0, 0] / se, se, np.sqrt(s2), resid, rows
 
 
-def _fit_runs(flat, starts, lengths, det: str, lags_pe) -> np.ndarray:
-    """Dickey-Fuller tau of each run at its lag, in run order, from one
-    _df_regression call per run length (a test's lag depends on length alone)."""
-    tau = np.empty(len(starts))
-    for _, idx, rows in blocks_by_length(starts, lengths):
-        tau[idx] = _df_regression(flat[rows], det, lags_pe[idx[0]])[0]
-    return tau
+def _fit_runs(flat, starts, lengths, det: str, lags_pe) -> tuple:
+    """Dickey-Fuller fit of each run at its lag, from one _df_regression call per run
+    length (a test's lag depends on length alone).  Returns tau, se_rho and s, in run
+    order, and the residuals, zero-padded at the end to the most rows."""
+    tau, se_rho, s = np.empty((3, len(starts)))
+    resid = np.zeros((len(starts), (lengths - 1 - np.asarray(lags_pe)).max()))
+    for _, idx, r in blocks_by_length(starts, lengths):
+        fit = _df_regression(flat[r], det, lags_pe[idx[0]])
+        tau[idx], se_rho[idx], s[idx] = fit[:3]
+        resid[idx, : fit[4]] = fit[3]
+    return tau, se_rho, s, resid
 
 
 def adf_test(y, det: str = "c", lags: int | None = None) -> UnitRootResult:
@@ -328,10 +326,7 @@ def _pp_runs(flat, starts, lengths, det: str, bandwidth: int | None) -> tuple:
         if short.size:
             raise ValueError(f"pp_test: bandwidth {bandwidth} too large for {short[0]} rows")
     rows = lengths - 1
-    tau, se_rho, s = np.empty((3, len(starts)))
-    resid = np.zeros((len(starts), rows.max()))
-    for length, idx, r in blocks_by_length(starts, lengths):
-        tau[idx], se_rho[idx], s[idx], resid[idx, : length - 1], _ = _df_regression(flat[r], det, 0)
+    tau, se_rho, s, resid = _fit_runs(flat, starts, lengths, det, np.zeros(len(starts), dtype=int))
     if bandwidth is None:
         M = np.zeros(len(starts), dtype=int)
         auto = rows >= 4
@@ -370,26 +365,30 @@ def fisher_combine(p_values, df_scale: int = 2) -> tuple:
 
 
 def _panel_runs(series: VariableSeries, min_len: int, what: str):
-    """Each entity's longest contiguous run, dropping short entities with one warning.
-    Returns the observed values, flat in entity-then-period order, the kept runs'
-    starts and lengths in them, and the kept labels."""
+    """Each entity's longest contiguous run, dropping short, then constant, runs with
+    one warning each.  Returns the observed values, flat in entity-then-period order,
+    the kept runs' starts and lengths in them, and the kept labels."""
     ent, col = np.nonzero(np.isfinite(series.values))
+    flat = series.values[ent, col]
     starts, lengths = contiguous_run(ent, np.asarray(series.periods)[col])
     best, length = longest_runs(ent, starts, lengths, len(series.entities))
     labels = np.asarray(series.entities, dtype=object)
-    keep = length >= min_len
-    dropped = labels[~keep]
-    if dropped.size:
-        warnings.warn(
-            f"{what}({series.name}): dropped {dropped.size} entity(ies) below "
-            f"{min_len} contiguous observations: {', '.join(map(str, dropped[:8]))}"
-            + ("..." if dropped.size > 8 else ""),
-            PanelWarning,
-            stacklevel=3,
-        )
+    short = length < min_len
+    constant = constant_runs(flat, best, length) & ~short
+    for drop, why in ((short, f"below {min_len} contiguous observations"),
+                      (constant, "constant over their longest run")):
+        dropped = labels[drop]
+        if dropped.size:
+            warnings.warn(
+                f"{what}({series.name}): dropped {dropped.size} entity(ies) {why}: "
+                f"{', '.join(map(str, dropped[:8]))}" + ("..." if dropped.size > 8 else ""),
+                PanelWarning,
+                stacklevel=3,
+            )
+    keep = ~short & ~constant
     if keep.sum() < 2:
         raise ValueError(f"{what}({series.name}): fewer than two usable entities")
-    return series.values[ent, col], best[keep], length[keep], tuple(labels[keep])
+    return flat, best[keep], length[keep], tuple(labels[keep])
 
 
 def _entity_lags(T: int, det: str, lags: int | None, min_df: int = 2) -> int:
@@ -420,7 +419,7 @@ def fisher_adf(series: VariableSeries, det: str = "c", lags: int | None = None) 
     """Fisher combination of per-entity ADF p-values."""
     flat, starts, lengths, kept = _panel_runs(series, _shortest_run(det), "fisher_adf")
     lags_pe = _by_length(lambda T: _entity_lags(T, det, lags), lengths)
-    tau = _fit_runs(flat, starts, lengths, det, lags_pe)
+    tau = _fit_runs(flat, starts, lengths, det, lags_pe)[0]
     return _fisher("fisher-adf", det, kept, lengths, tau, lags_pe.tolist())
 
 
@@ -473,7 +472,7 @@ def ips_test(series: VariableSeries, det: str = "c", lags: int | None = None) ->
         lambda T: _ips_moments(T, _entity_lags(T, det, lags, min_df=3), det), lengths
     ).T
     lags_pe = lags_pe.astype(int).tolist()
-    tau = _fit_runs(flat, starts, lengths, det, lags_pe)
+    tau = _fit_runs(flat, starts, lengths, det, lags_pe)[0]
     N = len(kept)
     W = np.sqrt(N) * (np.mean(tau) - np.mean(means)) / np.sqrt(np.mean(variances))
     return UnitRootResult(
@@ -489,62 +488,53 @@ def llc_test(series: VariableSeries, det: str = "c", lags: int | None = None) ->
     Per entity, the differenced series and the lagged level are each
     orthogonalized against augmentation lags and deterministic terms, scaled
     by the entity's regression standard error, and pooled into one slope.
-    The pooled t is then centered and scaled with tabulated adjustments
-    indexed by the average effective length; below the table's range the
-    test refuses rather than extrapolate, before any entity is fitted.
+    By Frisch-Waugh-Lovell that pair is the Dickey-Fuller fit's, so the
+    pooled sums follow from each run's tau, se(rho) and s.  The pooled t is
+    then centered and scaled with tabulated adjustments indexed by the
+    average effective length; below the table's range the test refuses
+    rather than extrapolate, before any entity is fitted.
     """
     if det not in DET_TERMS:
         raise ValueError(f"unknown deterministic case {det!r}")
     flat, starts, lengths, kept = _panel_runs(series, _shortest_run(det), "llc_test")
     lags_pe = _by_length(lambda T: _entity_lags(T, det, lags), lengths)
-    t_effs = lengths - 1 - lags_pe
-    t_tilde = float(np.mean(t_effs))
+    rows = lengths - 1 - lags_pe
+    t_tilde = float(np.mean(rows))
     mu_star, sigma_star = _dfc.llc_adjustment(t_tilde, det)
 
-    e_all, v_all, s_ratios = [], [], []
-    for s, T, p_i, rows in zip(starts.tolist(), lengths.tolist(), lags_pe.tolist(), t_effs.tolist()):
-        run = flat[s : s + T]
-        # Common right-hand side: the Dickey-Fuller design without the level.
-        target_dy, X = _df_design(run, det, p_i)
-        target_lev, Q = X[:, 0], X[:, 1:]
-        if Q.shape[1]:
-            QtQ_inv = np.linalg.pinv(Q.T @ Q)
-            e_i = target_dy - Q @ (QtQ_inv @ (Q.T @ target_dy))
-            v_i = target_lev - Q @ (QtQ_inv @ (Q.T @ target_lev))
-        else:
-            e_i, v_i = target_dy.copy(), target_lev.copy()
-        # Entity scale: regression error from e on v.
-        denom = float(v_i @ v_i)
-        delta_i = float(e_i @ v_i) / denom if denom > 0 else 0.0
-        resid_i = e_i - delta_i * v_i
-        s2_i = float(resid_i @ resid_i) / rows
-        if s2_i <= 0:
-            raise ValueError(f"llc_test({series.name}): degenerate entity regression")
-        e_all.append(e_i / np.sqrt(s2_i))
-        v_all.append(v_i / np.sqrt(s2_i))
-        # Long-run over innovation standard deviation of the differences.
-        # The no-trend models have mean-zero differences under their nulls,
-        # so raw autocovariances apply; demeaning there biases the kernel
-        # estimate down by about (K+1)/T and oversizes the test.  The trend
-        # model's null leaves a per-entity drift to remove first.
-        dy = np.diff(run)
-        d_adj = dy - dy.mean() if det == "ct" else dy
-        K = min(int(np.floor(3.21 * d_adj.shape[0] ** (1.0 / 3.0))), d_adj.shape[0] - 2)
-        lrv = float(long_run_covariances(d_adj, max(K, 0))[0][0, 0])
-        s_ratios.append(np.sqrt(max(lrv, 1e-300) / s2_i))
-
-    N = len(kept)
-    e = np.concatenate(e_all)
-    v = np.concatenate(v_all)
-    denom = float(v @ v)
-    delta = float(e @ v) / denom
-    resid = e - delta * v
-    n_total = e.shape[0]
-    sigma2_eps = float(resid @ resid) / n_total
+    tau, se, s, _ = _fit_runs(flat, starts, lengths, det, lags_pe)
+    ssr = s * s * (rows - 1 - lags_pe - DET_TERMS[det])
+    if np.any(ssr <= 0):
+        raise ValueError(f"llc_test({series.name}): degenerate entity regression")
+    # Entity scale: the regression error over the effective rows.  With v the
+    # orthogonalized level and e the orthogonalized difference, v'v = s^2/se^2,
+    # e'v = tau se v'v and e'e = SSR + tau^2 s^2; each is pooled over s2.
+    s2 = ssr / rows
+    vv = (s / se) ** 2 / s2
+    denom = float(vv.sum())
+    ev = float((tau * se * vv).sum())
+    ee = float(((ssr + (tau * s) ** 2) / s2).sum())
+    delta = ev / denom
+    n_total = int(rows.sum())
+    sigma2_eps = (ee - delta * ev) / n_total
     std_delta = np.sqrt(sigma2_eps / denom)
     t_delta = delta / std_delta
 
-    s_bar = float(np.mean(s_ratios))
+    # Long-run over innovation standard deviation of the differences.
+    # The no-trend models have mean-zero differences under their nulls,
+    # so raw autocovariances apply; demeaning there biases the kernel
+    # estimate down by about (K+1)/T and oversizes the test.  The trend
+    # model's null leaves a per-entity drift to remove first.
+    n = lengths - 1
+    inside = np.arange(n.max()) < n[:, None]
+    dy = np.where(inside, np.diff(flat).take(starts[:, None] + np.arange(n.max()), mode="clip"), 0.0)
+    if det == "ct":
+        dy = np.where(inside, dy - dy.sum(axis=1, keepdims=True) / n[:, None], 0.0)
+    K = _by_length(lambda T: max(min(int(np.floor(3.21 * (T - 1) ** (1.0 / 3.0))), T - 3), 0), lengths)
+    lrv = long_run_covariances(dy[..., None], K, n)[0][:, 0, 0]
+    s_bar = float(np.mean(np.sqrt(np.maximum(lrv, 1e-300) / s2)))
+
+    N = len(kept)
     adj = N * t_tilde * s_bar * std_delta / sigma2_eps * mu_star
     t_star = (t_delta - adj) / sigma_star
     return UnitRootResult(

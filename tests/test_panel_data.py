@@ -6,13 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from panelmetrics import data, fixture, unitroot
+from panelmetrics import data, fixture, fmols, unitroot
 from panelmetrics.data import (
     ModelSpec,
     PanelDataset,
     PanelWarning,
     VariableSeries,
     blocks_by_length,
+    constant_runs,
     contiguous_run,
     first_difference,
     lag,
@@ -485,6 +486,18 @@ class TestContiguousRun:
             np.testing.assert_array_equal(idx, want_idx)
             np.testing.assert_array_equal(rows, want_rows)
         assert unitroot.blocks_by_length is data.blocks_by_length
+
+    def test_constant_runs_per_column(self):
+        values = np.array([[1, 5], [1, 6], [2, 6], [2, 6], [3, 7], [3, 7]], dtype=float)
+        starts = np.array([0, 2, 4, 1, 5])
+        lengths = np.array([2, 2, 2, 3, 0])
+        np.testing.assert_array_equal(
+            constant_runs(values, starts, lengths),
+            [[True, False], [True, True], [True, True], [False, True], [True, True]],
+        )
+        np.testing.assert_array_equal(constant_runs(values[:, 0], starts, lengths), [True, True, True, False, True])
+        assert unitroot.constant_runs is data.constant_runs
+        assert fmols.constant_runs is data.constant_runs
 
     def test_calendar_gap_breaks_run(self):
         # 2002 -> 2004 jump splits an otherwise finite stretch

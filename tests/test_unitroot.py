@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from scipy.special import ndtr
 from panelmetrics import _dfconstants as dfc
 from panelmetrics import unitroot
 from panelmetrics._dfconstants import mackinnon_p
-from panelmetrics.data import PanelDataset, PanelWarning, VariableSeries
+from panelmetrics.data import PanelDataset, PanelWarning, VariableSeries, first_difference
 from panelmetrics.unitroot import (
     _shortest_run,
     adf_test,
@@ -620,6 +621,120 @@ class TestPanelRuns:
             assert lag_calls == first_seen
         assert moment_calls == first_seen
 
+    @pytest.mark.parametrize("order", ["level", "difference"])
+    def test_constant_runs_dropped_with_one_warning(self, order):
+        rows = np.cumsum(np.random.default_rng(37).standard_normal((7, 40)), axis=1)
+        rows[5, :4] = np.nan
+        rows[1] = 5.0
+        constant = ["E1"]
+        if order == "difference":
+            # an exact trend in levels is a singular design, but its difference is constant
+            rows[3] = 3.0 + 2.0 * np.arange(40)
+            constant.append("E3")
+        full = make_series(rows)
+        keep = [i for i, e in enumerate(full.entities) if e not in constant]
+        reduced = replace(full, entities=tuple(full.entities[i] for i in keep), values=rows[keep])
+        if order == "difference":
+            full, reduced = first_difference(full), first_difference(reduced)
+        for test in PANEL_TESTS:
+            with pytest.warns(PanelWarning) as caught:
+                r = test(full)
+            assert [str(w.message) for w in caught if "dropped" in str(w.message)] == [
+                f"{test.__name__}({full.name}): dropped {len(constant)} entity(ies) "
+                f"constant over their longest run: {', '.join(constant)}"
+            ]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", PanelWarning)
+                assert repr(r) == repr(test(reduced))
+
+    def test_constant_runs_leaving_one_entity_refused(self):
+        rows = np.cumsum(np.random.default_rng(38).standard_normal((3, 40)), axis=1)
+        rows[[0, 2]] = 1.5
+        for test in PANEL_TESTS:
+            with pytest.warns(PanelWarning, match="constant over their longest run: E0, E2$"):
+                with pytest.raises(ValueError, match="fewer than two usable entities"):
+                    test(make_series(rows))
+
+
+PANEL_TESTS = (unitroot.fisher_pp, unitroot.fisher_adf, ips_test, llc_test)
+
+
+def llc_reference(series, det="c", lags=None):
+    """LLC entity by entity: each run's difference and lagged level projected off
+    the lags and deterministic terms with pinv, and one kernel call per entity."""
+    flat, starts, lengths, kept = unitroot._panel_runs(series, _shortest_run(det), "llc_test")
+    lags_pe = unitroot._by_length(lambda T: unitroot._entity_lags(T, det, lags), lengths)
+    t_effs = lengths - 1 - lags_pe
+    t_tilde = float(np.mean(t_effs))
+    mu_star, sigma_star = dfc.llc_adjustment(t_tilde, det)
+    e_all, v_all, s_ratios = [], [], []
+    for s, T, p_i, rows in zip(starts.tolist(), lengths.tolist(), lags_pe.tolist(), t_effs.tolist()):
+        run = flat[s : s + T]
+        dy = np.diff(run)
+        # the Dickey-Fuller design: lagged level, lagged differences, deterministic terms
+        X = np.empty((rows, 1 + p_i + unitroot.DET_TERMS[det]))
+        X[:, 0] = run[p_i:-1]
+        for j in range(1, p_i + 1):
+            X[:, j] = dy[p_i - j : T - 1 - j]
+        if det in ("c", "ct"):
+            X[:, p_i + 1] = 1.0
+        if det == "ct":
+            X[:, p_i + 2] = np.arange(rows)
+        target_dy, target_lev, Q = dy[p_i:], X[:, 0], X[:, 1:]
+        if Q.shape[1]:
+            QtQ_inv = np.linalg.pinv(Q.T @ Q)
+            e_i = target_dy - Q @ (QtQ_inv @ (Q.T @ target_dy))
+            v_i = target_lev - Q @ (QtQ_inv @ (Q.T @ target_lev))
+        else:
+            e_i, v_i = target_dy.copy(), target_lev.copy()
+        denom = float(v_i @ v_i)
+        delta_i = float(e_i @ v_i) / denom if denom > 0 else 0.0
+        resid_i = e_i - delta_i * v_i
+        s2_i = float(resid_i @ resid_i) / rows
+        if s2_i <= 0:
+            raise ValueError(f"llc_test({series.name}): degenerate entity regression")
+        e_all.append(e_i / np.sqrt(s2_i))
+        v_all.append(v_i / np.sqrt(s2_i))
+        d_adj = dy - dy.mean() if det == "ct" else dy
+        K = min(int(np.floor(3.21 * d_adj.shape[0] ** (1.0 / 3.0))), d_adj.shape[0] - 2)
+        lrv = float(long_run_covariances(d_adj, max(K, 0))[0][0, 0])
+        s_ratios.append(np.sqrt(max(lrv, 1e-300) / s2_i))
+    N = len(kept)
+    e, v = np.concatenate(e_all), np.concatenate(v_all)
+    denom = float(v @ v)
+    delta = float(e @ v) / denom
+    resid = e - delta * v
+    sigma2_eps = float(resid @ resid) / e.shape[0]
+    std_delta = np.sqrt(sigma2_eps / denom)
+    adj = N * t_tilde * float(np.mean(s_ratios)) * std_delta / sigma2_eps * mu_star
+    t_star = (delta / std_delta - adj) / sigma_star
+    return unitroot.UnitRootResult(
+        test="llc", statistic=float(t_star), p_value=float(ndtr(t_star)),
+        det=det, lags=None, n_obs=e.shape[0], n_entities=N,
+        per_entity=tuple(zip(kept, [float("nan")] * N, [float("nan")] * N, lags_pe.tolist())),
+    )
+
+
+def llc_panel(seed):
+    """A seeded random-walk or white-noise panel of 2..25 entities over 20..90
+    years; odd seeds blank about 8% of the cells, so runs differ in length."""
+    rng = np.random.default_rng(seed)
+    n, T = rng.integers(2, 26), rng.integers(20, 91)
+    rows = rng.standard_normal((n, T))
+    if seed % 3:
+        rows = np.cumsum(rows, axis=1)
+    if seed % 2:
+        rows[rng.random((n, T)) < 0.08] = np.nan
+    return make_series(rows)
+
+
+def outcome(test, series, **options):
+    """A test's result, or the text of the ValueError it raised."""
+    try:
+        return test(series, **options)
+    except ValueError as exc:
+        return str(exc)
+
 
 class TestLlc:
     def test_single_entity_rejected(self):
@@ -632,7 +747,7 @@ class TestLlc:
         def fail(*args, **kwargs):
             raise AssertionError("an entity was fitted before the table check")
 
-        monkeypatch.setattr(unitroot, "_df_design", fail)
+        monkeypatch.setattr(unitroot, "_df_regression", fail)
         monkeypatch.setattr(unitroot, "long_run_covariances", fail)
         rng = np.random.default_rng(23)
         rows = np.cumsum(rng.standard_normal((4, 9)), axis=1)
@@ -663,11 +778,65 @@ class TestLlc:
             float(0.5 * (1 + math.erf(r.statistic / math.sqrt(2)))), abs=1e-12
         )
 
+    @pytest.mark.parametrize("lags", [None, 0, 2])
+    @pytest.mark.parametrize("det", ["n", "c", "ct"])
+    def test_matches_per_entity_reference(self, det, lags):
+        fitted = 0
+        for seed in range(120, 150):
+            series = llc_panel(seed)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", PanelWarning)
+                got = outcome(llc_test, series, det=det, lags=lags)
+                want = outcome(llc_reference, series, det=det, lags=lags)
+            if isinstance(want, str):
+                assert got == want
+                continue
+            fitted += 1
+            for a, b in ((got.statistic, want.statistic), (got.p_value, want.p_value)):
+                assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
+            assert (got.n_obs, got.n_entities) == (want.n_obs, want.n_entities)
+            assert repr(got.per_entity) == repr(want.per_entity)
+        assert fitted >= 10
+
+    def test_rank_deficient_entity_raises_like_adf(self):
+        # an exact linear trend: its lagged differences repeat the intercept
+        rows = np.cumsum(np.random.default_rng(25).standard_normal((6, 40)), axis=1)
+        rows[2] = 3.0 + 2.0 * np.arange(40)
+        series = make_series(rows)
+        assert math.isfinite(llc_reference(series).statistic)  # pinv hid the singular design
+        for test in (llc_test, unitroot.fisher_adf, ips_test):
+            for det in ("c", "ct"):
+                with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+                    test(series, det=det)
+
+    def test_one_fit_per_length_and_one_kernel_call_per_series(self, monkeypatch):
+        series, runs = random_run_series(np.random.default_rng(26))
+        lengths = [len(run) for run in runs]
+        fits, kernels = [], []
+        fit, kernel = unitroot._df_regression, unitroot.long_run_covariances
+
+        def fit_counted(y, det, lags):
+            fits.append(y.shape)
+            return fit(y, det, lags)
+
+        def kernel_counted(eta, bandwidth, lengths=None):
+            kernels.append((eta.shape, np.asarray(lengths).tolist()))
+            return kernel(eta, bandwidth, lengths)
+
+        monkeypatch.setattr(unitroot, "_df_regression", fit_counted)
+        monkeypatch.setattr(unitroot, "long_run_covariances", kernel_counted)
+        llc_test(series)
+        assert len(set(lengths)) > 10
+        assert fits == [(lengths.count(T), T) for T in sorted(set(lengths))]
+        # every run's first differences, zero-padded to the longest
+        assert kernels == [((len(runs), max(lengths) - 1, 1), [T - 1 for T in lengths])]
+
 
 class TestBattery:
     def test_stationary_panel_rejects_everywhere(self):
         rng = np.random.default_rng(41)
-        b = run_battery(make_dataset(ar_panel(rng, 20, 100, 0.3)))
+        with pytest.warns(PanelWarning, match="clamped"):
+            b = run_battery(make_dataset(ar_panel(rng, 20, 100, 0.3)))
         assert set(b.cells) == {
             ("v", order, test) for order in b.orders for test in b.tests
         }
