@@ -8,6 +8,12 @@ one-period lag at 2015 is missing rather than the 2013 value.
 CSV ingest reads the wide and the long schema into one cell table of
 (entity, year, variable, value); the schemas differ only in the header and
 in where a value's variable is named, and one vectorized pass fills every grid.
+
+Stacked rows split into calendar runs (`contiguous_run`).  The unit-root
+tests and FMOLS then use one rule for which run each entity contributes and
+which entities drop out (`longest_runs`): its longest run, dropped when too
+short and then when constant over it.  Every stage names the entities it
+drops through one warning formatter (`warn_dropped`).
 """
 
 from __future__ import annotations
@@ -411,33 +417,49 @@ def contiguous_run(entity_ids: np.ndarray, years: np.ndarray) -> tuple:
     return starts, np.diff(np.append(starts, n))
 
 
-def longest_runs(entity_ids: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
-                 n_entities: int) -> tuple:
-    """Each entity's longest run from contiguous_run output; earliest on ties.
+def longest_runs(labels, entity_ids: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
+                 values: np.ndarray, min_len: int, what: str, reasons) -> tuple:
+    """Each entity's longest run from contiguous_run output, earliest on ties, and
+    which entities can use it.
 
-    entity_ids are the stacked rows' entity indices in range(n_entities).
-    Returns (starts, lengths) of shape (n_entities,); an entity with no rows
-    gets length 0.
+    labels name the entities, indexed by the stacked rows' entity_ids; values
+    holds the rows, one or more columns.  An entity whose run is shorter than
+    min_len is dropped, then one with any column of values constant over its
+    run; reasons words the two drops, each warned once through warn_dropped.
+    Returns (keep, starts, lengths) of shape (len(labels),): an entity with
+    no rows gets length 0.
     """
     owner = np.asarray(entity_ids)[starts]
     order = np.lexsort((starts, -lengths, owner))
     first = np.ones(order.size, dtype=bool)
     first[1:] = owner[order[1:]] != owner[order[:-1]]
     pick = order[first]
-    best_start = np.zeros(n_entities, dtype=int)
-    best_len = np.zeros(n_entities, dtype=int)
+    best_start = np.zeros(len(labels), dtype=int)
+    best_len = np.zeros(len(labels), dtype=int)
     best_start[owner[pick]] = starts[pick]
     best_len[owner[pick]] = lengths[pick]
-    return best_start, best_len
-
-
-def constant_runs(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Whether each run of the rows of values is constant, column by column: a bool
-    array of shape (runs,) + values.shape[1:].  A run of length 0 counts as constant."""
     changed = values[1:] != values[:-1]
     # changes[i] counts each column's value changes over rows 0..i
     changes = np.cumsum(np.concatenate([np.zeros((1,) + changed.shape[1:], bool), changed]), axis=0)
-    return changes[starts + np.maximum(lengths, 1) - 1] == changes[starts]
+    constant = changes[best_start + np.maximum(best_len, 1) - 1] == changes[best_start]
+    if constant.ndim > 1:
+        constant = constant.any(axis=1)
+    short = best_len < min_len
+    labels = np.asarray(labels, dtype=object)
+    for drop, why in zip((short, constant & ~short), reasons):
+        warn_dropped(what, labels[drop], why)
+    return ~short & ~constant, best_start, best_len
+
+
+def warn_dropped(what: str, dropped, why: str):
+    """Warn, naming at most eight, that the entities dropped were dropped for why."""
+    if len(dropped):
+        warnings.warn(
+            f"{what}: dropped {len(dropped)} entity(ies) {why}: "
+            f"{', '.join(map(str, dropped[:8]))}" + ("..." if len(dropped) > 8 else ""),
+            PanelWarning,
+            stacklevel=2,
+        )
 
 
 def blocks_by_length(starts: np.ndarray, lengths: np.ndarray):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
+from itertools import compress
 
 import numpy as np
 from scipy.special import ndtr
@@ -27,7 +28,6 @@ from .data import (
     ModelSpec,
     PanelDataset,
     PanelWarning,
-    constant_runs,
     contiguous_run,
     longest_runs,
     regression_sample,
@@ -71,36 +71,16 @@ def _entity_blocks(sample, k: int):
     and block lengths, in entity order.
     """
     starts, lengths = contiguous_run(sample.entity_ids, sample.periods)
-    best, length = longest_runs(sample.entity_ids, starts, lengths, sample.n_entities)
-    counts = np.bincount(sample.entity_ids, minlength=sample.n_entities)
-    flat = np.any(constant_runs(sample.X, best, length), axis=1)
-    labels = np.asarray(sample.entities, dtype=object)
-    clipped, short = length < counts, length < k + 3
-    constant = flat & ~short
-    if clipped.any():
-        warnings.warn(
-            f"fmols: non-contiguous sample for {int(clipped.sum())} entity(ies); "
-            "kept each entity's longest run",
-            PanelWarning,
-            stacklevel=3,
-        )
-    if short.any():
-        warnings.warn(
-            f"fmols: dropped {int(short.sum())} entity(ies) shorter than {k + 3} rows",
-            PanelWarning,
-            stacklevel=3,
-        )
-    if constant.any():
-        warnings.warn(
-            f"fmols: dropped {int(constant.sum())} entity(ies) with a constant regressor: "
-            + ", ".join(map(str, labels[constant])),
-            PanelWarning,
-            stacklevel=3,
-        )
-    kept = ~short & ~flat
-    if not kept.any():
+    clipped = int((np.bincount(sample.entity_ids[starts]) > 1).sum())  # entities with a gap
+    if clipped:
+        warnings.warn(f"fmols: non-contiguous sample for {clipped} entity(ies); "
+                      "kept each entity's longest run", PanelWarning, stacklevel=3)
+    keep, starts, lengths = longest_runs(
+        sample.entities, sample.entity_ids, starts, lengths, sample.X, k + 3, "fmols",
+        (f"shorter than {k + 3} rows", "with a constant regressor"))
+    if not keep.any():
         raise ValueError("fmols: no entity has enough contiguous rows and a varying regressor")
-    return tuple(labels[kept]), best[kept], length[kept]
+    return tuple(compress(sample.entities, keep)), starts[keep], lengths[keep]
 
 
 def fmols_panel(dataset: PanelDataset, spec: ModelSpec, bandwidth: int | None = None) -> FmolsResult:

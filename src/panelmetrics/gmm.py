@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import chdtrc, ndtr
 
 from .data import (ModelSpec, PanelDataset, PanelWarning, RegressionSample, contiguous_run,
-                   regression_sample)
+                   regression_sample, warn_dropped)
 
 
 @dataclass(frozen=True)
@@ -90,14 +90,7 @@ def differenced_sample(dataset: PanelDataset, spec: ModelSpec) -> RegressionSamp
     cur = np.delete(np.arange(sample.n_obs), starts)  # rows that follow their calendar predecessor
     kept, entity_ids = np.unique(sample.entity_ids[cur], return_inverse=True)
     names = np.array(sample.entities, dtype=object)
-    dropped = np.delete(names, kept)
-    if dropped.size:
-        warnings.warn(
-            f"gmm: dropped {dropped.size} entity(ies) with no differenceable rows: "
-            f"{', '.join(map(str, dropped[:8]))}" + ("..." if dropped.size > 8 else ""),
-            PanelWarning,
-            stacklevel=2,
-        )
+    warn_dropped("gmm", np.delete(names, kept), "with no differenceable rows")
     if cur.size == 0:
         raise ValueError(f"equation {spec.label!r}: no differenceable observations")
     return replace(

@@ -15,13 +15,12 @@ import json
 import os
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .. import __version__
 from ..data import (
-    ModelSpec,
     PanelDataset,
     PanelWarning,
     VariableSeries,
@@ -162,26 +161,11 @@ def transform_dataset(config: PipelineConfig, dataset: PanelDataset) -> PanelDat
     for variable in config.variables:
         series = dataset[variable.source]
         if variable.name != variable.source:
-            series = VariableSeries(
-                name=variable.name,
-                entities=series.entities,
-                periods=series.periods,
-                values=series.values,
-            )
+            series = replace(series, name=variable.name)
             out.add(series)
         if variable.log:
             out.add(natural_log(series))
     return out
-
-
-def _static_spec(spec: ModelSpec) -> ModelSpec:
-    return ModelSpec(
-        label=spec.label,
-        dependent=spec.dependent,
-        regressors=spec.regressors,
-        lagged_dependent=False,
-        intercept=spec.intercept,
-    )
 
 
 def _stage_describe(config, dataset):
@@ -208,8 +192,7 @@ def _stage_unitroot(config, dataset):
 def _stage_hausman(config, dataset):
     entries = []
     for spec in config.models:
-        static = _static_spec(spec)
-        sample = regression_sample(dataset, static)
+        sample = regression_sample(dataset, replace(spec, lagged_dependent=False))
         fe = fixed_effects(sample)
         re = random_effects(sample)
         hz = hausman(fe, re)
@@ -248,6 +231,16 @@ def _stage_comparison(config, store):
         missing = [k for k in ("gmm", "fmols") if k not in store]
         raise RuntimeError(f"comparison requires successful {missing} stage(s)")
     return build_comparison_table(config.models, store["gmm"], store["fmols"])
+
+
+def _output_dir(config: PipelineConfig, base_dir) -> str:
+    """The configured output directory, created if missing."""
+    out_dir = _resolve(config.output.directory, base_dir)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise PipelineIOError(f"cannot create output directory {out_dir}: {exc}") from None
+    return out_dir
 
 
 def _write_text(path: str, text: str):
@@ -320,12 +313,7 @@ def run_pipeline(config: PipelineConfig, base_dir=None, write: bool = True) -> R
     }
 
     if write:
-        out_dir = _resolve(config.output.directory, base_dir)
-        try:
-            os.makedirs(out_dir, exist_ok=True)
-        except OSError as exc:
-            raise PipelineIOError(f"cannot create output directory {out_dir}: {exc}") from None
-        bundle.out_dir = out_dir
+        out_dir = bundle.out_dir = _output_dir(config, base_dir)
         for stage in STAGES:
             if stage not in bundle.tables:
                 continue
@@ -353,11 +341,6 @@ def write_ingested(config: PipelineConfig, base_dir=None) -> str:
     directory).
     """
     dataset = transform_dataset(config, ingest_dataset(config, base_dir))
-    out_dir = _resolve(config.output.directory, base_dir)
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:
-        raise PipelineIOError(f"cannot create output directory {out_dir}: {exc}") from None
-    path = os.path.join(out_dir, "panel.csv")
+    path = os.path.join(_output_dir(config, base_dir), "panel.csv")
     write_panel_csv(dataset, path, schema="long")
     return path

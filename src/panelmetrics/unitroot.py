@@ -17,9 +17,11 @@ end to a common one, with each block's own length.
 Every series handed to a test must be an unbroken calendar run; the battery
 extracts each entity's longest contiguous stretch and drops entities that
 fail a test's length precondition or are constant over that stretch, with a
-warning naming them.  A test's lag depends on run length alone, so each
-panel test settles the length rules (lags, bandwidth checks, table coverage)
-once per distinct length before any fit, then stacks each length's runs
+warning naming them (`data.longest_runs`, FMOLS' rule too).  Phillips-Perron
+refuses an entity whose lag-0 fit is perfect rather than print its Z.  A
+test's lag depends on run length alone, so each panel test settles the
+length rules (lags, bandwidth checks, table coverage) once per distinct
+length before any fit, then stacks each length's runs
 from the flat observed values (`data.blocks_by_length`) for one fit
 (`_fit_runs`).  Phillips-Perron then pads every run's residuals into one
 array for one bandwidth call and one kernel call per series, and LLC pools
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import warnings
 from bisect import bisect_left
+from itertools import compress
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,13 +47,13 @@ from .data import (
     PanelWarning,
     VariableSeries,
     blocks_by_length,
-    constant_runs,
     contiguous_run,
     first_difference,
     longest_runs,
 )
 
 P_FLOOR = 1e-16  # combination floor; keeps log(p) finite
+PERFECT_FIT = 1e-12  # Phillips-Perron refuses s below this times the RMS difference
 
 DET_TERMS = {"n": 0, "c": 1, "ct": 2}  # deterministic columns per case
 
@@ -307,17 +310,27 @@ def pp_test(y, det: str = "c", bandwidth: int | None = None) -> UnitRootResult:
     T = y.shape[0]
     if _max_feasible_lags(T, det) < 0:
         raise ValueError(f"pp_test: series too short (T={T}) for det={det!r}")
-    z, bw = _pp_runs(y, np.zeros(1, dtype=int), np.array([T]), det, bandwidth)
+    z, bw = _pp_runs(y, np.zeros(1, dtype=int), np.array([T]), det, bandwidth, ("the series",))
     return UnitRootResult(
         test="pp", statistic=float(z[0]), p_value=_dfc.mackinnon_p(float(z[0]), det), det=det,
         lags=0, n_obs=T - 1, bandwidth=bw[0],
     )
 
 
-def _pp_runs(flat, starts, lengths, det: str, bandwidth: int | None) -> tuple:
+def _run_differences(flat, starts, lengths) -> tuple:
+    """Each run's first differences, zero-padded at the end to the most, and where they are real."""
+    n = lengths - 1
+    inside = np.arange(n.max()) < n[:, None]
+    dy = np.diff(flat).take(starts[:, None] + np.arange(n.max()), mode="clip")
+    return np.where(inside, dy, 0.0), inside
+
+
+def _pp_runs(flat, starts, lengths, det: str, bandwidth: int | None, labels) -> tuple:
     """Phillips-Perron Z and bandwidth of each run, in run order.  A fixed bandwidth is
     checked against every run before any fit; each run length takes one fit, and the
-    residuals, zero-padded to the longest, one bandwidth call and one kernel call."""
+    residuals, zero-padded to the longest, one bandwidth call and one kernel call.
+    A fit whose standard error is below PERFECT_FIT times the RMS of the run's
+    differences is refused, naming the run's label: its Z would be rounding noise."""
     if bandwidth is not None:
         bandwidth = int(bandwidth)
         if bandwidth < 0:
@@ -327,6 +340,11 @@ def _pp_runs(flat, starts, lengths, det: str, bandwidth: int | None) -> tuple:
             raise ValueError(f"pp_test: bandwidth {bandwidth} too large for {short[0]} rows")
     rows = lengths - 1
     tau, se_rho, s, resid = _fit_runs(flat, starts, lengths, det, np.zeros(len(starts), dtype=int))
+    dy = _run_differences(flat, starts, lengths)[0]
+    perfect = np.flatnonzero(s <= PERFECT_FIT * np.sqrt((dy * dy).sum(axis=1) / rows))
+    if perfect.size:
+        raise ValueError(f"pp_test: perfect fit for {labels[perfect[0]]} "
+                         f"(regression standard error {s[perfect[0]]:.3g})")
     if bandwidth is None:
         M = np.zeros(len(starts), dtype=int)
         auto = rows >= 4
@@ -365,30 +383,18 @@ def fisher_combine(p_values, df_scale: int = 2) -> tuple:
 
 
 def _panel_runs(series: VariableSeries, min_len: int, what: str):
-    """Each entity's longest contiguous run, dropping short, then constant, runs with
-    one warning each.  Returns the observed values, flat in entity-then-period order,
-    the kept runs' starts and lengths in them, and the kept labels."""
+    """Each entity's longest contiguous run, dropping short, then constant, runs
+    (`data.longest_runs`).  Returns the observed values, flat in entity-then-period
+    order, the kept runs' starts and lengths in them, and the kept labels."""
     ent, col = np.nonzero(np.isfinite(series.values))
     flat = series.values[ent, col]
     starts, lengths = contiguous_run(ent, np.asarray(series.periods)[col])
-    best, length = longest_runs(ent, starts, lengths, len(series.entities))
-    labels = np.asarray(series.entities, dtype=object)
-    short = length < min_len
-    constant = constant_runs(flat, best, length) & ~short
-    for drop, why in ((short, f"below {min_len} contiguous observations"),
-                      (constant, "constant over their longest run")):
-        dropped = labels[drop]
-        if dropped.size:
-            warnings.warn(
-                f"{what}({series.name}): dropped {dropped.size} entity(ies) {why}: "
-                f"{', '.join(map(str, dropped[:8]))}" + ("..." if dropped.size > 8 else ""),
-                PanelWarning,
-                stacklevel=3,
-            )
-    keep = ~short & ~constant
+    keep, starts, lengths = longest_runs(
+        series.entities, ent, starts, lengths, flat, min_len, f"{what}({series.name})",
+        (f"below {min_len} contiguous observations", "constant over their longest run"))
     if keep.sum() < 2:
         raise ValueError(f"{what}({series.name}): fewer than two usable entities")
-    return flat, best[keep], length[keep], tuple(labels[keep])
+    return flat, starts[keep], lengths[keep], tuple(compress(series.entities, keep))
 
 
 def _entity_lags(T: int, det: str, lags: int | None, min_df: int = 2) -> int:
@@ -426,7 +432,8 @@ def fisher_adf(series: VariableSeries, det: str = "c", lags: int | None = None) 
 def fisher_pp(series: VariableSeries, det: str = "c", bandwidth: int | None = None) -> UnitRootResult:
     """Fisher combination of per-entity Phillips-Perron p-values."""
     flat, starts, lengths, kept = _panel_runs(series, _shortest_run(det), "fisher_pp")
-    return _fisher("fisher-pp", det, kept, lengths, *_pp_runs(flat, starts, lengths, det, bandwidth))
+    z, bw = _pp_runs(flat, starts, lengths, det, bandwidth, kept)
+    return _fisher("fisher-pp", det, kept, lengths, z, bw)
 
 
 def _ips_moments(T: int, p: int, det: str) -> tuple:
@@ -526,8 +533,7 @@ def llc_test(series: VariableSeries, det: str = "c", lags: int | None = None) ->
     # estimate down by about (K+1)/T and oversizes the test.  The trend
     # model's null leaves a per-entity drift to remove first.
     n = lengths - 1
-    inside = np.arange(n.max()) < n[:, None]
-    dy = np.where(inside, np.diff(flat).take(starts[:, None] + np.arange(n.max()), mode="clip"), 0.0)
+    dy, inside = _run_differences(flat, starts, lengths)
     if det == "ct":
         dy = np.where(inside, dy - dy.sum(axis=1, keepdims=True) / n[:, None], 0.0)
     K = _by_length(lambda T: max(min(int(np.floor(3.21 * (T - 1) ** (1.0 / 3.0))), T - 3), 0), lengths)

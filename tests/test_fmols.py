@@ -277,7 +277,7 @@ class TestFmolsPanel:
         x = np.cumsum(rng.standard_normal((3, 12)), axis=1)
         y = 2.0 * x + rng.standard_normal((3, 12))
         y[2, 3:] = np.nan  # E2 keeps 3 usable rows, below k + 3 = 4
-        with pytest.warns(UserWarning, match="dropped 1 entity"):
+        with pytest.warns(UserWarning, match=r"^fmols: dropped 1 entity\(ies\) shorter than 4 rows: E2$"):
             res = fmols_panel(build_panel(y, x), LEVEL_SPEC, bandwidth=1)
         assert res.n_entities == 2
         assert sorted(res.bandwidths) == ["E0", "E1"]

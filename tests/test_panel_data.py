@@ -2,18 +2,18 @@
 
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from panelmetrics import data, fixture, fmols, unitroot
+from panelmetrics import data, fixture, fmols, gmm, unitroot
 from panelmetrics.data import (
     ModelSpec,
     PanelDataset,
     PanelWarning,
     VariableSeries,
     blocks_by_length,
-    constant_runs,
     contiguous_run,
     first_difference,
     lag,
@@ -451,8 +451,38 @@ def longest_finite_run(values, periods):
     rows = np.flatnonzero(np.isfinite(values))
     ids = np.zeros(rows.size, dtype=int)
     starts, lengths = contiguous_run(ids, np.asarray(periods)[rows])
-    (s,), (n,) = longest_runs(ids, starts, lengths, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PanelWarning)  # a run of length 0 counts as constant
+        _, (s,), (n,) = longest_runs(("A",), ids, starts, lengths, values[rows], 0, "run", ("", ""))
     return values[rows][s : s + n]
+
+
+def runs_reference(labels, entity_ids, years, values, min_len, what, reasons):
+    """Entity by entity: the longest calendar run (earliest on ties), dropped when
+    shorter than min_len, else when any column of values is constant over it (a run
+    of length 0 counts as constant).  Returns (keep, starts, lengths, warning texts)."""
+    starts, lengths, short, constant = [], [], [], []
+    for e in range(len(labels)):
+        best = (0, 0)
+        rows = np.flatnonzero(entity_ids == e).tolist()
+        for i, row in enumerate(rows):
+            if i == 0 or years[row] != years[rows[i - 1]] + 1:
+                start = row
+            if row - start + 1 > best[1]:
+                best = (start, row - start + 1)
+        run = values[best[0] : best[0] + best[1]]
+        starts.append(best[0])
+        lengths.append(best[1])
+        short.append(best[1] < min_len)
+        constant.append(not short[-1] and (best[1] == 0 or bool(np.all(run == run[0], axis=0).any())))
+    texts = []
+    for drop, why in zip((short, constant), reasons):
+        names = [str(label) for label, d in zip(labels, drop) if d]
+        if names:
+            texts.append(f"{what}: dropped {len(names)} entity(ies) {why}: "
+                         + ", ".join(names[:8]) + ("..." if len(names) > 8 else ""))
+    keep = ~np.array(short, dtype=bool) & ~np.array(constant, dtype=bool)
+    return keep, np.array(starts), np.array(lengths), texts
 
 
 class TestContiguousRun:
@@ -463,9 +493,12 @@ class TestContiguousRun:
         starts, lengths = contiguous_run(ids, years)
         np.testing.assert_array_equal(starts, [0, 2, 4, 6])
         np.testing.assert_array_equal(lengths, [2, 2, 2, 1])
-        best, length = longest_runs(ids, starts, lengths, 4)
+        with pytest.warns(PanelWarning) as caught:
+            keep, best, length = longest_runs(tuple("ABCD"), ids, starts, lengths, years, 2, "t", ("short", "flat"))
+        np.testing.assert_array_equal(keep, [True, True, False, False])
         np.testing.assert_array_equal(best, [0, 4, 6, 0])
         np.testing.assert_array_equal(length, [2, 2, 1, 0])
+        assert [str(w.message) for w in caught] == ["t: dropped 2 entity(ies) short: C, D"]
 
     def test_picks_longest_consecutive_stretch(self):
         periods = (2000, 2001, 2002, 2004, 2005, 2006, 2007)
@@ -488,16 +521,53 @@ class TestContiguousRun:
         assert unitroot.blocks_by_length is data.blocks_by_length
 
     def test_constant_runs_per_column(self):
-        values = np.array([[1, 5], [1, 6], [2, 6], [2, 6], [3, 7], [3, 7]], dtype=float)
-        starts = np.array([0, 2, 4, 1, 5])
-        lengths = np.array([2, 2, 2, 3, 0])
-        np.testing.assert_array_equal(
-            constant_runs(values, starts, lengths),
-            [[True, False], [True, True], [True, True], [False, True], [True, True]],
-        )
-        np.testing.assert_array_equal(constant_runs(values[:, 0], starts, lengths), [True, True, True, False, True])
-        assert unitroot.constant_runs is data.constant_runs
-        assert fmols.constant_runs is data.constant_runs
+        # A: column 0 constant; B: column 1, equal to A's last row across the
+        # entity break; C: neither; D: both; E: no rows; F: column 0 over its
+        # longest run only, after a gap
+        ids = np.array([0, 0, 1, 1, 2, 2, 3, 3, 5, 5, 5, 5, 5])
+        years = np.array([0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 3, 4, 5])
+        values = np.array([[1, 5], [1, 6], [2, 6], [3, 6], [3, 7], [4, 8], [4, 8], [4, 8],
+                           [7, 1], [8, 2], [9, 3], [9, 4], [9, 5]], dtype=float)
+        starts, lengths = contiguous_run(ids, years)
+        for column, want in ((np.s_[:], [0, 0, 1, 0, 0, 0]), (0, [0, 1, 1, 0, 0, 0]), (1, [1, 0, 1, 0, 0, 1])):
+            with pytest.warns(PanelWarning) as caught:
+                keep, best, length = longest_runs(tuple("ABCDEF"), ids, starts, lengths, values[:, column], 0,
+                                                  "t", ("short", "flat"))
+            np.testing.assert_array_equal(keep, np.array(want, dtype=bool))
+            np.testing.assert_array_equal(best, [0, 2, 4, 6, 0, 10])
+            np.testing.assert_array_equal(length, [2, 2, 2, 2, 0, 3])
+            flat = [label for label, k in zip("ABCDEF", want) if not k]
+            assert [str(w.message) for w in caught] == [
+                f"t: dropped {len(flat)} entity(ies) flat: {', '.join(flat)}"
+            ]
+        assert unitroot.longest_runs is data.longest_runs
+        assert fmols.longest_runs is data.longest_runs
+        assert gmm.warn_dropped is data.warn_dropped
+
+    @pytest.mark.parametrize("columns", [0, 1, 3])
+    def test_matches_per_entity_reference(self, columns):
+        rng = np.random.default_rng(40 + columns)
+        for _ in range(150):
+            n, T = int(rng.integers(1, 25)), int(rng.integers(1, 14))
+            observed = rng.random((n, T)) < rng.uniform(0.2, 1.0)
+            observed[rng.random(n) < 0.15] = False  # entities with no rows
+            ent, col = np.nonzero(observed)
+            years = 1990 + col
+            # few distinct values, so constant runs and equal neighbours are common
+            shape = (ent.size,) if columns == 0 else (ent.size, columns)
+            values = rng.integers(0, 2, shape).astype(float)
+            labels = tuple(f"E{i}" for i in range(n))
+            min_len = int(rng.integers(0, 5))
+            reasons = (f"below {min_len} rows", "constant")
+            want = runs_reference(labels, ent, years, values, min_len, "t(v)", reasons)
+            starts, lengths = contiguous_run(ent, years)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                got = longest_runs(labels, ent, starts, lengths, values, min_len, "t(v)", reasons)
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b)
+            assert [str(w.message) for w in caught] == want[3]
+            assert all(w.category is PanelWarning for w in caught)
 
     def test_calendar_gap_breaks_run(self):
         # 2002 -> 2004 jump splits an otherwise finite stretch

@@ -223,6 +223,21 @@ class TestPhillipsPerron:
         assert r.n_entities == 3
         assert r.per_entity[2][3] == 0
 
+    def test_perfect_fit_refused_naming_entity(self):
+        # an exact linear trend: its lag-0 fit leaves rounding noise, s ~ 3e-16
+        # against RMS differences of 2, which gave E2 a Z of -3.1e7 for det ct
+        rows = np.cumsum(np.random.default_rng(25).standard_normal((6, 40)), axis=1)
+        rows[2] = 3.0 + 2.0 * np.arange(40)
+        for det in ("c", "ct"):
+            with pytest.raises(ValueError, match=r"pp_test: perfect fit for E2 \(regression standard error"):
+                unitroot.fisher_pp(make_series(rows), det=det)
+            with pytest.raises(ValueError, match="perfect fit for the series"):
+                pp_test(rows[2], det=det)
+        # the tolerance is relative: a tiny but genuine scale is kept
+        rest = np.delete(rows, 2, axis=0)
+        small, unit = unitroot.fisher_pp(make_series(1e-100 * rest)), unitroot.fisher_pp(make_series(rest))
+        assert small.statistic == pytest.approx(unit.statistic, rel=1e-9)
+
 
 class TestNeweyWestBandwidth:
     def test_matches_documented_formula(self):
