@@ -4,7 +4,8 @@ Hausman specification test.
 All estimators consume a RegressionSample (listwise-complete stacked rows)
 and return an EffectsResult.  The random-effects transform is Swamy-Arora
 with entity-specific quasi-demeaning weights, which makes the fixed-effects
-estimator its exact theta -> 1 limit.
+estimator its exact theta -> 1 limit.  FMOLS and GMM results extend the same
+`Estimates` record and take their standard errors, t and p from `_wald`.
 """
 
 from __future__ import annotations
@@ -13,14 +14,14 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import chdtrc, stdtr
+from scipy.special import chdtrc, ndtr, stdtr
 
 from .data import PanelWarning, RegressionSample
 
 
 @dataclass(frozen=True)
-class EffectsResult:
-    """Estimates from one panel regression."""
+class Estimates:
+    """Coefficients, their covariance and Wald inference from one estimator."""
 
     method: str
     columns: tuple
@@ -32,6 +33,15 @@ class EffectsResult:
     n_obs: int
     n_entities: int
     periods_included: int
+
+    def coef(self, name: str) -> float:
+        return float(self.coefficients[self.columns.index(name)])
+
+
+@dataclass(frozen=True)
+class EffectsResult(Estimates):
+    """Estimates from one panel regression."""
+
     df_resid: int
     sigma2: float
     r_squared: float
@@ -40,9 +50,6 @@ class EffectsResult:
     demeaned_dependent: np.ndarray = field(repr=False)
     entity_effects: dict | None = None
     variance_components: dict | None = None
-
-    def coef(self, name: str) -> float:
-        return float(self.coefficients[self.columns.index(name)])
 
     def slope_columns(self) -> tuple:
         return tuple(c for c in self.columns if c != "const")
@@ -84,19 +91,25 @@ def _solve_ols(X: np.ndarray, y: np.ndarray, what: str, columns=None) -> np.ndar
     return beta
 
 
-def _finish(method, columns, X, y, beta, df_resid, sst, n_ent, sample, demeaned_dep,
-            entity_effects=None, variance_components=None, absorbed=0, sigma2_cov=None):
+def _wald(beta: np.ndarray, cov: np.ndarray, df: int | None = None) -> tuple:
+    """(se, t, two-sided p) of beta under cov: Student t with df degrees of freedom,
+    normal when df is None; t and p are NaN where the variance is not positive."""
+    se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(se > 0, beta / se, np.nan)
+    p = 2.0 * (ndtr(-np.abs(t)) if df is None else stdtr(df, -np.abs(t)))
+    return se, t, p
+
+
+def _finish(method, columns, X, y, beta, df_resid, sst, sample, demeaned_dep,
+            entity_effects=None, variance_components=None, absorbed=0):
     resid = y - X @ beta
     ssr = float(resid @ resid)
     if df_resid < 1:
         raise ValueError(f"{method}: nonpositive residual degrees of freedom")
     sigma2 = ssr / df_resid
-    scale = sigma2 if sigma2_cov is None else sigma2_cov
-    cov = scale * np.linalg.pinv(X.T @ X)
-    se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(se > 0, beta / se, np.nan)
-    p = 2.0 * stdtr(df_resid, -np.abs(t))
+    cov = sigma2 * np.linalg.pinv(X.T @ X)
+    se, t, p = _wald(beta, cov, df_resid)
     n = y.shape[0]
     r2 = 1.0 - ssr / sst if sst > 0 else float("nan")
     k_all = X.shape[1] + absorbed
@@ -110,7 +123,7 @@ def _finish(method, columns, X, y, beta, df_resid, sst, n_ent, sample, demeaned_
         p_values=p,
         cov=cov,
         n_obs=n,
-        n_entities=n_ent,
+        n_entities=sample.n_entities,
         periods_included=sample.periods_included,
         df_resid=df_resid,
         sigma2=sigma2,
@@ -133,8 +146,7 @@ def pooled_ols(sample: RegressionSample) -> EffectsResult:
     sst = float(((sample.y - sample.y.mean()) ** 2).sum())
     return _finish(
         "pooled", ("const",) + sample.columns, X, sample.y, beta,
-        df_resid=n - X.shape[1], sst=sst, n_ent=sample.n_entities,
-        sample=sample, demeaned_dep=sample.y - sample.y.mean(),
+        df_resid=n - X.shape[1], sst=sst, sample=sample, demeaned_dep=sample.y - sample.y.mean(),
     )
 
 
@@ -164,7 +176,7 @@ def fixed_effects(sample: RegressionSample) -> EffectsResult:
     sst = float(((sample.y - sample.y.mean()) ** 2).sum())
     return _finish(
         "fixed", sample.columns, X_dd, y_dd, beta,
-        df_resid=n - N - k, sst=sst, n_ent=N, sample=sample,
+        df_resid=n - N - k, sst=sst, sample=sample,
         demeaned_dep=y_dd, entity_effects=effects, absorbed=N,
     )
 
@@ -235,7 +247,7 @@ def random_effects(sample: RegressionSample, theta_override: float | None = None
     sst = float(((y_q - y_q.mean()) ** 2).sum())
     return _finish(
         "random", columns, X_full, y_q, beta,
-        df_resid=n - X_full.shape[1], sst=sst, n_ent=N, sample=sample,
+        df_resid=n - X_full.shape[1], sst=sst, sample=sample,
         demeaned_dep=y_q - y_q.mean(), variance_components=components,
     )
 
@@ -250,10 +262,9 @@ def hausman(fe: EffectsResult, re: EffectsResult) -> HausmanResult:
     """
     if fe.method != "fixed" or re.method != "random":
         raise ValueError("hausman expects (fixed_effects result, random_effects result)")
-    re_slopes = tuple(c for c in re.columns if c != "const")
-    if fe.slope_columns() != re_slopes:
+    if fe.slope_columns() != re.slope_columns():
         raise ValueError(
-            f"hausman: regressor sets differ ({fe.slope_columns()} vs {re_slopes})"
+            f"hausman: regressor sets differ ({fe.slope_columns()} vs {re.slope_columns()})"
         )
     common = list(fe.slope_columns())
     fi = [fe.columns.index(c) for c in common]

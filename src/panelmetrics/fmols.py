@@ -22,7 +22,6 @@ from dataclasses import dataclass, field, replace
 from itertools import compress
 
 import numpy as np
-from scipy.special import ndtr
 
 from .data import (
     ModelSpec,
@@ -32,33 +31,20 @@ from .data import (
     longest_runs,
     regression_sample,
 )
-from .effects import _within
+from .effects import Estimates, _wald, _within
 from .unitroot import long_run_covariances, neweywest_bandwidth
 
 
 @dataclass(frozen=True)
-class FmolsResult:
+class FmolsResult(Estimates):
     """Pooled fully modified estimates."""
 
-    method: str
-    columns: tuple
-    coefficients: np.ndarray
-    std_errors: np.ndarray
-    t_stats: np.ndarray
-    p_values: np.ndarray
-    cov: np.ndarray
-    n_obs: int
-    n_entities: int
-    periods_included: int
     r_squared: float
     adj_r_squared: float
     long_run_scale: float
     bandwidths: dict
     residuals: np.ndarray = field(repr=False)
     demeaned_dependent: np.ndarray = field(repr=False)
-
-    def coef(self, name: str) -> float:
-        return float(self.coefficients[self.columns.index(name)])
 
 
 def _entity_blocks(sample, k: int):
@@ -169,10 +155,7 @@ def fmols_panel(dataset: PanelDataset, spec: ModelSpec, bandwidth: int | None = 
     beta = np.linalg.solve(sxx, X_dd.T @ y_plus - m @ lam_plus)
     omega_bar = float(np.mean(np.clip(scales, 0.0, None)))
     cov = omega_bar * np.linalg.inv(sxx)
-    se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(se > 0, beta / se, np.nan)
-    p = 2.0 * ndtr(-np.abs(t))
+    se, t, p = _wald(beta, cov)
 
     resid = y_dd - X_dd @ beta
     ssr = float(resid @ resid)

@@ -2,11 +2,12 @@
 
 The levels equation with entity effects is differenced to remove the
 effects; the differenced lagged dependent is instrumented with earlier
-levels of the dependent (optionally depth-limited or collapsed), while
-differenced exogenous regressors instrument themselves.  The differenced
-rows are one RegressionSample, sorted by entity then year, and the
-instruments one matrix aligned with it row for row; moments are summed
-entity by entity over row slices.  One-step weighting uses the tridiagonal
+levels of the dependent (optionally depth-limited or collapsed), read
+through the calendar shift `data.lag`, while differenced exogenous
+regressors instrument themselves.  The differenced rows are one
+RegressionSample, sorted by entity then year, and the instruments one
+matrix aligned with it row for row; moments are summed entity by entity
+over row slices.  One-step weighting uses the tridiagonal
 second-difference form implied by iid level errors; two-step reweights
 with the clustered outer product of one-step moments.
 Overidentification is summarized by the J statistic at the two-step
@@ -19,10 +20,11 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import chdtrc, ndtr
+from scipy.special import chdtrc
 
-from .data import (ModelSpec, PanelDataset, PanelWarning, RegressionSample, contiguous_run,
+from .data import (ModelSpec, PanelDataset, PanelWarning, RegressionSample, contiguous_run, lag,
                    regression_sample, warn_dropped)
+from .effects import Estimates, _wald
 
 
 @dataclass(frozen=True)
@@ -53,29 +55,16 @@ class InstrumentMatrix:
 
 
 @dataclass(frozen=True)
-class GmmResult:
+class GmmResult(Estimates):
     """Dynamic panel GMM estimates."""
 
-    method: str
     step: str
-    columns: tuple
-    coefficients: np.ndarray
-    std_errors: np.ndarray
-    t_stats: np.ndarray
-    p_values: np.ndarray
-    cov: np.ndarray
-    n_obs: int
-    n_entities: int
-    periods_included: int
     instrument_count: int
     j_stat: float
     j_df: int
     j_p: float | None
     one_step_coefficients: np.ndarray
     weighting: np.ndarray = field(repr=False)
-
-    def coef(self, name: str) -> float:
-        return float(self.coefficients[self.columns.index(name)])
 
 
 def differenced_sample(dataset: PanelDataset, spec: ModelSpec) -> RegressionSample:
@@ -156,10 +145,10 @@ def build_instruments(dataset: PanelDataset, spec: ModelSpec,
     columns = level_cols + [f"d_{name}" for name in sample.columns[1:]]
 
     k = np.searchsorted(eq_years, years)
-    src = years[:, None] - dists  # (rows, distances) grid of source years
-    j = np.minimum(np.searchsorted(periods, src), periods.size - 1)
-    vals = dep.values[ent[:, None], j]
-    r, c = np.nonzero((dists <= reach[k, None]) & (periods[j] == src) & np.isfinite(vals))
+    col = np.searchsorted(periods, years)  # each row's own grid column
+    # level at t - d per row and distance; lag leaves NaN where the grid has no year t - d
+    vals = np.array([lag(dep, d).values[ent, col] for d in dists.tolist()]).T
+    r, c = np.nonzero((dists <= reach[k, None]) & np.isfinite(vals))
     Z = np.zeros((years.shape[0], len(columns)))
     Z[r, c if collapse else last_col[k[r]] - c] = vals[r, c]
     Z[:, len(level_cols):] = sample.X[:, 1:]
@@ -278,10 +267,7 @@ def gmm_estimate(sample: RegressionSample, instruments: InstrumentMatrix,
     # chdtrc is NaN below zero, where a chi-square survival is 1
     j_p = float(chdtrc(j_df, max(j_stat, 0.0))) if j_df > 0 else None
 
-    se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(se > 0, beta / se, np.nan)
-    p = 2.0 * ndtr(-np.abs(t))
+    se, t, p = _wald(beta, cov)
     return GmmResult(
         method="gmm",
         step=step,

@@ -243,7 +243,17 @@ def _output_dir(config: PipelineConfig, base_dir) -> str:
     return out_dir
 
 
+def _unlink(path: str):
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+    except OSError as exc:
+        raise PipelineIOError(f"cannot replace {path}: {exc}") from None
+
+
 def _write_text(path: str, text: str):
+    _unlink(path)  # a new file: ext4 makes rewriting an old one wait for its blocks
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -314,6 +324,8 @@ def run_pipeline(config: PipelineConfig, base_dir=None, write: bool = True) -> R
 
     if write:
         out_dir = bundle.out_dir = _output_dir(config, base_dir)
+        # No manifest while artifacts are replaced: a failed write leaves none.
+        _unlink(os.path.join(out_dir, MANIFEST_NAME))
         for stage in STAGES:
             if stage not in bundle.tables:
                 continue

@@ -13,9 +13,11 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
+
+from ..effects import Estimates
 
 STAR_NOTE = "** p > 0.05, * p < 0.05 (p = 0.05 counts as **)"
 
@@ -207,7 +209,8 @@ def _estimate_grid(results, labels, extra_rows, name, title, notes):
 
     One column per equation; per design column a coefficient row and a
     starred p-value row; extra_rows appends (label, per-result formatter)
-    summary lines.
+    summary lines.  The JSON values hold each result's `Estimates` fields
+    but method and cov, then the fit and J summaries it has.
     """
     variables = []
     for res in results:
@@ -230,18 +233,10 @@ def _estimate_grid(results, labels, extra_rows, name, title, notes):
         rows.append((f"{var} (p)",) + tuple(p_cells))
     for label, getter in extra_rows:
         rows.append((label,) + tuple(getter(res) for res in results))
+    shared = [f.name for f in fields(Estimates) if f.name not in ("method", "cov")]
     values = {}
     for label, res in zip(labels, results):
-        values[label] = {
-            "columns": list(res.columns),
-            "coefficients": res.coefficients,
-            "std_errors": res.std_errors,
-            "t_stats": res.t_stats,
-            "p_values": res.p_values,
-            "n_obs": res.n_obs,
-            "n_entities": res.n_entities,
-            "periods_included": res.periods_included,
-        }
+        values[label] = {name: getattr(res, name) for name in shared}
         for attr in ("r_squared", "adj_r_squared", "j_stat", "j_df", "j_p", "instrument_count"):
             if hasattr(res, attr):
                 values[label][attr] = getattr(res, attr)

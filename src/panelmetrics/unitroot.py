@@ -53,6 +53,7 @@ from .data import (
 )
 
 P_FLOOR = 1e-16  # combination floor; keeps log(p) finite
+SQUARE_RANGE = np.sqrt(np.finfo(float).tiny), np.sqrt(np.finfo(float).max)  # |values| with normal squares
 PERFECT_FIT = 1e-12  # Phillips-Perron refuses s below this times the RMS difference
 
 DET_TERMS = {"n": 0, "c": 1, "ct": 2}  # deterministic columns per case
@@ -360,7 +361,7 @@ def _pp_runs(flat, starts, lengths, det: str, bandwidth: int | None, labels) -> 
     return z, M.tolist()
 
 
-def fisher_combine(p_values, df_scale: int = 2) -> tuple:
+def fisher_combine(p_values) -> tuple:
     """Combine independent p-values: chi2 = -2 sum log p, df = 2N.
 
     p-values are floored at P_FLOOR so a hard zero cannot produce an
@@ -378,23 +379,31 @@ def fisher_combine(p_values, df_scale: int = 2) -> tuple:
             stacklevel=2,
         )
     stat = -2.0 * float(np.log(np.clip(p, P_FLOOR, 1.0)).sum())
-    df = df_scale * p.size
+    df = 2 * p.size
     return stat, df, float(chdtrc(df, stat))
 
 
 def _panel_runs(series: VariableSeries, min_len: int, what: str):
     """Each entity's longest contiguous run, dropping short, then constant, runs
     (`data.longest_runs`).  Returns the observed values, flat in entity-then-period
-    order, the kept runs' starts and lengths in them, and the kept labels."""
+    order, the kept runs' starts and lengths in them, and the kept labels.  A kept run
+    whose squares (or their sum) leave the normal float range is refused: its fit would
+    be rounding noise or overflow."""
     ent, col = np.nonzero(np.isfinite(series.values))
     flat = series.values[ent, col]
-    starts, lengths = contiguous_run(ent, np.asarray(series.periods)[col])
+    runs, lengths = contiguous_run(ent, np.asarray(series.periods)[col])
     keep, starts, lengths = longest_runs(
-        series.entities, ent, starts, lengths, flat, min_len, f"{what}({series.name})",
+        series.entities, ent, runs, lengths, flat, min_len, f"{what}({series.name})",
         (f"below {min_len} contiguous observations", "constant over their longest run"))
     if keep.sum() < 2:
         raise ValueError(f"{what}({series.name}): fewer than two usable entities")
-    return flat, starts[keep], lengths[keep], tuple(compress(series.entities, keep))
+    starts, lengths, kept = starts[keep], lengths[keep], tuple(compress(series.entities, keep))
+    peak = np.maximum.reduceat(np.abs(flat), runs)[np.searchsorted(runs, starts)]  # largest |value|
+    bad = np.flatnonzero((peak < SQUARE_RANGE[0]) | (peak * np.sqrt(lengths) > SQUARE_RANGE[1]))
+    if bad.size:
+        raise ValueError(f"{what}({series.name}): {kept[bad[0]]} has values of magnitude "
+                         f"{peak[bad[0]]:.1e}, whose squares leave the normal float range")
+    return flat, starts, lengths, kept
 
 
 def _entity_lags(T: int, det: str, lags: int | None, min_df: int = 2) -> int:
@@ -538,7 +547,9 @@ def llc_test(series: VariableSeries, det: str = "c", lags: int | None = None) ->
         dy = np.where(inside, dy - dy.sum(axis=1, keepdims=True) / n[:, None], 0.0)
     K = _by_length(lambda T: max(min(int(np.floor(3.21 * (T - 1) ** (1.0 / 3.0))), T - 3), 0), lengths)
     lrv = long_run_covariances(dy[..., None], K, n)[0][:, 0, 0]
-    s_bar = float(np.mean(np.sqrt(np.maximum(lrv, 1e-300) / s2)))
+    if np.any(lrv <= 0):
+        raise ValueError(f"llc_test({series.name}): nonpositive long-run variance")
+    s_bar = float(np.mean(np.sqrt(lrv / s2)))
 
     N = len(kept)
     adj = N * t_tilde * s_bar * std_delta / sigma2_eps * mu_star

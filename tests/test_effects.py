@@ -1,5 +1,7 @@
 """Pooled, fixed, and random effects estimators plus the Hausman contrast."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -13,11 +15,15 @@ from panelmetrics.data import (
 )
 from panelmetrics.effects import (
     EffectsResult,
+    Estimates,
+    _wald,
     fixed_effects,
     hausman,
     pooled_ols,
     random_effects,
 )
+from panelmetrics.fmols import FmolsResult
+from panelmetrics.gmm import GmmResult
 
 
 def build_sample(y, x, extra=None, start=2000, regressors=None):
@@ -314,3 +320,42 @@ class TestHausman:
                 h = hausman(fixed_effects(s), random_effects(s))
             assert h.statistic >= 0.0
             assert h.df >= 0
+
+
+class TestWald:
+    # variances: ordinary twice, one giving t = 30 (normal p about 1e-197), zero, negative
+    beta = np.array([1.5, -0.2, 30.0, 3.0, 0.7])
+    cov = np.diag([0.25, 0.01, 1.0, 0.0, -0.3]) + 1e-3 * (1.0 - np.eye(5))
+
+    @pytest.mark.parametrize("df", [None, 1, 7, 45, 100000])
+    def test_matches_scipy_t_and_normal(self, df):
+        se, t, p = _wald(self.beta, self.cov, df)
+        ok = slice(0, 3)
+        assert np.array_equal(se[3:], [0.0, 0.0])
+        assert np.isnan(t[3:]).all() and np.isnan(p[3:]).all()
+        expected_se = np.sqrt(np.diag(self.cov)[ok])
+        np.testing.assert_allclose(se[ok], expected_se, rtol=1e-12)
+        np.testing.assert_allclose(t[ok], self.beta[ok] / expected_se, rtol=1e-12)
+        tail = stats.norm.sf if df is None else stats.t(df).sf
+        np.testing.assert_allclose(p[ok], 2.0 * tail(np.abs(t[ok])), rtol=1e-12)
+
+
+class TestEstimatesRecord:
+    SHARED = {"method", "columns", "coefficients", "std_errors", "t_stats", "p_values",
+              "cov", "n_obs", "n_entities", "periods_included"}
+    FIELDS = {  # each result's field names as they were before the shared record
+        EffectsResult: SHARED | {"df_resid", "sigma2", "r_squared", "adj_r_squared",
+                                 "residuals", "demeaned_dependent", "entity_effects",
+                                 "variance_components"},
+        FmolsResult: SHARED | {"r_squared", "adj_r_squared", "long_run_scale", "bandwidths",
+                               "residuals", "demeaned_dependent"},
+        GmmResult: SHARED | {"step", "instrument_count", "j_stat", "j_df", "j_p",
+                             "one_step_coefficients", "weighting"},
+    }
+
+    def test_results_extend_one_record_and_keep_their_fields(self):
+        assert {f.name for f in dataclasses.fields(Estimates)} == self.SHARED
+        for cls, names in self.FIELDS.items():
+            assert issubclass(cls, Estimates)
+            assert {f.name for f in dataclasses.fields(cls)} == names
+            assert "coef" not in vars(cls)

@@ -20,6 +20,7 @@ from panelmetrics.report.config import (
     load_config,
     validate_config,
 )
+from panelmetrics.report import pipeline
 from panelmetrics.report.pipeline import (
     IngestError,
     PipelineIOError,
@@ -522,6 +523,39 @@ class TestPipeline:
                 {f: open(os.path.join(bundle.out_dir, f), "rb").read() for f in files}
             )
         assert contents[0] == contents[1]
+
+    def test_rerun_into_same_directory_same_bytes(self, panel_config):
+        def read(out_dir):
+            return {f: open(os.path.join(out_dir, f), "rb").read()
+                    for f in sorted(os.listdir(out_dir)) if f != "timings.json"}
+
+        first = read(run_pipeline(panel_config, write=True).out_dir)
+        assert "manifest.json" in first
+        with open(os.path.join(panel_config.output.directory, "notes.txt"), "w") as fh:
+            fh.write("kept\n")
+        again = read(run_pipeline(panel_config, write=True).out_dir)
+        assert again.pop("notes.txt") == b"kept\n"
+        assert again == first
+
+    @pytest.mark.parametrize("failing_call", [1, 10, 21, 22])
+    def test_failed_write_leaves_no_manifest(self, panel_config, monkeypatch, failing_call):
+        # seven stages in three formats are 21 artifact writes; the 22nd is the manifest
+        run_pipeline(panel_config, write=True)
+        manifest = os.path.join(panel_config.output.directory, "manifest.json")
+        assert os.path.exists(manifest)
+        write_text, calls = pipeline._write_text, []
+
+        def failing(path, text):
+            calls.append(os.path.basename(path))
+            if len(calls) == failing_call:
+                raise PipelineIOError(f"cannot write {path}: disk full")
+            write_text(path, text)
+
+        monkeypatch.setattr(pipeline, "_write_text", failing)
+        with pytest.raises(PipelineIOError, match="disk full"):
+            run_pipeline(panel_config, write=True)
+        assert (calls[-1] == "manifest.json") == (failing_call == 22)
+        assert not os.path.exists(manifest)
 
     def test_disabling_stage_isolates_outputs(self, tmp_path):
         path = write_panel_file(tmp_path / "panel.csv")

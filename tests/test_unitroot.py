@@ -1,6 +1,7 @@
 """Unit-root battery: ADF, Phillips-Perron, LLC, IPS, Fisher combination."""
 
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -661,6 +662,26 @@ class TestPanelRuns:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", PanelWarning)
                 assert repr(r) == repr(test(reduced))
+
+    @pytest.mark.parametrize("det", ["c", "ct"])
+    @pytest.mark.parametrize("test", [unitroot.fisher_pp, unitroot.fisher_adf, ips_test, llc_test])
+    def test_extreme_scales_exact_or_refused_naming_magnitude(self, test, det):
+        # the random walks of test_perfect_fit_refused_naming_entity, without E2; at 1e-150
+        # LLC read -89% (c) and -95% (ct) off, and below it the tests gave NaN or garbage
+        rows = np.delete(np.cumsum(np.random.default_rng(25).standard_normal((6, 40)), axis=1), 2, 0)
+        unit = test(make_series(rows), det=det)
+        refused = []
+        for scale in (1e140, 1e-140, 1e-150, 1e-155, 1e-158, 1e-200, 1e150, 1e155):
+            try:
+                r = test(make_series(scale * rows), det=det)
+            except ValueError as exc:
+                assert re.search(r"E\d has values of magnitude \d\.\de[+-]\d+, whose squares leave "
+                                 "the normal float range$", str(exc)), (scale, str(exc))
+                refused.append(scale)
+            else:
+                assert r.statistic == pytest.approx(unit.statistic, rel=1e-9), scale
+                assert r.p_value == pytest.approx(unit.p_value, rel=1e-9), scale
+        assert refused == [1e-155, 1e-158, 1e-200, 1e155]
 
     def test_constant_runs_leaving_one_entity_refused(self):
         rows = np.cumsum(np.random.default_rng(38).standard_normal((3, 40)), axis=1)
