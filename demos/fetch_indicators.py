@@ -44,7 +44,7 @@ class Handler(BaseHTTPRequestHandler):
 
 
 server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-threading.Thread(target=server.serve_forever, daemon=True).start()
+threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True).start()
 base_url = f"http://127.0.0.1:{server.server_address[1]}"
 cache_dir = tempfile.mkdtemp(prefix="indicator_cache_")
 

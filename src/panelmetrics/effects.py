@@ -76,7 +76,7 @@ def _entity_means(values: np.ndarray, ids: np.ndarray, n_groups: int) -> np.ndar
     return out
 
 
-def _solve_ols(X: np.ndarray, y: np.ndarray, what: str, columns=None) -> np.ndarray:
+def _solve_ols(X: np.ndarray, y: np.ndarray, what: str, columns) -> np.ndarray:
     beta, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
     if rank < X.shape[1]:
         from scipy.linalg import qr  # only a collinear design pays for this import
@@ -84,9 +84,7 @@ def _solve_ols(X: np.ndarray, y: np.ndarray, what: str, columns=None) -> np.ndar
         # pivoted QR puts the linearly dependent columns after the rank cut
         _, _, pivot = qr(X, mode="economic", pivoting=True)
         bad = sorted(int(j) for j in pivot[rank:])
-        names = ", ".join(
-            str(columns[j]) if columns is not None else f"column {j}" for j in bad
-        )
+        names = ", ".join(str(columns[j]) for j in bad)
         raise ValueError(f"{what}: collinear design, dependent column(s): {names}")
     return beta
 
@@ -101,6 +99,12 @@ def _wald(beta: np.ndarray, cov: np.ndarray, df: int | None = None) -> tuple:
     return se, t, p
 
 
+def _r_squared(ssr: float, sst: float, n: int, k_all: int) -> tuple:
+    """(R squared, adjusted R squared) of k_all parameters on n rows; NaN if sst <= 0 or n <= k_all."""
+    r2 = 1.0 - ssr / sst if sst > 0 else float("nan")
+    return r2, (1.0 - (1.0 - r2) * (n - 1) / (n - k_all) if n > k_all else float("nan"))
+
+
 def _finish(method, columns, X, y, beta, df_resid, sst, sample, demeaned_dep,
             entity_effects=None, variance_components=None, absorbed=0):
     resid = y - X @ beta
@@ -111,9 +115,7 @@ def _finish(method, columns, X, y, beta, df_resid, sst, sample, demeaned_dep,
     cov = sigma2 * np.linalg.pinv(X.T @ X)
     se, t, p = _wald(beta, cov, df_resid)
     n = y.shape[0]
-    r2 = 1.0 - ssr / sst if sst > 0 else float("nan")
-    k_all = X.shape[1] + absorbed
-    adj = 1.0 - (1.0 - r2) * (n - 1) / (n - k_all) if n > k_all and sst > 0 else float("nan")
+    r2, adj = _r_squared(ssr, sst, n, X.shape[1] + absorbed)
     return EffectsResult(
         method=method,
         columns=tuple(columns),

@@ -31,7 +31,7 @@ from .data import (
     longest_runs,
     regression_sample,
 )
-from .effects import Estimates, _wald, _within
+from .effects import Estimates, _r_squared, _wald, _within
 from .unitroot import long_run_covariances, neweywest_bandwidth
 
 
@@ -129,10 +129,7 @@ def fmols_panel(dataset: PanelDataset, spec: ModelSpec, bandwidth: int | None = 
     lam_plus = np.zeros((N, k))
     correction = np.zeros(eta.shape[:2])
     if bandwidth is None:
-        bws = np.zeros(N, dtype=int)
-        auto = m >= 4
-        if auto.any():
-            bws[auto] = neweywest_bandwidth(eta[auto].sum(axis=-1), m[auto])
+        bws = neweywest_bandwidth(eta.sum(axis=-1), m)
     else:
         bws = np.minimum(int(bandwidth), m - 2)
         capped = int((bws < bandwidth).sum())
@@ -158,14 +155,11 @@ def fmols_panel(dataset: PanelDataset, spec: ModelSpec, bandwidth: int | None = 
     se, t, p = _wald(beta, cov)
 
     resid = y_dd - X_dd @ beta
-    ssr = float(resid @ resid)
     # Entity intercepts are part of the fit, so the total is grand-centered
     # (same convention as the within estimator's reported fit).
     sst = float(((aligned.y - aligned.y.mean()) ** 2).sum())
     n = aligned.n_obs
-    r2 = 1.0 - ssr / sst if sst > 0 else float("nan")
-    k_all = k + N
-    adj = 1.0 - (1.0 - r2) * (n - 1) / (n - k_all) if n > k_all else float("nan")
+    r2, adj = _r_squared(float(resid @ resid), sst, n, k + N)
 
     return FmolsResult(
         method="fmols",

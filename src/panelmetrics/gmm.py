@@ -45,8 +45,6 @@ class InstrumentMatrix:
     entities: tuple
     entity_ids: np.ndarray
     periods: np.ndarray
-    collapse: bool
-    max_depth: int | None
     dropped_columns: tuple = ()
 
     @property
@@ -169,8 +167,6 @@ def build_instruments(dataset: PanelDataset, spec: ModelSpec,
         entities=sample.entities,
         entity_ids=sample.entity_ids,
         periods=years,
-        collapse=collapse,
-        max_depth=max_depth,
         dropped_columns=dropped,
     )
 

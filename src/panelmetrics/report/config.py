@@ -5,13 +5,14 @@ stale files fail loudly instead of being reinterpreted.  Validation is
 strict: unknown keys anywhere are errors, every model reference must
 resolve to a defined (possibly log-transformed) series, and the master
 seed is mandatory because reproducibility is part of the output contract.
+The digest is read from the dataclasses, so no second list of fields exists.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import yaml
 
@@ -100,10 +101,15 @@ class PipelineConfig:
 
         Where artifacts land does not change what was computed, so two runs
         of the same analysis into different directories share a digest.
+        Fields go under their file names: config_version, data.source, {var, lag}.
         """
-        return hashlib.sha256(
-            json.dumps(_canonical(self), sort_keys=True).encode("utf-8")
-        ).hexdigest()
+        plain = asdict(self)
+        del plain["output"]
+        plain["config_version"] = plain.pop("version")
+        plain["data"]["source"] = plain["data"].pop("kind")
+        for model in plain["models"]:
+            model["regressors"] = [{"var": v, "lag": k} for v, k in model["regressors"]]
+        return hashlib.sha256(json.dumps(plain, sort_keys=True).encode("utf-8")).hexdigest()
 
     def with_overrides(self, seed=None, out_dir=None, formats=None, stages=None):
         """Copy with CLI-level overrides applied."""
@@ -118,46 +124,6 @@ class PipelineConfig:
         if stages is not None:
             cfg = replace(cfg, stages=_canonical_subset(stages, STAGES, "stages"))
         return cfg
-
-
-def _canonical(cfg: PipelineConfig) -> dict:
-    """Plain-data form of everything but the output block."""
-    data = cfg.data
-    return {
-        "config_version": cfg.version,
-        "seed": cfg.seed,
-        "data": {
-            "source": data.kind,
-            "path": data.path,
-            "schema": data.schema,
-            "base_url": data.base_url,
-            "provider": data.provider,
-            "years": data.years,
-            "cache_dir": data.cache_dir,
-        },
-        "variables": [
-            {"name": v.name, "source": v.source, "log": v.log} for v in cfg.variables
-        ],
-        "models": [
-            {
-                "label": m.label,
-                "dependent": m.dependent,
-                "regressors": [{"var": v, "lag": k} for v, k in m.regressors],
-                "lagged_dependent": m.lagged_dependent,
-                "intercept": m.intercept,
-            }
-            for m in cfg.models
-        ],
-        "tests": {
-            "det": cfg.tests.det,
-            "lags": cfg.tests.lags,
-            "bandwidth": cfg.tests.bandwidth,
-            "gmm_depth": cfg.tests.gmm_depth,
-            "gmm_collapse": cfg.tests.gmm_collapse,
-            "variables": list(cfg.tests.variables),
-        },
-        "stages": list(cfg.stages),
-    }
 
 
 def _require_mapping(obj, where: str) -> dict:

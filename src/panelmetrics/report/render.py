@@ -209,7 +209,8 @@ def _estimate_grid(results, labels, extra_rows, name, title, notes):
 
     One column per equation; per design column a coefficient row and a
     starred p-value row; extra_rows appends (label, per-result formatter)
-    summary lines.  The JSON values hold each result's `Estimates` fields
+    summary lines, and the periods, cross-section and observation counts
+    close every grid.  The JSON values hold each result's `Estimates` fields
     but method and cov, then the fit and J summaries it has.
     """
     variables = []
@@ -233,6 +234,9 @@ def _estimate_grid(results, labels, extra_rows, name, title, notes):
         rows.append((f"{var} (p)",) + tuple(p_cells))
     for label, getter in extra_rows:
         rows.append((label,) + tuple(getter(res) for res in results))
+    for label, attr in (("Periods included", "periods_included"),
+                        ("Cross-sections included", "n_entities"), ("Total panel observations", "n_obs")):
+        rows.append((label,) + tuple(str(getattr(res, attr)) for res in results))
     shared = [f.name for f in fields(Estimates) if f.name not in ("method", "cov")]
     values = {}
     for label, res in zip(labels, results):
@@ -256,9 +260,6 @@ def build_gmm_table(results, labels) -> TableArtifact:
         ("J statistic", lambda r: format_number(r.j_stat)),
         ("J probability", lambda r: format_number(r.j_p) if r.j_p is not None else "NA"),
         ("Instruments", lambda r: str(r.instrument_count)),
-        ("Periods included", lambda r: str(r.periods_included)),
-        ("Cross-sections included", lambda r: str(r.n_entities)),
-        ("Total panel observations", lambda r: str(r.n_obs)),
     )
     return _estimate_grid(
         results,
@@ -275,9 +276,6 @@ def build_fmols_table(results, labels) -> TableArtifact:
     extra = (
         ("R squared", lambda r: format_number(r.r_squared)),
         ("Adjusted R squared", lambda r: format_number(r.adj_r_squared)),
-        ("Periods included", lambda r: str(r.periods_included)),
-        ("Cross-sections included", lambda r: str(r.n_entities)),
-        ("Total panel observations", lambda r: str(r.n_obs)),
     )
     return _estimate_grid(
         results,

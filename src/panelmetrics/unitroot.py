@@ -104,13 +104,24 @@ def default_lags(n_obs: int) -> int:
     return int(np.floor(4.0 * (n_obs / 100.0) ** (2.0 / 9.0)))
 
 
-def _check_series(y, det: str) -> np.ndarray:
+def _check_series(y, det: str, what: str) -> np.ndarray:
     if det not in DET_TERMS:
         raise ValueError(f"unknown deterministic case {det!r}")
     y = np.ravel(np.asarray(y, dtype=float))
     if not np.all(np.isfinite(y)):
         raise ValueError("unit-root tests need a contiguous series with no missing values")
+    if y.size:
+        _refuse_extreme(np.abs(y).max(keepdims=True), np.array([y.size]), ("the series",), what)
     return y
+
+
+def _refuse_extreme(peak, lengths, labels, what: str):
+    """Refuse, naming its label, a run whose largest |value| is below sqrt(tiny) or times
+    sqrt(length) above sqrt(max): its fit would be rounding noise or overflow."""
+    bad = np.flatnonzero((peak < SQUARE_RANGE[0]) | (peak * np.sqrt(lengths) > SQUARE_RANGE[1]))
+    if bad.size:
+        raise ValueError(f"{what}: {labels[bad[0]]} has values of magnitude "
+                         f"{peak[bad[0]]:.1e}, whose squares leave the normal float range")
 
 
 def _max_feasible_lags(T: int, det: str, min_df: int = 2) -> int:
@@ -194,7 +205,7 @@ def adf_test(y, det: str = "c", lags: int | None = None) -> UnitRootResult:
         statistic is the tau on the lagged level; p-value from the
         response-surface approximation.
     """
-    y = _check_series(y, det)
+    y = _check_series(y, det, "adf_test")
     T = y.shape[0]
     cap = _max_feasible_lags(T, det)
     if lags is None:
@@ -268,18 +279,19 @@ def long_run_covariances(eta: np.ndarray, bandwidth, lengths=None) -> tuple:
 
 
 def neweywest_bandwidth(u: np.ndarray, lengths=None):
-    """Automatic Bartlett bandwidth (plug-in form) of the series on u's last axis.
+    """Automatic Bartlett bandwidth (Newey-West 1994 plug-in) of the series on u's last axis.
 
     Each series of length T (its entry of lengths, of u's leading shape, when
     the series are zero-padded at the end; else u's last axis) uses
     n = min(floor(4 (T/100)^(2/9)), T-2) autocovariances in the pilot step
     and gets floor(1.1447 ((s1/s0)^2 T)^(1/3)) clamped to [0, T-2]: an int
     for a vector, an int array of u's leading shape for stacked series.
+    Below four rows a series gets 0, the no-correction limit; empty, an error.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     T = np.broadcast_to(u.shape[-1] if lengths is None else lengths, u.shape[:-1])
-    if np.any(T < 4):
-        raise ValueError("neweywest_bandwidth needs series of length >= 4")
+    if np.any(T < 1):
+        raise ValueError("neweywest_bandwidth needs nonempty series")
     n = _by_length(lambda t: min(default_lags(t), t - 2), T.ravel()).reshape(T.shape)
     x = u[..., None]
     # pilot lags past a series' own n add exact zeros to both sums
@@ -287,10 +299,10 @@ def neweywest_bandwidth(u: np.ndarray, lengths=None):
         np.where(j <= n, _autocovariance(x, j, T)[..., 0, 0], 0.0) for j in range(1, int(n.max()) + 1)
     ]
     s0 = sig[0] + 2.0 * sum(sig[1:])
-    s1 = 2.0 * sum(j * sig[j] for j in range(1, len(sig)))
+    s1 = 2.0 * sum((j * sig[j] for j in range(1, len(sig))), np.zeros(T.shape))
     # Python floats for the last step: numpy's power can differ in the last
     # bit, and the floor (int() of a nonnegative value) can make that another M.
-    M = [0 if a <= 0 else min(int(1.1447 * ((b / a) ** 2 * t) ** (1.0 / 3.0)), t - 2)
+    M = [0 if a <= 0 or t < 4 else min(int(1.1447 * ((b / a) ** 2 * t) ** (1.0 / 3.0)), t - 2)
          for a, b, t in zip(np.ravel(s0).tolist(), np.ravel(s1).tolist(), T.ravel().tolist())]
     return M[0] if u.ndim == 1 else np.reshape(M, u.shape[:-1])
 
@@ -305,9 +317,9 @@ def pp_test(y, det: str = "c", bandwidth: int | None = None) -> UnitRootResult:
 
     where g0 is the residual variance with divisor T.  At bandwidth 0,
     f0 == g0 and Z reduces to tau exactly.  bandwidth=None applies the
-    automatic rule to the residuals, or bandwidth 0 below four of them.
+    automatic rule to the residuals, which gives 0 below four of them.
     """
-    y = _check_series(y, det)
+    y = _check_series(y, det, "pp_test")
     T = y.shape[0]
     if _max_feasible_lags(T, det) < 0:
         raise ValueError(f"pp_test: series too short (T={T}) for det={det!r}")
@@ -346,13 +358,7 @@ def _pp_runs(flat, starts, lengths, det: str, bandwidth: int | None, labels) -> 
     if perfect.size:
         raise ValueError(f"pp_test: perfect fit for {labels[perfect[0]]} "
                          f"(regression standard error {s[perfect[0]]:.3g})")
-    if bandwidth is None:
-        M = np.zeros(len(starts), dtype=int)
-        auto = rows >= 4
-        if auto.any():
-            M[auto] = neweywest_bandwidth(resid[auto], rows[auto])
-    else:
-        M = np.full(len(starts), bandwidth)
+    M = neweywest_bandwidth(resid, rows) if bandwidth is None else np.full(len(starts), bandwidth)
     gamma0 = _autocovariance(resid[..., None], 0, rows)[..., 0, 0]
     f0 = long_run_covariances(resid[..., None], M, rows)[0][..., 0, 0]
     if np.any(f0 <= 0):
@@ -399,10 +405,7 @@ def _panel_runs(series: VariableSeries, min_len: int, what: str):
         raise ValueError(f"{what}({series.name}): fewer than two usable entities")
     starts, lengths, kept = starts[keep], lengths[keep], tuple(compress(series.entities, keep))
     peak = np.maximum.reduceat(np.abs(flat), runs)[np.searchsorted(runs, starts)]  # largest |value|
-    bad = np.flatnonzero((peak < SQUARE_RANGE[0]) | (peak * np.sqrt(lengths) > SQUARE_RANGE[1]))
-    if bad.size:
-        raise ValueError(f"{what}({series.name}): {kept[bad[0]]} has values of magnitude "
-                         f"{peak[bad[0]]:.1e}, whose squares leave the normal float range")
+    _refuse_extreme(peak, lengths, kept, f"{what}({series.name})")
     return flat, starts, lengths, kept
 
 

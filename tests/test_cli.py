@@ -199,7 +199,7 @@ class _IndicatorHandler(http.server.BaseHTTPRequestHandler):
 @pytest.fixture()
 def indicator_server():
     srv = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _IndicatorHandler)
-    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    thread = threading.Thread(target=srv.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
     thread.start()
     try:
         yield f"http://127.0.0.1:{srv.server_address[1]}"

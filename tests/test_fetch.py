@@ -65,7 +65,7 @@ class _Handler(http.server.BaseHTTPRequestHandler):
 def server():
     srv = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
     srv.hits = Counter()
-    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    thread = threading.Thread(target=srv.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
     thread.start()
     try:
         yield srv

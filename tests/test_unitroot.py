@@ -261,8 +261,11 @@ class TestNeweyWestBandwidth:
         assert neweywest_bandwidth(ar) > neweywest_bandwidth(iid)
 
     def test_short_vector_rejected(self):
-        with pytest.raises(ValueError):
-            neweywest_bandwidth([1.0, 2.0, 3.0])
+        # below four rows the rule gives the no-correction bandwidth; only an empty series is refused
+        for T in (1, 2, 3):
+            assert neweywest_bandwidth(np.cos(np.arange(T))) == 0
+        with pytest.raises(ValueError, match="nonempty"):
+            neweywest_bandwidth([])
 
     def test_stacked_series_equal_single_calls(self):
         rng = np.random.default_rng(18)
@@ -556,8 +559,15 @@ class TestPaddedKernel:
         long_run_covariances(eta, lengths - 2, lengths)
         with pytest.raises(ValueError, match=f"^bandwidth {shortest - 1} too large for {shortest} rows$"):
             long_run_covariances(eta, np.where(lengths == shortest, shortest - 1, 0), lengths)
-        with pytest.raises(ValueError, match="length >= 4"):
-            neweywest_bandwidth(eta[..., 0], np.array([4, 5, 3, 6, 7]))
+        # series of one to three rows get bandwidth 0 beside their longer neighbours; an empty one is refused
+        short = np.array([4, 1, 3, 2, 7])
+        u = np.where(np.arange(eta.shape[1]) < short[:, None], eta[..., 0], 0.0)
+        auto = neweywest_bandwidth(u, short).tolist()
+        assert auto == [neweywest_bandwidth(row[:T]) for row, T in zip(u, short)]
+        assert auto[1:4] == [0, 0, 0]
+        assert neweywest_bandwidth(u, np.array([1, 2, 2, 1, 2])).tolist() == [0] * 5  # no pilot lag at all
+        with pytest.raises(ValueError, match="nonempty"):
+            neweywest_bandwidth(u, np.array([4, 5, 0, 6, 7]))
 
     @pytest.mark.parametrize("bandwidth", [None, 2])
     @pytest.mark.parametrize("det", ["c", "ct"])
@@ -664,19 +674,22 @@ class TestPanelRuns:
                 assert repr(r) == repr(test(reduced))
 
     @pytest.mark.parametrize("det", ["c", "ct"])
-    @pytest.mark.parametrize("test", [unitroot.fisher_pp, unitroot.fisher_adf, ips_test, llc_test])
+    @pytest.mark.parametrize("test", [unitroot.fisher_pp, unitroot.fisher_adf, ips_test, llc_test,
+                                      adf_test, pp_test])
     def test_extreme_scales_exact_or_refused_naming_magnitude(self, test, det):
-        # the random walks of test_perfect_fit_refused_naming_entity, without E2; at 1e-150
-        # LLC read -89% (c) and -95% (ct) off, and below it the tests gave NaN or garbage
+        # the random walks of test_perfect_fit_refused_naming_entity, without E2, and the
+        # single tests on E0; at 1e-150 LLC read -89% (c) and -95% (ct) off, and below it
+        # the tests gave NaN or garbage
         rows = np.delete(np.cumsum(np.random.default_rng(25).standard_normal((6, 40)), axis=1), 2, 0)
-        unit = test(make_series(rows), det=det)
+        data = make_series if test in PANEL_TESTS else (lambda walks: walks[0])
+        unit = test(data(rows), det=det)
         refused = []
         for scale in (1e140, 1e-140, 1e-150, 1e-155, 1e-158, 1e-200, 1e150, 1e155):
             try:
-                r = test(make_series(scale * rows), det=det)
+                r = test(data(scale * rows), det=det)
             except ValueError as exc:
-                assert re.search(r"E\d has values of magnitude \d\.\de[+-]\d+, whose squares leave "
-                                 "the normal float range$", str(exc)), (scale, str(exc))
+                assert re.search(r"(E\d|the series) has values of magnitude \d\.\de[+-]\d+, whose "
+                                 "squares leave the normal float range$", str(exc)), (scale, str(exc))
                 refused.append(scale)
             else:
                 assert r.statistic == pytest.approx(unit.statistic, rel=1e-9), scale
