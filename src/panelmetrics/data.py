@@ -12,8 +12,8 @@ in where a value's variable is named, and one vectorized pass fills every grid.
 Stacked rows split into calendar runs (`contiguous_run`).  The unit-root
 tests and FMOLS then use one rule for which run each entity contributes and
 which entities drop out (`longest_runs`): its longest run, dropped when too
-short and then when constant over it.  Every stage names the entities it
-drops through one warning formatter (`warn_dropped`).
+short and then when constant over it, and zero-pad its runs (`pad_runs`).
+Every stage names the entities it drops through `warn_dropped`.
 """
 
 from __future__ import annotations
@@ -462,9 +462,11 @@ def warn_dropped(what: str, dropped, why: str):
         )
 
 
-def blocks_by_length(starts: np.ndarray, lengths: np.ndarray):
-    """Yield (length, positions, rows) per distinct block length, shortest first:
-    rows[i] holds the row indices of block positions[i], so values[rows] stacks them."""
-    for length in np.unique(lengths):
-        idx = np.flatnonzero(lengths == length)
-        yield length, idx, starts[idx, None] + np.arange(length)
+def pad_runs(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> tuple:
+    """(blocks, inside): block i holds rows starts[i] .. starts[i] + lengths[i] - 1 of values
+    (1-D, or 2-D keeping its columns), zero-padded at the end to the longest run; inside
+    marks the real rows, so blocks[inside] gives them back in run order."""
+    inside = np.arange(lengths.max()) < lengths[:, None]
+    blocks = values.take(starts[:, None] + np.arange(lengths.max()), axis=0, mode="clip")
+    blocks[~inside] = 0
+    return blocks, inside

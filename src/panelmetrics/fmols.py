@@ -9,7 +9,7 @@ endogeneity between the cointegrating residual and regressor innovations,
 and a serial-correlation bias term is subtracted from the pooled cross
 products.  Kernel: Bartlett, `unitroot.long_run_covariances`, and its
 bandwidth rule, each called once per model on the blocks zero-padded to the
-longest.
+longest (`data.pad_runs`).
 Bandwidth 0 is the documented no-correction limit: both corrections are
 identically zero there, so those blocks skip the kernel, and the estimator
 reduces exactly to within-OLS on the aligned window.
@@ -29,6 +29,7 @@ from .data import (
     PanelWarning,
     contiguous_run,
     longest_runs,
+    pad_runs,
     regression_sample,
 )
 from .effects import Estimates, _r_squared, _wald, _within
@@ -118,9 +119,7 @@ def fmols_panel(dataset: PanelDataset, spec: ModelSpec, bandwidth: int | None = 
     sxx = X_dd.T @ X_dd
     u = y_dd - X_dd @ np.linalg.solve(sxx, X_dd.T @ y_dd)
     # eta = [u, v] per block, zero-padded at the end to the longest block
-    pos = np.arange(m.sum()) - np.repeat(first, m)
-    eta = np.zeros((N, m.max(), 1 + k))
-    eta[aligned.entity_ids, pos] = np.column_stack([u, v])
+    eta, inside = pad_runs(np.column_stack([u, v]), first, m)
 
     # Long-run corrections: one bandwidth call, one kernel call and one solve
     # over the padded blocks.  Bandwidth 0 keeps the definitional branch: no
@@ -147,7 +146,7 @@ def fmols_panel(dataset: PanelDataset, spec: ModelSpec, bandwidth: int | None = 
         lam_plus[kernel] = lmbda[:, 0, 1:] - (np.swapaxes(solve_vu, -1, -2) @ lmbda[:, 1:, 1:])[:, 0]
         scales[kernel] = omega[:, 0, 0] - (omega[:, None, 0, 1:] @ solve_vu)[:, 0, 0]
         correction[kernel] = (blocks[..., 1:] @ solve_vu)[..., 0]
-    y_plus = y_dd - correction[aligned.entity_ids, pos]
+    y_plus = y_dd - correction[inside]
 
     beta = np.linalg.solve(sxx, X_dd.T @ y_plus - m @ lam_plus)
     omega_bar = float(np.mean(np.clip(scales, 0.0, None)))

@@ -24,7 +24,7 @@ from scipy.special import chdtrc
 
 from .data import (ModelSpec, PanelDataset, PanelWarning, RegressionSample, contiguous_run, lag,
                    regression_sample, warn_dropped)
-from .effects import Estimates, _wald
+from .effects import Estimates, _solve_ols, _wald
 
 
 @dataclass(frozen=True)
@@ -200,7 +200,8 @@ def gmm_estimate(sample: RegressionSample, instruments: InstrumentMatrix,
     is the criterion at the reported step's residual moments under the
     clustered one-step-residual weighting (stored as `weighting`); with
     df = instruments - columns equal to zero the p-value is None.  More
-    instruments than entities make that weighting singular; this warns.
+    instruments than entities make that weighting singular; this warns.  A
+    collinear instrumented design is refused, naming a dependent column.
     """
     if step not in ("onestep", "twostep"):
         raise ValueError("step must be 'onestep' or 'twostep'")
@@ -233,6 +234,7 @@ def gmm_estimate(sample: RegressionSample, instruments: InstrumentMatrix,
         if key not in H:
             H[key] = _h_matrix(years[r])
         A1 += Z[r].T @ H[key] @ Z[r]
+    _solve_ols(S_zx, s_zy, f"gmm({sample.spec.label})", sample.columns)  # only its refusal is used
     W1 = _inv_psd(A1, "gmm one-step")
 
     def solve_beta(W):

@@ -17,17 +17,17 @@ end to a common one, with each block's own length.
 Every series handed to a test must be an unbroken calendar run; the battery
 extracts each entity's longest contiguous stretch and drops entities that
 fail a test's length precondition or are constant over that stretch, with a
-warning naming them (`data.longest_runs`, FMOLS' rule too).  Phillips-Perron
-refuses an entity whose lag-0 fit is perfect rather than print its Z.  A
-test's lag depends on run length alone, so each panel test settles the
-length rules (lags, bandwidth checks, table coverage) once per distinct
-length before any fit, then stacks each length's runs
-from the flat observed values (`data.blocks_by_length`) for one fit
-(`_fit_runs`).  Phillips-Perron then pads every run's residuals into one
-array for one bandwidth call and one kernel call per series, and LLC pools
-the fits' sums and pads every run's first differences for one kernel call;
-all per-entity p-values come from one `mackinnon_p` call.  adf_test and pp_test
-are batches of one.
+warning naming them (`data.longest_runs`, FMOLS' rule too).  The kept runs
+are one array, zero-padded at the end (`data.pad_runs`), that every test
+works on.  A test's lag depends on run length alone, so each panel test
+settles the length rules (lags, bandwidth checks, table coverage) once per
+distinct length before any fit, then fits that length's runs at once
+(`_fit_runs`).  Phillips-Perron pads every run's residuals for one bandwidth
+call and one kernel call per series, and refuses an entity whose lag-0 fit
+is perfect; LLC pools the fits' sums and makes one kernel call over the
+runs' padded differences.  All per-entity p-values come from one
+`mackinnon_p` call.  adf_test and pp_test are batches of one, and refuse a
+constant series.
 """
 
 from __future__ import annotations
@@ -46,10 +46,10 @@ from .data import (
     PanelDataset,
     PanelWarning,
     VariableSeries,
-    blocks_by_length,
     contiguous_run,
     first_difference,
     longest_runs,
+    pad_runs,
 )
 
 P_FLOOR = 1e-16  # combination floor; keeps log(p) finite
@@ -111,13 +111,16 @@ def _check_series(y, det: str, what: str) -> np.ndarray:
     if not np.all(np.isfinite(y)):
         raise ValueError("unit-root tests need a contiguous series with no missing values")
     if y.size:
-        _refuse_extreme(np.abs(y).max(keepdims=True), np.array([y.size]), ("the series",), what)
+        _refuse_extreme(y[None], np.array([y.size]), ("the series",), what)
+        if np.all(y == y[0]):
+            raise ValueError(f"{what}: the series is constant")
     return y
 
 
-def _refuse_extreme(peak, lengths, labels, what: str):
-    """Refuse, naming its label, a run whose largest |value| is below sqrt(tiny) or times
-    sqrt(length) above sqrt(max): its fit would be rounding noise or overflow."""
+def _refuse_extreme(Y, lengths, labels, what: str):
+    """Refuse, naming its label, a zero-padded run of Y whose largest |value| is below sqrt(tiny)
+    or times sqrt(length) above sqrt(max): its fit would be rounding noise or overflow."""
+    peak = np.abs(Y).max(axis=1)
     bad = np.flatnonzero((peak < SQUARE_RANGE[0]) | (peak * np.sqrt(lengths) > SQUARE_RANGE[1]))
     if bad.size:
         raise ValueError(f"{what}: {labels[bad[0]]} has values of magnitude "
@@ -173,14 +176,15 @@ def _df_regression(y: np.ndarray, det: str, lags: int):
     return beta[..., 0, 0] / se, se, np.sqrt(s2), resid, rows
 
 
-def _fit_runs(flat, starts, lengths, det: str, lags_pe) -> tuple:
-    """Dickey-Fuller fit of each run at its lag, from one _df_regression call per run
-    length (a test's lag depends on length alone).  Returns tau, se_rho and s, in run
-    order, and the residuals, zero-padded at the end to the most rows."""
-    tau, se_rho, s = np.empty((3, len(starts)))
-    resid = np.zeros((len(starts), (lengths - 1 - np.asarray(lags_pe)).max()))
-    for _, idx, r in blocks_by_length(starts, lengths):
-        fit = _df_regression(flat[r], det, lags_pe[idx[0]])
+def _fit_runs(Y, lengths, det: str, lags_pe) -> tuple:
+    """Dickey-Fuller fit of each zero-padded run of Y at its lag, one _df_regression call on
+    Y[runs, :T] per run length T (a test's lag depends on length alone).  Returns tau,
+    se_rho and s, in run order, and the residuals, zero-padded at the end to the most rows."""
+    tau, se_rho, s = np.empty((3, len(lengths)))
+    resid = np.zeros((len(lengths), (lengths - 1 - np.asarray(lags_pe)).max()))
+    for T in np.unique(lengths).tolist():
+        idx = np.flatnonzero(lengths == T)
+        fit = _df_regression(Y[idx, :T], det, lags_pe[idx[0]])
         tau[idx], se_rho[idx], s[idx] = fit[:3]
         resid[idx, : fit[4]] = fit[3]
     return tau, se_rho, s, resid
@@ -323,23 +327,15 @@ def pp_test(y, det: str = "c", bandwidth: int | None = None) -> UnitRootResult:
     T = y.shape[0]
     if _max_feasible_lags(T, det) < 0:
         raise ValueError(f"pp_test: series too short (T={T}) for det={det!r}")
-    z, bw = _pp_runs(y, np.zeros(1, dtype=int), np.array([T]), det, bandwidth, ("the series",))
+    z, bw = _pp_runs(y[None], np.array([T]), det, bandwidth, ("the series",))
     return UnitRootResult(
         test="pp", statistic=float(z[0]), p_value=_dfc.mackinnon_p(float(z[0]), det), det=det,
         lags=0, n_obs=T - 1, bandwidth=bw[0],
     )
 
 
-def _run_differences(flat, starts, lengths) -> tuple:
-    """Each run's first differences, zero-padded at the end to the most, and where they are real."""
-    n = lengths - 1
-    inside = np.arange(n.max()) < n[:, None]
-    dy = np.diff(flat).take(starts[:, None] + np.arange(n.max()), mode="clip")
-    return np.where(inside, dy, 0.0), inside
-
-
-def _pp_runs(flat, starts, lengths, det: str, bandwidth: int | None, labels) -> tuple:
-    """Phillips-Perron Z and bandwidth of each run, in run order.  A fixed bandwidth is
+def _pp_runs(Y, lengths, det: str, bandwidth: int | None, labels) -> tuple:
+    """Phillips-Perron Z and bandwidth of each zero-padded run of Y.  A fixed bandwidth is
     checked against every run before any fit; each run length takes one fit, and the
     residuals, zero-padded to the longest, one bandwidth call and one kernel call.
     A fit whose standard error is below PERFECT_FIT times the RMS of the run's
@@ -352,13 +348,13 @@ def _pp_runs(flat, starts, lengths, det: str, bandwidth: int | None, labels) -> 
         if short.size:
             raise ValueError(f"pp_test: bandwidth {bandwidth} too large for {short[0]} rows")
     rows = lengths - 1
-    tau, se_rho, s, resid = _fit_runs(flat, starts, lengths, det, np.zeros(len(starts), dtype=int))
-    dy = _run_differences(flat, starts, lengths)[0]
+    tau, se_rho, s, resid = _fit_runs(Y, lengths, det, np.zeros(len(lengths), dtype=int))
+    dy = np.where(np.arange(1, Y.shape[1]) < lengths[:, None], np.diff(Y), 0.0)  # each run's own
     perfect = np.flatnonzero(s <= PERFECT_FIT * np.sqrt((dy * dy).sum(axis=1) / rows))
     if perfect.size:
         raise ValueError(f"pp_test: perfect fit for {labels[perfect[0]]} "
                          f"(regression standard error {s[perfect[0]]:.3g})")
-    M = neweywest_bandwidth(resid, rows) if bandwidth is None else np.full(len(starts), bandwidth)
+    M = neweywest_bandwidth(resid, rows) if bandwidth is None else np.full(len(lengths), bandwidth)
     gamma0 = _autocovariance(resid[..., None], 0, rows)[..., 0, 0]
     f0 = long_run_covariances(resid[..., None], M, rows)[0][..., 0, 0]
     if np.any(f0 <= 0):
@@ -391,10 +387,10 @@ def fisher_combine(p_values) -> tuple:
 
 def _panel_runs(series: VariableSeries, min_len: int, what: str):
     """Each entity's longest contiguous run, dropping short, then constant, runs
-    (`data.longest_runs`).  Returns the observed values, flat in entity-then-period
-    order, the kept runs' starts and lengths in them, and the kept labels.  A kept run
-    whose squares (or their sum) leave the normal float range is refused: its fit would
-    be rounding noise or overflow."""
+    (`data.longest_runs`).  Returns the kept runs, zero-padded at the end to the longest
+    (`data.pad_runs`), their lengths and the kept labels.  A kept run whose squares (or
+    their sum) leave the normal float range is refused: its fit would be rounding noise
+    or overflow."""
     ent, col = np.nonzero(np.isfinite(series.values))
     flat = series.values[ent, col]
     runs, lengths = contiguous_run(ent, np.asarray(series.periods)[col])
@@ -403,10 +399,10 @@ def _panel_runs(series: VariableSeries, min_len: int, what: str):
         (f"below {min_len} contiguous observations", "constant over their longest run"))
     if keep.sum() < 2:
         raise ValueError(f"{what}({series.name}): fewer than two usable entities")
-    starts, lengths, kept = starts[keep], lengths[keep], tuple(compress(series.entities, keep))
-    peak = np.maximum.reduceat(np.abs(flat), runs)[np.searchsorted(runs, starts)]  # largest |value|
-    _refuse_extreme(peak, lengths, kept, f"{what}({series.name})")
-    return flat, starts, lengths, kept
+    lengths, kept = lengths[keep], tuple(compress(series.entities, keep))
+    Y = pad_runs(flat, starts[keep], lengths)[0]
+    _refuse_extreme(Y, lengths, kept, f"{what}({series.name})")
+    return Y, lengths, kept
 
 
 def _entity_lags(T: int, det: str, lags: int | None, min_df: int = 2) -> int:
@@ -435,16 +431,16 @@ def _fisher(test: str, det: str, kept: tuple, lengths, stat_pe, extra_pe) -> Uni
 
 def fisher_adf(series: VariableSeries, det: str = "c", lags: int | None = None) -> UnitRootResult:
     """Fisher combination of per-entity ADF p-values."""
-    flat, starts, lengths, kept = _panel_runs(series, _shortest_run(det), "fisher_adf")
+    Y, lengths, kept = _panel_runs(series, _shortest_run(det), "fisher_adf")
     lags_pe = _by_length(lambda T: _entity_lags(T, det, lags), lengths)
-    tau = _fit_runs(flat, starts, lengths, det, lags_pe)[0]
+    tau = _fit_runs(Y, lengths, det, lags_pe)[0]
     return _fisher("fisher-adf", det, kept, lengths, tau, lags_pe.tolist())
 
 
 def fisher_pp(series: VariableSeries, det: str = "c", bandwidth: int | None = None) -> UnitRootResult:
     """Fisher combination of per-entity Phillips-Perron p-values."""
-    flat, starts, lengths, kept = _panel_runs(series, _shortest_run(det), "fisher_pp")
-    z, bw = _pp_runs(flat, starts, lengths, det, bandwidth, kept)
+    Y, lengths, kept = _panel_runs(series, _shortest_run(det), "fisher_pp")
+    z, bw = _pp_runs(Y, lengths, det, bandwidth, kept)
     return _fisher("fisher-pp", det, kept, lengths, z, bw)
 
 
@@ -486,12 +482,12 @@ def ips_test(series: VariableSeries, det: str = "c", lags: int | None = None) ->
     """
     if det not in ("c", "ct"):
         raise ValueError("ips_test supports det 'c' or 'ct' (moment table coverage)")
-    flat, starts, lengths, kept = _panel_runs(series, IPS_T_GRID[0], "ips_test")
+    Y, lengths, kept = _panel_runs(series, IPS_T_GRID[0], "ips_test")
     means, variances, lags_pe = _by_length(
         lambda T: _ips_moments(T, _entity_lags(T, det, lags, min_df=3), det), lengths
     ).T
     lags_pe = lags_pe.astype(int).tolist()
-    tau = _fit_runs(flat, starts, lengths, det, lags_pe)[0]
+    tau = _fit_runs(Y, lengths, det, lags_pe)[0]
     N = len(kept)
     W = np.sqrt(N) * (np.mean(tau) - np.mean(means)) / np.sqrt(np.mean(variances))
     return UnitRootResult(
@@ -515,13 +511,13 @@ def llc_test(series: VariableSeries, det: str = "c", lags: int | None = None) ->
     """
     if det not in DET_TERMS:
         raise ValueError(f"unknown deterministic case {det!r}")
-    flat, starts, lengths, kept = _panel_runs(series, _shortest_run(det), "llc_test")
+    Y, lengths, kept = _panel_runs(series, _shortest_run(det), "llc_test")
     lags_pe = _by_length(lambda T: _entity_lags(T, det, lags), lengths)
     rows = lengths - 1 - lags_pe
     t_tilde = float(np.mean(rows))
     mu_star, sigma_star = _dfc.llc_adjustment(t_tilde, det)
 
-    tau, se, s, _ = _fit_runs(flat, starts, lengths, det, lags_pe)
+    tau, se, s, _ = _fit_runs(Y, lengths, det, lags_pe)
     ssr = s * s * (rows - 1 - lags_pe - DET_TERMS[det])
     if np.any(ssr <= 0):
         raise ValueError(f"llc_test({series.name}): degenerate entity regression")
@@ -545,9 +541,10 @@ def llc_test(series: VariableSeries, det: str = "c", lags: int | None = None) ->
     # estimate down by about (K+1)/T and oversizes the test.  The trend
     # model's null leaves a per-entity drift to remove first.
     n = lengths - 1
-    dy, inside = _run_differences(flat, starts, lengths)
-    if det == "ct":
-        dy = np.where(inside, dy - dy.sum(axis=1, keepdims=True) / n[:, None], 0.0)
+    real = np.arange(1, Y.shape[1]) < lengths[:, None]  # each run's own differences
+    dy = np.where(real, np.diff(Y), 0.0)
+    if det == "ct":  # a real zero difference is demeaned too
+        dy = np.where(real, dy - dy.sum(axis=1, keepdims=True) / n[:, None], 0.0)
     K = _by_length(lambda T: max(min(int(np.floor(3.21 * (T - 1) ** (1.0 / 3.0))), T - 3), 0), lengths)
     lrv = long_run_covariances(dy[..., None], K, n)[0][:, 0, 0]
     if np.any(lrv <= 0):

@@ -431,6 +431,18 @@ class TestGmmEstimate:
         ]
         assert (res.instrument_count, res.n_entities) == (172, 20)
 
+    def test_collinear_design_named(self):
+        # x a copy of y: d_x_lag1 repeats d_y_lag1, so the one-step solve would be singular
+        y = np.cumsum(np.random.default_rng(3).standard_normal((30, 8)), axis=1)
+        ds = build_panel({"y": y, "x": y.copy()})
+        spec = ModelSpec(label="dup", dependent="y", regressors=(("x", 1),),
+                         lagged_dependent=True)
+        s = differenced_sample(ds, spec)
+        Z = build_instruments(ds, spec, collapse=True, sample=s)
+        with pytest.raises(ValueError, match=r"^gmm\(dup\): collinear design, dependent "
+                                             r"column\(s\): x_lag1$"):
+            gmm_estimate(s, Z)
+
     def test_as_many_instruments_as_entities_is_silent(self):
         _, s, Z = self.hand_panel()
         assert Z.n_instruments == s.n_entities == 3

@@ -13,12 +13,12 @@ from panelmetrics.data import (
     PanelDataset,
     PanelWarning,
     VariableSeries,
-    blocks_by_length,
     contiguous_run,
     first_difference,
     lag,
     longest_runs,
     natural_log,
+    pad_runs,
     read_panel_csv,
     regression_sample,
     write_panel_csv,
@@ -506,19 +506,18 @@ class TestContiguousRun:
         run = longest_finite_run(values, periods)
         np.testing.assert_allclose(run, [4.0, 5.0, 6.0, 7.0])
 
-    def test_blocks_grouped_by_length(self):
+    @pytest.mark.parametrize("columns", [None, 2])
+    def test_pad_runs_round_trip(self, columns):
         starts = np.array([0, 3, 5, 9, 12])
         lengths = np.array([3, 2, 4, 3, 2])
-        groups = list(blocks_by_length(starts, lengths))
-        assert [int(n) for n, _, _ in groups] == [2, 3, 4]
-        for (_, idx, rows), want_idx, want_rows in zip(
-            groups,
-            ([1, 4], [0, 3], [2]),
-            ([[3, 4], [12, 13]], [[0, 1, 2], [9, 10, 11]], [[5, 6, 7, 8]]),
-        ):
-            np.testing.assert_array_equal(idx, want_idx)
-            np.testing.assert_array_equal(rows, want_rows)
-        assert unitroot.blocks_by_length is data.blocks_by_length
+        shape = (14,) if columns is None else (14, columns)
+        values = np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape)  # no zero among them
+        blocks, inside = pad_runs(values, starts, lengths)
+        assert blocks.shape == (5, 4) + shape[1:] and inside.shape == (5, 4)
+        np.testing.assert_array_equal(inside.sum(axis=1), lengths)
+        assert not blocks[~inside].any() and blocks[inside].all()
+        rows = np.concatenate([np.arange(a, a + n) for a, n in zip(starts, lengths)])
+        np.testing.assert_array_equal(blocks[inside], values[rows])
 
     def test_constant_runs_per_column(self):
         # A: column 0 constant; B: column 1, equal to A's last row across the

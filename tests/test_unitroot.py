@@ -705,20 +705,33 @@ class TestPanelRuns:
                     test(make_series(rows))
 
 
+    @pytest.mark.parametrize("det", ["n", "c", "ct"])
+    @pytest.mark.parametrize("test", [adf_test, pp_test])
+    def test_constant_single_series_refused(self, test, det):
+        # the panel tests drop a constant run; a single constant series is refused by name
+        # rather than reach a singular Dickey-Fuller design, and all zeros by magnitude
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{test.__name__}: the series is constant$"):
+                test(np.full(20, 3.0), det=det)
+            with pytest.raises(ValueError, match="the series has values of magnitude 0.0e"):
+                test(np.zeros(20), det=det)
+
+
 PANEL_TESTS = (unitroot.fisher_pp, unitroot.fisher_adf, ips_test, llc_test)
 
 
 def llc_reference(series, det="c", lags=None):
     """LLC entity by entity: each run's difference and lagged level projected off
     the lags and deterministic terms with pinv, and one kernel call per entity."""
-    flat, starts, lengths, kept = unitroot._panel_runs(series, _shortest_run(det), "llc_test")
+    Y, lengths, kept = unitroot._panel_runs(series, _shortest_run(det), "llc_test")
     lags_pe = unitroot._by_length(lambda T: unitroot._entity_lags(T, det, lags), lengths)
     t_effs = lengths - 1 - lags_pe
     t_tilde = float(np.mean(t_effs))
     mu_star, sigma_star = dfc.llc_adjustment(t_tilde, det)
     e_all, v_all, s_ratios = [], [], []
-    for s, T, p_i, rows in zip(starts.tolist(), lengths.tolist(), lags_pe.tolist(), t_effs.tolist()):
-        run = flat[s : s + T]
+    for padded, T, p_i, rows in zip(Y, lengths.tolist(), lags_pe.tolist(), t_effs.tolist()):
+        run = padded[:T]
         dy = np.diff(run)
         # the Dickey-Fuller design: lagged level, lagged differences, deterministic terms
         X = np.empty((rows, 1 + p_i + unitroot.DET_TERMS[det]))
