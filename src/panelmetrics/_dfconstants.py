@@ -4,11 +4,13 @@ Response-surface coefficients approximate the single-series Dickey-Fuller
 tau distribution (MacKinnon 1994 polynomials with the 2010 revision of the
 bounds).  Deterministic cases: "n" none, "c" intercept, "ct" intercept and
 trend.  The p-value is Phi(polyval(coef, tau)) with a small-p/large-p
-polynomial split at TAU_STAR and hard 0/1 clamps outside [TAU_MIN, TAU_MAX].
+polynomial split at TAU_STAR and hard 0/1 clamps outside [TAU_MIN, TAU_MAX];
+Phi is `_special.ndtr`, the package's own normal CDF on math.erfc.
 """
 
 import numpy as np
-from scipy.special import ndtr
+
+from ._special import ndtr
 
 # Split points and validity bounds for the tau response surface.
 TAU_STAR = {"n": -1.04, "c": -1.61, "ct": -2.89}

@@ -329,21 +329,26 @@ def natural_log(series: VariableSeries) -> VariableSeries:
     return replace(series, name=f"ln_{series.name}", values=out)
 
 
-def lag(series: VariableSeries, k: int = 1) -> VariableSeries:
-    """Calendar lag by k periods.
+def lag_values(values: np.ndarray, periods, k) -> np.ndarray:
+    """The (entities, periods) grid `values` lagged k periods on the calendar `periods`.
 
-    The value at year t is the series value at year t-k; if the grid has no
-    t-k column the cell is missing, so gaps never alias to the wrong year.
+    The value at year t is the value at year t-k; if the grid has no t-k
+    column the cell is missing, so gaps never alias to the wrong year.  An
+    array of lags k gives one grid per lag, along a trailing axis.
     """
+    periods = np.asarray(periods)
+    want = np.subtract.outer(periods, k)  # year t - k for each period t (and lag)
+    src = np.minimum(np.searchsorted(periods, want), periods.size - 1)
+    return np.where(periods[src] == want, values[:, src], np.nan)
+
+
+def lag(series: VariableSeries, k: int = 1) -> VariableSeries:
+    """Calendar lag by k periods (`lag_values`)."""
     if k < 0:
         raise ValueError("lag must be nonnegative")
     if k == 0:
         return series
-    periods = np.asarray(series.periods)
-    src = np.minimum(np.searchsorted(periods, periods - k), periods.size - 1)
-    found = periods[src] == periods - k
-    out = np.full_like(series.values, np.nan)
-    out[:, found] = series.values[:, src[found]]
+    out = lag_values(series.values, series.periods, k)
     return replace(series, name=f"{series.name}_lag{k}", values=out)
 
 

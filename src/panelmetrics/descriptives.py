@@ -12,8 +12,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtrc
 
+from ._special import chdtrc
 from .data import PanelDataset, PanelWarning, VariableSeries
 
 
@@ -50,7 +50,7 @@ def jarque_bera(n: int, skewness: float, kurtosis: float) -> tuple:
     if n < 1:
         raise ValueError("jarque_bera needs n >= 1")
     jb = n / 6.0 * (skewness**2 + (kurtosis - 3.0) ** 2 / 4.0)
-    return float(jb), float(chdtrc(2, jb))
+    return float(jb), chdtrc(2, jb)
 
 
 def describe(source, name: str | None = None) -> DescriptiveStats:

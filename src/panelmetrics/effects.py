@@ -14,8 +14,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import chdtrc, ndtr, stdtr
 
+from ._special import chdtrc, ndtr, stdtr
 from .data import PanelWarning, RegressionSample
 
 
@@ -79,11 +79,10 @@ def _entity_means(values: np.ndarray, ids: np.ndarray, n_groups: int) -> np.ndar
 def _solve_ols(X: np.ndarray, y: np.ndarray, what: str, columns) -> np.ndarray:
     beta, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
     if rank < X.shape[1]:
-        from scipy.linalg import qr  # only a collinear design pays for this import
-
-        # pivoted QR puts the linearly dependent columns after the rank cut
-        _, _, pivot = qr(X, mode="economic", pivoting=True)
-        bad = sorted(int(j) for j in pivot[rank:])
+        # left to right, a column is dependent when it does not raise the rank of those kept
+        kept, bad = [], []
+        for j in range(X.shape[1]):
+            (kept if np.linalg.matrix_rank(X[:, kept + [j]]) > len(kept) else bad).append(j)
         names = ", ".join(str(columns[j]) for j in bad)
         raise ValueError(f"{what}: collinear design, dependent column(s): {names}")
     return beta
@@ -292,5 +291,4 @@ def hausman(fe: EffectsResult, re: EffectsResult) -> HausmanResult:
     inv_vals[keep] = 1.0 / eigval[keep]
     pinv = (eigvec * inv_vals) @ eigvec.T
     H = float(q @ pinv @ q)
-    # chdtrc is NaN below zero, where a chi-square survival is 1; rounding can get there
-    return HausmanResult(H, rank, float(chdtrc(rank, max(H, 0.0))), tuple(common), q)
+    return HausmanResult(H, rank, chdtrc(rank, H), tuple(common), q)

@@ -3,7 +3,7 @@
 The levels equation with entity effects is differenced to remove the
 effects; the differenced lagged dependent is instrumented with earlier
 levels of the dependent (optionally depth-limited or collapsed), read
-through the calendar shift `data.lag`, while differenced exogenous
+through the calendar shift `data.lag_values`, while differenced exogenous
 regressors instrument themselves.  The differenced rows are one
 RegressionSample, sorted by entity then year, and the instruments one
 matrix aligned with it row for row; moments are summed entity by entity
@@ -20,10 +20,10 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import chdtrc
 
-from .data import (ModelSpec, PanelDataset, PanelWarning, RegressionSample, contiguous_run, lag,
-                   regression_sample, warn_dropped)
+from ._special import chdtrc
+from .data import (ModelSpec, PanelDataset, PanelWarning, RegressionSample, contiguous_run,
+                   lag_values, regression_sample, warn_dropped)
 from .effects import Estimates, _solve_ols, _wald
 
 
@@ -144,8 +144,8 @@ def build_instruments(dataset: PanelDataset, spec: ModelSpec,
 
     k = np.searchsorted(eq_years, years)
     col = np.searchsorted(periods, years)  # each row's own grid column
-    # level at t - d per row and distance; lag leaves NaN where the grid has no year t - d
-    vals = np.array([lag(dep, d).values[ent, col] for d in dists.tolist()]).T
+    # level at t - d per row and distance; NaN where the grid has no year t - d
+    vals = lag_values(dep.values, periods, dists)[ent, col]
     r, c = np.nonzero((dists <= reach[k, None]) & np.isfinite(vals))
     Z = np.zeros((years.shape[0], len(columns)))
     Z[r, c if collapse else last_col[k[r]] - c] = vals[r, c]
@@ -262,8 +262,7 @@ def gmm_estimate(sample: RegressionSample, instruments: InstrumentMatrix,
     m = sum(moments(beta), np.zeros(L))
     j_stat = float(m @ W2 @ m)
     j_df = L - k
-    # chdtrc is NaN below zero, where a chi-square survival is 1
-    j_p = float(chdtrc(j_df, max(j_stat, 0.0))) if j_df > 0 else None
+    j_p = chdtrc(j_df, j_stat) if j_df > 0 else None
 
     se, t, p = _wald(beta, cov)
     return GmmResult(

@@ -38,10 +38,10 @@ from itertools import compress
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtrc, ndtr
 
 from . import _dfconstants as _dfc
 from ._ipsmoments import IPS_MAX_LAG, IPS_MOMENTS, IPS_T_GRID
+from ._special import chdtrc, ndtr
 from .data import (
     PanelDataset,
     PanelWarning,
@@ -382,7 +382,7 @@ def fisher_combine(p_values) -> tuple:
         )
     stat = -2.0 * float(np.log(np.clip(p, P_FLOOR, 1.0)).sum())
     df = 2 * p.size
-    return stat, df, float(chdtrc(df, stat))
+    return stat, df, chdtrc(df, stat)
 
 
 def _panel_runs(series: VariableSeries, min_len: int, what: str):
@@ -491,7 +491,7 @@ def ips_test(series: VariableSeries, det: str = "c", lags: int | None = None) ->
     N = len(kept)
     W = np.sqrt(N) * (np.mean(tau) - np.mean(means)) / np.sqrt(np.mean(variances))
     return UnitRootResult(
-        test="ips", statistic=float(W), p_value=float(ndtr(W)), det=det,
+        test="ips", statistic=float(W), p_value=ndtr(W), det=det,
         lags=None, n_obs=int(lengths.sum()), n_entities=N,
         per_entity=tuple(zip(kept, tau.tolist(), _dfc.mackinnon_p(tau, det).tolist(), lags_pe)),
     )
@@ -555,7 +555,7 @@ def llc_test(series: VariableSeries, det: str = "c", lags: int | None = None) ->
     adj = N * t_tilde * s_bar * std_delta / sigma2_eps * mu_star
     t_star = (t_delta - adj) / sigma_star
     return UnitRootResult(
-        test="llc", statistic=float(t_star), p_value=float(ndtr(t_star)),
+        test="llc", statistic=float(t_star), p_value=ndtr(t_star),
         det=det, lags=None, n_obs=n_total, n_entities=N,
         per_entity=tuple(zip(kept, [float("nan")] * N, [float("nan")] * N, lags_pe.tolist())),
     )

@@ -323,16 +323,22 @@ class TestIngestFileSource:
         assert set(dataset.variables) == {"y", "x1", "x2"}
 
 
-def test_cli_import_leaves_scipy_stats_out():
-    # tail probabilities come from scipy.special; scipy.stats alone outweighs the package.
-    # requests loads on the fetch path and scipy.linalg on a collinear design only.
+def test_cli_import_and_run_load_no_scipy(workspace):
+    # tail probabilities come from panelmetrics._special, so neither the import nor a run of all
+    # seven stages may load any scipy module, lazily or not; requests loads on the fetch path only
     src = os.path.dirname(os.path.dirname(os.path.abspath(panelmetrics.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = ("import sys, panelmetrics.report.cli; "
-            "print([m for m in ('scipy.stats', 'requests', 'scipy.linalg') if m in sys.modules])")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    loaded = "print(sorted(m for m in sys.modules if m.partition('.')[0] in ('scipy', 'requests')))"
+    run = f"assert main(['run', '--config', {workspace()!r}]) == 0"
+    for code in (f"import sys, panelmetrics.report.cli; {loaded}",
+                 f"import sys; from panelmetrics.report.cli import main; {run}; {loaded}"):
+        out = subprocess.run([sys.executable, "-W", "ignore", "-c", code], env=env,
+                             capture_output=True, text=True, check=True, timeout=120)
+        assert out.stdout.strip().splitlines()[-1] == "[]"
+    assert artifacts_in(workspace.dir / "out") == [
+        "comparison.json", "correlation.json", "describe.json", "fmols.json",
+        "gmm.json", "hausman.json", "manifest.json", "timings.json", "unitroot.json",
+    ]
 
 
 def test_benchmark_tracer_finds_every_name(monkeypatch):

@@ -335,6 +335,17 @@ class TestTransforms:
         assert np.isnan(lagged2.values[0, :2]).all()
         assert lagged2.values[0, 2] == 2.0
 
+    def test_lag_values_over_many_lags_stacks_each_lag(self):
+        # one call over lags 1-4 on a gappy calendar equals one lag call per distance
+        periods = (2000, 2001, 2003, 2004, 2007)
+        values = np.arange(10.0).reshape(2, 5)
+        series = VariableSeries(name="x", entities=("A", "B"), periods=periods, values=values)
+        stacked = data.lag_values(values, periods, np.arange(1, 5))
+        assert stacked.shape == (2, 5, 4)
+        for k in range(1, 5):
+            assert np.array_equal(stacked[..., k - 1], lag(series, k).values, equal_nan=True)
+        assert stacked[0, 4, 2] == values[0, 3] and np.isnan(stacked[0, 4, 0])  # 2007 - 3, 2007 - 1
+
     def test_lag_zero_is_identity(self):
         ds = make_dataset({"x": [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]})
         assert lag(ds["x"], 0) is ds["x"]

@@ -8,11 +8,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from scipy.special import ndtr
-
 from panelmetrics import _dfconstants as dfc
 from panelmetrics import unitroot
 from panelmetrics._dfconstants import mackinnon_p
+from panelmetrics._special import ndtr
 from panelmetrics.data import PanelDataset, PanelWarning, VariableSeries, first_difference
 from panelmetrics.unitroot import (
     _shortest_run,
