@@ -67,10 +67,6 @@ class VariableSeries:
             raise ValueError(f"series {self.name!r}: periods must be strictly increasing")
         object.__setattr__(self, "values", vals)
 
-    @property
-    def n_missing(self) -> int:
-        return int(np.isnan(self.values).sum())
-
 
 @dataclass
 class PanelDataset:
@@ -113,10 +109,6 @@ class PanelDataset:
 
     def __contains__(self, name: str) -> bool:
         return name in self.variables
-
-    def missing_counts(self) -> dict:
-        """Missing-cell count per variable."""
-        return {name: s.n_missing for name, s in self.variables.items()}
 
 
 @dataclass(frozen=True)

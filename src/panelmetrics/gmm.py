@@ -239,7 +239,11 @@ def gmm_estimate(sample: RegressionSample, instruments: InstrumentMatrix,
 
     def solve_beta(W):
         M = S_zx.T @ W @ S_zx
-        return np.linalg.solve(M, S_zx.T @ W @ s_zy), M
+        try:
+            return np.linalg.solve(M, S_zx.T @ W @ s_zy), M
+        except np.linalg.LinAlgError:
+            raise ValueError(f"gmm({sample.spec.label}): singular weighted design "
+                             f"({L} instruments, {N} entities)") from None
 
     def moments(beta):
         return (Z[r].T @ (dy[r] - dX[r] @ beta) for r in rows)

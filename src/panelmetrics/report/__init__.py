@@ -1,37 +1,1 @@
 """Config-driven report pipeline: ingest/fetch, analysis stages, table artifacts."""
-
-from .config import (
-    ConfigError,
-    DataSource,
-    OutputOptions,
-    PipelineConfig,
-    TestOptions,
-    VariableDef,
-    load_config,
-    validate_config,
-)
-from .fetch import FetchDescriptor, FetchOutcome, fetch_indicators
-from .pipeline import IngestError, PipelineIOError, ReportBundle, run_pipeline
-from .render import TableArtifact, format_number, render_table, significance_star
-
-__all__ = [
-    "ConfigError",
-    "DataSource",
-    "FetchDescriptor",
-    "FetchOutcome",
-    "IngestError",
-    "OutputOptions",
-    "PipelineConfig",
-    "PipelineIOError",
-    "ReportBundle",
-    "TableArtifact",
-    "TestOptions",
-    "VariableDef",
-    "fetch_indicators",
-    "format_number",
-    "load_config",
-    "render_table",
-    "run_pipeline",
-    "significance_star",
-    "validate_config",
-]

@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 
-from .config import ConfigError, load_config
+from .config import FORMATS, ConfigError, load_config
 from .pipeline import IngestError, PipelineIOError, fetch_configured, run_pipeline, write_ingested
 
 EXIT_OK = 0
@@ -41,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="override the output directory")
         p.add_argument(
             "--format",
-            choices=("md", "csv", "json"),
+            choices=FORMATS,
             default=None,
             help="restrict output to one format",
         )

@@ -17,12 +17,12 @@ from dataclasses import asdict, dataclass, replace
 import yaml
 
 from ..data import ModelSpec
+from ..unitroot import DET_TERMS
 
 CONFIG_VERSION = 1
 
 STAGES = ("describe", "correlation", "unitroot", "hausman", "gmm", "fmols", "comparison")
 FORMATS = ("md", "csv", "json")
-DET_KINDS = ("n", "c", "ct")
 
 
 class ConfigError(ValueError):
@@ -289,8 +289,8 @@ def _validate_tests(raw, available) -> TestOptions:
         raw, ("det", "lags", "bandwidth", "gmm_depth", "gmm_collapse", "variables"), "tests"
     )
     det = _get_str(raw, "det", "tests", default="c")
-    if det not in DET_KINDS:
-        raise ConfigError(f"tests.det: expected one of {list(DET_KINDS)}, got {det!r}")
+    if det not in DET_TERMS:
+        raise ConfigError(f"tests.det: expected one of {list(DET_TERMS)}, got {det!r}")
     variables = _strings(raw.get("variables") or [], "tests.variables")
     bad = sorted(set(variables) - set(available))
     if bad:

@@ -34,14 +34,14 @@ class TableArtifact:
     notes: tuple = ()
 
 
-def format_number(value, decimals: int = 6) -> str:
+def format_number(value) -> str:
     """Fixed-point display string; NA for missing/undefined."""
     if value is None:
         return "NA"
     value = float(value)
     if not math.isfinite(value):
         return "NA"
-    return f"{value:.{decimals}f}"
+    return f"{value:.6f}"
 
 
 def significance_star(p) -> str:
@@ -258,7 +258,7 @@ def build_gmm_table(results, labels) -> TableArtifact:
     """Dynamic panel GMM grid with J diagnostics."""
     extra = (
         ("J statistic", lambda r: format_number(r.j_stat)),
-        ("J probability", lambda r: format_number(r.j_p) if r.j_p is not None else "NA"),
+        ("J probability", lambda r: format_number(r.j_p)),
         ("Instruments", lambda r: str(r.instrument_count)),
     )
     return _estimate_grid(

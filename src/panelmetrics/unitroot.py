@@ -46,6 +46,7 @@ from .data import (
     PanelDataset,
     PanelWarning,
     VariableSeries,
+    _first_seen,
     contiguous_run,
     first_difference,
     longest_runs,
@@ -104,9 +105,16 @@ def default_lags(n_obs: int) -> int:
     return int(np.floor(4.0 * (n_obs / 100.0) ** (2.0 / 9.0)))
 
 
+def _terms(det: str) -> int:
+    """Deterministic columns of case det; an unknown case is refused."""
+    try:
+        return DET_TERMS[det]
+    except KeyError:
+        raise ValueError(f"unknown deterministic case {det!r}") from None
+
+
 def _check_series(y, det: str, what: str) -> np.ndarray:
-    if det not in DET_TERMS:
-        raise ValueError(f"unknown deterministic case {det!r}")
+    _terms(det)
     y = np.ravel(np.asarray(y, dtype=float))
     if not np.all(np.isfinite(y)):
         raise ValueError("unit-root tests need a contiguous series with no missing values")
@@ -129,12 +137,12 @@ def _refuse_extreme(Y, lengths, labels, what: str):
 
 def _max_feasible_lags(T: int, det: str, min_df: int = 2) -> int:
     # regression rows = T - 1 - p, parameters = p + 1 + det terms
-    return (T - 1 - min_df - DET_TERMS[det] - 1) // 2
+    return (T - 1 - min_df - _terms(det) - 1) // 2
 
 
 def _shortest_run(det: str) -> int:
     """Smallest T with _max_feasible_lags(T, det) >= 0: a lag-0 regression."""
-    return DET_TERMS[det] + 4
+    return _terms(det) + 4
 
 
 def _ips_lag_cap(T: int, det: str) -> int:
@@ -413,9 +421,8 @@ def _entity_lags(T: int, det: str, lags: int | None, min_df: int = 2) -> int:
 
 def _by_length(rule, lengths) -> np.ndarray:
     """rule(T) of each run's length T, one row per run; once per distinct T, first seen first."""
-    _, first, inverse = np.unique(lengths, return_index=True, return_inverse=True)
-    seen = np.argsort(first)
-    return np.array([rule(T) for T in lengths[first[seen]].tolist()])[np.argsort(seen)[inverse]]
+    distinct, index = _first_seen(lengths)
+    return np.array([rule(T) for T in distinct.tolist()])[index]
 
 
 def _fisher(test: str, det: str, kept: tuple, lengths, stat_pe, extra_pe) -> UnitRootResult:
@@ -509,8 +516,6 @@ def llc_test(series: VariableSeries, det: str = "c", lags: int | None = None) ->
     average effective length; below the table's range the test refuses
     rather than extrapolate, before any entity is fitted.
     """
-    if det not in DET_TERMS:
-        raise ValueError(f"unknown deterministic case {det!r}")
     Y, lengths, kept = _panel_runs(series, _shortest_run(det), "llc_test")
     lags_pe = _by_length(lambda T: _entity_lags(T, det, lags), lengths)
     rows = lengths - 1 - lags_pe
@@ -518,7 +523,7 @@ def llc_test(series: VariableSeries, det: str = "c", lags: int | None = None) ->
     mu_star, sigma_star = _dfc.llc_adjustment(t_tilde, det)
 
     tau, se, s, _ = _fit_runs(Y, lengths, det, lags_pe)
-    ssr = s * s * (rows - 1 - lags_pe - DET_TERMS[det])
+    ssr = s * s * (rows - 1 - lags_pe - _terms(det))
     if np.any(ssr <= 0):
         raise ValueError(f"llc_test({series.name}): degenerate entity regression")
     # Entity scale: the regression error over the effective rows.  With v the
@@ -570,8 +575,10 @@ def run_battery(dataset: PanelDataset, variables=None, det: str = "c",
     """All four panel tests on levels and first differences of each variable.
 
     Any test that fails its preconditions contributes an error-marker cell
-    (reason preserved) instead of aborting the battery.
+    (reason preserved) instead of aborting the battery; an unknown det is
+    refused before the first cell.
     """
+    _terms(det)
     names = tuple(variables) if variables is not None else tuple(dataset.variables)
     calls = (  # in BATTERY_TESTS order
         (fisher_pp, {"bandwidth": bandwidth}),

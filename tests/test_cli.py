@@ -4,6 +4,7 @@ import csv
 import http.server
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import threading
@@ -19,6 +20,10 @@ from panelmetrics.report import fetch, pipeline
 from panelmetrics.report.cli import main
 from panelmetrics.report.config import load_config
 from panelmetrics.report.fetch import FetchDescriptor
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(panelmetrics.__file__)))
+SRC_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+MODULES = sorted(m.name for m in pkgutil.walk_packages(panelmetrics.__path__, "panelmetrics."))
 
 
 def write_panel(path, n=12, width=9):
@@ -326,19 +331,23 @@ class TestIngestFileSource:
 def test_cli_import_and_run_load_no_scipy(workspace):
     # tail probabilities come from panelmetrics._special, so neither the import nor a run of all
     # seven stages may load any scipy module, lazily or not; requests loads on the fetch path only
-    src = os.path.dirname(os.path.dirname(os.path.abspath(panelmetrics.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     loaded = "print(sorted(m for m in sys.modules if m.partition('.')[0] in ('scipy', 'requests')))"
     run = f"assert main(['run', '--config', {workspace()!r}]) == 0"
     for code in (f"import sys, panelmetrics.report.cli; {loaded}",
                  f"import sys; from panelmetrics.report.cli import main; {run}; {loaded}"):
-        out = subprocess.run([sys.executable, "-W", "ignore", "-c", code], env=env,
+        out = subprocess.run([sys.executable, "-W", "ignore", "-c", code], env=SRC_ENV,
                              capture_output=True, text=True, check=True, timeout=120)
         assert out.stdout.strip().splitlines()[-1] == "[]"
     assert artifacts_in(workspace.dir / "out") == [
         "comparison.json", "correlation.json", "describe.json", "fmols.json",
         "gmm.json", "hausman.json", "manifest.json", "timings.json", "unitroot.json",
     ]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_imports_on_its_own(module):
+    # the package re-exports nothing, so no import of it loads the others first
+    subprocess.run([sys.executable, "-c", f"import {module}"], env=SRC_ENV, check=True, timeout=60)
 
 
 def test_benchmark_tracer_finds_every_name(monkeypatch):

@@ -443,6 +443,26 @@ class TestGmmEstimate:
                                              r"column\(s\): x_lag1$"):
             gmm_estimate(s, Z)
 
+    def test_singular_weighted_design_named(self):
+        # 4 collapsed instruments over 3 entities: the one-step solve stands, the two-step
+        # weighting B has rank at most 3 and leaves a singular weighted design
+        ds = build_panel({
+            "y": [[0.0, 1.4, 2.6, 2.1, 1.8], [-0.5, 0.0, 0.0, 0.7, -1.1], [1.6, 1.5, 2.2, 2.0, 1.6]],
+            "x": [[0.5, 0.8, -0.2, -0.2, 0.7], [-0.9, -1.5, 0.4, -0.7, -1.9],
+                  [-0.8, -0.5, -1.2, -1.5, 0.0]],
+        }, start=2000)
+        spec = ModelSpec(label="dyn", dependent="y", regressors=(("x", 1),),
+                         lagged_dependent=True)
+        s = differenced_sample(ds, spec)
+        Z = build_instruments(ds, spec, collapse=True, sample=s)
+        assert (Z.n_instruments, s.n_entities) == (4, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PanelWarning)
+            assert np.isfinite(gmm_estimate(s, Z, step="onestep").coefficients).all()
+            with pytest.raises(ValueError, match=r"^gmm\(dyn\): singular weighted design "
+                                                 r"\(4 instruments, 3 entities\)$"):
+                gmm_estimate(s, Z)
+
     def test_as_many_instruments_as_entities_is_silent(self):
         _, s, Z = self.hand_panel()
         assert Z.n_instruments == s.n_entities == 3

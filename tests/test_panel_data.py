@@ -62,7 +62,7 @@ class TestCsvRoundTrip:
         ds = read_panel_csv(path)
         assert np.isnan(ds["y"].values[0, 1])
         assert np.isnan(ds["y"].values[1, 0])
-        assert ds["y"].n_missing == 2
+        assert np.isnan(ds["y"].values).sum() == 2
 
     def test_duplicate_cell_rejected(self, tmp_path):
         path = tmp_path / "p.csv"
@@ -607,7 +607,3 @@ class TestDatasetGuards:
         )
         with pytest.raises(ValueError, match="not aligned"):
             ds.add(other)
-
-    def test_missing_counts(self):
-        ds = make_dataset({"y": [[1.0, np.nan, 3.0], [4.0, 5.0, np.nan]]})
-        assert ds.missing_counts() == {"y": 2}

@@ -284,7 +284,8 @@ class TestConfigValidation:
             validate_config(doc)
         doc = self.base(tmp_path)
         doc["tests"] = {"det": "quadratic"}
-        with pytest.raises(ConfigError, match="tests.det"):
+        with pytest.raises(ConfigError, match=r"^tests\.det: expected one of \['n', 'c', 'ct'\], "
+                                              r"got 'quadratic'$"):
             validate_config(doc)
 
     def test_stage_and_format_whitelists(self, tmp_path):

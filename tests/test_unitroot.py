@@ -893,6 +893,13 @@ class TestLlc:
         assert kernels == [((len(runs), max(lengths) - 1, 1), [T - 1 for T in lengths])]
 
 
+@pytest.mark.parametrize("test", [unitroot.fisher_adf, unitroot.fisher_pp, llc_test])
+def test_panel_tests_name_an_unknown_det(test):
+    series = make_series(np.cumsum(np.random.default_rng(45).standard_normal((5, 20)), axis=1))
+    with pytest.raises(ValueError, match=r"^unknown deterministic case 'x'$"):
+        test(series, det="x")
+
+
 class TestBattery:
     def test_stationary_panel_rejects_everywhere(self):
         rng = np.random.default_rng(41)
@@ -921,6 +928,15 @@ class TestBattery:
         assert "adjustment table" in b.cell("v", "level", "llc").error
         assert b.cell("v", "level", "fisher-adf").result is not None
         assert b.cell("v", "level", "ips").result is not None
+
+    def test_unknown_det_raises_before_any_cell(self, monkeypatch):
+        # an unknown case would fail every cell alike, so the battery refuses it up front
+        called = []
+        monkeypatch.setattr(unitroot, "fisher_pp", lambda *a, **k: called.append(a))
+        rows = np.cumsum(np.random.default_rng(45).standard_normal((5, 20)), axis=1)
+        with pytest.raises(ValueError, match=r"^unknown deterministic case 'x'$"):
+            run_battery(make_dataset(rows), det="x")
+        assert called == []
 
     def test_missing_variable_raises(self):
         rng = np.random.default_rng(44)
