@@ -215,7 +215,9 @@ def read_panel_csv(path, schema: str = "wide") -> PanelDataset:
         tokens = table[1:, first:]
         observed = ~np.isin(tokens, MISSING_TOKENS)
         values = np.fromiter(map(float, tokens[observed]), float)
-        entities, e = np.unique(table[1:, 0], return_inverse=True)
+        entities, e = _first_seen(table[1:, 0])
+        order = np.argsort(entities)  # sorts the distinct labels only
+        entities, e = entities[order], np.argsort(order)[e]
         periods, p = np.unique(years, return_inverse=True)
         names, v = _first_seen(table[labels])
         # the cell table: each token's flat index in one (variable, entity, period) grid
@@ -234,7 +236,14 @@ def read_panel_csv(path, schema: str = "wide") -> PanelDataset:
 
 
 def _first_seen(labels: np.ndarray) -> tuple:
-    """Distinct labels in order of first appearance, and each label's index in them."""
+    """Distinct labels in order of first appearance, and each label's index in them.
+    Strings are coded through a dict of the few distinct ones, where np.unique would
+    sort the whole object column; numbers go through np.unique."""
+    if labels.dtype == object:
+        flat = labels.ravel().tolist()
+        code = {label: i for i, label in enumerate(dict.fromkeys(flat))}
+        index = np.fromiter(map(code.__getitem__, flat), int, len(flat))
+        return np.array(list(code), dtype=object), index.reshape(labels.shape)
     distinct, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
     order = np.argsort(first)
     return distinct[order], np.argsort(order)[inverse].reshape(labels.shape)

@@ -8,8 +8,9 @@ regressors instrument themselves.  The differenced rows are one
 RegressionSample, sorted by entity then year, and the instruments one
 matrix aligned with it row for row; moments are summed entity by entity
 over row slices.  One-step weighting uses the tridiagonal
-second-difference form implied by iid level errors; two-step reweights
-with the clustered outer product of one-step moments.
+second-difference form implied by iid level errors, each entity's block
+built in one vectorized pass per group of H_GROUP entities; two-step
+reweights with the clustered outer product of one-step moments.
 Overidentification is summarized by the J statistic at the two-step
 weighting, which equals the minimized criterion by construction.
 """
@@ -23,7 +24,7 @@ import numpy as np
 
 from ._special import chdtrc
 from .data import (ModelSpec, PanelDataset, PanelWarning, RegressionSample, contiguous_run,
-                   lag_values, regression_sample, warn_dropped)
+                   lag_values, pad_runs, regression_sample, warn_dropped)
 from .effects import Estimates, _solve_ols, _wald
 
 
@@ -171,14 +172,21 @@ def build_instruments(dataset: PanelDataset, spec: ModelSpec,
     )
 
 
-def _h_matrix(years: np.ndarray) -> np.ndarray:
-    """Second-difference weighting block: 2 on the diagonal, -1 between
-    calendar-adjacent rows.  years must be strictly increasing, as in one
-    entity's rows of a differenced sample."""
-    H = 2.0 * np.eye(years.shape[0])
-    r = np.flatnonzero(np.diff(years) == 1) + 1
-    H[r, r - 1] = H[r - 1, r] = -1.0
-    return H
+H_GROUP = 64  # entities whose weighting blocks are built in one pass
+
+
+def _h_blocks(years: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Second-difference weighting blocks of consecutive entities, built in one pass.
+    Entity i has rows years[bounds[i]:bounds[i + 1]], strictly increasing; its block
+    [i, :n, :n] of the (entities, m, m) result, m the most rows, has 2 on the diagonal
+    and -1 between calendar-adjacent rows, and the block is zero past its n rows."""
+    padded, inside = pad_runs(years, bounds[:-1], np.diff(bounds))
+    link = (np.diff(padded) == 1) & inside[:, 1:]  # row d and d - 1 a year apart
+    m = inside.shape[1]
+    H = np.zeros((inside.shape[0], m * m))  # flat blocks: diagonals are strided slices
+    H[:, :: m + 1] = 2.0 * inside
+    H[:, 1 :: m + 1] = H[:, m :: m + 1] = np.where(link, -1.0, 0.0)
+    return H.reshape(-1, m, m)
 
 
 def _inv_psd(A: np.ndarray, what: str) -> np.ndarray:
@@ -194,7 +202,8 @@ def gmm_estimate(sample: RegressionSample, instruments: InstrumentMatrix,
                  step: str = "twostep") -> GmmResult:
     """Estimate the differenced equation by one- or two-step GMM.
 
-    Moments are summed entity by entity, in entity order, over row slices.
+    Moments are summed entity by entity, in entity order, over row slices;
+    the one-step weighting blocks come from `_h_blocks`, H_GROUP entities a call.
     Standard errors: one-step uses the robust sandwich; two-step uses the
     optimal-weighting form (no small-sample correction).  The J statistic
     is the criterion at the reported step's residual moments under the
@@ -221,19 +230,16 @@ def gmm_estimate(sample: RegressionSample, instruments: InstrumentMatrix,
                       "are unreliable", PanelWarning, stacklevel=2)
 
     Z, dy, dX, years = instruments.Z, sample.y, sample.X, sample.periods
-    bounds = np.searchsorted(sample.entity_ids, np.arange(N + 1)).tolist()
-    rows = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-    S_zx = np.zeros((L, k))
-    s_zy = np.zeros(L)
-    A1 = np.zeros((L, L))
-    H = {}  # one weighting block per distinct year vector
-    for r in rows:
-        S_zx += Z[r].T @ dX[r]
-        s_zy += Z[r].T @ dy[r]
-        key = years[r].tobytes()
-        if key not in H:
-            H[key] = _h_matrix(years[r])
-        A1 += Z[r].T @ H[key] @ Z[r]
+    bounds = np.searchsorted(sample.entity_ids, np.arange(N + 1))
+    rows = [slice(a, b) for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
+    S_zx, s_zy, A1 = np.zeros((L, k)), np.zeros(L), np.zeros((L, L))
+    for g in range(0, N, H_GROUP):
+        H = _h_blocks(years, bounds[g : g + H_GROUP + 1])
+        for r, Hi in zip(rows[g : g + H_GROUP], H):
+            Zr, n = Z[r], r.stop - r.start
+            S_zx += Zr.T @ dX[r]
+            s_zy += Zr.T @ dy[r]
+            A1 += Zr.T @ Hi[:n, :n] @ Zr
     _solve_ols(S_zx, s_zy, f"gmm({sample.spec.label})", sample.columns)  # only its refusal is used
     W1 = _inv_psd(A1, "gmm one-step")
 

@@ -10,9 +10,9 @@ differences of each variable.
 The Bartlett kernel (`long_run_covariances`, with the Newey-West bandwidth
 rule) and the Dickey-Fuller regression (`_df_regression`) are defined here
 once and work on blocks stacked on leading axes, a vector being one block;
-FMOLS and tools/gen_ips_moments.py import them.  The kernel and the
-bandwidth rule also take blocks of different lengths, zero-padded at the
-end to a common one, with each block's own length.
+FMOLS and tools/gen_ips_moments.py import them.  All three also take blocks
+of different lengths, zero-padded at the end to a common one, with each
+block's own length.
 
 Every series handed to a test must be an unbroken calendar run; the battery
 extracts each entity's longest contiguous stretch and drops entities that
@@ -21,8 +21,8 @@ warning naming them (`data.longest_runs`, FMOLS' rule too).  The kept runs
 are one array, zero-padded at the end (`data.pad_runs`), that every test
 works on.  A test's lag depends on run length alone, so each panel test
 settles the length rules (lags, bandwidth checks, table coverage) once per
-distinct length before any fit, then fits that length's runs at once
-(`_fit_runs`).  Phillips-Perron pads every run's residuals for one bandwidth
+distinct length before any fit, then fits all runs of one lag in one padded
+solve (`_fit_runs`).  Phillips-Perron pads every run's residuals for one bandwidth
 call and one kernel call per series, and refuses an entity whose lag-0 fit
 is perfect; LLC pools the fits' sums and makes one kernel call over the
 runs' padded differences.  All per-entity p-values come from one
@@ -153,15 +153,18 @@ def _ips_lag_cap(T: int, det: str) -> int:
     return min(IPS_MAX_LAG, _max_feasible_lags(T, det, min_df=3))
 
 
-def _df_regression(y: np.ndarray, det: str, lags: int):
+def _df_regression(y: np.ndarray, det: str, lags: int, lengths=None):
     """Dickey-Fuller regressions of every series on y's last axis, one stacked solve.
 
     The first difference over rows = T - 1 - lags is regressed on the lagged
     level, the `lags` lagged differences (most recent first), then the
-    deterministic columns of `det`.  Returns (tau, se_rho, s, residuals,
-    rows): the level coefficient's t, its standard error and the regression
-    standard error, each of y's leading shape, and residuals of shape
-    (..., rows).
+    deterministic columns of `det`.  With lengths (of y's leading shape), the
+    series are zero-padded at the end to T, each with rows = length - 1 - lags
+    of its own; the padded rows of the design and the difference are zeroed,
+    so they add exact zeros to every sum and leave residuals of exactly 0.
+    Returns (tau, se_rho, s, residuals, rows): the level coefficient's t, its
+    standard error and the regression standard error, each of y's leading
+    shape, residuals (..., T - 1 - lags), and rows (per series with lengths).
     """
     T = y.shape[-1]
     rows = T - 1 - lags
@@ -175,6 +178,11 @@ def _df_regression(y: np.ndarray, det: str, lags: int):
     if det == "ct":
         X[..., lags + 2] = np.arange(rows)
     dy = dy[..., lags:]
+    if lengths is not None:
+        rows = np.asarray(lengths) - 1 - lags
+        if rows.min() < dy.shape[-1]:  # zeroed in place; a batch with no padding is untouched
+            padded = np.arange(dy.shape[-1]) >= rows[..., None]
+            X[padded] = dy[padded] = 0.0
     Xt = np.swapaxes(X, -1, -2)
     XtX = Xt @ X
     beta = np.linalg.solve(XtX, Xt @ dy[..., None])
@@ -185,16 +193,16 @@ def _df_regression(y: np.ndarray, det: str, lags: int):
 
 
 def _fit_runs(Y, lengths, det: str, lags_pe) -> tuple:
-    """Dickey-Fuller fit of each zero-padded run of Y at its lag, one _df_regression call on
-    Y[runs, :T] per run length T (a test's lag depends on length alone).  Returns tau,
-    se_rho and s, in run order, and the residuals, zero-padded at the end to the most rows."""
+    """Dickey-Fuller fit of each zero-padded run of Y at its lag, one padded _df_regression
+    call per distinct lag over that lag's runs, cut to their longest.  Returns tau, se_rho
+    and s, in run order, and the residuals, zero-padded at the end to the most rows."""
     tau, se_rho, s = np.empty((3, len(lengths)))
-    resid = np.zeros((len(lengths), (lengths - 1 - np.asarray(lags_pe)).max()))
-    for T in np.unique(lengths).tolist():
-        idx = np.flatnonzero(lengths == T)
-        fit = _df_regression(Y[idx, :T], det, lags_pe[idx[0]])
+    resid = np.zeros((len(lengths), (lengths - 1 - lags_pe).max()))
+    for p in np.unique(lags_pe).tolist():
+        idx = np.flatnonzero(lags_pe == p)
+        fit = _df_regression(Y[idx, : lengths[idx].max()], det, p, lengths[idx])
         tau[idx], se_rho[idx], s[idx] = fit[:3]
-        resid[idx, : fit[4]] = fit[3]
+        resid[idx, : fit[3].shape[1]] = fit[3]
     return tau, se_rho, s, resid
 
 
@@ -344,7 +352,7 @@ def pp_test(y, det: str = "c", bandwidth: int | None = None) -> UnitRootResult:
 
 def _pp_runs(Y, lengths, det: str, bandwidth: int | None, labels) -> tuple:
     """Phillips-Perron Z and bandwidth of each zero-padded run of Y.  A fixed bandwidth is
-    checked against every run before any fit; each run length takes one fit, and the
+    checked against every run before any fit; the runs take one padded lag-0 fit, and the
     residuals, zero-padded to the longest, one bandwidth call and one kernel call.
     A fit whose standard error is below PERFECT_FIT times the RMS of the run's
     differences is refused, naming the run's label: its Z would be rounding noise."""
@@ -493,14 +501,14 @@ def ips_test(series: VariableSeries, det: str = "c", lags: int | None = None) ->
     means, variances, lags_pe = _by_length(
         lambda T: _ips_moments(T, _entity_lags(T, det, lags, min_df=3), det), lengths
     ).T
-    lags_pe = lags_pe.astype(int).tolist()
+    lags_pe = lags_pe.astype(int)
     tau = _fit_runs(Y, lengths, det, lags_pe)[0]
     N = len(kept)
     W = np.sqrt(N) * (np.mean(tau) - np.mean(means)) / np.sqrt(np.mean(variances))
     return UnitRootResult(
         test="ips", statistic=float(W), p_value=ndtr(W), det=det,
         lags=None, n_obs=int(lengths.sum()), n_entities=N,
-        per_entity=tuple(zip(kept, tau.tolist(), _dfc.mackinnon_p(tau, det).tolist(), lags_pe)),
+        per_entity=tuple(zip(kept, tau.tolist(), _dfc.mackinnon_p(tau, det).tolist(), lags_pe.tolist())),
     )
 
 

@@ -16,11 +16,11 @@ from panelmetrics.data import (
     VariableSeries,
     regression_sample,
 )
-from panelmetrics.effects import fixed_effects
+from panelmetrics.effects import _wald, fixed_effects
 from panelmetrics.gmm import (
     build_instruments,
     differenced_sample,
-    _h_matrix,
+    _h_blocks,
     gmm_estimate,
 )
 
@@ -239,23 +239,70 @@ class TestBuildInstruments:
             build_instruments(ds, AR_SPEC, sample=s)
 
 
+def per_entity_gmm(s, instruments, step):
+    """Both GMM steps summed entity by entity in entity order, each entity's
+    weighting block its own contiguous matrix: (coefficients, SEs, J)."""
+    Z, dy, dX, years = instruments.Z, s.y, s.X, s.periods
+    rows = [r for _, r in entity_rows(s)]
+    L, k = Z.shape[1], dX.shape[1]
+    S_zx, s_zy, A1 = np.zeros((L, k)), np.zeros(L), np.zeros((L, L))
+    for r in rows:
+        H = 2.0 * np.eye(r.stop - r.start)
+        a = np.flatnonzero(np.diff(years[r]) == 1) + 1
+        H[a, a - 1] = H[a - 1, a] = -1.0
+        S_zx += Z[r].T @ dX[r]
+        s_zy += Z[r].T @ dy[r]
+        A1 += Z[r].T @ H @ Z[r]
+
+    def solve(W):
+        M = S_zx.T @ W @ S_zx
+        return np.linalg.solve(M, S_zx.T @ W @ s_zy), M
+
+    def moments(beta):
+        return [Z[r].T @ (dy[r] - dX[r] @ beta) for r in rows]
+
+    W1 = np.linalg.inv(A1)
+    beta, M = solve(W1)
+    B = np.zeros((L, L))
+    for g in moments(beta):
+        B += np.outer(g, g)
+    W2 = np.linalg.inv(B)
+    if step == "twostep":
+        beta, M = solve(W2)
+        cov = np.linalg.inv(M)
+    else:
+        Minv = np.linalg.inv(M)
+        cov = Minv @ (S_zx.T @ W1 @ B @ W1 @ S_zx) @ Minv
+    m = sum(moments(beta), np.zeros(L))
+    return beta, _wald(beta, cov)[0], float(m @ W2 @ m)
+
+
 class TestGmmEstimate:
-    def test_h_matrix_links_only_calendar_neighbours(self):
-        H = _h_matrix(np.array([2001, 2002, 2004, 2005, 2006]))
+    def test_h_blocks_link_only_calendar_neighbours(self):
+        years = np.array([2001, 2002, 2004, 2005, 2006, 2003, 2004])
+        H = _h_blocks(years, np.array([0, 5, 7]))
         expected = 2.0 * np.eye(5)
         for a, b in ((0, 1), (2, 3), (3, 4)):
             expected[a, b] = expected[b, a] = -1.0
-        np.testing.assert_array_equal(H, expected)
+        np.testing.assert_array_equal(H[0], expected)
+        np.testing.assert_array_equal(H[1, :2, :2], [[2.0, -1.0], [-1.0, 2.0]])
+        assert not H[1, 2:].any() and not H[1, :, 2:].any()
         # against the pairwise definition on random gappy year sets
         rng = np.random.default_rng(7)
-        for _ in range(50):
-            years = np.flatnonzero(rng.random(12) < 0.6) + 1990
-            ref = 2.0 * np.eye(years.size)
-            for a in range(years.size):
-                for b in range(a + 1, years.size):
-                    if abs(years[a] - years[b]) == 1:
-                        ref[a, b] = ref[b, a] = -1.0
-            np.testing.assert_array_equal(_h_matrix(years), ref)
+        for _ in range(20):
+            sets = [np.flatnonzero(rng.random(12) < 0.6) + 1990 for _ in range(int(rng.integers(1, 9)))]
+            sets = [y for y in sets if y.size] or [np.array([1995])]
+            bounds = np.cumsum([0] + [y.size for y in sets])
+            H = _h_blocks(np.concatenate(sets), bounds)
+            assert H.shape == (len(sets),) + (max(y.size for y in sets),) * 2
+            for block, years in zip(H, sets):
+                ref = np.zeros(block.shape)
+                ref[: years.size, : years.size] = 2.0 * np.eye(years.size)
+                for a in range(years.size):
+                    for b in range(a + 1, years.size):
+                        if abs(years[a] - years[b]) == 1:
+                            ref[a, b] = ref[b, a] = -1.0
+                np.testing.assert_array_equal(block, ref)
 
     def hand_panel(self):
         y = np.array(
@@ -292,9 +339,9 @@ class TestGmmEstimate:
         m = sum(Zi.T @ (dyi - dXi @ b2) for Zi, dyi, dXi in entity_blocks)
         return b1, b2, float(m @ W2 @ m)
 
-    def test_h_matrix_built_once_per_year_vector(self, monkeypatch):
+    def test_h_blocks_built_once_per_entity_group(self, monkeypatch):
         rng = np.random.default_rng(12)
-        y, _ = ar_panel(rng, 30, 8, 0.5)
+        y, _ = ar_panel(rng, 150, 8, 0.5)
         y[4, 3] = np.nan  # E4 and E9 keep three differenced rows each, in
         y[9, 4] = np.nan  # different years, and the balanced rest keep six
         ds = build_panel({"y": y})
@@ -302,14 +349,39 @@ class TestGmmEstimate:
         Z = build_instruments(ds, AR_SPEC, sample=s)
         built = []
 
-        def counted(years):
-            built.append(tuple(years))
-            return _h_matrix(years)
+        def counted(years, bounds):
+            built.append(bounds.tolist())
+            return _h_blocks(years, bounds)
 
-        monkeypatch.setattr(gmm, "_h_matrix", counted)
+        monkeypatch.setattr(gmm, "_h_blocks", counted)
         gmm_estimate(s, Z)
-        year_vectors = {tuple(s.periods[r]) for _, r in entity_rows(s)}
-        assert len(built) == len(set(built)) == len(year_vectors) == 3
+        starts = [r.start for _, r in entity_rows(s)] + [s.n_obs]
+        assert gmm.H_GROUP == 64
+        assert built == [starts[0:65], starts[64:129], starts[128:]]
+
+    @pytest.mark.parametrize("collapse", [False, True])
+    def test_equals_per_entity_loop_on_gappy_panel(self, collapse):
+        # more entities than one weighting-block group, gaps and ragged edges
+        rng = np.random.default_rng(31)
+        y, _ = ar_panel(rng, 150, 12, 0.5)
+        x = rng.standard_normal(y.shape)
+        for v in (y, x):
+            v[rng.random(v.shape) < 0.15] = np.nan
+        ds = build_panel({"y": y, "x": x})
+        spec = ModelSpec(label="dyn", dependent="y", regressors=(("x", 1),),
+                         lagged_dependent=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PanelWarning)
+            s = differenced_sample(ds, spec)
+            Z = build_instruments(ds, spec, max_depth=3 if collapse else None,
+                                  collapse=collapse, sample=s)
+        assert len({tuple(s.periods[r]) for _, r in entity_rows(s)}) > 50
+        for step in ("onestep", "twostep"):
+            res = gmm_estimate(s, Z, step=step)
+            beta, se, J = per_entity_gmm(s, Z, step)
+            np.testing.assert_array_equal(res.coefficients, beta)
+            np.testing.assert_array_equal(res.std_errors, se)
+            assert res.j_stat == J
 
     def test_matches_hand_matrix_algebra(self):
         y, s, Z = self.hand_panel()

@@ -14,6 +14,7 @@ from panelmetrics._dfconstants import mackinnon_p
 from panelmetrics._special import ndtr
 from panelmetrics.data import PanelDataset, PanelWarning, VariableSeries, first_difference
 from panelmetrics.unitroot import (
+    _df_regression,
     _shortest_run,
     adf_test,
     default_lags,
@@ -391,13 +392,13 @@ class TestIps:
         calls = []
         kernel = unitroot._df_regression
 
-        def recording(y, det, lags):
-            calls.append((y.shape, lags))
-            return kernel(y, det, lags)
+        def recording(y, det, lags, lengths=None):
+            calls.append((y.shape, lags, np.asarray(lengths).tolist()))
+            return kernel(y, det, lags, lengths)
 
         monkeypatch.setattr(unitroot, "_df_regression", recording)
         r = ips_test(make_series(ar_panel(rng, 3, 16, 0.5)), lags=5)
-        assert calls == [((3, 16), 4)]
+        assert calls == [((3, 16), 4, [16, 16, 16])]
         assert [row[3] for row in r.per_entity] == [4, 4, 4]
 
     def test_short_entities_dropped_then_error(self):
@@ -582,6 +583,36 @@ class TestPaddedKernel:
             direct = pp_test(kept[entity], det=det, bandwidth=bandwidth)
             assert bw == direct.bandwidth
             assert z == pytest.approx(direct.statistic, rel=0, abs=1e-12)
+
+
+class TestPaddedRegression:
+    """One Dickey-Fuller solve over zero-padded runs equals each run's own fit."""
+
+    @pytest.mark.parametrize("lags", [0, 1, 2, 3])
+    @pytest.mark.parametrize("det", ["n", "c", "ct"])
+    def test_padded_runs_equal_fits_of_one(self, det, lags):
+        rng = np.random.default_rng(70 + 4 * lags + len(det))
+        lengths = rng.integers(2 * lags + len(det) + 4, 41, 50)
+        lengths[0] = 40  # one run fills the padded width
+        Y = np.zeros((50, 40))
+        for row, T in zip(Y, lengths):
+            row[:T] = np.cumsum(rng.standard_normal(T))
+        tau, se, s, resid, rows = _df_regression(Y, det, lags, lengths)
+        assert rows.tolist() == (lengths - 1 - lags).tolist()
+        assert resid.shape == (50, 39 - lags)
+        for i, T in enumerate(lengths.tolist()):
+            one = _df_regression(Y[i, :T], det, lags)
+            for got, want in zip((tau[i], se[i], s[i]), one[:3]):
+                assert got == pytest.approx(want, rel=1e-12, abs=0)
+            np.testing.assert_allclose(resid[i, : one[4]], one[3], rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(resid[i, one[4]:], 0.0)
+
+    @pytest.mark.parametrize("det", ["n", "c", "ct"])
+    def test_full_lengths_are_the_unpadded_call(self, det):
+        Y = np.cumsum(np.random.default_rng(75).standard_normal((30, 25)), axis=1)
+        padded = _df_regression(Y, det, 2, np.full(30, 25))
+        for got, want in zip(padded, _df_regression(Y, det, 2)):
+            assert np.asarray(got).tobytes() == np.full(np.shape(got), want).tobytes()
 
 
 def longest_run_panel(seed, n=40, T=60):
@@ -870,15 +901,15 @@ class TestLlc:
                 with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
                     test(series, det=det)
 
-    def test_one_fit_per_length_and_one_kernel_call_per_series(self, monkeypatch):
+    def test_one_fit_per_lag_and_one_kernel_call_per_series(self, monkeypatch):
         series, runs = random_run_series(np.random.default_rng(26))
         lengths = [len(run) for run in runs]
         fits, kernels = [], []
         fit, kernel = unitroot._df_regression, unitroot.long_run_covariances
 
-        def fit_counted(y, det, lags):
-            fits.append(y.shape)
-            return fit(y, det, lags)
+        def fit_counted(y, det, lags, lengths=None):
+            fits.append((y.shape, lags, np.asarray(lengths).tolist()))
+            return fit(y, det, lags, lengths)
 
         def kernel_counted(eta, bandwidth, lengths=None):
             kernels.append((eta.shape, np.asarray(lengths).tolist()))
@@ -888,7 +919,14 @@ class TestLlc:
         monkeypatch.setattr(unitroot, "long_run_covariances", kernel_counted)
         llc_test(series)
         assert len(set(lengths)) > 10
-        assert fits == [(lengths.count(T), T) for T in sorted(set(lengths))]
+        # each lag's runs, in run order, cut to their longest
+        lags = [unitroot._entity_lags(T, "c", None) for T in lengths]
+        assert len(set(lags)) > 1
+        assert fits == [
+            ((lags.count(p), max(T for T, q in zip(lengths, lags) if q == p)), p,
+             [T for T, q in zip(lengths, lags) if q == p])
+            for p in sorted(set(lags))
+        ]
         # every run's first differences, zero-padded to the longest
         assert kernels == [((len(runs), max(lengths) - 1, 1), [T - 1 for T in lengths])]
 
