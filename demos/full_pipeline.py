@@ -20,7 +20,7 @@ workdir = Path(tempfile.mkdtemp(prefix="panel_report_"))
 outdir = workdir / "out"
 
 # 1. the configuration: log-level variables, five dynamic equations, all
-#    output formats (the seed fixes bootstrap-free but ordered runs)
+#    output formats (the seed is only recorded in the manifest)
 doc = {
     "config_version": 1,
     "seed": 20260816,

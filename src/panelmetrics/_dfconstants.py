@@ -64,9 +64,8 @@ def mackinnon_p(stat, det: str):
     values below TAU_MIN to 0.0; between the bounds the small-p polynomial
     applies at or below TAU_STAR and the large-p polynomial above it.  A
     scalar returns a float, an array an array of its shape; NaN stays NaN.
+    det is a known case: callers reach here through `unitroot._terms`.
     """
-    if det not in TAU_STAR:
-        raise ValueError(f"unknown deterministic case {det!r}")
     tau = np.asarray(stat, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # only clamped values overflow
         small = np.polyval(TAU_SMALLP[det][::-1], tau)
@@ -80,10 +79,9 @@ def llc_adjustment(t_tilde: float, det: str) -> tuple:
     """Interpolated (mu*, sigma*) for the pooled t standardization.
 
     Raises ValueError when t_tilde falls below the first table row, where
-    the published adjustments do not exist.
+    the published adjustments do not exist.  det is a known case, as in
+    mackinnon_p.
     """
-    if det not in LLC_MU:
-        raise ValueError(f"unknown deterministic case {det!r}")
     grid, mu, sigma = LLC_TTILDE, LLC_MU[det], LLC_SIGMA[det]
     if t_tilde < grid[0]:
         raise ValueError(

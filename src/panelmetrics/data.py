@@ -117,21 +117,18 @@ class ModelSpec:
 
     regressors are (variable, lag) pairs; lag counts calendar periods back.
     lagged_dependent adds the dependent at lag 1 as the leading regressor.
-    intercept is "individual" (entity effects) or "common" (single constant).
+    Every estimator fits entity effects, so there is no intercept choice.
     """
 
     label: str
     dependent: str
     regressors: tuple
     lagged_dependent: bool = False
-    intercept: str = "individual"
 
     def __post_init__(self):
         object.__setattr__(
             self, "regressors", tuple((str(v), int(k)) for v, k in self.regressors)
         )
-        if self.intercept not in ("common", "individual"):
-            raise ValueError(f"intercept must be 'common' or 'individual', got {self.intercept!r}")
         for _, k in self.regressors:
             if k < 0:
                 raise ValueError("regressor lags must be nonnegative")

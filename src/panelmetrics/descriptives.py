@@ -8,13 +8,12 @@ is n/6 * (S^2 + (K-3)^2/4) with a chi-square(2) p-value.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._special import chdtrc
-from .data import PanelDataset, PanelWarning, VariableSeries
+from .data import PanelDataset, VariableSeries
 
 
 @dataclass(frozen=True)
@@ -36,12 +35,6 @@ class DescriptiveStats:
     sum_sq_dev: float
 
 
-def _finite_values(source) -> np.ndarray:
-    values = source.values if isinstance(source, VariableSeries) else np.asarray(source, dtype=float)
-    flat = np.ravel(values)
-    return flat[np.isfinite(flat)]
-
-
 def jarque_bera(n: int, skewness: float, kurtosis: float) -> tuple:
     """Jarque-Bera statistic and p-value from precomputed moments.
 
@@ -53,15 +46,13 @@ def jarque_bera(n: int, skewness: float, kurtosis: float) -> tuple:
     return float(jb), chdtrc(2, jb)
 
 
-def describe(source, name: str | None = None) -> DescriptiveStats:
-    """Summary statistics over the finite cells of a series or array.
+def describe(series: VariableSeries) -> DescriptiveStats:
+    """Summary statistics over the finite cells of a series.
 
     Parameters
     ----------
-    source : VariableSeries or array_like
-        Observations; NaN cells are ignored.
-    name : str, optional
-        Label for the row; defaults to the series name.
+    series : VariableSeries
+        Observations; NaN cells are ignored.  The row takes its name.
 
     Returns
     -------
@@ -75,10 +66,10 @@ def describe(source, name: str | None = None) -> DescriptiveStats:
         Fewer than four finite observations (the fourth moment needs
         that many to be meaningful).
     """
-    x = _finite_values(source)
+    x = np.ravel(series.values)
+    x = x[np.isfinite(x)]
     if x.size < 4:
         raise ValueError("describe needs at least four finite observations")
-    label = name or (source.name if isinstance(source, VariableSeries) else "series")
     n = int(x.size)
     mean = float(x.mean())
     dev = x - mean
@@ -92,7 +83,7 @@ def describe(source, name: str | None = None) -> DescriptiveStats:
     else:
         skew = kurt = jb = jb_p = float("nan")
     return DescriptiveStats(
-        variable=label,
+        variable=series.name,
         n=n,
         mean=mean,
         median=float(np.median(x)),
@@ -113,27 +104,6 @@ def describe_table(dataset: PanelDataset, variables=None) -> list:
     nonmissing cells."""
     names = list(variables) if variables is not None else list(dataset.variables)
     return [describe(dataset[name]) for name in names]
-
-
-def pearson(x, y) -> float:
-    """Pearson correlation with listwise deletion of incomplete pairs.
-
-    Returns NaN (with a warning) when either margin is constant on the
-    complete pairs, where the coefficient is undefined.
-    """
-    x = np.ravel(np.asarray(x, dtype=float))
-    y = np.ravel(np.asarray(y, dtype=float))
-    if x.shape != y.shape:
-        raise ValueError("pearson inputs must have equal length")
-    keep = np.isfinite(x) & np.isfinite(y)
-    if keep.sum() < 2:
-        raise ValueError("pearson needs at least two complete pairs")
-    xs, ys = x[keep] - x[keep].mean(), y[keep] - y[keep].mean()
-    sxx, syy = float((xs**2).sum()), float((ys**2).sum())
-    if sxx == 0.0 or syy == 0.0:
-        warnings.warn("pearson: zero variance on complete pairs", PanelWarning, stacklevel=2)
-        return float("nan")
-    return float((xs * ys).sum() / np.sqrt(sxx * syy))
 
 
 def correlation_matrix(dataset: PanelDataset, variables=None) -> tuple:

@@ -77,8 +77,8 @@ def fmols_panel(dataset: PanelDataset, spec: ModelSpec, bandwidth: int | None = 
     ----------
     dataset : PanelDataset
     spec : ModelSpec
-        Must use individual intercepts; design columns come from the spec's
-        lag structure (lagged dependent first when present).
+        Design columns come from the spec's lag structure (lagged dependent
+        first when present); each entity gets its own intercept.
     bandwidth : int, optional
         Fixed Bartlett bandwidth for every entity, capped with a warning at
         m - 2 for a block of m aligned rows; None applies the automatic rule
@@ -92,8 +92,6 @@ def fmols_panel(dataset: PanelDataset, spec: ModelSpec, bandwidth: int | None = 
         total, so recovered entity intercepts count as explanatory, as in
         the within estimator.
     """
-    if spec.intercept != "individual":
-        raise ValueError("fmols_panel requires individual intercepts")
     if bandwidth is not None and bandwidth < 0:
         raise ValueError("bandwidth must be nonnegative")
     sample = regression_sample(dataset, spec)

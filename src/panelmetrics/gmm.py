@@ -91,9 +91,8 @@ def differenced_sample(dataset: PanelDataset, spec: ModelSpec) -> RegressionSamp
     )
 
 
-def build_instruments(dataset: PanelDataset, spec: ModelSpec,
-                      max_depth: int | None = None, collapse: bool = False,
-                      sample: RegressionSample | None = None) -> InstrumentMatrix:
+def build_instruments(dataset: PanelDataset, spec: ModelSpec, *, sample: RegressionSample,
+                      max_depth: int | None = None, collapse: bool = False) -> InstrumentMatrix:
     """Instrument matrix for the differenced equation of a dynamic spec.
 
     The level at year t - d instruments equation year t for each lag
@@ -104,13 +103,13 @@ def build_instruments(dataset: PanelDataset, spec: ModelSpec,
     Parameters
     ----------
     dataset, spec : data and equation; spec must set lagged_dependent.
+    sample : RegressionSample
+        The equation's differenced sample, ``differenced_sample(dataset, spec)``.
     max_depth : int, optional
         Number of level lags per equation year (most recent first);
         None means all available back to the panel start.
     collapse : bool
         Collapse level instruments to one column per lag distance.
-    sample : RegressionSample, optional
-        Reuse an existing differenced sample (built from the same spec).
 
     Returns
     -------
@@ -120,9 +119,7 @@ def build_instruments(dataset: PanelDataset, spec: ModelSpec,
         raise ValueError("build_instruments requires a lagged-dependent equation")
     if max_depth is not None and max_depth < 1:
         raise ValueError("max_depth must be at least 1")
-    if sample is None:
-        sample = differenced_sample(dataset, spec)
-    elif sample.spec != spec:
+    if sample.spec != spec:
         raise ValueError("sample was built from a different spec")
     dep = dataset[spec.dependent]
     periods = np.asarray(dep.periods)

@@ -37,7 +37,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, help_text):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="YAML configuration file")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="override the output directory")
         p.add_argument(
             "--format",
@@ -66,7 +65,6 @@ def _load(args):
     elif args.command == "estimate":
         stages = (args.method,)
     return config.with_overrides(
-        seed=args.seed,
         out_dir=args.out,
         formats=[args.format] if args.format else None,
         stages=stages,

@@ -2,9 +2,10 @@
 
 The config is a single YAML document, versioned through config_version so
 stale files fail loudly instead of being reinterpreted.  Validation is
-strict: unknown keys anywhere are errors, every model reference must
-resolve to a defined (possibly log-transformed) series, and the master
-seed is mandatory because reproducibility is part of the output contract.
+strict: unknown keys anywhere are errors, and every model reference must
+resolve to a defined (possibly log-transformed) series.  No computation
+reads the seed: it is recorded in the manifest and the digest only, and
+stays required because config_version 1 files carry it.
 The digest is read from the dataclasses, so no second list of fields exists.
 """
 
@@ -111,11 +112,9 @@ class PipelineConfig:
             model["regressors"] = [{"var": v, "lag": k} for v, k in model["regressors"]]
         return hashlib.sha256(json.dumps(plain, sort_keys=True).encode("utf-8")).hexdigest()
 
-    def with_overrides(self, seed=None, out_dir=None, formats=None, stages=None):
+    def with_overrides(self, out_dir=None, formats=None, stages=None):
         """Copy with CLI-level overrides applied."""
         cfg = self
-        if seed is not None:
-            cfg = replace(cfg, seed=int(seed))
         if out_dir is not None:
             cfg = replace(cfg, output=replace(cfg.output, directory=str(out_dir)))
         if formats is not None:
@@ -240,9 +239,7 @@ def _validate_models(raw, available) -> tuple:
     for i, item in enumerate(raw):
         where = f"models[{i}]"
         item = _require_mapping(item, where)
-        _reject_unknown(
-            item, ("label", "dependent", "regressors", "lagged_dependent", "intercept"), where
-        )
+        _reject_unknown(item, ("label", "dependent", "regressors", "lagged_dependent"), where)
         label = str(item.get("label", i + 1))
         if label in labels:
             raise ConfigError(f"{where}: duplicate model label {label!r}")
@@ -265,19 +262,12 @@ def _validate_models(raw, available) -> tuple:
             if isinstance(lag, bool) or not isinstance(lag, int) or lag < 0:
                 raise ConfigError(f"{rwhere}.lag: expected an integer >= 0")
             regressors.append((var, lag))
-        lagged = _get_bool(item, "lagged_dependent", where)
-        intercept = _get_str(item, "intercept", where, default="individual")
-        try:
-            spec = ModelSpec(
-                label=label,
-                dependent=dependent,
-                regressors=tuple(regressors),
-                lagged_dependent=lagged,
-                intercept=intercept,
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from None
-        out.append(spec)
+        out.append(ModelSpec(
+            label=label,
+            dependent=dependent,
+            regressors=tuple(regressors),
+            lagged_dependent=_get_bool(item, "lagged_dependent", where),
+        ))
     return tuple(out)
 
 
@@ -337,7 +327,7 @@ def validate_config(document) -> PipelineConfig:
         )
     seed = document.get("seed")
     if seed is None:
-        raise ConfigError("seed: required (runs must be reproducible)")
+        raise ConfigError("seed: required (config_version 1 carries it)")
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0 or seed >= 2**64:
         raise ConfigError("seed: expected an unsigned 64-bit integer")
 

@@ -2,7 +2,7 @@
 
 The wire format follows the common public-indicator convention: GET
 {base_url}/{provider}/indicator/{code}?date=YYYY:YYYY&format=json&page=N&
-per_page=M returns a two-element array [metadata, records], where metadata
+per_page=PER_PAGE returns a two-element array [metadata, records], where metadata
 carries page/pages counts and each record holds an entity id, a date, and
 a value (null for missing).  Each descriptor lands in one long-schema CSV
 in the cache, keyed by a digest of (base_url, provider, code, years), so
@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from ..data import PanelDataset, read_panel_csv
 
 MAX_PAGES = 1000  # bounds the requests one descriptor can make
+PER_PAGE = 1000  # records asked for per page
 
 
 @dataclass(frozen=True)
@@ -119,7 +120,7 @@ def _read_holding(path: str, code: str) -> PanelDataset:
     return dataset
 
 
-def _fetch_one(descriptor, base_url, cache_dir, session, per_page, max_attempts, backoff):
+def _fetch_one(descriptor, base_url, cache_dir, session, max_attempts, backoff):
     key = descriptor.cache_key(base_url)
     path = os.path.join(cache_dir, f"{key}.csv")
     try:
@@ -135,7 +136,7 @@ def _fetch_one(descriptor, base_url, cache_dir, session, per_page, max_attempts,
             "date": descriptor.years,
             "format": "json",
             "page": page,
-            "per_page": per_page,
+            "per_page": PER_PAGE,
         }
         try:
             response = _get_page(session, url, params, max_attempts, backoff)
@@ -193,7 +194,6 @@ def fetch_indicators(
     descriptors,
     base_url: str,
     cache_dir: str,
-    per_page: int = 1000,
     max_attempts: int = 3,
     backoff: float = 0.5,
     session=None,
@@ -211,7 +211,7 @@ def fetch_indicators(
     session = session or requests.Session()
     try:
         return [
-            _fetch_one(d, base_url, cache_dir, session, per_page, max_attempts, backoff)
+            _fetch_one(d, base_url, cache_dir, session, max_attempts, backoff)
             for d in descriptors
         ]
     finally:

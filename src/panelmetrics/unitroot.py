@@ -462,13 +462,12 @@ def fisher_pp(series: VariableSeries, det: str = "c", bandwidth: int | None = No
 def _ips_moments(T: int, p: int, det: str) -> tuple:
     """(mean, variance, usable lag) of the null t-statistic, interpolated in T.
 
-    The lag is capped at what the lower bracketing grid length holds; the
-    cap grows with T, so that length binds.
+    T is at least IPS_T_GRID[0], the shortest run ips_test keeps.  The lag
+    is capped at what the lower bracketing grid length holds; the cap grows
+    with T, so that length binds.
     """
     table = IPS_MOMENTS[det]
     grid = IPS_T_GRID
-    if T < grid[0]:
-        raise ValueError(f"ips_test: effective length {T} below moment table minimum {grid[0]}")
     if T > grid[-1]:
         warnings.warn(
             f"ips_test: length {T} above moment table maximum {grid[-1]}; clamped",

@@ -128,13 +128,17 @@ class TestAnalysisCommands:
         ]
 
     def test_seed_and_format_overrides(self, workspace, capsys):
-        assert main(
-            ["run", "--config", workspace(), "--seed", "7", "--format", "md"]
-        ) == 0
+        config = workspace()
+        # the seed comes from the config alone: --seed is a usage error
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", config, "--seed", "7"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert main(["run", "--config", config, "--format", "md"]) == 0
         out = workspace.dir / "out"
         with open(out / "manifest.json", encoding="utf-8") as fh:
             manifest = json.load(fh)
-        assert manifest["seed"] == 7
+        assert manifest["seed"] == 99
         assert not [n for n in artifacts_in(out) if n.endswith(".csv")]
         assert "describe.md" in artifacts_in(out)
 

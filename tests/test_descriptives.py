@@ -5,14 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from panelmetrics.data import PanelDataset, PanelWarning, VariableSeries
-from panelmetrics.descriptives import (
-    correlation_matrix,
-    describe,
-    describe_table,
-    jarque_bera,
-    pearson,
-)
+from panelmetrics.data import PanelDataset, VariableSeries
+from panelmetrics.descriptives import correlation_matrix, describe, describe_table, jarque_bera
 
 
 def panel_of(columns, periods=None):
@@ -32,9 +26,13 @@ def panel_of(columns, periods=None):
     return ds
 
 
+def series(values):
+    return panel_of({"x": values})["x"]
+
+
 class TestDescribe:
     def test_hand_values_one_to_five(self):
-        stats = describe([1, 2, 3, 4, 5], name="x")
+        stats = describe(series([1, 2, 3, 4, 5]))
         assert stats.n == 5
         assert stats.mean == pytest.approx(3.0)
         assert stats.median == pytest.approx(3.0)
@@ -47,15 +45,15 @@ class TestDescribe:
         assert stats.sum_sq_dev == pytest.approx(10.0)
 
     def test_even_median_is_midpoint(self):
-        assert describe([1, 2, 3, 10], name="x").median == pytest.approx(2.5)
+        assert describe(series([1, 2, 3, 10])).median == pytest.approx(2.5)
 
     def test_missing_cells_ignored(self):
-        stats = describe([1.0, np.nan, 2.0, 3.0, np.nan, 6.0], name="x")
+        stats = describe(series([1.0, np.nan, 2.0, 3.0, np.nan, 6.0]))
         assert stats.n == 4
         assert stats.mean == pytest.approx(3.0)
 
     def test_constant_series_has_undefined_shape_moments(self):
-        stats = describe([7.0, 7.0, 7.0, 7.0], name="x")
+        stats = describe(series([7.0, 7.0, 7.0, 7.0]))
         assert stats.std_dev == 0.0
         assert math.isnan(stats.skewness)
         assert math.isnan(stats.kurtosis)
@@ -68,7 +66,7 @@ class TestDescribe:
 
     def test_identities_hold_on_computed_stats(self):
         rng = np.random.default_rng(11)
-        stats = describe(rng.standard_normal(200), name="x")
+        stats = describe(series(rng.standard_normal(200)))
         assert stats.total == pytest.approx(stats.n * stats.mean, rel=1e-9)
         assert stats.sum_sq_dev == pytest.approx(
             (stats.n - 1) * stats.std_dev**2, rel=1e-9
@@ -78,7 +76,7 @@ class TestDescribe:
     def test_affine_equivariance(self):
         rng = np.random.default_rng(12)
         x = rng.standard_normal(150)
-        base, mapped = describe(x, name="x"), describe(2.5 * x + 4.0, name="x2")
+        base, mapped = describe(series(x)), describe(series(2.5 * x + 4.0))
         assert mapped.mean == pytest.approx(2.5 * base.mean + 4.0, rel=1e-9)
         assert mapped.std_dev == pytest.approx(2.5 * base.std_dev, rel=1e-9)
         assert mapped.skewness == pytest.approx(base.skewness, abs=1e-9)
@@ -88,13 +86,13 @@ class TestDescribe:
     def test_permutation_invariance(self):
         rng = np.random.default_rng(13)
         x = rng.standard_normal(60)
-        a, b = describe(x, name="x"), describe(rng.permutation(x), name="x")
+        a, b = describe(series(x)), describe(series(rng.permutation(x)))
         for attr in ("mean", "median", "std_dev", "skewness", "kurtosis", "jarque_bera"):
             assert getattr(a, attr) == pytest.approx(getattr(b, attr), rel=1e-12)
 
     def test_too_few_observations_rejected(self):
         with pytest.raises(ValueError):
-            describe([1.0, 2.0, 3.0], name="x")
+            describe(series([1.0, 2.0, 3.0]))
 
 
 class TestJarqueBera:
@@ -125,29 +123,31 @@ class TestJarqueBera:
 
 
 class TestPearson:
+    """The pairwise coefficient correlation_matrix computes."""
+
+    @staticmethod
+    def r(x, y):
+        return correlation_matrix(panel_of({"x": x, "y": y}))[1][0, 1]
+
     def test_hand_example(self):
-        assert pearson([1, 2, 3, 4], [2, 1, 4, 3]) == pytest.approx(0.6, abs=1e-12)
+        assert self.r([1, 2, 3, 4], [2, 1, 4, 3]) == pytest.approx(0.6, abs=1e-12)
 
     def test_perfect_negative_line(self):
         x = np.array([0.0, 1.0, 2.0, 3.0])
-        assert pearson(x, -3.0 * x + 2.0) == pytest.approx(-1.0, abs=1e-12)
+        assert self.r(x, -3.0 * x + 2.0) == pytest.approx(-1.0, abs=1e-12)
 
     def test_listwise_pairs(self):
         x = [1.0, 2.0, np.nan, 4.0]
         y = [2.0, 1.0, 3.0, 3.0]
         # the NaN row is dropped from both margins
-        assert pearson(x, y) == pytest.approx(pearson([1, 2, 4], [2, 1, 3]), abs=1e-15)
+        assert self.r(x, y) == pytest.approx(self.r([1, 2, 4], [2, 1, 3]), abs=1e-15)
 
     def test_affine_invariance_and_sign_flip(self):
         rng = np.random.default_rng(21)
         x, y = rng.standard_normal(50), rng.standard_normal(50)
-        r = pearson(x, y)
-        assert pearson(2.0 * x + 1.0, y) == pytest.approx(r, abs=1e-12)
-        assert pearson(-x, y) == pytest.approx(-r, abs=1e-12)
-
-    def test_constant_margin_warns_nan(self):
-        with pytest.warns(PanelWarning, match="zero variance"):
-            assert math.isnan(pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]))
+        r = self.r(x, y)
+        assert self.r(2.0 * x + 1.0, y) == pytest.approx(r, abs=1e-12)
+        assert self.r(-x, y) == pytest.approx(-r, abs=1e-12)
 
 
 class TestCorrelationMatrix:
@@ -167,7 +167,7 @@ class TestCorrelationMatrix:
         keep = [1, 3, 4, 5]
         x = np.array([1.0, 2.0, np.nan, 4.0, 5.0, 6.0])[keep]
         y = np.array([2.0, 1.0, 4.0, 3.0, 5.0, 7.0])[keep]
-        assert matrix[0, 1] == pytest.approx(pearson(x, y), abs=1e-12)
+        assert matrix[0, 1] == pytest.approx(np.corrcoef(x, y)[0, 1], abs=1e-12)
 
     def test_gram_invariants(self):
         rng = np.random.default_rng(31)

@@ -388,15 +388,6 @@ class TestFmolsPanel:
             with pytest.warns(UserWarning, match="dropped 3 entity"):
                 fmols_panel(build_panel(y, x), LEVEL_SPEC)
 
-    def test_requires_individual_intercepts(self):
-        spec = ModelSpec(
-            label="pooled",
-            dependent="y",
-            regressors=(("x", 0),),
-            intercept="common",
-        )
-        with pytest.raises(ValueError, match="individual intercepts"):
-            fmols_panel(build_panel(np.ones((2, 8)), np.ones((2, 8))), spec)
 
     def test_requires_a_regressor(self):
         spec = ModelSpec(label="none", dependent="y", regressors=())

@@ -131,24 +131,24 @@ def per_cell_instruments(ds, spec, max_depth, collapse):
 class TestBuildInstruments:
     def test_t4_uncollapsed_layout(self):
         # t = 3 instruments {y1}; t = 4 instruments {y1, y2}: 3 columns
-        Z = build_instruments(build_panel({"y": [1.0, 2.0, 4.0, 7.0]}), AR_SPEC)
+        ds = build_panel({"y": [1.0, 2.0, 4.0, 7.0]})
+        Z = build_instruments(ds, AR_SPEC, sample=differenced_sample(ds, AR_SPEC))
         assert Z.columns == ("lev[3,1]", "lev[4,1]", "lev[4,2]")
         np.testing.assert_array_equal(Z.Z, [[1.0, 0.0, 0.0], [0.0, 1.0, 2.0]])
         np.testing.assert_array_equal(Z.periods, [3, 4])
 
     def test_t4_collapsed_layout(self):
         # one column per lag distance (2 and 3)
-        Z = build_instruments(
-            build_panel({"y": [1.0, 2.0, 4.0, 7.0]}), AR_SPEC, collapse=True
-        )
+        ds = build_panel({"y": [1.0, 2.0, 4.0, 7.0]})
+        Z = build_instruments(ds, AR_SPEC, sample=differenced_sample(ds, AR_SPEC), collapse=True)
         assert Z.columns == ("lev[t-2]", "lev[t-3]")
         np.testing.assert_array_equal(Z.Z, [[1.0, 0.0], [2.0, 1.0]])
 
     @pytest.mark.parametrize("width", [5, 6, 8])
     def test_balanced_count_formula(self, width):
         rng = np.random.default_rng(width)
-        y = rng.standard_normal((3, width))
-        Z = build_instruments(build_panel({"y": y}), AR_SPEC)
+        ds = build_panel({"y": rng.standard_normal((3, width))})
+        Z = build_instruments(ds, AR_SPEC, sample=differenced_sample(ds, AR_SPEC))
         assert Z.n_instruments == (width - 2) * (width - 1) // 2
 
     def test_exogenous_regressors_instrument_themselves(self):
@@ -159,9 +159,9 @@ class TestBuildInstruments:
         y = rng.standard_normal((2, 5))
         x = rng.standard_normal((2, 5))
         ds = build_panel({"y": y, "x": x})
-        Z = build_instruments(ds, spec)
-        assert Z.columns[-1] == "d_x_lag1"
         s = differenced_sample(ds, spec)
+        Z = build_instruments(ds, spec, sample=s)
+        assert Z.columns[-1] == "d_x_lag1"
         first = s.entity_ids == 0
         hand = np.array([x[0, t - 2] - x[0, t - 3] for t in s.periods[first]])
         np.testing.assert_array_equal(Z.Z[first, -1], hand)
@@ -170,8 +170,10 @@ class TestBuildInstruments:
         rng = np.random.default_rng(4)
         y = rng.standard_normal((4, 5)) + 2.0
         y[:, 0] = np.nan  # any instrument sourced from period 1 is empty
+        ds = build_panel({"y": y})
+        s = differenced_sample(ds, AR_SPEC)
         with pytest.warns(UserWarning, match="all-zero instrument column"):
-            Z = build_instruments(build_panel({"y": y}), AR_SPEC)
+            Z = build_instruments(ds, AR_SPEC, sample=s)
         assert Z.dropped_columns == ("lev[4,1]", "lev[5,1]")
         assert "lev[4,1]" not in Z.columns
         # Z still owns a C-ordered array, as without a drop
@@ -201,7 +203,8 @@ class TestBuildInstruments:
                     with warnings.catch_warnings(record=True) as caught:
                         warnings.simplefilter("always")
                         try:
-                            Z = build_instruments(ds, spec, max_depth=depth, collapse=collapse)
+                            Z = build_instruments(ds, spec, sample=differenced_sample(ds, spec),
+                                                  max_depth=depth, collapse=collapse)
                         except ValueError:
                             continue
                         columns, dropped, blocks = per_cell_instruments(ds, spec, depth, collapse)
@@ -222,14 +225,16 @@ class TestBuildInstruments:
 
     def test_requires_dynamic_spec(self):
         static = ModelSpec(label="s", dependent="y", regressors=(("x", 0),))
+        ds = build_panel({"y": np.ones((2, 4)), "x": np.ones((2, 4))})
+        s = differenced_sample(ds, static)
         with pytest.raises(ValueError, match="lagged-dependent"):
-            build_instruments(build_panel({"y": np.ones((2, 4)), "x": np.ones((2, 4))}), static)
+            build_instruments(ds, static, sample=s)
 
     def test_rejects_bad_depth(self):
+        ds = build_panel({"y": [1.0, 2.0, 4.0, 7.0]})
+        s = differenced_sample(ds, AR_SPEC)
         with pytest.raises(ValueError, match="max_depth"):
-            build_instruments(
-                build_panel({"y": [1.0, 2.0, 4.0, 7.0]}), AR_SPEC, max_depth=0
-            )
+            build_instruments(ds, AR_SPEC, sample=s, max_depth=0)
 
     def test_rejects_foreign_sample(self):
         ds = build_panel({"y": [1.0, 2.0, 4.0, 7.0]})

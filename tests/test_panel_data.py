@@ -377,10 +377,6 @@ class TestModelSpec:
         )
         assert spec.column_names() == ("y_lag1", "x_lag1", "z")
 
-    def test_bad_intercept_rejected(self):
-        with pytest.raises(ValueError, match="intercept"):
-            ModelSpec(label="1", dependent="y", regressors=(("x", 1),), intercept="none")
-
     def test_negative_lag_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             ModelSpec(label="1", dependent="y", regressors=(("x", -1),))

@@ -202,6 +202,13 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=r"models\[1\]: unknown keys"):
             validate_config(doc)
 
+    def test_model_intercept_key_rejected(self, tmp_path):
+        # every estimator fits entity effects; there is no intercept to choose
+        doc = self.base(tmp_path)
+        doc["models"][0]["intercept"] = "individual"
+        with pytest.raises(ConfigError, match=r"models\[0\]: unknown keys \['intercept'\]"):
+            validate_config(doc)
+
     def test_undefined_references_rejected(self, tmp_path):
         doc = self.base(tmp_path)
         doc["models"][0]["regressors"][0]["var"] = "ghost"
@@ -321,40 +328,40 @@ class TestDigest:
     def test_seed_changes_digest(self, tmp_path):
         doc = config_doc(write_panel_file(tmp_path / "p.csv"))
         config = validate_config(doc)
-        assert config.digest() != config.with_overrides(seed=100).digest()
+        assert config.digest() != validate_config(dict(doc, seed=100)).digest()
         assert config.digest() == config.with_overrides(out_dir="elsewhere").digest()
         staged = validate_config(dict(doc, stages=["gmm", "describe"])).digest()
         assert config.with_overrides(stages=["describe", "gmm"]).digest() == staged
         assert staged != config.digest()
 
-    # sha256 pinned when the digest was still built from a hand-written field list;
-    # the paths are plain strings, so no file is read
+    # pinned so that any change to the hashed record shows; the paths are plain
+    # strings, so no file is read
     GOLDEN = {
-        "file_defaults": ({}, "9a8999a550aab93e075652cadfd6846ffde47fcbe34fb896a35d35d0b790649d"),
+        "file_defaults": ({}, "b6cc757df72107b575514055f5ba361587bc08296606fd71d06a94cdb1227d76"),
         "fetch": (
             {"seed": 7, "data": {"source": "fetch", "base_url": "http://127.0.0.1:8000/v2",
                                  "provider": "WB", "years": "2000:2019"}},
-            "b619ecc1396bfe4c33ab9e5bc3a0274f48110140e47bbd7c0ad4ff163f9dbab5",
+            "ee44906ebe22ba9a99883d10519ecc04b54a466481811a444b0b555790e24302",
         ),
         "every_test_key": (
             {"data": {"source": "file", "path": "long.csv", "schema": "long"},
              "tests": {"det": "ct", "lags": 2, "bandwidth": 3, "gmm_depth": 2,
                        "gmm_collapse": True, "variables": ["x1", "y"]}},
-            "0ca16f28003a17dfa709533bbcc6e34d2a06439ca849bca80f871f4f810eebd7",
+            "957b699e04dc36f208ffaddc09ce5374a56cd5bc096b5d559b68ffa080ee3984",
         ),
         "stage_subset": (
             {"stages": ["gmm", "describe", "fmols"], "output": {"directory": "o", "formats": ["csv"]}},
-            "392fb1756e7e2b3351d6f3e9989eadb23fc5ed370b825db273485c0cc31f6d0f",
+            "617ffe19c327cfb66111d5327513cbd6db285a31728ea4b48158a8c8cb2796f7",
         ),
         "logged_renamed": (
             {"seed": 2**64 - 1,
              "variables": [{"name": "gdp", "source": "NY.GDP.PCAP", "log": True}, {"name": "y"},
                            {"name": "x1", "source": "X1"}],
-             "models": [{"label": "growth", "dependent": "y", "intercept": "common",
+             "models": [{"label": "growth", "dependent": "y",
                          "regressors": [{"var": "ln_gdp"}, {"var": "x1", "lag": 2}]},
                         {"dependent": "ln_gdp", "regressors": [{"var": "gdp", "lag": 0}]}],
              "tests": {"bandwidth": "auto", "gmm_depth": "all"}},
-            "849e444ddcb051bb9e6070219391897d42a9dc1a5ccac4184c00f7849acc3a69",
+            "e63d0be72fbc14e6e499db4d8b2e31d4fd5393877321fd35e8fc2aaca4b33059",
         ),
     }
 
@@ -424,7 +431,7 @@ class TestRenderers:
 
 class TestTableBuilders:
     def test_descriptive_rows_in_summary_order(self):
-        stats = describe([1.0, 2.0, 3.0, 4.0, 10.0], "v")
+        stats = describe(VariableSeries("v", ("A",), (1, 2, 3, 4, 5), [[1.0, 2.0, 3.0, 4.0, 10.0]]))
         table = build_descriptive_table([stats])
         labels = [row[0] for row in table.rows]
         assert labels == [
