@@ -6,17 +6,19 @@ levels of the dependent (optionally depth-limited or collapsed), read
 through the calendar shift `data.lag_values`, while differenced exogenous
 regressors instrument themselves.  The differenced rows are one
 RegressionSample, sorted by entity then year, and the instruments one
-matrix aligned with it row for row; moments are summed entity by entity
-over row slices.  One-step weighting uses the tridiagonal
-second-difference form implied by iid level errors, each entity's block
-built in one vectorized pass per group of H_GROUP entities; two-step
-reweights with the clustered outer product of one-step moments.
+matrix aligned with it row for row.  Moments are formed per group of
+H_GROUP entities, each entity's rows zero-padded to the group's longest
+(`data.pad_runs`), and summed in entity order.  One-step weighting uses
+the tridiagonal second-difference form implied by iid level errors, each
+entity's block built in the same group pass; two-step reweights with the
+clustered outer product of one-step moments.
 Overidentification is summarized by the J statistic at the two-step
 weighting, which equals the minimized criterion by construction.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -169,7 +171,8 @@ def build_instruments(dataset: PanelDataset, spec: ModelSpec, *, sample: Regress
     )
 
 
-H_GROUP = 64  # entities whose weighting blocks are built in one pass
+H_GROUP = 64  # entities whose moments and weighting blocks are formed in one batched pass
+STACK_CELLS = 1 << 15  # most cells of a group's stacked L x L products (A1, B)
 
 
 def _h_blocks(years: np.ndarray, bounds: np.ndarray) -> np.ndarray:
@@ -199,8 +202,13 @@ def gmm_estimate(sample: RegressionSample, instruments: InstrumentMatrix,
                  step: str = "twostep") -> GmmResult:
     """Estimate the differenced equation by one- or two-step GMM.
 
-    Moments are summed entity by entity, in entity order, over row slices;
-    the one-step weighting blocks come from `_h_blocks`, H_GROUP entities a call.
+    Entities are taken H_GROUP at a time, their rows zero-padded to the
+    group's longest, with the weighting blocks H_i from `_h_blocks`.
+    Z_i'dX_i, Z_i'dy_i and the moments g_i = Z_i'u_i are one batched matmul
+    per group; the L x L terms Z_i'H_i Z_i (of A1) and g_i g_i' (of B) are
+    too when H_GROUP * L * L is at most STACK_CELLS, else each is formed and
+    added on its own.  Every sum adds the entities' terms one after another
+    in entity order, as a per-entity loop would.
     Standard errors: one-step uses the robust sandwich; two-step uses the
     optimal-weighting form (no small-sample correction).  The J statistic
     is the criterion at the reported step's residual moments under the
@@ -228,15 +236,30 @@ def gmm_estimate(sample: RegressionSample, instruments: InstrumentMatrix,
 
     Z, dy, dX, years = instruments.Z, sample.y, sample.X, sample.periods
     bounds = np.searchsorted(sample.entity_ids, np.arange(N + 1))
-    rows = [slice(a, b) for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
+    groups = [bounds[g : g + H_GROUP + 1] for g in range(0, N, H_GROUP)]
+    stack = H_GROUP * L * L <= STACK_CELLS  # a group's L x L products stacked, or one at a time
+
+    def padded(values, b):  # the group's entities' rows, each zero-padded to the longest
+        n = np.diff(b)
+        if n.min() == n.max():  # nothing to pad: a view of the rows, one block per entity
+            return values[b[0] : b[-1]].reshape(n.size, n[0], *values.shape[1:])
+        return pad_runs(values, b[:-1], n)[0]
+
+    def add(total, parts):  # total + parts[0] + parts[1] + ..., in entity order
+        return np.add.reduce(np.concatenate((total[None], parts)), axis=0)
+
     S_zx, s_zy, A1 = np.zeros((L, k)), np.zeros(L), np.zeros((L, L))
-    for g in range(0, N, H_GROUP):
-        H = _h_blocks(years, bounds[g : g + H_GROUP + 1])
-        for r, Hi in zip(rows[g : g + H_GROUP], H):
-            Zr, n = Z[r], r.stop - r.start
-            S_zx += Zr.T @ dX[r]
-            s_zy += Zr.T @ dy[r]
-            A1 += Zr.T @ Hi[:n, :n] @ Zr
+    for b in groups:
+        Zp = padded(Z, b)
+        Zt = Zp.transpose(0, 2, 1)
+        S_zx = add(S_zx, Zt @ padded(dX, b))
+        s_zy = add(s_zy, (Zt @ padded(dy, b)[..., None])[..., 0])
+        H = _h_blocks(years, b)
+        if stack:
+            A1 = add(A1, Zt @ H @ Zp)
+        else:
+            for zt, h, z in zip(Zt, H, Zp):
+                A1 += zt @ h @ z
     _solve_ols(S_zx, s_zy, f"gmm({sample.spec.label})", sample.columns)  # only its refusal is used
     W1 = _inv_psd(A1, "gmm one-step")
 
@@ -248,14 +271,20 @@ def gmm_estimate(sample: RegressionSample, instruments: InstrumentMatrix,
             raise ValueError(f"gmm({sample.spec.label}): singular weighted design "
                              f"({L} instruments, {N} entities)") from None
 
-    def moments(beta):
-        return (Z[r].T @ (dy[r] - dX[r] @ beta) for r in rows)
+    def moments(beta):  # each group's entity moment vectors Z_i'u_i, (entities, L)
+        u = dy - dX @ beta
+        for b in groups:
+            yield (padded(Z, b).transpose(0, 2, 1) @ padded(u, b)[..., None])[..., 0]
 
     beta1, M1 = solve_beta(W1)
 
     B = np.zeros((L, L))
-    for g in moments(beta1):
-        B += np.outer(g, g)
+    for G in moments(beta1):
+        if stack:
+            B = add(B, G[:, :, None] * G[:, None, :])
+        else:
+            for g in G:
+                B += np.outer(g, g)
     W2 = _inv_psd(B, "gmm two-step")
 
     if step == "twostep":
@@ -266,7 +295,7 @@ def gmm_estimate(sample: RegressionSample, instruments: InstrumentMatrix,
         Minv = np.linalg.inv(M1)
         cov = Minv @ (S_zx.T @ W1 @ B @ W1 @ S_zx) @ Minv
 
-    m = sum(moments(beta), np.zeros(L))
+    m = functools.reduce(add, moments(beta), np.zeros(L))
     j_stat = float(m @ W2 @ m)
     j_df = L - k
     j_p = chdtrc(j_df, j_stat) if j_df > 0 else None

@@ -26,7 +26,7 @@ SRC_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTH
 MODULES = sorted(m.name for m in pkgutil.walk_packages(panelmetrics.__path__, "panelmetrics."))
 
 
-def write_panel(path, n=12, width=9):
+def write_panel(path, n=40, width=9):
     rng = np.random.default_rng(6021)
     x1 = np.cumsum(0.1 * rng.standard_normal((n, width)), axis=1) + 5.0
     x2 = np.cumsum(0.1 * rng.standard_normal((n, width)), axis=1) + 3.0
@@ -328,7 +328,7 @@ class TestIngestFileSource:
     def test_ingest_writes_long_panel(self, workspace, capsys):
         assert main(["ingest", "--config", workspace()]) == 0
         dataset = read_panel_csv(workspace.dir / "out" / "panel.csv", schema="long")
-        assert len(dataset.entities) == 12
+        assert len(dataset.entities) == 40
         assert set(dataset.variables) == {"y", "x1", "x2"}
 
 

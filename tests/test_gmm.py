@@ -364,14 +364,15 @@ class TestGmmEstimate:
         assert gmm.H_GROUP == 64
         assert built == [starts[0:65], starts[64:129], starts[128:]]
 
-    @pytest.mark.parametrize("collapse", [False, True])
-    def test_equals_per_entity_loop_on_gappy_panel(self, collapse):
-        # more entities than one weighting-block group, gaps and ragged edges
+    @staticmethod
+    def dynamic_panel(gap_share, collapse):
+        """150 x 12 panel of y and x, more entities than one group, with a share of
+        cells missing, and its differenced sample and instruments."""
         rng = np.random.default_rng(31)
         y, _ = ar_panel(rng, 150, 12, 0.5)
         x = rng.standard_normal(y.shape)
         for v in (y, x):
-            v[rng.random(v.shape) < 0.15] = np.nan
+            v[rng.random(v.shape) < gap_share] = np.nan
         ds = build_panel({"y": y, "x": x})
         spec = ModelSpec(label="dyn", dependent="y", regressors=(("x", 1),),
                          lagged_dependent=True)
@@ -380,13 +381,44 @@ class TestGmmEstimate:
             s = differenced_sample(ds, spec)
             Z = build_instruments(ds, spec, max_depth=3 if collapse else None,
                                   collapse=collapse, sample=s)
+        return s, Z
+
+    @pytest.mark.parametrize("collapse", [False, True])
+    def test_equals_per_entity_loop_on_gappy_panel(self, collapse):
+        # gaps and ragged edges: entities are zero-padded to their group's longest, and
+        # the padded products round differently from the loop's own-length ones
+        s, Z = self.dynamic_panel(0.15, collapse)
         assert len({tuple(s.periods[r]) for _, r in entity_rows(s)}) > 50
+        for step in ("onestep", "twostep"):
+            res = gmm_estimate(s, Z, step=step)
+            beta, se, J = per_entity_gmm(s, Z, step)
+            np.testing.assert_allclose(res.coefficients, beta, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(res.std_errors, se, rtol=1e-12, atol=0)
+            assert res.j_stat == pytest.approx(J, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("collapse", [False, True])
+    def test_equals_per_entity_loop_on_balanced_panel(self, collapse):
+        # no entity is padded, so every product and every sum is the loop's, bit for bit
+        s, Z = self.dynamic_panel(0.0, collapse)
+        assert Z.n_instruments == (4 if collapse else 56)
         for step in ("onestep", "twostep"):
             res = gmm_estimate(s, Z, step=step)
             beta, se, J = per_entity_gmm(s, Z, step)
             np.testing.assert_array_equal(res.coefficients, beta)
             np.testing.assert_array_equal(res.std_errors, se)
             assert res.j_stat == J
+
+    def test_stacked_and_entity_by_entity_products_agree(self, monkeypatch):
+        # A1 and B summed from a group's stacked products or one product at a time
+        s, Z = self.dynamic_panel(0.15, True)
+        results = []
+        for cells in (0, 1 << 40):
+            monkeypatch.setattr(gmm, "STACK_CELLS", cells)
+            results.append([gmm_estimate(s, Z, step=step) for step in ("onestep", "twostep")])
+        for one_at_a_time, stacked in zip(*results):
+            np.testing.assert_array_equal(one_at_a_time.coefficients, stacked.coefficients)
+            np.testing.assert_array_equal(one_at_a_time.std_errors, stacked.std_errors)
+            assert one_at_a_time.j_stat == stacked.j_stat
 
     def test_matches_hand_matrix_algebra(self):
         y, s, Z = self.hand_panel()

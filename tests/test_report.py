@@ -43,7 +43,7 @@ from panelmetrics.report.render import (
 )
 
 
-def write_panel_file(path, n=12, width=9, gap_entity=None):
+def write_panel_file(path, n=40, width=9, gap_entity=None):
     """Wide CSV with an AR dependent and two persistent regressors.
 
     gap_entity: entity index whose later rows are blanked, leaving too few
@@ -548,6 +548,11 @@ class TestPipeline:
         manifest = bundle.manifest
         assert manifest["seed"] == 99
         assert manifest["config_digest"] == panel_config.digest()
+        # 40 entities against 29 instruments: the two-step weighting has full rank
+        gmm_values = bundle.tables["gmm"].values.values()
+        assert all(v["instrument_count"] < v["n_entities"] for v in gmm_values)
+        assert all(se > 0 for v in gmm_values for se in v["std_errors"])
+        assert not any("outnumber" in w["message"] for w in manifest["warnings"])
 
     def test_reruns_byte_identical(self, tmp_path):
         path = write_panel_file(tmp_path / "panel.csv")
@@ -689,4 +694,4 @@ class TestPipeline:
         assert written.endswith("panel.csv")
         dataset = read_panel_csv(written, schema="long")
         assert set(config.analysis_series()) <= set(dataset.variables)
-        assert len(dataset.entities) == 12
+        assert len(dataset.entities) == 40
