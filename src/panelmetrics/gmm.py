@@ -241,12 +241,15 @@ def gmm_estimate(sample: RegressionSample, instruments: InstrumentMatrix,
 
     def padded(values, b):  # the group's entities' rows, each zero-padded to the longest
         n = np.diff(b)
-        if n.min() == n.max():  # nothing to pad: a view of the rows, one block per entity
+        if n.min() == n.max():  # nothing to pad: a view of the rows, not a copy
             return values[b[0] : b[-1]].reshape(n.size, n[0], *values.shape[1:])
         return pad_runs(values, b[:-1], n)[0]
 
-    def add(total, parts):  # total + parts[0] + parts[1] + ..., in entity order
-        return np.add.reduce(np.concatenate((total[None], parts)), axis=0)
+    def add(total, parts):  # total + parts[0] + parts[1] + ..., one after another in entity order
+        terms = np.concatenate((total[None], parts))
+        if total.size > 1:  # reduce adds axis 0 in order only while each term has several elements
+            return np.add.reduce(terms, axis=0)
+        return np.add.accumulate(terms)[-1]  # one-element terms (L = 1), which reduce sums pairwise
 
     S_zx, s_zy, A1 = np.zeros((L, k)), np.zeros(L), np.zeros((L, L))
     for b in groups:

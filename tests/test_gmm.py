@@ -364,22 +364,24 @@ class TestGmmEstimate:
         assert gmm.H_GROUP == 64
         assert built == [starts[0:65], starts[64:129], starts[128:]]
 
+    DYN_SPEC = ModelSpec(label="dyn", dependent="y", regressors=(("x", 1),),
+                         lagged_dependent=True)
+
     @staticmethod
-    def dynamic_panel(gap_share, collapse):
+    def dynamic_panel(gap_share, collapse, spec=DYN_SPEC, depth=3):
         """150 x 12 panel of y and x, more entities than one group, with a share of
-        cells missing, and its differenced sample and instruments."""
+        cells missing, and its differenced sample and instruments (collapsed ones
+        `depth` lags deep)."""
         rng = np.random.default_rng(31)
         y, _ = ar_panel(rng, 150, 12, 0.5)
         x = rng.standard_normal(y.shape)
         for v in (y, x):
             v[rng.random(v.shape) < gap_share] = np.nan
         ds = build_panel({"y": y, "x": x})
-        spec = ModelSpec(label="dyn", dependent="y", regressors=(("x", 1),),
-                         lagged_dependent=True)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", PanelWarning)
             s = differenced_sample(ds, spec)
-            Z = build_instruments(ds, spec, max_depth=3 if collapse else None,
+            Z = build_instruments(ds, spec, max_depth=depth if collapse else None,
                                   collapse=collapse, sample=s)
         return s, Z
 
@@ -396,11 +398,15 @@ class TestGmmEstimate:
             np.testing.assert_allclose(res.std_errors, se, rtol=1e-12, atol=0)
             assert res.j_stat == pytest.approx(J, rel=1e-12, abs=0)
 
-    @pytest.mark.parametrize("collapse", [False, True])
-    def test_equals_per_entity_loop_on_balanced_panel(self, collapse):
+    @pytest.mark.parametrize("collapse, spec, depth, L", [
+        (False, DYN_SPEC, 3, 56),
+        (True, DYN_SPEC, 3, 4),
+        (True, AR_SPEC, 1, 1),  # every summed term has shape (1,), (1, 1) or (1, 1, 1)
+    ], ids=["uncollapsed", "collapsed", "one_instrument"])
+    def test_equals_per_entity_loop_on_balanced_panel(self, collapse, spec, depth, L):
         # no entity is padded, so every product and every sum is the loop's, bit for bit
-        s, Z = self.dynamic_panel(0.0, collapse)
-        assert Z.n_instruments == (4 if collapse else 56)
+        s, Z = self.dynamic_panel(0.0, collapse, spec, depth)
+        assert (Z.n_instruments, s.X.shape[1]) == (L, 2 if spec is self.DYN_SPEC else 1)
         for step in ("onestep", "twostep"):
             res = gmm_estimate(s, Z, step=step)
             beta, se, J = per_entity_gmm(s, Z, step)
