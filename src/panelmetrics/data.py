@@ -340,20 +340,9 @@ def lag_values(values: np.ndarray, periods, k) -> np.ndarray:
     return np.where(periods[src] == want, values[:, src], np.nan)
 
 
-def lag(series: VariableSeries, k: int = 1) -> VariableSeries:
-    """Calendar lag by k periods (`lag_values`)."""
-    if k < 0:
-        raise ValueError("lag must be nonnegative")
-    if k == 0:
-        return series
-    out = lag_values(series.values, series.periods, k)
-    return replace(series, name=f"{series.name}_lag{k}", values=out)
-
-
 def first_difference(series: VariableSeries) -> VariableSeries:
     """Calendar first difference, s(t) - s(t-1); missing on both sides of gaps."""
-    lagged = lag(series, 1)
-    out = series.values - lagged.values
+    out = series.values - lag_values(series.values, series.periods, 1)
     return replace(series, name=f"d_{series.name}", values=out)
 
 
@@ -371,11 +360,10 @@ def regression_sample(dataset: PanelDataset, spec: ModelSpec) -> RegressionSampl
             raise KeyError(f"regressor variable {var!r} not in dataset")
 
     dep = dataset[spec.dependent]
-    design_cols = []
-    if spec.lagged_dependent:
-        design_cols.append(lag(dep, 1).values)
-    for var, k in spec.regressors:
-        design_cols.append(lag(dataset[var], k).values)
+    lags = [(dep, 1)] if spec.lagged_dependent else []
+    lags += [(dataset[var], k) for var, k in spec.regressors]
+    # a lag-0 regressor reads its grid itself; ModelSpec refuses negative lags
+    design_cols = [s.values if k == 0 else lag_values(s.values, s.periods, k) for s, k in lags]
 
     y_grid = dep.values
     keep = np.isfinite(y_grid)

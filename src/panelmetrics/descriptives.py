@@ -99,11 +99,10 @@ def describe(series: VariableSeries) -> DescriptiveStats:
     )
 
 
-def describe_table(dataset: PanelDataset, variables=None) -> list:
-    """DescriptiveStats rows for the named variables, each over its own
-    nonmissing cells."""
-    names = list(variables) if variables is not None else list(dataset.variables)
-    return [describe(dataset[name]) for name in names]
+def describe_table(dataset: PanelDataset, variables) -> list:
+    """DescriptiveStats rows for the named variables, in their order, each
+    over its own nonmissing cells."""
+    return [describe(dataset[name]) for name in variables]
 
 
 def correlation_matrix(dataset: PanelDataset, variables=None) -> tuple:

@@ -8,8 +8,9 @@ steadily growing, highly persistent series whose true lagged coefficient,
 sitting strictly inside the unit circle, is recovered near but below one
 with fit near one, while the raw values stay on realistic indicator scales.
 A handful of cells are missing and one aid value is zero to exercise the
-missing-data and log-diagnostic paths.  Everything is deterministic given
-the seed; the shipped CSV is frozen output of write_fixture().
+missing-data and log-diagnostic paths.  Everything is drawn from one
+generator seeded with SEED, so the panel is fixed; the shipped CSV is
+frozen output of write_fixture().
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .data import PanelDataset, VariableSeries, write_panel_csv
 
-DEFAULT_SEED = 733812
+SEED = 733812  # the one seed of the bundled panel
 N_ENTITIES = 74
 YEARS = tuple(range(2013, 2022))
 
@@ -74,7 +75,7 @@ _MISSING = (
 _ZERO = (48, "oda_per_capita", 2013)
 
 
-def synthetic_panel(seed: int = DEFAULT_SEED) -> PanelDataset:
+def synthetic_panel() -> PanelDataset:
     """Generate the raw (untransformed) synthetic panel.
 
     Regressor logs carry one presample year (2012) so the lagged terms
@@ -83,7 +84,7 @@ def synthetic_panel(seed: int = DEFAULT_SEED) -> PanelDataset:
     dynamic equation the estimators fit: individual intercept, lagged
     dependent, lag-1 regressors.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SEED)
     T = len(YEARS)
 
     logs = {}
@@ -136,9 +137,9 @@ def synthetic_panel(seed: int = DEFAULT_SEED) -> PanelDataset:
     return dataset
 
 
-def write_fixture(path, seed: int = DEFAULT_SEED):
+def write_fixture(path):
     """Write the synthetic panel as a wide CSV."""
-    write_panel_csv(synthetic_panel(seed), path, schema="wide")
+    write_panel_csv(synthetic_panel(), path, schema="wide")
 
 
 def fixture_path() -> str:

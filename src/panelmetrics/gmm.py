@@ -203,7 +203,8 @@ def gmm_estimate(sample: RegressionSample, instruments: InstrumentMatrix,
     """Estimate the differenced equation by one- or two-step GMM.
 
     Entities are taken H_GROUP at a time, their rows zero-padded to the
-    group's longest, with the weighting blocks H_i from `_h_blocks`.
+    group's longest, with the weighting blocks H_i from `_h_blocks`.  Each
+    group's Z_i, dX_i and dy_i are laid out once and serve every pass.
     Z_i'dX_i, Z_i'dy_i and the moments g_i = Z_i'u_i are one batched matmul
     per group; the L x L terms Z_i'H_i Z_i (of A1) and g_i g_i' (of B) are
     too when H_GROUP * L * L is at most STACK_CELLS, else each is formed and
@@ -252,11 +253,13 @@ def gmm_estimate(sample: RegressionSample, instruments: InstrumentMatrix,
         return np.add.accumulate(terms)[-1]  # one-element terms (L = 1), which reduce sums pairwise
 
     S_zx, s_zy, A1 = np.zeros((L, k)), np.zeros(L), np.zeros((L, L))
+    layouts = []  # each group's Z_i', dX_i and dy_i, laid out once for every pass
     for b in groups:
-        Zp = padded(Z, b)
+        Zp, Xp, yp = padded(Z, b), padded(dX, b), padded(dy, b)
         Zt = Zp.transpose(0, 2, 1)
-        S_zx = add(S_zx, Zt @ padded(dX, b))
-        s_zy = add(s_zy, (Zt @ padded(dy, b)[..., None])[..., 0])
+        layouts.append((Zt, Xp, yp))
+        S_zx = add(S_zx, Zt @ Xp)
+        s_zy = add(s_zy, (Zt @ yp[..., None])[..., 0])
         H = _h_blocks(years, b)
         if stack:
             A1 = add(A1, Zt @ H @ Zp)
@@ -275,9 +278,8 @@ def gmm_estimate(sample: RegressionSample, instruments: InstrumentMatrix,
                              f"({L} instruments, {N} entities)") from None
 
     def moments(beta):  # each group's entity moment vectors Z_i'u_i, (entities, L)
-        u = dy - dX @ beta
-        for b in groups:
-            yield (padded(Z, b).transpose(0, 2, 1) @ padded(u, b)[..., None])[..., 0]
+        for Zt, Xp, yp in layouts:
+            yield (Zt @ (yp - Xp @ beta)[..., None])[..., 0]
 
     beta1, M1 = solve_beta(W1)
 

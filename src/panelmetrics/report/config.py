@@ -1,7 +1,8 @@
 """Pipeline configuration: YAML schema, strict validation, canonical digest.
 
 The config is a single YAML document, versioned through config_version so
-stale files fail loudly instead of being reinterpreted.  Validation is
+stale files fail loudly instead of being reinterpreted; the one accepted
+version, CONFIG_VERSION, is not stored but hashed by digest().  Validation is
 strict: unknown keys anywhere are errors, and every model reference must
 resolve to a defined (possibly log-transformed) series.  No computation
 reads the seed: it is recorded in the manifest and the digest only, and
@@ -84,7 +85,6 @@ class PipelineConfig:
     identical runs are recognizable.
     """
 
-    version: int
     seed: int
     data: DataSource
     variables: tuple
@@ -106,7 +106,7 @@ class PipelineConfig:
         """
         plain = asdict(self)
         del plain["output"]
-        plain["config_version"] = plain.pop("version")
+        plain["config_version"] = CONFIG_VERSION
         plain["data"]["source"] = plain["data"].pop("kind")
         for model in plain["models"]:
             model["regressors"] = [{"var": v, "lag": k} for v, k in model["regressors"]]
@@ -281,7 +281,8 @@ def _validate_tests(raw, available) -> TestOptions:
     det = _get_str(raw, "det", "tests", default="c")
     if det not in DET_TERMS:
         raise ConfigError(f"tests.det: expected one of {list(DET_TERMS)}, got {det!r}")
-    variables = _strings(raw.get("variables") or [], "tests.variables")
+    variables = raw.get("variables")  # null or [] mean all series
+    variables = () if variables is None else _strings(variables, "tests.variables")
     bad = sorted(set(variables) - set(available))
     if bad:
         raise ConfigError(f"tests.variables: {bad} are not defined series")
@@ -344,7 +345,6 @@ def validate_config(document) -> PipelineConfig:
     output = _validate_output(document.get("output"))
 
     return PipelineConfig(
-        version=version,
         seed=seed,
         data=data,
         variables=variables,

@@ -11,7 +11,8 @@ download is cached only when it parses as a long-schema panel holding
 exactly the descriptor's code, and a cache file is reused only under the
 same condition; any other file is downloaded again.  Either way the parsed
 panel rides on the outcome, so callers never read the file again.  A
-provider reporting more than MAX_PAGES pages is refused, not followed.
+provider reporting more than MAX_PAGES pages is refused, not followed, and
+a page is tried at most MAX_ATTEMPTS times; these are constants, not options.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ from ..data import PanelDataset, read_panel_csv
 
 MAX_PAGES = 1000  # bounds the requests one descriptor can make
 PER_PAGE = 1000  # records asked for per page
+MAX_ATTEMPTS = 3  # tries per page before a descriptor's download is given up
+BACKOFF_S = 0.5  # wait before the first retry; doubled before each later one
 
 
 @dataclass(frozen=True)
@@ -87,19 +90,20 @@ def _parse_payload(payload):
     return payload[0], payload[1]
 
 
-def _get_page(session, url, params, max_attempts, backoff):
+def _get_page(session, url, params):
     """One page with bounded-retry semantics.
 
-    Connection failures and 5xx responses are retried with exponential
-    backoff; 4xx responses are provider errors and surface immediately.
+    Connection failures and 5xx responses are retried, MAX_ATTEMPTS tries in
+    all, with exponential backoff from BACKOFF_S; 4xx responses are provider
+    errors and surface immediately.
     Returns the response object.
     """
     import requests  # imported on the fetch path only; file-source runs never load it
 
     last_exc = None
-    for attempt in range(max_attempts):
+    for attempt in range(MAX_ATTEMPTS):
         if attempt:
-            time.sleep(backoff * 2 ** (attempt - 1))
+            time.sleep(BACKOFF_S * 2 ** (attempt - 1))
         try:
             response = session.get(url, params=params, timeout=30)
         except requests.RequestException as exc:
@@ -109,7 +113,7 @@ def _get_page(session, url, params, max_attempts, backoff):
             last_exc = RuntimeError(f"HTTP {response.status_code}")
             continue
         return response
-    raise ConnectionError(f"gave up after {max_attempts} attempts: {last_exc}")
+    raise ConnectionError(f"gave up after {MAX_ATTEMPTS} attempts: {last_exc}")
 
 
 def _read_holding(path: str, code: str) -> PanelDataset:
@@ -120,7 +124,7 @@ def _read_holding(path: str, code: str) -> PanelDataset:
     return dataset
 
 
-def _fetch_one(descriptor, base_url, cache_dir, session, max_attempts, backoff):
+def _fetch_one(descriptor, base_url, cache_dir, session):
     key = descriptor.cache_key(base_url)
     path = os.path.join(cache_dir, f"{key}.csv")
     try:
@@ -139,7 +143,7 @@ def _fetch_one(descriptor, base_url, cache_dir, session, max_attempts, backoff):
             "per_page": PER_PAGE,
         }
         try:
-            response = _get_page(session, url, params, max_attempts, backoff)
+            response = _get_page(session, url, params)
         except ConnectionError as exc:
             return FetchOutcome(descriptor, error=str(exc))
         if response.status_code >= 400:
@@ -190,14 +194,7 @@ def _fetch_one(descriptor, base_url, cache_dir, session, max_attempts, backoff):
     return FetchOutcome(descriptor, path=path, pages=pages, rows=len(rows), dataset=dataset)
 
 
-def fetch_indicators(
-    descriptors,
-    base_url: str,
-    cache_dir: str,
-    max_attempts: int = 3,
-    backoff: float = 0.5,
-    session=None,
-) -> list:
+def fetch_indicators(descriptors, base_url: str, cache_dir: str, session=None) -> list:
     """Download (or reuse) one long-schema CSV per descriptor.
 
     Never raises for per-descriptor problems; each descriptor gets a
@@ -210,10 +207,7 @@ def fetch_indicators(
     own_session = session is None
     session = session or requests.Session()
     try:
-        return [
-            _fetch_one(d, base_url, cache_dir, session, max_attempts, backoff)
-            for d in descriptors
-        ]
+        return [_fetch_one(d, base_url, cache_dir, session) for d in descriptors]
     finally:
         if own_session:
             session.close()

@@ -109,7 +109,7 @@ def build_descriptive_table(stats) -> TableArtifact:
     )
 
 
-def build_correlation_table(names, matrix, n_used=None) -> TableArtifact:
+def build_correlation_table(names, matrix, n_used) -> TableArtifact:
     """Pearson correlation grid on the shared listwise sample."""
     columns = ("variable",) + tuple(names)
     rows = tuple(
@@ -122,9 +122,8 @@ def build_correlation_table(names, matrix, n_used=None) -> TableArtifact:
             a: {b: matrix[i, j] for j, b in enumerate(names)} for i, a in enumerate(names)
         },
     }
-    notes = ("All variables restricted to the rows where every one is observed.",)
-    if n_used is not None:
-        notes += (f"Shared sample size: {n_used}.",)
+    notes = ("All variables restricted to the rows where every one is observed.",
+             f"Shared sample size: {n_used}.")
     return TableArtifact(
         name="correlation",
         title="Pearson correlation matrix",

@@ -262,7 +262,8 @@ class TestFetchCommands:
         assert main(["fetch", "--config", workspace()]) == 1
         assert "nothing to fetch" in capsys.readouterr().err
 
-    def test_fetch_failure_is_3(self, indicator_server, tmp_path, capsys):
+    def test_fetch_failure_is_3(self, indicator_server, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(fetch, "BACKOFF_S", 0.01)  # the 5xx retries wait 10 ms, not 0.5 s
         doc = fetch_doc(indicator_server, codes=("VARY", "DOWN"))
         config = self.write_config(tmp_path, doc)
         assert main(["fetch", "--config", config]) == 3

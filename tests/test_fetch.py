@@ -8,7 +8,8 @@ from urllib.parse import parse_qs, urlparse
 
 import pytest
 
-from panelmetrics.report.fetch import MAX_PAGES, FetchDescriptor, fetch_indicators
+from panelmetrics.report import fetch
+from panelmetrics.report.fetch import MAX_ATTEMPTS, MAX_PAGES, FetchDescriptor, fetch_indicators
 
 # GOOD pages: (entity, year, value); value None renders as an empty cell
 PAGES = (
@@ -61,6 +62,12 @@ class _Handler(http.server.BaseHTTPRequestHandler):
         pass
 
 
+@pytest.fixture(autouse=True)
+def short_backoff(monkeypatch):
+    """Retries wait 10 ms instead of BACKOFF_S, so retry tests stay fast."""
+    monkeypatch.setattr(fetch, "BACKOFF_S", 0.01)
+
+
 @pytest.fixture()
 def server():
     srv = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
@@ -96,12 +103,9 @@ def base_url(srv):
     return f"http://127.0.0.1:{srv.server_address[1]}"
 
 
-def fetch_one(srv, tmp_path, code, **kwargs):
+def fetch_one(srv, tmp_path, code):
     descriptor = FetchDescriptor(provider="prov", code=code, years="2013:2021")
-    kwargs.setdefault("backoff", 0.01)
-    (outcome,) = fetch_indicators(
-        [descriptor], base_url(srv), str(tmp_path / "cache"), **kwargs
-    )
+    (outcome,) = fetch_indicators([descriptor], base_url(srv), str(tmp_path / "cache"))
     return outcome
 
 
@@ -183,19 +187,17 @@ class TestFetch:
         assert outcome.rows == 1
 
     def test_retries_bounded(self, server, tmp_path):
-        outcome = fetch_one(server, tmp_path, "DOWN", max_attempts=3)
+        outcome = fetch_one(server, tmp_path, "DOWN")
         assert not outcome.ok
-        assert "3 attempts" in outcome.error
-        assert server.hits["DOWN"] == 3
+        assert f"{MAX_ATTEMPTS} attempts" in outcome.error
+        assert server.hits["DOWN"] == MAX_ATTEMPTS
 
     def test_mixed_batch_isolates_failures(self, server, tmp_path):
         descriptors = [
             FetchDescriptor("prov", "GOOD", "2013:2021"),
             FetchDescriptor("prov", "MISSING", "2013:2021"),
         ]
-        good, missing = fetch_indicators(
-            descriptors, base_url(server), str(tmp_path / "cache"), backoff=0.01
-        )
+        good, missing = fetch_indicators(descriptors, base_url(server), str(tmp_path / "cache"))
         assert good.ok
         assert not missing.ok
 
@@ -205,11 +207,9 @@ class TestFetch:
             [FetchDescriptor("prov", "GOOD", "2013:2021")],
             "http://127.0.0.1:9",
             str(tmp_path / "cache"),
-            max_attempts=2,
-            backoff=0.01,
         )
         assert not outcome.ok
-        assert "2 attempts" in outcome.error
+        assert f"{MAX_ATTEMPTS} attempts" in outcome.error
 
     @pytest.mark.parametrize("reported, requests", [
         (lambda page: 10**9, 1),

@@ -14,6 +14,7 @@ from panelmetrics.data import (
     PanelWarning,
     RegressionSample,
     VariableSeries,
+    pad_runs,
     regression_sample,
 )
 from panelmetrics.effects import _wald, fixed_effects
@@ -413,6 +414,23 @@ class TestGmmEstimate:
             np.testing.assert_array_equal(res.coefficients, beta)
             np.testing.assert_array_equal(res.std_errors, se)
             assert res.j_stat == J
+
+    def test_instruments_laid_out_once_per_entity_group(self, monkeypatch):
+        # the sums, B's moments and J's moments all read one padded copy of each group's Z
+        s, Z = self.dynamic_panel(0.15, True)
+        starts = [r.start for _, r in entity_rows(s)] + [s.n_obs]
+        groups = [starts[g : g + gmm.H_GROUP + 1] for g in range(0, s.n_entities, gmm.H_GROUP)]
+        assert all(len(set(np.diff(b))) > 1 for b in groups)  # every group is ragged
+        laid_out = []
+
+        def counted(values, run_starts, lengths):
+            if values is Z.Z:
+                laid_out.append(np.append(run_starts, run_starts[-1] + lengths[-1]).tolist())
+            return pad_runs(values, run_starts, lengths)
+
+        monkeypatch.setattr(gmm, "pad_runs", counted)
+        gmm_estimate(s, Z, step="twostep")
+        assert laid_out == groups
 
     def test_stacked_and_entity_by_entity_products_agree(self, monkeypatch):
         # A1 and B summed from a group's stacked products or one product at a time

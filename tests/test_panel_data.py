@@ -15,7 +15,7 @@ from panelmetrics.data import (
     VariableSeries,
     contiguous_run,
     first_difference,
-    lag,
+    lag_values,
     longest_runs,
     natural_log,
     pad_runs,
@@ -324,31 +324,36 @@ class TestTransforms:
                 values=np.array([[1.0, 2.0, 3.0]]),
             )
         )
-        lagged = lag(ds["x"], 1)
-        assert lagged.name == "x_lag1"
-        assert np.isnan(lagged.values[0, 0])
-        assert lagged.values[0, 1] == 1.0
-        assert np.isnan(lagged.values[0, 2])
+        x = ds["x"]
+        lagged = lag_values(x.values, x.periods, 1)
+        assert np.isnan(lagged[0, 0])
+        assert lagged[0, 1] == 1.0
+        assert np.isnan(lagged[0, 2])
         # k=2 reaches across the missing 2002: 2003 takes the 2001 value
-        lagged2 = lag(ds["x"], 2)
-        assert lagged2.name == "x_lag2"
-        assert np.isnan(lagged2.values[0, :2]).all()
-        assert lagged2.values[0, 2] == 2.0
+        lagged2 = lag_values(x.values, x.periods, 2)
+        assert np.isnan(lagged2[0, :2]).all()
+        assert lagged2[0, 2] == 2.0
 
     def test_lag_values_over_many_lags_stacks_each_lag(self):
-        # one call over lags 1-4 on a gappy calendar equals one lag call per distance
+        # one call over lags 1-4 on a gappy calendar equals a per-cell calendar lookup
         periods = (2000, 2001, 2003, 2004, 2007)
         values = np.arange(10.0).reshape(2, 5)
-        series = VariableSeries(name="x", entities=("A", "B"), periods=periods, values=values)
         stacked = data.lag_values(values, periods, np.arange(1, 5))
         assert stacked.shape == (2, 5, 4)
         for k in range(1, 5):
-            assert np.array_equal(stacked[..., k - 1], lag(series, k).values, equal_nan=True)
+            want = [[values[i, periods.index(t - k)] if t - k in periods else np.nan
+                     for t in periods] for i in range(2)]
+            assert np.array_equal(stacked[..., k - 1], want, equal_nan=True)
+            assert np.array_equal(lag_values(values, periods, k), want, equal_nan=True)
         assert stacked[0, 4, 2] == values[0, 3] and np.isnan(stacked[0, 4, 0])  # 2007 - 3, 2007 - 1
 
     def test_lag_zero_is_identity(self):
-        ds = make_dataset({"x": [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]})
-        assert lag(ds["x"], 0) is ds["x"]
+        # a lag-0 regressor is the grid itself, row for row
+        ds = make_dataset({"y": [[1.0, 3.0, 2.0], [5.0, 4.0, 6.0]],
+                           "x": [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]})
+        sample = regression_sample(ds, ModelSpec(label="1", dependent="y", regressors=(("x", 0),)))
+        assert sample.columns == ("x",)
+        assert np.array_equal(sample.X[:, 0], ds["x"].values.ravel())
 
     def test_first_difference_respects_gaps(self):
         ds = PanelDataset(entities=("A",), periods=(2000, 2001, 2003))

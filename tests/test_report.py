@@ -270,6 +270,20 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=message):
             validate_config(doc)
 
+    @pytest.mark.parametrize("value", [False, 0, "", {}], ids=["false", "zero", "empty-str", "empty-map"])
+    def test_falsy_non_list_test_variables_rejected(self, tmp_path, value):
+        # only null and [] mean "all series"; other falsy values are not lists
+        doc = self.base(tmp_path)
+        doc["tests"] = {"variables": value}
+        with pytest.raises(ConfigError, match=r"^tests\.variables: expected a list of strings$"):
+            validate_config(doc)
+
+    @pytest.mark.parametrize("value", [None, []], ids=["null", "empty-list"])
+    def test_null_or_empty_test_variables_mean_all_series(self, tmp_path, value):
+        doc = self.base(tmp_path)
+        doc["tests"] = {"variables": value}
+        assert validate_config(doc).tests.variables == ()
+
     def test_fetch_source_year_range_checked(self, tmp_path):
         doc = self.base(tmp_path)
         doc["data"] = {

@@ -1,4 +1,5 @@
-"""Every module of src/ and tools/ uses each name it imports."""
+"""Every module of src/ and tools/ uses each name it imports, and each
+module-level private name that one of them binds is read by one of them."""
 
 import ast
 from pathlib import Path
@@ -22,6 +23,35 @@ def unused_imports(source: str) -> list:
     return [name for name in imported if name not in used]
 
 
+def private_definitions(tree) -> list:
+    """Names starting with one underscore that the module's top level binds."""
+    bound = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [name for name in bound if name.startswith("_") and not name.startswith("__")]
+
+
+def unread_private_names(sources: dict) -> list:
+    """(module, name) for each private top-level name no source reads: as a loaded
+    Name, an attribute (`mod._name`) or an imported name (`from .mod import _name`)."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(a.name for a in node.names)
+    return [(module, name) for module, tree in trees.items()
+            for name in private_definitions(tree) if name not in read]
+
+
 def test_modules_found():
     assert len(MODULES) > 10
 
@@ -41,3 +71,34 @@ def test_check_sees_each_binding_form():
         "    return os.sep\n"
     )
     assert unused_imports(source) == ["np", "b"]
+
+
+def test_every_private_name_is_read():
+    sources = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in MODULES}
+    assert unread_private_names(sources) == []
+
+
+def test_private_check_sees_each_binding_and_read_form():
+    sources = {
+        "a.py": (
+            "import b\n"
+            "_LOCAL = 1\n"
+            "_UNREAD, (_PAIR, x) = 2, (3, 4)\n"
+            "_ANNOTATED: int = 5\n"
+            "__dunder__ = 6\n"
+            "def _helper():\n"
+            "    _inner = _LOCAL + _PAIR\n"
+            "    return b._by_attribute\n"
+            "class _Unused:\n"
+            "    _field = 7\n"
+        ),
+        "b.py": (
+            "from a import _helper\n"
+            "_by_attribute = 8\n"
+            "def _never_called():\n"
+            "    pass\n"
+        ),
+    }
+    assert unread_private_names(sources) == [
+        ("a.py", "_UNREAD"), ("a.py", "_ANNOTATED"), ("a.py", "_Unused"), ("b.py", "_never_called"),
+    ]
