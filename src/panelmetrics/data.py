@@ -10,9 +10,9 @@ CSV ingest reads the wide and the long schema into one cell table of
 in where a value's variable is named, and one vectorized pass fills every grid.
 
 Stacked rows split into calendar runs (`contiguous_run`).  The unit-root
-tests and FMOLS then use one rule for which run each entity contributes and
-which entities drop out (`longest_runs`): its longest run, dropped when too
-short and then when constant over it, and zero-pad its runs (`pad_runs`).
+tests and FMOLS then use one rule for which run each entity contributes
+(`longest_runs`, its longest) and which entities drop out (`_drop_runs`: too
+short, then constant over that run), and zero-pad the runs (`pad_runs`).
 Every stage names the entities it drops through `warn_dropped`.
 """
 
@@ -409,16 +409,14 @@ def contiguous_run(entity_ids: np.ndarray, years: np.ndarray) -> tuple:
 
 
 def longest_runs(labels, entity_ids: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
-                 values: np.ndarray, min_len: int, what: str, reasons) -> tuple:
+                 values: np.ndarray) -> tuple:
     """Each entity's longest run from contiguous_run output, earliest on ties, and
-    which entities can use it.
+    whether it is constant.
 
     labels name the entities, indexed by the stacked rows' entity_ids; values
-    holds the rows, one or more columns.  An entity whose run is shorter than
-    min_len is dropped, then one with any column of values constant over its
-    run; reasons words the two drops, each warned once through warn_dropped.
-    Returns (keep, starts, lengths) of shape (len(labels),): an entity with
-    no rows gets length 0.
+    holds the rows, one or more columns.  Returns (starts, lengths, constant) of
+    shape (len(labels),): constant marks a run over which any column of values
+    is constant, and an entity with no rows gets length 0 and counts as constant.
     """
     owner = np.asarray(entity_ids)[starts]
     order = np.lexsort((starts, -lengths, owner))
@@ -435,11 +433,17 @@ def longest_runs(labels, entity_ids: np.ndarray, starts: np.ndarray, lengths: np
     constant = changes[best_start + np.maximum(best_len, 1) - 1] == changes[best_start]
     if constant.ndim > 1:
         constant = constant.any(axis=1)
-    short = best_len < min_len
+    return best_start, best_len, constant
+
+
+def _drop_runs(labels, lengths, constant, min_len: int, what: str, reasons) -> np.ndarray:
+    """Which entities keep their longest run (longest_runs): drops one shorter than min_len,
+    then a constant one; reasons words the two drops, each warned once through warn_dropped."""
+    short = lengths < min_len
     labels = np.asarray(labels, dtype=object)
     for drop, why in zip((short, constant & ~short), reasons):
         warn_dropped(what, labels[drop], why)
-    return ~short & ~constant, best_start, best_len
+    return ~short & ~constant
 
 
 def warn_dropped(what: str, dropped, why: str):
@@ -457,7 +461,7 @@ def pad_runs(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> tup
     """(blocks, inside): block i holds rows starts[i] .. starts[i] + lengths[i] - 1 of values
     (1-D, or 2-D keeping its columns), zero-padded at the end to the longest run; inside
     marks the real rows, so blocks[inside] gives them back in run order."""
-    inside = np.arange(lengths.max()) < lengths[:, None]
-    blocks = values.take(starts[:, None] + np.arange(lengths.max()), axis=0, mode="clip")
+    inside = np.arange(lengths.max(initial=0)) < lengths[:, None]
+    blocks = values.take(starts[:, None] + np.arange(inside.shape[1]), axis=0, mode="clip")
     blocks[~inside] = 0
     return blocks, inside

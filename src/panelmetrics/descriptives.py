@@ -105,8 +105,8 @@ def describe_table(dataset: PanelDataset, variables) -> list:
     return [describe(dataset[name]) for name in variables]
 
 
-def correlation_matrix(dataset: PanelDataset, variables=None) -> tuple:
-    """Pearson correlations on the shared listwise sample.
+def correlation_matrix(dataset: PanelDataset, variables) -> tuple:
+    """Pearson correlations of the named variables on the shared listwise sample.
 
     All requested variables are restricted to the cells where every one of
     them is observed (a single shared n), so the matrix is a true Gram
@@ -122,7 +122,7 @@ def correlation_matrix(dataset: PanelDataset, variables=None) -> tuple:
         Fewer than two variables, shared sample below three rows, or a
         variable constant on the shared sample (named in the message).
     """
-    names = tuple(variables) if variables is not None else tuple(dataset.variables)
+    names = tuple(variables)
     if len(names) < 2:
         raise ValueError("correlation_matrix needs at least two variables")
     flat = np.column_stack([np.ravel(dataset[name].values) for name in names])

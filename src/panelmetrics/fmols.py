@@ -27,6 +27,7 @@ from .data import (
     ModelSpec,
     PanelDataset,
     PanelWarning,
+    _drop_runs,
     contiguous_run,
     longest_runs,
     pad_runs,
@@ -62,9 +63,9 @@ def _entity_blocks(sample, k: int):
     if clipped:
         warnings.warn(f"fmols: non-contiguous sample for {clipped} entity(ies); "
                       "kept each entity's longest run", PanelWarning, stacklevel=3)
-    keep, starts, lengths = longest_runs(
-        sample.entities, sample.entity_ids, starts, lengths, sample.X, k + 3, "fmols",
-        (f"shorter than {k + 3} rows", "with a constant regressor"))
+    starts, lengths, constant = longest_runs(sample.entities, sample.entity_ids, starts, lengths, sample.X)
+    keep = _drop_runs(sample.entities, lengths, constant, k + 3, "fmols",
+                      (f"shorter than {k + 3} rows", "with a constant regressor"))
     if not keep.any():
         raise ValueError("fmols: no entity has enough contiguous rows and a varying regressor")
     return tuple(compress(sample.entities, keep)), starts[keep], lengths[keep]

@@ -14,20 +14,20 @@ FMOLS and tools/gen_ips_moments.py import them.  All three also take blocks
 of different lengths, zero-padded at the end to a common one, with each
 block's own length.
 
-Every series handed to a test must be an unbroken calendar run; the battery
-extracts each entity's longest contiguous stretch and drops entities that
-fail a test's length precondition or are constant over that stretch, with a
-warning naming them (`data.longest_runs`, FMOLS' rule too).  The kept runs
-are one array, zero-padded at the end (`data.pad_runs`), that every test
-works on.  A test's lag depends on run length alone, so each panel test
-settles the length rules (lags, bandwidth checks, table coverage) once per
-distinct length before any fit, then fits all runs of one lag in one padded
-solve (`_fit_runs`).  Phillips-Perron pads every run's residuals for one bandwidth
-call and one kernel call per series, and refuses an entity whose lag-0 fit
-is perfect; LLC pools the fits' sums and makes one kernel call over the
-runs' padded differences.  All per-entity p-values come from one
-`mackinnon_p` call.  adf_test and pp_test are batches of one, and refuse a
-constant series.
+Every series handed to a test must be an unbroken calendar run.  A panel
+series is laid out once (`_Runs`): each entity's longest contiguous stretch
+(`data.longest_runs`, FMOLS' rule too) in one array zero-padded at the end
+(`data.pad_runs`); each test drops, with a warning naming them, the entities
+that fail its length precondition or are constant over that stretch.  A
+test's lag depends on run length alone, so each panel test settles the
+length rules (lags, bandwidth checks, table coverage) once per distinct
+length before any fit; the layout's table fits each (run, lag) once, a lag's
+runs in one padded solve, and run_battery shares it across a series' tests.
+Phillips-Perron pads every run's residuals for one bandwidth call and one
+kernel call per series, and refuses an entity whose lag-0 fit is perfect; LLC
+pools the fits' sums and makes one kernel call over the runs' padded
+differences.  All per-entity p-values come from one `mackinnon_p` call.
+adf_test and pp_test are batches of one, and refuse a constant series.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from .data import (
     PanelDataset,
     PanelWarning,
     VariableSeries,
+    _drop_runs,
     _first_seen,
     contiguous_run,
     first_difference,
@@ -162,6 +163,7 @@ def _df_regression(y: np.ndarray, det: str, lags: int, lengths=None):
     series are zero-padded at the end to T, each with rows = length - 1 - lags
     of its own; the padded rows of the design and the difference are zeroed,
     so they add exact zeros to every sum and leave residuals of exactly 0.
+    X'X is factorized once, against [X'dy | e0]; the e0 column gives inv(X'X)[0, 0].
     Returns (tau, se_rho, s, residuals, rows): the level coefficient's t, its
     standard error and the regression standard error, each of y's leading
     shape, residuals (..., T - 1 - lags), and rows (per series with lengths).
@@ -184,26 +186,13 @@ def _df_regression(y: np.ndarray, det: str, lags: int, lengths=None):
             padded = np.arange(dy.shape[-1]) >= rows[..., None]
             X[padded] = dy[padded] = 0.0
     Xt = np.swapaxes(X, -1, -2)
-    XtX = Xt @ X
-    beta = np.linalg.solve(XtX, Xt @ dy[..., None])
-    resid = dy - (X @ beta)[..., 0]
+    rhs = np.zeros(Xt.shape[:-1] + (2,))  # [X'dy | e0]
+    rhs[..., :1], rhs[..., 0, 1] = Xt @ dy[..., None], 1.0
+    sol = np.linalg.solve(Xt @ X, rhs)
+    resid = dy - (X @ sol[..., :1])[..., 0]
     s2 = (resid * resid).sum(axis=-1) / (rows - X.shape[-1])
-    se = np.sqrt(s2 * np.linalg.inv(XtX)[..., 0, 0])
-    return beta[..., 0, 0] / se, se, np.sqrt(s2), resid, rows
-
-
-def _fit_runs(Y, lengths, det: str, lags_pe) -> tuple:
-    """Dickey-Fuller fit of each zero-padded run of Y at its lag, one padded _df_regression
-    call per distinct lag over that lag's runs, cut to their longest.  Returns tau, se_rho
-    and s, in run order, and the residuals, zero-padded at the end to the most rows."""
-    tau, se_rho, s = np.empty((3, len(lengths)))
-    resid = np.zeros((len(lengths), (lengths - 1 - lags_pe).max()))
-    for p in np.unique(lags_pe).tolist():
-        idx = np.flatnonzero(lags_pe == p)
-        fit = _df_regression(Y[idx, : lengths[idx].max()], det, p, lengths[idx])
-        tau[idx], se_rho[idx], s[idx] = fit[:3]
-        resid[idx, : fit[3].shape[1]] = fit[3]
-    return tau, se_rho, s, resid
+    se = np.sqrt(s2 * sol[..., 0, 1])
+    return sol[..., 0, 0] / se, se, np.sqrt(s2), resid, rows
 
 
 def adf_test(y, det: str = "c", lags: int | None = None) -> UnitRootResult:
@@ -343,17 +332,18 @@ def pp_test(y, det: str = "c", bandwidth: int | None = None) -> UnitRootResult:
     T = y.shape[0]
     if _max_feasible_lags(T, det) < 0:
         raise ValueError(f"pp_test: series too short (T={T}) for det={det!r}")
-    z, bw = _pp_runs(y[None], np.array([T]), det, bandwidth, ("the series",))
+    z, bw = _pp_runs(y[None], np.array([T]), bandwidth, ("the series",),
+                     lambda: _df_regression(y[None], det, 0)[:4])
     return UnitRootResult(
         test="pp", statistic=float(z[0]), p_value=_dfc.mackinnon_p(float(z[0]), det), det=det,
         lags=0, n_obs=T - 1, bandwidth=bw[0],
     )
 
 
-def _pp_runs(Y, lengths, det: str, bandwidth: int | None, labels) -> tuple:
+def _pp_runs(Y, lengths, bandwidth: int | None, labels, fit) -> tuple:
     """Phillips-Perron Z and bandwidth of each zero-padded run of Y.  A fixed bandwidth is
-    checked against every run before any fit; the runs take one padded lag-0 fit, and the
-    residuals, zero-padded to the longest, one bandwidth call and one kernel call.
+    checked against every run before fit() gives the runs' lag-0 fits (as `_Runs.fit`),
+    whose residuals take one bandwidth call and one kernel call.
     A fit whose standard error is below PERFECT_FIT times the RMS of the run's
     differences is refused, naming the run's label: its Z would be rounding noise."""
     if bandwidth is not None:
@@ -364,7 +354,7 @@ def _pp_runs(Y, lengths, det: str, bandwidth: int | None, labels) -> tuple:
         if short.size:
             raise ValueError(f"pp_test: bandwidth {bandwidth} too large for {short[0]} rows")
     rows = lengths - 1
-    tau, se_rho, s, resid = _fit_runs(Y, lengths, det, np.zeros(len(lengths), dtype=int))
+    tau, se_rho, s, resid = fit()
     dy = np.where(np.arange(1, Y.shape[1]) < lengths[:, None], np.diff(Y), 0.0)  # each run's own
     perfect = np.flatnonzero(s <= PERFECT_FIT * np.sqrt((dy * dy).sum(axis=1) / rows))
     if perfect.size:
@@ -401,24 +391,50 @@ def fisher_combine(p_values) -> tuple:
     return stat, df, chdtrc(df, stat)
 
 
-def _panel_runs(series: VariableSeries, min_len: int, what: str):
-    """Each entity's longest contiguous run, dropping short, then constant, runs
-    (`data.longest_runs`).  Returns the kept runs, zero-padded at the end to the longest
-    (`data.pad_runs`), their lengths and the kept labels.  A kept run whose squares (or
-    their sum) leave the normal float range is refused: its fit would be rounding noise
-    or overflow."""
-    ent, col = np.nonzero(np.isfinite(series.values))
-    flat = series.values[ent, col]
-    runs, lengths = contiguous_run(ent, np.asarray(series.periods)[col])
-    keep, starts, lengths = longest_runs(
-        series.entities, ent, runs, lengths, flat, min_len, f"{what}({series.name})",
-        (f"below {min_len} contiguous observations", "constant over their longest run"))
-    if keep.sum() < 2:
-        raise ValueError(f"{what}({series.name}): fewer than two usable entities")
-    lengths, kept = lengths[keep], tuple(compress(series.entities, keep))
-    Y = pad_runs(flat, starts[keep], lengths)[0]
-    _refuse_extreme(Y, lengths, kept, f"{what}({series.name})")
-    return Y, lengths, kept
+class _Runs:
+    """One series' runs for its panel tests: each entity's longest contiguous run, laid out
+    once with no warning (`data.longest_runs`, zero-padded at the end by `data.pad_runs`),
+    and a table of the runs' Dickey-Fuller fits under det, each (run, lag) fitted once."""
+
+    def __init__(self, series: VariableSeries, det: str):
+        ent, col = np.nonzero(np.isfinite(series.values))
+        flat = series.values[ent, col]
+        runs, lengths = contiguous_run(ent, np.asarray(series.periods)[col])
+        starts, self.lengths, self.constant = longest_runs(series.entities, ent, runs, lengths, flat)
+        self.Y = pad_runs(flat, starts, self.lengths)[0]
+        self.series, self.det, self.fits = series, det, {}
+
+    def usable(self, min_len: int, what: str) -> tuple:
+        """Indices, runs (cut to the longest), lengths and labels of the runs test `what` keeps,
+        after its drop warnings; refuses fewer than two, or squares outside the normal range."""
+        what = f"{what}({self.series.name})"
+        keep = _drop_runs(self.series.entities, self.lengths, self.constant, min_len, what,
+                          (f"below {min_len} contiguous observations", "constant over their longest run"))
+        if keep.sum() < 2:
+            raise ValueError(f"{what}: fewer than two usable entities")
+        idx, kept = np.flatnonzero(keep), tuple(compress(self.series.entities, keep))
+        lengths = self.lengths[idx]
+        Y = self.Y[idx, : lengths.max()]
+        _refuse_extreme(Y, lengths, kept, what)
+        return idx, Y, lengths, kept
+
+    def fit(self, idx, lags_pe, resid: bool = False) -> tuple:
+        """tau, se_rho and s of runs idx at their lags; a lag's runs not in the table take one padded
+        _df_regression call first.  With resid, all are refitted for their residuals (padded), fourth."""
+        n = self.lengths.size
+        stats = np.empty((idx.size, 3))
+        res = np.zeros((idx.size, (self.lengths[idx] - 1 - lags_pe).max())) if resid else None
+        for p in np.unique(lags_pe).tolist():
+            at = np.flatnonzero(lags_pe == p)
+            done, table = self.fits.setdefault(p, (np.zeros(n, bool), np.zeros((n, 3))))
+            new = idx[at] if resid else idx[at][~done[idx[at]]]
+            if new.size:
+                fit = _df_regression(self.Y[new, : self.lengths[new].max()], self.det, p, self.lengths[new])
+                table[new], done[new] = np.transpose(fit[:3]), True
+                if resid:
+                    res[at, : fit[3].shape[1]] = fit[3]
+            stats[at] = table[idx[at]]
+        return (*stats.T, res)
 
 
 def _entity_lags(T: int, det: str, lags: int | None, min_df: int = 2) -> int:
@@ -445,18 +461,26 @@ def _fisher(test: str, det: str, kept: tuple, lengths, stat_pe, extra_pe) -> Uni
 
 
 def fisher_adf(series: VariableSeries, det: str = "c", lags: int | None = None) -> UnitRootResult:
-    """Fisher combination of per-entity ADF p-values."""
-    Y, lengths, kept = _panel_runs(series, _shortest_run(det), "fisher_adf")
+    """Fisher combination of per-entity ADF p-values; run_battery shares its layout and fits."""
+    return _fisher_adf(_Runs(series, det), lags)
+
+
+def _fisher_adf(runs: _Runs, lags: int | None) -> UnitRootResult:
+    det = runs.det
+    idx, _, lengths, kept = runs.usable(_shortest_run(det), "fisher_adf")
     lags_pe = _by_length(lambda T: _entity_lags(T, det, lags), lengths)
-    tau = _fit_runs(Y, lengths, det, lags_pe)[0]
-    return _fisher("fisher-adf", det, kept, lengths, tau, lags_pe.tolist())
+    return _fisher("fisher-adf", det, kept, lengths, runs.fit(idx, lags_pe)[0], lags_pe.tolist())
 
 
 def fisher_pp(series: VariableSeries, det: str = "c", bandwidth: int | None = None) -> UnitRootResult:
-    """Fisher combination of per-entity Phillips-Perron p-values."""
-    Y, lengths, kept = _panel_runs(series, _shortest_run(det), "fisher_pp")
-    z, bw = _pp_runs(Y, lengths, det, bandwidth, kept)
-    return _fisher("fisher-pp", det, kept, lengths, z, bw)
+    """Fisher combination of per-entity Phillips-Perron p-values; run_battery shares its layout and fits."""
+    return _fisher_pp(_Runs(series, det), bandwidth)
+
+
+def _fisher_pp(runs: _Runs, bandwidth: int | None) -> UnitRootResult:
+    idx, Y, lengths, kept = runs.usable(_shortest_run(runs.det), "fisher_pp")
+    z, bw = _pp_runs(Y, lengths, bandwidth, kept, lambda: runs.fit(idx, np.zeros(idx.size, int), resid=True))
+    return _fisher("fisher-pp", runs.det, kept, lengths, z, bw)
 
 
 def _ips_moments(T: int, p: int, det: str) -> tuple:
@@ -492,16 +516,22 @@ def ips_test(series: VariableSeries, det: str = "c", lags: int | None = None) ->
     W = sqrt(N) (tbar - mean of tabulated means) / sqrt(mean of tabulated
     variances), asymptotically standard normal; p is the lower tail.  The
     moment table covers intercept and trend cases; each entity's lag is
-    capped at what the table holds before the entity is fitted once.
+    capped at what the table holds before the entity is fitted once; in
+    run_battery a run whose lag equals Fisher-ADF's reads that fit (`_Runs`).
     """
+    return _ips_test(_Runs(series, det), lags)
+
+
+def _ips_test(runs: _Runs, lags: int | None) -> UnitRootResult:
+    det = runs.det
     if det not in ("c", "ct"):
         raise ValueError("ips_test supports det 'c' or 'ct' (moment table coverage)")
-    Y, lengths, kept = _panel_runs(series, IPS_T_GRID[0], "ips_test")
+    idx, _, lengths, kept = runs.usable(IPS_T_GRID[0], "ips_test")
     means, variances, lags_pe = _by_length(
         lambda T: _ips_moments(T, _entity_lags(T, det, lags, min_df=3), det), lengths
     ).T
     lags_pe = lags_pe.astype(int)
-    tau = _fit_runs(Y, lengths, det, lags_pe)[0]
+    tau = runs.fit(idx, lags_pe)[0]
     N = len(kept)
     W = np.sqrt(N) * (np.mean(tau) - np.mean(means)) / np.sqrt(np.mean(variances))
     return UnitRootResult(
@@ -523,16 +553,21 @@ def llc_test(series: VariableSeries, det: str = "c", lags: int | None = None) ->
     average effective length; below the table's range the test refuses
     rather than extrapolate, before any entity is fitted.
     """
-    Y, lengths, kept = _panel_runs(series, _shortest_run(det), "llc_test")
+    return _llc_test(_Runs(series, det), lags)
+
+
+def _llc_test(runs: _Runs, lags: int | None) -> UnitRootResult:
+    det, name = runs.det, runs.series.name
+    idx, Y, lengths, kept = runs.usable(_shortest_run(det), "llc_test")
     lags_pe = _by_length(lambda T: _entity_lags(T, det, lags), lengths)
     rows = lengths - 1 - lags_pe
     t_tilde = float(np.mean(rows))
     mu_star, sigma_star = _dfc.llc_adjustment(t_tilde, det)
 
-    tau, se, s, _ = _fit_runs(Y, lengths, det, lags_pe)
+    tau, se, s, _ = runs.fit(idx, lags_pe)
     ssr = s * s * (rows - 1 - lags_pe - _terms(det))
     if np.any(ssr <= 0):
-        raise ValueError(f"llc_test({series.name}): degenerate entity regression")
+        raise ValueError(f"llc_test({name}): degenerate entity regression")
     # Entity scale: the regression error over the effective rows.  With v the
     # orthogonalized level and e the orthogonalized difference, v'v = s^2/se^2,
     # e'v = tau se v'v and e'e = SSR + tau^2 s^2; each is pooled over s2.
@@ -560,7 +595,7 @@ def llc_test(series: VariableSeries, det: str = "c", lags: int | None = None) ->
     K = _by_length(lambda T: max(min(int(np.floor(3.21 * (T - 1) ** (1.0 / 3.0))), T - 3), 0), lengths)
     lrv = long_run_covariances(dy[..., None], K, n)[0][:, 0, 0]
     if np.any(lrv <= 0):
-        raise ValueError(f"llc_test({series.name}): nonpositive long-run variance")
+        raise ValueError(f"llc_test({name}): nonpositive long-run variance")
     s_bar = float(np.mean(np.sqrt(lrv / s2)))
 
     N = len(kept)
@@ -581,25 +616,25 @@ def run_battery(dataset: PanelDataset, variables=None, det: str = "c",
                 lags: int | None = None, bandwidth: int | None = None) -> BatteryResult:
     """All four panel tests on levels and first differences of each variable.
 
-    Any test that fails its preconditions contributes an error-marker cell
+    Each series is laid out once (`_Runs`) for its four tests, and each run
+    fitted once per lag: Phillips-Perron's lag-0 fits serve Fisher-ADF, whose
+    fits serve IPS where the lag rules agree, and LLC.  Results, warnings and
+    errors are those of the public tests called in BATTERY_TESTS order.  Any
+    test that fails its preconditions contributes an error-marker cell
     (reason preserved) instead of aborting the battery; an unknown det is
     refused before the first cell.
     """
     _terms(det)
     names = tuple(variables) if variables is not None else tuple(dataset.variables)
-    calls = (  # in BATTERY_TESTS order
-        (fisher_pp, {"bandwidth": bandwidth}),
-        (fisher_adf, {"lags": lags}),
-        (ips_test, {"lags": lags}),
-        (llc_test, {"lags": lags}),
-    )
+    calls = ((_fisher_pp, bandwidth), (_fisher_adf, lags), (_ips_test, lags), (_llc_test, lags))
     cells = {}
     for name in names:
         level = dataset[name]
         for order, series in (("level", level), ("difference", first_difference(level))):
-            for test, (fn, options) in zip(BATTERY_TESTS, calls):
+            runs = _Runs(series, det)
+            for test, (stat, option) in zip(BATTERY_TESTS, calls):
                 try:
-                    cell = BatteryCell(name, order, test, fn(series, det=det, **options))
+                    cell = BatteryCell(name, order, test, stat(runs, option))
                 except ValueError as exc:
                     cell = BatteryCell(name, order, test, None, str(exc))
                 cells[(name, order, test)] = cell

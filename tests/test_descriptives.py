@@ -127,7 +127,7 @@ class TestPearson:
 
     @staticmethod
     def r(x, y):
-        return correlation_matrix(panel_of({"x": x, "y": y}))[1][0, 1]
+        return correlation_matrix(panel_of({"x": x, "y": y}), ("x", "y"))[1][0, 1]
 
     def test_hand_example(self):
         assert self.r([1, 2, 3, 4], [2, 1, 4, 3]) == pytest.approx(0.6, abs=1e-12)
@@ -161,7 +161,7 @@ class TestCorrelationMatrix:
                 "z": [np.nan, 3.0, 2.0, 5.0, 4.0, 6.0],
             }
         )
-        names, matrix, n_used = correlation_matrix(ds)
+        names, matrix, n_used = correlation_matrix(ds, ("x", "y", "z"))
         assert names == ("x", "y", "z")
         assert n_used == 4
         keep = [1, 3, 4, 5]
@@ -172,7 +172,7 @@ class TestCorrelationMatrix:
     def test_gram_invariants(self):
         rng = np.random.default_rng(31)
         ds = panel_of({name: rng.standard_normal(40) for name in "abcd"})
-        _, matrix, n_used = correlation_matrix(ds)
+        _, matrix, n_used = correlation_matrix(ds, tuple("abcd"))
         assert n_used == 40
         np.testing.assert_allclose(matrix, matrix.T, atol=1e-12)
         np.testing.assert_array_equal(np.diag(matrix), 1.0)
@@ -181,17 +181,17 @@ class TestCorrelationMatrix:
     def test_constant_variable_named_in_error(self):
         ds = panel_of({"x": [1.0, 2.0, 3.0, 4.0], "flat": [5.0, 5.0, 5.0, 5.0]})
         with pytest.raises(ValueError, match="flat"):
-            correlation_matrix(ds)
+            correlation_matrix(ds, ("x", "flat"))
 
     def test_small_shared_sample_rejected(self):
         ds = panel_of({"x": [1.0, 2.0, np.nan], "y": [np.nan, 1.0, 2.0]})
         with pytest.raises(ValueError, match="shared listwise"):
-            correlation_matrix(ds)
+            correlation_matrix(ds, ("x", "y"))
 
     def test_needs_two_variables(self):
         ds = panel_of({"x": [1.0, 2.0, 3.0, 4.0]})
         with pytest.raises(ValueError, match="two variables"):
-            correlation_matrix(ds)
+            correlation_matrix(ds, ("x",))
 
 
 def test_describe_table_orders_rows():

@@ -13,6 +13,7 @@ from panelmetrics.data import (
     PanelDataset,
     PanelWarning,
     VariableSeries,
+    _drop_runs,
     contiguous_run,
     first_difference,
     lag_values,
@@ -463,10 +464,14 @@ def longest_finite_run(values, periods):
     rows = np.flatnonzero(np.isfinite(values))
     ids = np.zeros(rows.size, dtype=int)
     starts, lengths = contiguous_run(ids, np.asarray(periods)[rows])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", PanelWarning)  # a run of length 0 counts as constant
-        _, (s,), (n,) = longest_runs(("A",), ids, starts, lengths, values[rows], 0, "run", ("", ""))
+    (s,), (n,), _ = longest_runs(("A",), ids, starts, lengths, values[rows])
     return values[rows][s : s + n]
+
+
+def kept_longest_runs(labels, entity_ids, starts, lengths, values, min_len, what, reasons):
+    """longest_runs, then _drop_runs: (keep, starts, lengths)."""
+    starts, lengths, constant = longest_runs(labels, entity_ids, starts, lengths, values)
+    return _drop_runs(labels, lengths, constant, min_len, what, reasons), starts, lengths
 
 
 def runs_reference(labels, entity_ids, years, values, min_len, what, reasons):
@@ -506,7 +511,7 @@ class TestContiguousRun:
         np.testing.assert_array_equal(starts, [0, 2, 4, 6])
         np.testing.assert_array_equal(lengths, [2, 2, 2, 1])
         with pytest.warns(PanelWarning) as caught:
-            keep, best, length = longest_runs(tuple("ABCD"), ids, starts, lengths, years, 2, "t", ("short", "flat"))
+            keep, best, length = kept_longest_runs(tuple("ABCD"), ids, starts, lengths, years, 2, "t", ("short", "flat"))
         np.testing.assert_array_equal(keep, [True, True, False, False])
         np.testing.assert_array_equal(best, [0, 4, 6, 0])
         np.testing.assert_array_equal(length, [2, 2, 1, 0])
@@ -542,8 +547,8 @@ class TestContiguousRun:
         starts, lengths = contiguous_run(ids, years)
         for column, want in ((np.s_[:], [0, 0, 1, 0, 0, 0]), (0, [0, 1, 1, 0, 0, 0]), (1, [1, 0, 1, 0, 0, 1])):
             with pytest.warns(PanelWarning) as caught:
-                keep, best, length = longest_runs(tuple("ABCDEF"), ids, starts, lengths, values[:, column], 0,
-                                                  "t", ("short", "flat"))
+                keep, best, length = kept_longest_runs(tuple("ABCDEF"), ids, starts, lengths, values[:, column],
+                                                       0, "t", ("short", "flat"))
             np.testing.assert_array_equal(keep, np.array(want, dtype=bool))
             np.testing.assert_array_equal(best, [0, 2, 4, 6, 0, 10])
             np.testing.assert_array_equal(length, [2, 2, 2, 2, 0, 3])
@@ -553,6 +558,8 @@ class TestContiguousRun:
             ]
         assert unitroot.longest_runs is data.longest_runs
         assert fmols.longest_runs is data.longest_runs
+        assert unitroot._drop_runs is data._drop_runs
+        assert fmols._drop_runs is data._drop_runs
         assert gmm.warn_dropped is data.warn_dropped
 
     @pytest.mark.parametrize("columns", [0, 1, 3])
@@ -574,7 +581,7 @@ class TestContiguousRun:
             starts, lengths = contiguous_run(ent, years)
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                got = longest_runs(labels, ent, starts, lengths, values, min_len, "t(v)", reasons)
+                got = kept_longest_runs(labels, ent, starts, lengths, values, min_len, "t(v)", reasons)
             for a, b in zip(got, want):
                 np.testing.assert_array_equal(a, b)
             assert [str(w.message) for w in caught] == want[3]

@@ -14,6 +14,7 @@ from panelmetrics._dfconstants import mackinnon_p
 from panelmetrics._special import ndtr
 from panelmetrics.data import PanelDataset, PanelWarning, VariableSeries, first_difference
 from panelmetrics.unitroot import (
+    BATTERY_TESTS,
     _df_regression,
     _shortest_run,
     adf_test,
@@ -608,6 +609,20 @@ class TestPaddedRegression:
             np.testing.assert_array_equal(resid[i, one[4]:], 0.0)
 
     @pytest.mark.parametrize("det", ["n", "c", "ct"])
+    def test_se_rho_is_the_inverse_entry(self, det):
+        # one factorization of X'X against [X'dy | e0] gives se_rho = sqrt(s^2 inv(X'X)[0, 0])
+        rng = np.random.default_rng(78 + len(det))
+        lengths = rng.integers(12, 41, 30)
+        lengths[0] = 40
+        Y = np.zeros((30, 40))
+        for row, T in zip(Y, lengths):
+            row[:T] = np.cumsum(rng.standard_normal(T))
+        _, se, s, _, _ = _df_regression(Y, det, 2, lengths)
+        for i, T in enumerate(lengths.tolist()):
+            X = df_design(Y[i, :T], det, 2)
+            assert se[i] == pytest.approx(np.sqrt(s[i] ** 2 * np.linalg.inv(X.T @ X)[0, 0]), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("det", ["n", "c", "ct"])
     def test_full_lengths_are_the_unpadded_call(self, det):
         Y = np.cumsum(np.random.default_rng(75).standard_normal((30, 25)), axis=1)
         padded = _df_regression(Y, det, 2, np.full(30, 25))
@@ -751,27 +766,34 @@ class TestPanelRuns:
 PANEL_TESTS = (unitroot.fisher_pp, unitroot.fisher_adf, ips_test, llc_test)
 
 
+def df_design(run, det, lags):
+    """The Dickey-Fuller design of one unpadded run: lagged level, lagged differences
+    (most recent first), deterministic terms."""
+    T, dy = len(run), np.diff(run)
+    rows = T - 1 - lags
+    X = np.empty((rows, 1 + lags + unitroot.DET_TERMS[det]))
+    X[:, 0] = run[lags:-1]
+    for j in range(1, lags + 1):
+        X[:, j] = dy[lags - j : T - 1 - j]
+    if det in ("c", "ct"):
+        X[:, lags + 1] = 1.0
+    if det == "ct":
+        X[:, lags + 2] = np.arange(rows)
+    return X
+
+
 def llc_reference(series, det="c", lags=None):
     """LLC entity by entity: each run's difference and lagged level projected off
     the lags and deterministic terms with pinv, and one kernel call per entity."""
-    Y, lengths, kept = unitroot._panel_runs(series, _shortest_run(det), "llc_test")
+    _, Y, lengths, kept = unitroot._Runs(series, det).usable(_shortest_run(det), "llc_test")
     lags_pe = unitroot._by_length(lambda T: unitroot._entity_lags(T, det, lags), lengths)
     t_effs = lengths - 1 - lags_pe
     t_tilde = float(np.mean(t_effs))
     mu_star, sigma_star = dfc.llc_adjustment(t_tilde, det)
     e_all, v_all, s_ratios = [], [], []
     for padded, T, p_i, rows in zip(Y, lengths.tolist(), lags_pe.tolist(), t_effs.tolist()):
-        run = padded[:T]
-        dy = np.diff(run)
-        # the Dickey-Fuller design: lagged level, lagged differences, deterministic terms
-        X = np.empty((rows, 1 + p_i + unitroot.DET_TERMS[det]))
-        X[:, 0] = run[p_i:-1]
-        for j in range(1, p_i + 1):
-            X[:, j] = dy[p_i - j : T - 1 - j]
-        if det in ("c", "ct"):
-            X[:, p_i + 1] = 1.0
-        if det == "ct":
-            X[:, p_i + 2] = np.arange(rows)
+        dy = np.diff(padded[:T])
+        X = df_design(padded[:T], det, p_i)
         target_dy, target_lev, Q = dy[p_i:], X[:, 0], X[:, 1:]
         if Q.shape[1]:
             QtQ_inv = np.linalg.pinv(Q.T @ Q)
@@ -970,14 +992,127 @@ class TestBattery:
     def test_unknown_det_raises_before_any_cell(self, monkeypatch):
         # an unknown case would fail every cell alike, so the battery refuses it up front
         called = []
-        monkeypatch.setattr(unitroot, "fisher_pp", lambda *a, **k: called.append(a))
+        monkeypatch.setattr(unitroot, "_Runs", lambda *a, **k: called.append(a))
         rows = np.cumsum(np.random.default_rng(45).standard_normal((5, 20)), axis=1)
         with pytest.raises(ValueError, match=r"^unknown deterministic case 'x'$"):
             run_battery(make_dataset(rows), det="x")
         assert called == []
+
+    def test_panel_without_entities_gives_error_cells(self):
+        # the one layout per series is built before any test's refusal, also for no entities
+        ds = PanelDataset(entities=(), periods=tuple(range(2000, 2010)))
+        ds.add(VariableSeries(name="v", entities=(), periods=ds.periods, values=np.zeros((0, 10))))
+        b = run_battery(ds)
+        assert [cell.error for cell in b.cells.values()] == [
+            f"{test}({name}): fewer than two usable entities"
+            for name in ("v", "d_v") for test in ("fisher_pp", "fisher_adf", "ips_test", "llc_test")
+        ]
 
     def test_missing_variable_raises(self):
         rng = np.random.default_rng(44)
         ds = make_dataset(rng.standard_normal((4, 30)))
         with pytest.raises(KeyError):
             run_battery(ds, variables=["ghost"])
+
+
+def sharing_dataset(seed=46, n=30, T=60):
+    """Three gappy variables.  walk: random walks with runs of 3..60 years, one
+    entity constant over its run; noise: white noise with scattered gaps, so Fisher
+    p-values reach the clamp; sparse: runs of 5..7 years, so IPS keeps too few
+    entities and LLC sits below its adjustment table."""
+    rng = np.random.default_rng(seed)
+    rows = {"walk": np.cumsum(rng.standard_normal((n, T)), axis=1),
+            "noise": rng.standard_normal((n, T)),
+            "sparse": np.cumsum(rng.standard_normal((n, T)), axis=1)}
+    for name, lo, hi, gaps in (("walk", 3, T, 0.0), ("noise", 20, T, 0.03), ("sparse", 5, 7, 0.0)):
+        for row in rows[name]:
+            length = int(rng.integers(lo, hi + 1))
+            start = int(rng.integers(0, T - length + 1))
+            row[:start] = np.nan
+            row[start + length :] = np.nan
+            row[rng.random(T) < gaps] = np.nan
+    rows["walk"][0] = np.where(np.isfinite(rows["walk"][0]), 2.0, np.nan)
+    ds = PanelDataset(entities=tuple(f"E{i}" for i in range(n)), periods=tuple(range(1950, 1950 + T)))
+    for name, values in rows.items():
+        ds.add(VariableSeries(name=name, entities=ds.entities, periods=ds.periods, values=values))
+    return ds
+
+
+def flat_numbers(result):
+    """A result's fields as (numbers, everything else), per-entity rows included."""
+    numbers, other = [], []
+    for value in (result.statistic, result.p_value, *[x for row in result.per_entity for x in row]):
+        (numbers if isinstance(value, float) else other).append(value)
+    return numbers, other + [result.test, result.det, result.lags, result.n_obs, result.bandwidth,
+                             result.n_entities, result.df]
+
+
+class TestBatterySharing:
+    """run_battery lays out each series once and fits each run once per lag, and
+    still gives what the four public tests give on each series in turn."""
+
+    OPTIONS = {"det": "ct", "lags": 1, "bandwidth": 2}
+
+    def test_battery_equals_public_tests_in_order(self):
+        ds = sharing_dataset()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            battery = run_battery(ds, **self.OPTIONS)
+        got_warnings = [(w.category, str(w.message)) for w in caught]
+        want = {}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for name in ds.variables:
+                for order, series in (("level", ds[name]), ("difference", first_difference(ds[name]))):
+                    for test, fn in zip(BATTERY_TESTS, PANEL_TESTS):
+                        option = "bandwidth" if fn is unitroot.fisher_pp else "lags"
+                        want[(name, order, test)] = outcome(fn, series, det="ct", **{option: self.OPTIONS[option]})
+        assert got_warnings == [(w.category, str(w.message)) for w in caught]
+        assert any("constant over their longest run" in text for _, text in got_warnings)
+        assert any("clamped" in text for _, text in got_warnings)
+        assert list(battery.cells) == list(want)
+        errors = {key for key, value in want.items() if isinstance(value, str)}
+        assert {("sparse", "level", "ips"), ("sparse", "level", "llc")} <= errors
+        assert ("walk", "level", "llc") not in errors
+        for key, cell in battery.cells.items():
+            if key in errors:
+                assert (cell.result, cell.error) == (None, want[key])
+            else:
+                numbers, other = flat_numbers(cell.result)
+                want_numbers, want_other = flat_numbers(want[key])
+                assert cell.error is None and other == want_other
+                assert numbers == pytest.approx(want_numbers, rel=1e-12, abs=0, nan_ok=True)
+
+    def test_each_series_laid_out_once_and_each_run_fitted_once_per_lag(self, monkeypatch):
+        layouts, fits = [], []
+        layout, kernel = unitroot.longest_runs, unitroot._df_regression
+
+        def counted(*args):
+            layouts.append(args[0])
+            return layout(*args)
+
+        def recording(y, det, lags, lengths=None):
+            fits.append([(lags, row[:T].tobytes()) for row, T in zip(y, np.asarray(lengths).tolist())])
+            return kernel(y, det, lags, lengths)
+
+        monkeypatch.setattr(unitroot, "longest_runs", counted)
+        monkeypatch.setattr(unitroot, "_df_regression", recording)
+        ds = sharing_dataset()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PanelWarning)
+            run_battery(ds, **self.OPTIONS)
+        assert len(layouts) == 2 * len(ds.variables)
+        pairs = [pair for call in fits for pair in call]
+        assert len(pairs) == len(set(pairs))  # no (run, lag) fitted twice
+
+        # balanced, default lags: PP's lag-0 fits, then Fisher-ADF's, which IPS and LLC read
+        del layouts[:], fits[:]
+        rng = np.random.default_rng(47)
+        ds = PanelDataset(entities=tuple(f"E{i}" for i in range(8)), periods=tuple(range(1950, 1990)))
+        for name in ("a", "b"):
+            ds.add(VariableSeries(name=name, entities=ds.entities, periods=ds.periods,
+                                  values=np.cumsum(rng.standard_normal((8, 40)), axis=1)))
+        battery = run_battery(ds)
+        assert all(cell.error is None for cell in battery.cells.values())
+        assert len(layouts) == 4
+        assert [{lag for lag, _ in call} for call in fits] == [{0}, {3}] * 4
