@@ -39,9 +39,8 @@ def ar_panel(rng, n, width, rho, effect_scale=0.3):
 # 1. one panel in detail: instrument layout and the J test
 rng = np.random.default_rng(3)
 ds = build_panel(ar_panel(rng, 100, 8, 0.8))
-s = differenced_sample(ds, SPEC)
-Z = build_instruments(ds, SPEC, sample=s, max_depth=2, collapse=True)
-res = gmm_estimate(s, Z)
+Z = build_instruments(ds, differenced_sample(ds, SPEC), max_depth=2, collapse=True)
+res = gmm_estimate(Z)
 fe = fixed_effects(regression_sample(ds, SPEC))
 print("single panel (true rho 0.8, N = 100, T = 8):")
 print(f"  instruments: {Z.columns} (collapsed, depth 2)")
@@ -54,9 +53,8 @@ rng = np.random.default_rng(8)
 gmm_hat, within_hat = [], []
 for _ in range(100):
     ds = build_panel(ar_panel(rng, 100, 8, 0.8))
-    s = differenced_sample(ds, SPEC)
-    Z = build_instruments(ds, SPEC, sample=s, max_depth=2, collapse=True)
-    gmm_hat.append(gmm_estimate(s, Z).coef("y_lag1"))
+    Z = build_instruments(ds, differenced_sample(ds, SPEC), max_depth=2, collapse=True)
+    gmm_hat.append(gmm_estimate(Z).coef("y_lag1"))
     within_hat.append(fixed_effects(regression_sample(ds, SPEC)).coef("y_lag1"))
 print()
 print("monte carlo over 100 panels (true rho 0.8):")

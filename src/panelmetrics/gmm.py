@@ -6,7 +6,8 @@ levels of the dependent (optionally depth-limited or collapsed), read
 through the calendar shift `data.lag_values`, while differenced exogenous
 regressors instrument themselves.  The differenced rows are one
 RegressionSample, sorted by entity then year, and the instruments one
-matrix aligned with it row for row.  Moments are formed per group of
+matrix aligned with it row for row, which carries that sample, so an
+estimate takes the instruments alone.  Moments are formed per group of
 H_GROUP entities, each entity's rows zero-padded to the group's longest
 (`data.pad_runs`), and summed in entity order.  One-step weighting uses
 the tridiagonal second-difference form implied by iid level errors, each
@@ -35,19 +36,16 @@ class InstrumentMatrix:
     """Instruments for the rows of a differenced sample.
 
     Z is one C-ordered (rows, instruments) array, aligned row for row with
-    the sample it was built for; entities, entity_ids and periods are that
-    sample's, so an estimate can refuse rows it was not built for.  columns
-    are labels: uncollapsed level instruments are "lev[t,s]" for equation
-    year t and source year s, collapsed ones "lev[t-d]" by lag distance d.
+    sample, the differenced sample it was built for.  columns are labels:
+    uncollapsed level instruments are "lev[t,s]" for equation year t and
+    source year s, collapsed ones "lev[t-d]" by lag distance d.
     Cells with no usable level are zero.  Columns that would be entirely
     zero are dropped (recorded in dropped_columns).
     """
 
     columns: tuple
     Z: np.ndarray
-    entities: tuple
-    entity_ids: np.ndarray
-    periods: np.ndarray
+    sample: RegressionSample
     dropped_columns: tuple = ()
 
     @property
@@ -93,9 +91,9 @@ def differenced_sample(dataset: PanelDataset, spec: ModelSpec) -> RegressionSamp
     )
 
 
-def build_instruments(dataset: PanelDataset, spec: ModelSpec, *, sample: RegressionSample,
+def build_instruments(dataset: PanelDataset, sample: RegressionSample, *,
                       max_depth: int | None = None, collapse: bool = False) -> InstrumentMatrix:
-    """Instrument matrix for the differenced equation of a dynamic spec.
+    """Instrument matrix for a differenced sample of a dynamic equation.
 
     The level at year t - d instruments equation year t for each lag
     distance 2 <= d <= min(t - first period, max_depth + 1); a source year
@@ -104,9 +102,10 @@ def build_instruments(dataset: PanelDataset, spec: ModelSpec, *, sample: Regress
 
     Parameters
     ----------
-    dataset, spec : data and equation; spec must set lagged_dependent.
+    dataset : PanelDataset
+        The data the sample was drawn from.
     sample : RegressionSample
-        The equation's differenced sample, ``differenced_sample(dataset, spec)``.
+        ``differenced_sample(dataset, spec)``; its spec must set lagged_dependent.
     max_depth : int, optional
         Number of level lags per equation year (most recent first);
         None means all available back to the panel start.
@@ -116,13 +115,13 @@ def build_instruments(dataset: PanelDataset, spec: ModelSpec, *, sample: Regress
     Returns
     -------
     InstrumentMatrix
+        Carries ``sample``, so ``gmm_estimate`` takes it alone.
     """
+    spec = sample.spec
     if not spec.lagged_dependent:
         raise ValueError("build_instruments requires a lagged-dependent equation")
     if max_depth is not None and max_depth < 1:
         raise ValueError("max_depth must be at least 1")
-    if sample.spec != spec:
-        raise ValueError("sample was built from a different spec")
     dep = dataset[spec.dependent]
     periods = np.asarray(dep.periods)
     grid_row = dict(zip(dep.entities, range(len(dep.entities))))  # entity -> dataset row
@@ -164,9 +163,7 @@ def build_instruments(dataset: PanelDataset, spec: ModelSpec, *, sample: Regress
     return InstrumentMatrix(
         columns=tuple(columns),
         Z=Z,
-        entities=sample.entities,
-        entity_ids=sample.entity_ids,
-        periods=years,
+        sample=sample,
         dropped_columns=dropped,
     )
 
@@ -198,9 +195,8 @@ def _inv_psd(A: np.ndarray, what: str) -> np.ndarray:
         return np.linalg.pinv(A)
 
 
-def gmm_estimate(sample: RegressionSample, instruments: InstrumentMatrix,
-                 step: str = "twostep") -> GmmResult:
-    """Estimate the differenced equation by one- or two-step GMM.
+def gmm_estimate(instruments: InstrumentMatrix, step: str = "twostep") -> GmmResult:
+    """Estimate the differenced equation of instruments.sample by one- or two-step GMM.
 
     Entities are taken H_GROUP at a time, their rows zero-padded to the
     group's longest, with the weighting blocks H_i from `_h_blocks`.  Each
@@ -216,15 +212,13 @@ def gmm_estimate(sample: RegressionSample, instruments: InstrumentMatrix,
     clustered one-step-residual weighting (stored as `weighting`); with
     df = instruments - columns equal to zero the p-value is None.  More
     instruments than entities make that weighting singular; this warns.  A
-    collinear instrumented design is refused, naming a dependent column.
+    collinear instrumented design is refused, naming a dependent column, and
+    so is a Z whose rows are not the sample's.
     """
     if step not in ("onestep", "twostep"):
         raise ValueError("step must be 'onestep' or 'twostep'")
-    if instruments.entities != sample.entities:
-        raise ValueError("sample and instruments have different entity sets")
-    if (instruments.Z.shape[0] != sample.n_obs
-            or not np.array_equal(instruments.entity_ids, sample.entity_ids)
-            or not np.array_equal(instruments.periods, sample.periods)):
+    sample = instruments.sample
+    if instruments.Z.shape[0] != sample.n_obs:
         raise ValueError("instrument rows are not aligned with the sample")
     k = sample.X.shape[1]
     L = instruments.n_instruments
@@ -247,10 +241,8 @@ def gmm_estimate(sample: RegressionSample, instruments: InstrumentMatrix,
         return pad_runs(values, b[:-1], n)[0]
 
     def add(total, parts):  # total + parts[0] + parts[1] + ..., one after another in entity order
-        terms = np.concatenate((total[None], parts))
-        if total.size > 1:  # reduce adds axis 0 in order only while each term has several elements
-            return np.add.reduce(terms, axis=0)
-        return np.add.accumulate(terms)[-1]  # one-element terms (L = 1), which reduce sums pairwise
+        # not sum/reduce: reduce adds one-element terms (L = 1) pairwise
+        return np.add.accumulate(np.concatenate((total[None], parts)))[-1]
 
     S_zx, s_zy, A1 = np.zeros((L, k)), np.zeros(L), np.zeros((L, L))
     layouts = []  # each group's Z_i', dX_i and dy_i, laid out once for every pass

@@ -205,15 +205,11 @@ def _stage_gmm(config, dataset, store):
     results = []
     for spec in config.models:
         sample = differenced_sample(dataset, spec)
-        instruments = build_instruments(
-            dataset,
-            spec,
-            max_depth=config.tests.gmm_depth,
-            collapse=config.tests.gmm_collapse,
-            sample=sample,
-        )
-        results.append(gmm_estimate(sample, instruments, step="twostep"))
-        del instruments  # free this model's Z before the next model's is built
+        results.append(gmm_estimate(
+            build_instruments(dataset, sample, max_depth=config.tests.gmm_depth,
+                              collapse=config.tests.gmm_collapse),
+            step="twostep",
+        ))
     store["gmm"] = results
     return build_gmm_table(results, [spec.label for spec in config.models])
 

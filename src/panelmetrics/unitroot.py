@@ -612,9 +612,9 @@ BATTERY_TESTS = ("fisher-pp", "fisher-adf", "ips", "llc")
 BATTERY_ORDERS = ("level", "difference")
 
 
-def run_battery(dataset: PanelDataset, variables=None, det: str = "c",
+def run_battery(dataset: PanelDataset, variables, det: str = "c",
                 lags: int | None = None, bandwidth: int | None = None) -> BatteryResult:
-    """All four panel tests on levels and first differences of each variable.
+    """All four panel tests on levels and first differences of each named variable.
 
     Each series is laid out once (`_Runs`) for its four tests, and each run
     fitted once per lag: Phillips-Perron's lag-0 fits serve Fisher-ADF, whose
@@ -625,7 +625,7 @@ def run_battery(dataset: PanelDataset, variables=None, det: str = "c",
     refused before the first cell.
     """
     _terms(det)
-    names = tuple(variables) if variables is not None else tuple(dataset.variables)
+    names = tuple(variables)
     calls = ((_fisher_pp, bandwidth), (_fisher_adf, lags), (_ips_test, lags), (_llc_test, lags))
     cells = {}
     for name in names:

@@ -166,8 +166,8 @@ def test_criterion_2_hand_oracles():
     rng = np.random.default_rng(1)
     ds = y_only_panel(rng.standard_normal((4, 5)) + 3.0)
     s = differenced_sample(ds, AR_SPEC)
-    Z = build_instruments(ds, AR_SPEC, sample=s, max_depth=1, collapse=True)
-    res = gmm_estimate(s, Z)
+    Z = build_instruments(ds, s, max_depth=1, collapse=True)
+    res = gmm_estimate(Z)
     assert Z.n_instruments == 1
     assert abs(res.j_stat) < 1e-8
     print("criterion 2: PASS  hand oracles match at stated tolerances")
@@ -233,8 +233,8 @@ def test_criterion_4_monte_carlo_recovery():
         y, _ = ar_panel(rng, 100, 8, 0.8)
         ds = y_only_panel(y)
         s = differenced_sample(ds, AR_SPEC)
-        Z = build_instruments(ds, AR_SPEC, sample=s, max_depth=2, collapse=True)
-        gmm_bias.append(gmm_estimate(s, Z).coef("y_lag1") - 0.8)
+        Z = build_instruments(ds, s, max_depth=2, collapse=True)
+        gmm_bias.append(gmm_estimate(Z).coef("y_lag1") - 0.8)
         within_bias.append(
             fixed_effects(regression_sample(ds, AR_SPEC)).coef("y_lag1") - 0.8
         )
@@ -288,8 +288,8 @@ def test_criterion_4_monte_carlo_recovery():
         y, _ = ar_panel(rng, 80, 7, 0.5)
         ds = y_only_panel(y)
         s = differenced_sample(ds, AR_SPEC)
-        Z = build_instruments(ds, AR_SPEC, sample=s, collapse=True)
-        pvals.append(gmm_estimate(s, Z).j_p)
+        Z = build_instruments(ds, s, collapse=True)
+        pvals.append(gmm_estimate(Z).j_p)
     p = np.sort(pvals)
     grid = np.arange(1, p.size + 1) / p.size
     ks = max(np.max(np.abs(grid - p)), np.max(np.abs(grid - 1.0 / p.size - p)))
@@ -302,14 +302,14 @@ def test_criterion_4_monte_carlo_recovery():
         y, eps = ar_panel(rng, 80, 7, 0.5)
         ds = y_only_panel(y)
         s = differenced_sample(ds, AR_SPEC)
-        Z = build_instruments(ds, AR_SPEC, sample=s, collapse=True)
+        Z = build_instruments(ds, s, collapse=True)
         i = np.array([int(e[1:]) for e in s.entities])[s.entity_ids]
         diff_err = eps[i, s.periods - 1] - eps[i, s.periods - 2]
         bad = diff_err + noise_scale * rng.standard_normal(diff_err.size)
         contaminated = replace(
             Z, columns=Z.columns + ("z_bad",), Z=np.column_stack([Z.Z, bad])
         )
-        rejections += gmm_estimate(s, contaminated).j_p < 0.05
+        rejections += gmm_estimate(contaminated).j_p < 0.05
     assert rejections / 200 > 0.50
     print(
         "criterion 4: PASS  "

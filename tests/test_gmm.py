@@ -133,15 +133,15 @@ class TestBuildInstruments:
     def test_t4_uncollapsed_layout(self):
         # t = 3 instruments {y1}; t = 4 instruments {y1, y2}: 3 columns
         ds = build_panel({"y": [1.0, 2.0, 4.0, 7.0]})
-        Z = build_instruments(ds, AR_SPEC, sample=differenced_sample(ds, AR_SPEC))
+        Z = build_instruments(ds, differenced_sample(ds, AR_SPEC))
         assert Z.columns == ("lev[3,1]", "lev[4,1]", "lev[4,2]")
         np.testing.assert_array_equal(Z.Z, [[1.0, 0.0, 0.0], [0.0, 1.0, 2.0]])
-        np.testing.assert_array_equal(Z.periods, [3, 4])
+        np.testing.assert_array_equal(Z.sample.periods, [3, 4])
 
     def test_t4_collapsed_layout(self):
         # one column per lag distance (2 and 3)
         ds = build_panel({"y": [1.0, 2.0, 4.0, 7.0]})
-        Z = build_instruments(ds, AR_SPEC, sample=differenced_sample(ds, AR_SPEC), collapse=True)
+        Z = build_instruments(ds, differenced_sample(ds, AR_SPEC), collapse=True)
         assert Z.columns == ("lev[t-2]", "lev[t-3]")
         np.testing.assert_array_equal(Z.Z, [[1.0, 0.0], [2.0, 1.0]])
 
@@ -149,7 +149,7 @@ class TestBuildInstruments:
     def test_balanced_count_formula(self, width):
         rng = np.random.default_rng(width)
         ds = build_panel({"y": rng.standard_normal((3, width))})
-        Z = build_instruments(ds, AR_SPEC, sample=differenced_sample(ds, AR_SPEC))
+        Z = build_instruments(ds, differenced_sample(ds, AR_SPEC))
         assert Z.n_instruments == (width - 2) * (width - 1) // 2
 
     def test_exogenous_regressors_instrument_themselves(self):
@@ -161,7 +161,7 @@ class TestBuildInstruments:
         x = rng.standard_normal((2, 5))
         ds = build_panel({"y": y, "x": x})
         s = differenced_sample(ds, spec)
-        Z = build_instruments(ds, spec, sample=s)
+        Z = build_instruments(ds, s)
         assert Z.columns[-1] == "d_x_lag1"
         first = s.entity_ids == 0
         hand = np.array([x[0, t - 2] - x[0, t - 3] for t in s.periods[first]])
@@ -174,7 +174,7 @@ class TestBuildInstruments:
         ds = build_panel({"y": y})
         s = differenced_sample(ds, AR_SPEC)
         with pytest.warns(UserWarning, match="all-zero instrument column"):
-            Z = build_instruments(ds, AR_SPEC, sample=s)
+            Z = build_instruments(ds, s)
         assert Z.dropped_columns == ("lev[4,1]", "lev[5,1]")
         assert "lev[4,1]" not in Z.columns
         # Z still owns a C-ordered array, as without a drop
@@ -204,7 +204,7 @@ class TestBuildInstruments:
                     with warnings.catch_warnings(record=True) as caught:
                         warnings.simplefilter("always")
                         try:
-                            Z = build_instruments(ds, spec, sample=differenced_sample(ds, spec),
+                            Z = build_instruments(ds, differenced_sample(ds, spec),
                                                   max_depth=depth, collapse=collapse)
                         except ValueError:
                             continue
@@ -216,10 +216,10 @@ class TestBuildInstruments:
                     assert Z.Z.flags.owndata
                     assert Z.Z.flags.c_contiguous
                     assert Z.Z.shape[0] == sum(yrs.shape[0] for _, yrs, _ in blocks)
-                    assert len(entity_rows(Z)) == len(blocks)
-                    for (e, r), (e_ref, yrs_ref, want) in zip(entity_rows(Z), blocks):
+                    assert len(entity_rows(Z.sample)) == len(blocks)
+                    for (e, r), (e_ref, yrs_ref, want) in zip(entity_rows(Z.sample), blocks):
                         assert e == e_ref
-                        np.testing.assert_array_equal(Z.periods[r], yrs_ref)
+                        np.testing.assert_array_equal(Z.sample.periods[r], yrs_ref)
                         np.testing.assert_array_equal(Z.Z[r], want)
                     checked += 1
         assert checked > 200
@@ -229,25 +229,24 @@ class TestBuildInstruments:
         ds = build_panel({"y": np.ones((2, 4)), "x": np.ones((2, 4))})
         s = differenced_sample(ds, static)
         with pytest.raises(ValueError, match="lagged-dependent"):
-            build_instruments(ds, static, sample=s)
+            build_instruments(ds, s)
 
     def test_rejects_bad_depth(self):
         ds = build_panel({"y": [1.0, 2.0, 4.0, 7.0]})
         s = differenced_sample(ds, AR_SPEC)
         with pytest.raises(ValueError, match="max_depth"):
-            build_instruments(ds, AR_SPEC, sample=s, max_depth=0)
+            build_instruments(ds, s, max_depth=0)
 
-    def test_rejects_foreign_sample(self):
+    def test_carries_its_sample(self):
         ds = build_panel({"y": [1.0, 2.0, 4.0, 7.0]})
-        other = ModelSpec(label="b", dependent="y", regressors=(), lagged_dependent=True)
-        s = differenced_sample(ds, other)
-        with pytest.raises(ValueError, match="different spec"):
-            build_instruments(ds, AR_SPEC, sample=s)
+        s = differenced_sample(ds, AR_SPEC)
+        assert build_instruments(ds, s).sample is s
 
 
-def per_entity_gmm(s, instruments, step):
+def per_entity_gmm(instruments, step):
     """Both GMM steps summed entity by entity in entity order, each entity's
     weighting block its own contiguous matrix: (coefficients, SEs, J)."""
+    s = instruments.sample
     Z, dy, dX, years = instruments.Z, s.y, s.X, s.periods
     rows = [r for _, r in entity_rows(s)]
     L, k = Z.shape[1], dX.shape[1]
@@ -316,7 +315,7 @@ class TestGmmEstimate:
         )
         ds = build_panel({"y": y})
         s = differenced_sample(ds, AR_SPEC)
-        Z = build_instruments(ds, AR_SPEC, sample=s)
+        Z = build_instruments(ds, s)
         return y, s, Z
 
     def hand_formula(self, y):
@@ -352,7 +351,7 @@ class TestGmmEstimate:
         y[9, 4] = np.nan  # different years, and the balanced rest keep six
         ds = build_panel({"y": y})
         s = differenced_sample(ds, AR_SPEC)
-        Z = build_instruments(ds, AR_SPEC, sample=s)
+        Z = build_instruments(ds, s)
         built = []
 
         def counted(years, bounds):
@@ -360,7 +359,7 @@ class TestGmmEstimate:
             return _h_blocks(years, bounds)
 
         monkeypatch.setattr(gmm, "_h_blocks", counted)
-        gmm_estimate(s, Z)
+        gmm_estimate(Z)
         starts = [r.start for _, r in entity_rows(s)] + [s.n_obs]
         assert gmm.H_GROUP == 64
         assert built == [starts[0:65], starts[64:129], starts[128:]]
@@ -382,8 +381,8 @@ class TestGmmEstimate:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", PanelWarning)
             s = differenced_sample(ds, spec)
-            Z = build_instruments(ds, spec, max_depth=depth if collapse else None,
-                                  collapse=collapse, sample=s)
+            Z = build_instruments(ds, s, max_depth=depth if collapse else None,
+                                  collapse=collapse)
         return s, Z
 
     @pytest.mark.parametrize("collapse", [False, True])
@@ -393,8 +392,8 @@ class TestGmmEstimate:
         s, Z = self.dynamic_panel(0.15, collapse)
         assert len({tuple(s.periods[r]) for _, r in entity_rows(s)}) > 50
         for step in ("onestep", "twostep"):
-            res = gmm_estimate(s, Z, step=step)
-            beta, se, J = per_entity_gmm(s, Z, step)
+            res = gmm_estimate(Z, step=step)
+            beta, se, J = per_entity_gmm(Z, step)
             np.testing.assert_allclose(res.coefficients, beta, rtol=1e-12, atol=0)
             np.testing.assert_allclose(res.std_errors, se, rtol=1e-12, atol=0)
             assert res.j_stat == pytest.approx(J, rel=1e-12, abs=0)
@@ -409,8 +408,8 @@ class TestGmmEstimate:
         s, Z = self.dynamic_panel(0.0, collapse, spec, depth)
         assert (Z.n_instruments, s.X.shape[1]) == (L, 2 if spec is self.DYN_SPEC else 1)
         for step in ("onestep", "twostep"):
-            res = gmm_estimate(s, Z, step=step)
-            beta, se, J = per_entity_gmm(s, Z, step)
+            res = gmm_estimate(Z, step=step)
+            beta, se, J = per_entity_gmm(Z, step)
             np.testing.assert_array_equal(res.coefficients, beta)
             np.testing.assert_array_equal(res.std_errors, se)
             assert res.j_stat == J
@@ -429,7 +428,7 @@ class TestGmmEstimate:
             return pad_runs(values, run_starts, lengths)
 
         monkeypatch.setattr(gmm, "pad_runs", counted)
-        gmm_estimate(s, Z, step="twostep")
+        gmm_estimate(Z, step="twostep")
         assert laid_out == groups
 
     def test_stacked_and_entity_by_entity_products_agree(self, monkeypatch):
@@ -438,7 +437,7 @@ class TestGmmEstimate:
         results = []
         for cells in (0, 1 << 40):
             monkeypatch.setattr(gmm, "STACK_CELLS", cells)
-            results.append([gmm_estimate(s, Z, step=step) for step in ("onestep", "twostep")])
+            results.append([gmm_estimate(Z, step=step) for step in ("onestep", "twostep")])
         for one_at_a_time, stacked in zip(*results):
             np.testing.assert_array_equal(one_at_a_time.coefficients, stacked.coefficients)
             np.testing.assert_array_equal(one_at_a_time.std_errors, stacked.std_errors)
@@ -447,8 +446,8 @@ class TestGmmEstimate:
     def test_matches_hand_matrix_algebra(self):
         y, s, Z = self.hand_panel()
         b1, b2, J = self.hand_formula(y)
-        one = gmm_estimate(s, Z, step="onestep")
-        two = gmm_estimate(s, Z, step="twostep")
+        one = gmm_estimate(Z, step="onestep")
+        two = gmm_estimate(Z, step="twostep")
         assert abs(one.coefficients - b1).max() < 1e-10
         assert abs(two.coefficients - b2).max() < 1e-10
         assert abs(two.j_stat - J) < 1e-10
@@ -459,9 +458,9 @@ class TestGmmEstimate:
         y = rng.standard_normal((4, 5)) + 3.0
         ds = build_panel({"y": y})
         s = differenced_sample(ds, AR_SPEC)
-        Z = build_instruments(ds, AR_SPEC, max_depth=1, collapse=True, sample=s)
+        Z = build_instruments(ds, s, max_depth=1, collapse=True)
         assert Z.n_instruments == 1
-        res = gmm_estimate(s, Z)
+        res = gmm_estimate(Z)
         num = sum(Z.Z[r].T @ s.y[r] for _, r in entity_rows(s))
         den = sum(Z.Z[r].T @ s.X[r] for _, r in entity_rows(s))
         assert abs(res.coefficients[0] - num[0] / den[0, 0]) < 1e-12
@@ -473,8 +472,8 @@ class TestGmmEstimate:
         _, s, Z = self.hand_panel()
         perm = [2, 0, 1]
         Zp = replace(Z, columns=tuple(Z.columns[j] for j in perm), Z=Z.Z[:, perm])
-        base = gmm_estimate(s, Z)
-        permuted = gmm_estimate(s, Zp)
+        base = gmm_estimate(Z)
+        permuted = gmm_estimate(Zp)
         assert abs(base.coefficients - permuted.coefficients).max() < 1e-8
         assert abs(base.j_stat - permuted.j_stat) < 1e-8
 
@@ -496,8 +495,8 @@ class TestGmmEstimate:
         for scale in (1.0, 3.0):
             ds = build_panel({"y": scale * y, "x": x})
             s = differenced_sample(ds, spec)
-            Z = build_instruments(ds, spec, sample=s)
-            results.append(gmm_estimate(s, Z))
+            Z = build_instruments(ds, s)
+            results.append(gmm_estimate(Z))
         base, scaled = results
         assert abs(base.coef("y_lag1") - scaled.coef("y_lag1")) < 1e-8
         assert abs(3.0 * base.coef("x_lag1") - scaled.coef("x_lag1")) < 1e-8
@@ -511,8 +510,8 @@ class TestGmmEstimate:
             y, _ = ar_panel(rng, 100, 8, 0.8)
             ds = build_panel({"y": y})
             s = differenced_sample(ds, AR_SPEC)
-            Z = build_instruments(ds, AR_SPEC, sample=s, max_depth=2, collapse=True)
-            gmm_bias.append(gmm_estimate(s, Z).coef("y_lag1") - 0.8)
+            Z = build_instruments(ds, s, max_depth=2, collapse=True)
+            gmm_bias.append(gmm_estimate(Z).coef("y_lag1") - 0.8)
             within_bias.append(
                 fixed_effects(regression_sample(ds, AR_SPEC)).coef("y_lag1") - 0.8
             )
@@ -523,30 +522,17 @@ class TestGmmEstimate:
         _, s, Z = self.hand_panel()
         empty = replace(Z, columns=(), Z=Z.Z[:, :0])
         with pytest.raises(ValueError, match="underidentified"):
-            gmm_estimate(s, empty)
+            gmm_estimate(empty)
 
     def test_rejects_unknown_step(self):
         _, s, Z = self.hand_panel()
         with pytest.raises(ValueError, match="step"):
-            gmm_estimate(s, Z, step="three")
+            gmm_estimate(Z, step="three")
 
     def test_rejects_misaligned_blocks(self):
-        _, s, Z = self.hand_panel()
-        first_two = Z.entity_ids < 2
-        short = replace(
-            Z,
-            Z=Z.Z[first_two],
-            entities=Z.entities[:2],
-            entity_ids=Z.entity_ids[first_two],
-            periods=Z.periods[first_two],
-        )
-        with pytest.raises(ValueError, match="entity sets"):
-            gmm_estimate(s, short)
-        # same entities, but other years or other rows
-        for other in (replace(Z, periods=Z.periods + 1), replace(Z, Z=Z.Z[:-1]),
-                      replace(Z, entity_ids=np.repeat([0, 1, 2], [1, 3, 2]))):
-            with pytest.raises(ValueError, match="not aligned"):
-                gmm_estimate(s, other)
+        _, _, Z = self.hand_panel()
+        with pytest.raises(ValueError, match="not aligned"):
+            gmm_estimate(replace(Z, Z=Z.Z[:-1]))
 
     def test_more_instruments_than_entities_warns(self):
         # 20 entities, 20 years, x at lag 1: 171 level columns plus d_x_lag1
@@ -556,9 +542,9 @@ class TestGmmEstimate:
         spec = ModelSpec(label="dyn", dependent="y", regressors=(("x", 1),),
                          lagged_dependent=True)
         s = differenced_sample(ds, spec)
-        Z = build_instruments(ds, spec, sample=s)
+        Z = build_instruments(ds, s)
         with pytest.warns(PanelWarning) as caught:
-            res = gmm_estimate(s, Z)
+            res = gmm_estimate(Z)
         assert [str(w.message) for w in caught if "outnumber" in str(w.message)] == [
             "gmm: 172 instruments outnumber 20 entities; two-step SEs and J are unreliable"
         ]
@@ -571,10 +557,10 @@ class TestGmmEstimate:
         spec = ModelSpec(label="dup", dependent="y", regressors=(("x", 1),),
                          lagged_dependent=True)
         s = differenced_sample(ds, spec)
-        Z = build_instruments(ds, spec, collapse=True, sample=s)
+        Z = build_instruments(ds, s, collapse=True)
         with pytest.raises(ValueError, match=r"^gmm\(dup\): collinear design, dependent "
                                              r"column\(s\): x_lag1$"):
-            gmm_estimate(s, Z)
+            gmm_estimate(Z)
 
     def test_singular_weighted_design_named(self):
         # 4 collapsed instruments over 3 entities: the one-step solve stands, the two-step
@@ -587,25 +573,25 @@ class TestGmmEstimate:
         spec = ModelSpec(label="dyn", dependent="y", regressors=(("x", 1),),
                          lagged_dependent=True)
         s = differenced_sample(ds, spec)
-        Z = build_instruments(ds, spec, collapse=True, sample=s)
+        Z = build_instruments(ds, s, collapse=True)
         assert (Z.n_instruments, s.n_entities) == (4, 3)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", PanelWarning)
-            assert np.isfinite(gmm_estimate(s, Z, step="onestep").coefficients).all()
+            assert np.isfinite(gmm_estimate(Z, step="onestep").coefficients).all()
             with pytest.raises(ValueError, match=r"^gmm\(dyn\): singular weighted design "
                                                  r"\(4 instruments, 3 entities\)$"):
-                gmm_estimate(s, Z)
+                gmm_estimate(Z)
 
     def test_as_many_instruments_as_entities_is_silent(self):
         _, s, Z = self.hand_panel()
         assert Z.n_instruments == s.n_entities == 3
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            gmm_estimate(s, Z)
+            gmm_estimate(Z)
 
     def test_result_bookkeeping(self):
         _, s, Z = self.hand_panel()
-        res = gmm_estimate(s, Z)
+        res = gmm_estimate(Z)
         assert res.method == "gmm"
         assert res.step == "twostep"
         assert res.columns == ("y_lag1",)
@@ -627,9 +613,9 @@ class TestJStatistic:
         y, _ = ar_panel(rng, 20, 6, 0.5)
         ds = build_panel({"y": y})
         s = differenced_sample(ds, AR_SPEC)
-        Z = build_instruments(ds, AR_SPEC, sample=s)
+        Z = build_instruments(ds, s)
         for step in ("onestep", "twostep"):
-            res = gmm_estimate(s, Z, step=step)
+            res = gmm_estimate(Z, step=step)
             # J is the criterion at the reported coefficients under the
             # stored weighting, for either step
             m = sum(
@@ -647,8 +633,8 @@ class TestJStatistic:
             y, _ = ar_panel(rng, 80, 7, 0.5)
             ds = build_panel({"y": y})
             s = differenced_sample(ds, AR_SPEC)
-            Z = build_instruments(ds, AR_SPEC, sample=s, collapse=True)
-            pvals.append(gmm_estimate(s, Z).j_p)
+            Z = build_instruments(ds, s, collapse=True)
+            pvals.append(gmm_estimate(Z).j_p)
         p = np.sort(pvals)
         grid = np.arange(1, p.size + 1) / p.size
         ks = max(np.max(np.abs(grid - p)), np.max(np.abs(grid - 1.0 / p.size - p)))
@@ -663,12 +649,12 @@ class TestJStatistic:
             y, eps = ar_panel(rng, 80, 7, 0.5)
             ds = build_panel({"y": y})
             s = differenced_sample(ds, AR_SPEC)
-            Z = build_instruments(ds, AR_SPEC, sample=s, collapse=True)
+            Z = build_instruments(ds, s, collapse=True)
             i = np.array([int(e[1:]) for e in s.entities])[s.entity_ids]
             diff_err = eps[i, s.periods - 1] - eps[i, s.periods - 2]
             bad = diff_err + noise_scale * rng.standard_normal(diff_err.size)
             contaminated = replace(
                 Z, columns=Z.columns + ("z_bad",), Z=np.column_stack([Z.Z, bad])
             )
-            rejections += gmm_estimate(s, contaminated).j_p < 0.05
+            rejections += gmm_estimate(contaminated).j_p < 0.05
         assert rejections > 100

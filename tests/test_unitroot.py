@@ -964,7 +964,7 @@ class TestBattery:
     def test_stationary_panel_rejects_everywhere(self):
         rng = np.random.default_rng(41)
         with pytest.warns(PanelWarning, match="clamped"):
-            b = run_battery(make_dataset(ar_panel(rng, 20, 100, 0.3)))
+            b = run_battery(make_dataset(ar_panel(rng, 20, 100, 0.3)), ("v",))
         assert set(b.cells) == {
             ("v", order, test) for order in b.orders for test in b.tests
         }
@@ -975,7 +975,7 @@ class TestBattery:
     def test_random_walk_pattern(self):
         rng = np.random.default_rng(42)
         rows = np.cumsum(rng.standard_normal((20, 50)), axis=1)
-        b = run_battery(make_dataset(rows))
+        b = run_battery(make_dataset(rows), ("v",))
         assert b.cell("v", "level", "fisher-adf").result.p_value > 0.05
         assert b.cell("v", "difference", "fisher-adf").result.p_value < 0.05
 
@@ -984,7 +984,7 @@ class TestBattery:
         # adjustment table, so those cells carry error markers instead
         rng = np.random.default_rng(43)
         rows = np.cumsum(rng.standard_normal((6, 9)), axis=1)
-        b = run_battery(make_dataset(rows))
+        b = run_battery(make_dataset(rows), ("v",))
         assert "adjustment table" in b.cell("v", "level", "llc").error
         assert b.cell("v", "level", "fisher-adf").result is not None
         assert b.cell("v", "level", "ips").result is not None
@@ -995,14 +995,14 @@ class TestBattery:
         monkeypatch.setattr(unitroot, "_Runs", lambda *a, **k: called.append(a))
         rows = np.cumsum(np.random.default_rng(45).standard_normal((5, 20)), axis=1)
         with pytest.raises(ValueError, match=r"^unknown deterministic case 'x'$"):
-            run_battery(make_dataset(rows), det="x")
+            run_battery(make_dataset(rows), ("v",), det="x")
         assert called == []
 
     def test_panel_without_entities_gives_error_cells(self):
         # the one layout per series is built before any test's refusal, also for no entities
         ds = PanelDataset(entities=(), periods=tuple(range(2000, 2010)))
         ds.add(VariableSeries(name="v", entities=(), periods=ds.periods, values=np.zeros((0, 10))))
-        b = run_battery(ds)
+        b = run_battery(ds, ("v",))
         assert [cell.error for cell in b.cells.values()] == [
             f"{test}({name}): fewer than two usable entities"
             for name in ("v", "d_v") for test in ("fisher_pp", "fisher_adf", "ips_test", "llc_test")
@@ -1057,7 +1057,7 @@ class TestBatterySharing:
         ds = sharing_dataset()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            battery = run_battery(ds, **self.OPTIONS)
+            battery = run_battery(ds, ("walk", "noise", "sparse"), **self.OPTIONS)
         got_warnings = [(w.category, str(w.message)) for w in caught]
         want = {}
         with warnings.catch_warnings(record=True) as caught:
@@ -1100,7 +1100,7 @@ class TestBatterySharing:
         ds = sharing_dataset()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", PanelWarning)
-            run_battery(ds, **self.OPTIONS)
+            run_battery(ds, ("walk", "noise", "sparse"), **self.OPTIONS)
         assert len(layouts) == 2 * len(ds.variables)
         pairs = [pair for call in fits for pair in call]
         assert len(pairs) == len(set(pairs))  # no (run, lag) fitted twice
@@ -1112,7 +1112,7 @@ class TestBatterySharing:
         for name in ("a", "b"):
             ds.add(VariableSeries(name=name, entities=ds.entities, periods=ds.periods,
                                   values=np.cumsum(rng.standard_normal((8, 40)), axis=1)))
-        battery = run_battery(ds)
+        battery = run_battery(ds, ("a", "b"))
         assert all(cell.error is None for cell in battery.cells.values())
         assert len(layouts) == 4
         assert [{lag for lag, _ in call} for call in fits] == [{0}, {3}] * 4
