@@ -14,15 +14,16 @@ FMOLS and tools/gen_ips_moments.py import them.  All three also take blocks
 of different lengths, zero-padded at the end to a common one, with each
 block's own length.
 
-Every series handed to a test must be an unbroken calendar run.  A panel
-series is laid out once (`_Runs`): each entity's longest contiguous stretch
-(`data.longest_runs`, FMOLS' rule too) in one array zero-padded at the end
-(`data.pad_runs`); each test drops, with a warning naming them, the entities
-that fail its length precondition or are constant over that stretch.  A
-test's lag depends on run length alone, so each panel test settles the
+Every series handed to a test must be an unbroken calendar run.  The panel
+tests take a series laid out once (`Runs`): each entity's longest contiguous
+stretch (`data.longest_runs`, FMOLS' rule too) in one array zero-padded at
+the end (`data.pad_runs`); each test drops, with a warning naming them, the
+entities that fail its length precondition or are constant over that stretch.
+A test's lag depends on run length alone, so each panel test settles the
 length rules (lags, bandwidth checks, table coverage) once per distinct
 length before any fit; the layout's table fits each (run, lag) once, a lag's
-runs in one padded solve, and run_battery shares it across a series' tests.
+runs in one padded solve, and run_battery calls the four public tests on one
+layout per series.
 Phillips-Perron pads every run's residuals for one bandwidth call and one
 kernel call per series, and refuses an entity whose lag-0 fit is perfect; LLC
 pools the fits' sums and makes one kernel call over the runs' padded
@@ -342,7 +343,7 @@ def pp_test(y, det: str = "c", bandwidth: int | None = None) -> UnitRootResult:
 
 def _pp_runs(Y, lengths, bandwidth: int | None, labels, fit) -> tuple:
     """Phillips-Perron Z and bandwidth of each zero-padded run of Y.  A fixed bandwidth is
-    checked against every run before fit() gives the runs' lag-0 fits (as `_Runs.fit`),
+    checked against every run before fit() gives the runs' lag-0 fits (as `Runs.fit`),
     whose residuals take one bandwidth call and one kernel call.
     A fit whose standard error is below PERFECT_FIT times the RMS of the run's
     differences is refused, naming the run's label: its Z would be rounding noise."""
@@ -391,12 +392,12 @@ def fisher_combine(p_values) -> tuple:
     return stat, df, chdtrc(df, stat)
 
 
-class _Runs:
+class Runs:
     """One series' runs for its panel tests: each entity's longest contiguous run, laid out
     once with no warning (`data.longest_runs`, zero-padded at the end by `data.pad_runs`),
     and a table of the runs' Dickey-Fuller fits under det, each (run, lag) fitted once."""
 
-    def __init__(self, series: VariableSeries, det: str):
+    def __init__(self, series: VariableSeries, det: str = "c"):
         ent, col = np.nonzero(np.isfinite(series.values))
         flat = series.values[ent, col]
         runs, lengths = contiguous_run(ent, np.asarray(series.periods)[col])
@@ -460,24 +461,16 @@ def _fisher(test: str, det: str, kept: tuple, lengths, stat_pe, extra_pe) -> Uni
     )
 
 
-def fisher_adf(series: VariableSeries, det: str = "c", lags: int | None = None) -> UnitRootResult:
-    """Fisher combination of per-entity ADF p-values; run_battery shares its layout and fits."""
-    return _fisher_adf(_Runs(series, det), lags)
-
-
-def _fisher_adf(runs: _Runs, lags: int | None) -> UnitRootResult:
+def fisher_adf(runs: Runs, lags: int | None = None) -> UnitRootResult:
+    """Fisher combination of per-entity ADF p-values."""
     det = runs.det
     idx, _, lengths, kept = runs.usable(_shortest_run(det), "fisher_adf")
     lags_pe = _by_length(lambda T: _entity_lags(T, det, lags), lengths)
     return _fisher("fisher-adf", det, kept, lengths, runs.fit(idx, lags_pe)[0], lags_pe.tolist())
 
 
-def fisher_pp(series: VariableSeries, det: str = "c", bandwidth: int | None = None) -> UnitRootResult:
-    """Fisher combination of per-entity Phillips-Perron p-values; run_battery shares its layout and fits."""
-    return _fisher_pp(_Runs(series, det), bandwidth)
-
-
-def _fisher_pp(runs: _Runs, bandwidth: int | None) -> UnitRootResult:
+def fisher_pp(runs: Runs, bandwidth: int | None = None) -> UnitRootResult:
+    """Fisher combination of per-entity Phillips-Perron p-values."""
     idx, Y, lengths, kept = runs.usable(_shortest_run(runs.det), "fisher_pp")
     z, bw = _pp_runs(Y, lengths, bandwidth, kept, lambda: runs.fit(idx, np.zeros(idx.size, int), resid=True))
     return _fisher("fisher-pp", runs.det, kept, lengths, z, bw)
@@ -510,19 +503,15 @@ def _ips_moments(T: int, p: int, det: str) -> tuple:
     return m_lo + w * (m_hi - m_lo), v_lo + w * (v_hi - v_lo), p_eff
 
 
-def ips_test(series: VariableSeries, det: str = "c", lags: int | None = None) -> UnitRootResult:
+def ips_test(runs: Runs, lags: int | None = None) -> UnitRootResult:
     """Standardized mean of per-entity Dickey-Fuller t-statistics.
 
     W = sqrt(N) (tbar - mean of tabulated means) / sqrt(mean of tabulated
     variances), asymptotically standard normal; p is the lower tail.  The
     moment table covers intercept and trend cases; each entity's lag is
-    capped at what the table holds before the entity is fitted once; in
-    run_battery a run whose lag equals Fisher-ADF's reads that fit (`_Runs`).
+    capped at what the table holds before the entity is fitted once; a run
+    whose lag equals one already in the layout's table reads that fit.
     """
-    return _ips_test(_Runs(series, det), lags)
-
-
-def _ips_test(runs: _Runs, lags: int | None) -> UnitRootResult:
     det = runs.det
     if det not in ("c", "ct"):
         raise ValueError("ips_test supports det 'c' or 'ct' (moment table coverage)")
@@ -541,7 +530,7 @@ def _ips_test(runs: _Runs, lags: int | None) -> UnitRootResult:
     )
 
 
-def llc_test(series: VariableSeries, det: str = "c", lags: int | None = None) -> UnitRootResult:
+def llc_test(runs: Runs, lags: int | None = None) -> UnitRootResult:
     """Pooled panel unit-root t-test with finite-sample bias adjustments.
 
     Per entity, the differenced series and the lagged level are each
@@ -553,10 +542,6 @@ def llc_test(series: VariableSeries, det: str = "c", lags: int | None = None) ->
     average effective length; below the table's range the test refuses
     rather than extrapolate, before any entity is fitted.
     """
-    return _llc_test(_Runs(series, det), lags)
-
-
-def _llc_test(runs: _Runs, lags: int | None) -> UnitRootResult:
     det, name = runs.det, runs.series.name
     idx, Y, lengths, kept = runs.usable(_shortest_run(det), "llc_test")
     lags_pe = _by_length(lambda T: _entity_lags(T, det, lags), lengths)
@@ -616,22 +601,23 @@ def run_battery(dataset: PanelDataset, variables, det: str = "c",
                 lags: int | None = None, bandwidth: int | None = None) -> BatteryResult:
     """All four panel tests on levels and first differences of each named variable.
 
-    Each series is laid out once (`_Runs`) for its four tests, and each run
-    fitted once per lag: Phillips-Perron's lag-0 fits serve Fisher-ADF, whose
-    fits serve IPS where the lag rules agree, and LLC.  Results, warnings and
-    errors are those of the public tests called in BATTERY_TESTS order.  Any
+    Each series is laid out once (`Runs`) and the four public tests are called
+    on that layout in BATTERY_TESTS order, so each run is fitted once per lag:
+    Phillips-Perron's lag-0 fits serve Fisher-ADF, whose fits serve IPS where
+    the lag rules agree, and LLC.  The tests are looked up in the module's
+    namespace when the battery runs, so rebinding them there sees its calls.  Any
     test that fails its preconditions contributes an error-marker cell
     (reason preserved) instead of aborting the battery; an unknown det is
     refused before the first cell.
     """
     _terms(det)
     names = tuple(variables)
-    calls = ((_fisher_pp, bandwidth), (_fisher_adf, lags), (_ips_test, lags), (_llc_test, lags))
+    calls = ((fisher_pp, bandwidth), (fisher_adf, lags), (ips_test, lags), (llc_test, lags))
     cells = {}
     for name in names:
         level = dataset[name]
         for order, series in (("level", level), ("difference", first_difference(level))):
-            runs = _Runs(series, det)
+            runs = Runs(series, det)
             for test, (stat, option) in zip(BATTERY_TESTS, calls):
                 try:
                     cell = BatteryCell(name, order, test, stat(runs, option))

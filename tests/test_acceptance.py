@@ -36,7 +36,7 @@ from panelmetrics.fixture import fixture_path
 from panelmetrics.fmols import fmols_panel
 from panelmetrics.gmm import build_instruments, differenced_sample, gmm_estimate
 from panelmetrics.report.cli import main as cli_main
-from panelmetrics.unitroot import adf_test, fisher_adf, fisher_combine, pp_test
+from panelmetrics.unitroot import Runs, adf_test, fisher_adf, fisher_combine, pp_test
 
 LEVEL_SPEC = ModelSpec(label="level", dependent="y", regressors=(("x", 0),))
 AR_SPEC = ModelSpec(label="ar", dependent="y", regressors=(), lagged_dependent=True)
@@ -253,8 +253,8 @@ def test_criterion_4_monte_carlo_recovery():
         dif = VariableSeries(
             name="dy", entities=entities, periods=pdif, values=np.diff(y, axis=1)
         )
-        rej_level += fisher_adf(lvl, det="c", lags=0).p_value < 0.05
-        rej_diff += fisher_adf(dif, det="c", lags=0).p_value < 0.05
+        rej_level += fisher_adf(Runs(lvl, "c"), lags=0).p_value < 0.05
+        rej_diff += fisher_adf(Runs(dif, "c"), lags=0).p_value < 0.05
     assert 0.02 <= rej_level / 500 <= 0.09
     assert rej_diff / 500 >= 0.95
 

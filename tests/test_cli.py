@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import csv
+import dataclasses
 import http.server
 import json
 import os
@@ -18,7 +19,7 @@ import panelmetrics
 from panelmetrics.data import read_panel_csv
 from panelmetrics.report import fetch, pipeline
 from panelmetrics.report.cli import main
-from panelmetrics.report.config import load_config
+from panelmetrics.report.config import load_config, validate_config
 from panelmetrics.report.fetch import FetchDescriptor
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(panelmetrics.__file__)))
@@ -367,3 +368,26 @@ def test_benchmark_tracer_finds_every_name(monkeypatch):
         assert worker.install_tracer(tracer) == []
     finally:
         tracer.uninstall()
+
+
+def test_benchmark_tracer_sees_a_call_of_every_layer(monkeypatch, tmp_path):
+    # a wrapped name the pipeline does not call through reads 0.0 s in every traced run;
+    # the fixture's file run, written out, reaches every layer but the fetch
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
+    import panels
+    import spans
+    import worker
+
+    workload = dataclasses.replace(panels.WORKLOADS["paper-fetch-74x9"], fetch=False)
+    doc = panels.config_document(workload, panels.shipped_fixture_csv(root), str(tmp_path / "out"))
+    tracer = spans.Tracer()
+    try:
+        assert worker.install_tracer(tracer) == []
+        bundle = pipeline.run_pipeline(validate_config(doc))
+    finally:
+        tracer.uninstall()
+    assert bundle.errors == {}
+    layers = sorted(name for name, kind in tracer.kinds.items() if kind in ("span", "hot"))
+    assert len(layers) > 20
+    assert [name for name in layers if not tracer.calls[0][name]] == ["fetch.fetch_indicators"]

@@ -86,16 +86,16 @@ def _one_good_record(page):
 
 
 class _FakeSession:
-    """Answers page N with reply(N): (metadata, GOOD page records)."""
+    """Answers page N with reply(N): (metadata, GOOD page), its records made by records(page)."""
 
-    def __init__(self, reply=_one_good_record):
-        self.reply = reply
+    def __init__(self, reply=_one_good_record, records=_records):
+        self.reply, self.records = reply, records
         self.calls = 0
 
     def get(self, url, params, timeout):
         self.calls += 1
         meta, page = self.reply(params["page"])
-        body = [meta, _records(page)]
+        body = [meta, self.records(page)]
         return type("Response", (), {"status_code": 200, "text": "", "json": lambda _: body})()
 
 
@@ -235,3 +235,16 @@ class TestFetch:
         assert "duplicate cell ('AAA', 2013, 'GOOD')" in outcome.error
         assert (outcome.path, outcome.dataset) == (None, None)
         assert list((tmp_path / "cache").iterdir()) == []
+
+    @pytest.mark.parametrize("entity, error", [
+        ({"country": {"id": "AAA", "value": "Aland"}}, None),
+        ({"country": {"value": "Aland"}}, "malformed payload on page 1: record has no entity identifier"),
+        ({}, "malformed payload on page 1: record has no entity identifier"),
+    ], ids=["country-id", "country-without-id", "no-entity-field"])
+    def test_entity_read_from_nested_country_id(self, tmp_path, entity, error):
+        session = _FakeSession(records=lambda page: [dict(entity, date="2013", value=1.5)])
+        (outcome,) = fetch_indicators([FetchDescriptor("prov", "GOOD", "2013:2021")],
+                                      "http://fake", str(tmp_path / "cache"), session=session)
+        assert outcome.error == error
+        if error is None:
+            assert (outcome.dataset.entities, outcome.rows) == (("AAA",), 1)

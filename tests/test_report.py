@@ -16,6 +16,7 @@ from panelmetrics.descriptives import describe
 from panelmetrics.effects import HausmanResult
 from panelmetrics.report.config import (
     ConfigError,
+    OutputOptions,
     VariableDef,
     load_config,
     validate_config,
@@ -318,6 +319,40 @@ class TestConfigValidation:
         doc["output"]["formats"] = ["pdf"]
         with pytest.raises(ConfigError, match="unknown entries.*pdf"):
             validate_config(doc)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.update(data=["file"]), "data: expected a mapping, got list"),
+        (lambda doc: doc["data"].pop("path"), "data: missing required key 'path'"),
+        (lambda doc: doc["data"].update(path=""), "data.path: expected a nonempty string"),
+        (lambda doc: doc["models"][0].update(lagged_dependent="yes"),
+         "models[0].lagged_dependent: expected true/false"),
+        (lambda doc: doc.update(tests={"lags": 1.5}), "tests.lags: expected an integer, 'auto', or 'all'"),
+        (lambda doc: doc.update(tests={"gmm_depth": 0}), "tests.gmm_depth: must be >= 1"),
+        (lambda doc: doc.update(stages=[]), "stages: expected a nonempty list of strings"),
+        (lambda doc: doc["data"].update(source="ftp"), "data.source: expected 'file' or 'fetch', got 'ftp'"),
+        (lambda doc: doc.update(variables=[]), "variables: expected a nonempty list"),
+        (lambda doc: doc.update(models=[]), "models: expected a nonempty list"),
+        (lambda doc: doc["models"][0].update(regressors=[]), "models[0].regressors: expected a nonempty list"),
+        (lambda doc: doc["models"][0]["regressors"][0].update(lag=-1),
+         "models[0].regressors[0].lag: expected an integer >= 0"),
+        (lambda doc: doc["models"][0]["regressors"][0].update(lag=True),
+         "models[0].regressors[0].lag: expected an integer >= 0"),
+        (lambda doc: doc.update(tests={"variables": ["y", "ghost", "alpha"]}),
+         "tests.variables: ['alpha', 'ghost'] are not defined series"),
+    ], ids=["non-mapping-section", "missing-key", "empty-string", "non-bool-flag", "non-integer-lags",
+            "zero-gmm-depth", "empty-stages", "unknown-source", "empty-variables", "empty-models",
+            "empty-regressors", "negative-lag", "bool-lag", "undefined-test-variables"])
+    def test_refusal_names_the_key(self, tmp_path, edit, message):
+        doc = self.base(tmp_path)
+        edit(doc)
+        with pytest.raises(ConfigError) as err:
+            validate_config(doc)
+        assert str(err.value) == message
+
+    def test_missing_output_block_takes_the_defaults(self, tmp_path):
+        doc = self.base(tmp_path)
+        del doc["output"]
+        assert validate_config(doc).output == OutputOptions()
 
     def test_load_config_file_errors(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):

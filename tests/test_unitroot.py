@@ -15,6 +15,7 @@ from panelmetrics._special import ndtr
 from panelmetrics.data import PanelDataset, PanelWarning, VariableSeries, first_difference
 from panelmetrics.unitroot import (
     BATTERY_TESTS,
+    Runs,
     _df_regression,
     _shortest_run,
     adf_test,
@@ -221,7 +222,7 @@ class TestPhillipsPerron:
     def test_fisher_pp_keeps_a_shortest_run_entity(self):
         rows = ar_panel(np.random.default_rng(21), 3, 10, 0.5)
         rows[2, 4:] = np.nan  # E2 observed for 4 years, the "n" shortest run
-        r = unitroot.fisher_pp(make_series(rows), det="n")
+        r = unitroot.fisher_pp(Runs(make_series(rows), "n"))
         assert r.n_entities == 3
         assert r.per_entity[2][3] == 0
 
@@ -232,12 +233,12 @@ class TestPhillipsPerron:
         rows[2] = 3.0 + 2.0 * np.arange(40)
         for det in ("c", "ct"):
             with pytest.raises(ValueError, match=r"pp_test: perfect fit for E2 \(regression standard error"):
-                unitroot.fisher_pp(make_series(rows), det=det)
+                unitroot.fisher_pp(Runs(make_series(rows), det))
             with pytest.raises(ValueError, match="perfect fit for the series"):
                 pp_test(rows[2], det=det)
         # the tolerance is relative: a tiny but genuine scale is kept
         rest = np.delete(rows, 2, axis=0)
-        small, unit = unitroot.fisher_pp(make_series(1e-100 * rest)), unitroot.fisher_pp(make_series(rest))
+        small, unit = unitroot.fisher_pp(Runs(make_series(1e-100 * rest))), unitroot.fisher_pp(Runs(make_series(rest)))
         assert small.statistic == pytest.approx(unit.statistic, rel=1e-9)
 
 
@@ -349,7 +350,7 @@ class TestIps:
     def test_identical_entities_share_tau(self):
         rng = np.random.default_rng(3)
         y = np.cumsum(np.abs(rng.standard_normal(30)))
-        r = ips_test(make_series([y, y.copy()]))
+        r = ips_test(Runs(make_series([y, y.copy()])))
         taus = {round(row[1], 12) for row in r.per_entity}
         assert len(taus) == 1
         direct = adf_test(y, det="c", lags=r.per_entity[0][3])
@@ -358,7 +359,7 @@ class TestIps:
     def test_per_entity_rows_match_direct_adf(self):
         rng = np.random.default_rng(19)
         rows = [ar_panel(rng, 1, 40, rho)[0] for rho in (0.2, 0.5, 0.8)]
-        r = ips_test(make_series(rows))
+        r = ips_test(Runs(make_series(rows)))
         for i, (entity, tau, p, lags) in enumerate(r.per_entity):
             direct = adf_test(rows[i], det="c", lags=lags)
             assert tau == pytest.approx(direct.statistic, abs=1e-10)
@@ -366,7 +367,7 @@ class TestIps:
 
     def test_stationary_pair_has_negative_statistic(self):
         rng = np.random.default_rng(13)
-        r = ips_test(make_series(ar_panel(rng, 2, 50, 0.2)))
+        r = ips_test(Runs(make_series(ar_panel(rng, 2, 50, 0.2))))
         assert r.statistic < 0.0
         assert r.p_value == pytest.approx(
             float(0.5 * (1 + math.erf(r.statistic / math.sqrt(2)))), abs=1e-12
@@ -378,14 +379,14 @@ class TestIps:
         for _ in range(100):
             rows = [np.cumsum(rng.standard_normal(50)) for _ in range(10)]
             rows.extend(ar_panel(rng, 10, 50, 0.3))
-            if ips_test(make_series(rows)).p_value < 0.05:
+            if ips_test(Runs(make_series(rows))).p_value < 0.05:
                 hits += 1
         assert hits >= 80
 
     def test_unsupported_det_rejected(self):
         rng = np.random.default_rng(14)
         with pytest.raises(ValueError, match="moment table"):
-            ips_test(make_series(ar_panel(rng, 3, 30, 0.3)), det="n")
+            ips_test(Runs(make_series(ar_panel(rng, 3, 30, 0.3)), "n"))
 
     def test_each_entity_fitted_once_at_table_lag(self, monkeypatch):
         # T=16 allows 5 lags, but the table's lower grid length 15 holds 4
@@ -398,7 +399,7 @@ class TestIps:
             return kernel(y, det, lags, lengths)
 
         monkeypatch.setattr(unitroot, "_df_regression", recording)
-        r = ips_test(make_series(ar_panel(rng, 3, 16, 0.5)), lags=5)
+        r = ips_test(Runs(make_series(ar_panel(rng, 3, 16, 0.5))), lags=5)
         assert calls == [((3, 16), 4, [16, 16, 16])]
         assert [row[3] for row in r.per_entity] == [4, 4, 4]
 
@@ -406,7 +407,7 @@ class TestIps:
         rng = np.random.default_rng(18)
         with pytest.warns(PanelWarning, match="dropped"):
             with pytest.raises(ValueError, match="fewer than two"):
-                ips_test(make_series(rng.standard_normal((3, 6))))
+                ips_test(Runs(make_series(rng.standard_normal((3, 6)))))
 
 
 def longest_run(values):
@@ -448,7 +449,7 @@ class TestStackedKernel:
         runs = [longest_run(row) for row in series.values]
         assert len({len(r) for r in runs}) > 10
         for test in (unitroot.fisher_adf, ips_test):
-            r = test(series, det=det, lags=lags)
+            r = test(Runs(series, det), lags=lags)
             assert [row[0] for row in r.per_entity] == list(series.entities)
             for (entity, tau, p, p_lags), run in zip(r.per_entity, runs):
                 direct = adf_test(run, det=det, lags=p_lags)
@@ -462,7 +463,7 @@ class TestStackedKernel:
     def test_pp_rows_equal_single_series_fits(self, det, bandwidth):
         series = gappy_series(32)
         runs = [longest_run(row) for row in series.values]
-        r = unitroot.fisher_pp(series, det=det, bandwidth=bandwidth)
+        r = unitroot.fisher_pp(Runs(series, det), bandwidth=bandwidth)
         assert [row[0] for row in r.per_entity] == list(series.entities)
         for (entity, z, p, bw), run in zip(r.per_entity, runs):
             direct = pp_test(run, det=det, bandwidth=bandwidth)
@@ -485,7 +486,7 @@ class TestStackedKernel:
 
         counted("long_run_covariances", long_run_covariances)
         counted("neweywest_bandwidth", neweywest_bandwidth)
-        unitroot.fisher_pp(series, bandwidth=bandwidth)
+        unitroot.fisher_pp(Runs(series), bandwidth=bandwidth)
         assert len(set(rows)) > 10
         # every run's residuals, zero-padded to the longest: (runs, max rows[, 1])
         padded = (len(rows), max(rows))
@@ -500,7 +501,7 @@ class TestStackedKernel:
         rows[3, 6:] = np.nan  # 5 rows
         monkeypatch.setattr(unitroot, "_df_regression", None)
         with pytest.raises(ValueError, match="^pp_test: bandwidth 6 too large for 6 rows$"):
-            unitroot.fisher_pp(make_series(rows), bandwidth=6)
+            unitroot.fisher_pp(Runs(make_series(rows)), bandwidth=6)
 
 
 def padded_blocks(rng, n, m, lo=5, hi=60):
@@ -577,7 +578,7 @@ class TestPaddedKernel:
         series, runs = random_run_series(np.random.default_rng(97 + seed))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", PanelWarning)  # det ct drops runs of 5
-            r = unitroot.fisher_pp(series, det=det, bandwidth=bandwidth)
+            r = unitroot.fisher_pp(Runs(series, det), bandwidth=bandwidth)
         kept = dict(zip(series.entities, runs))
         assert len({len(kept[e]) for e, *_ in r.per_entity}) > 10
         for entity, z, p, bw in r.per_entity:
@@ -652,7 +653,7 @@ class TestPanelRuns:
         rows[short, 8:] = np.nan
         rows[short, 4] = np.nan  # eight observed years in two runs of four
         with pytest.warns(PanelWarning) as caught:
-            r = unitroot.fisher_adf(make_series(rows))
+            r = unitroot.fisher_adf(Runs(make_series(rows)))
         assert [str(w.message) for w in caught] == [
             "fisher_adf(v): dropped 10 entity(ies) below 5 contiguous observations: "
             "E0, E1, E2, E3, E4, E6, E7, E8..."
@@ -663,10 +664,10 @@ class TestPanelRuns:
         gappy, runs_only = longest_run_panel(35)
         assert np.isfinite(gappy.values).sum() > np.isfinite(runs_only.values).sum()
         for test in (unitroot.fisher_adf, unitroot.fisher_pp, ips_test, llc_test):
-            r = test(gappy)
+            r = test(Runs(gappy))
             assert math.isfinite(r.statistic)
             # repr prints each float's shortest round-trip form: equal reprs, equal bits
-            assert repr(r) == repr(test(runs_only))
+            assert repr(r) == repr(test(Runs(runs_only)))
 
     def test_length_rules_evaluated_once_per_distinct_length(self, monkeypatch):
         series, _ = longest_run_panel(36)
@@ -688,7 +689,7 @@ class TestPanelRuns:
         monkeypatch.setattr(unitroot, "_ips_moments", moments_counted)
         for test in (unitroot.fisher_adf, ips_test, llc_test):
             lag_calls.clear()
-            test(series)
+            test(Runs(series))
             assert lag_calls == first_seen
         assert moment_calls == first_seen
 
@@ -709,14 +710,14 @@ class TestPanelRuns:
             full, reduced = first_difference(full), first_difference(reduced)
         for test in PANEL_TESTS:
             with pytest.warns(PanelWarning) as caught:
-                r = test(full)
+                r = test(Runs(full))
             assert [str(w.message) for w in caught if "dropped" in str(w.message)] == [
                 f"{test.__name__}({full.name}): dropped {len(constant)} entity(ies) "
                 f"constant over their longest run: {', '.join(constant)}"
             ]
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", PanelWarning)
-                assert repr(r) == repr(test(reduced))
+                assert repr(r) == repr(test(Runs(reduced)))
 
     @pytest.mark.parametrize("det", ["c", "ct"])
     @pytest.mark.parametrize("test", [unitroot.fisher_pp, unitroot.fisher_adf, ips_test, llc_test,
@@ -726,12 +727,13 @@ class TestPanelRuns:
         # single tests on E0; at 1e-150 LLC read -89% (c) and -95% (ct) off, and below it
         # the tests gave NaN or garbage
         rows = np.delete(np.cumsum(np.random.default_rng(25).standard_normal((6, 40)), axis=1), 2, 0)
-        data = make_series if test in PANEL_TESTS else (lambda walks: walks[0])
-        unit = test(data(rows), det=det)
+        run = ((lambda walks: test(Runs(make_series(walks), det))) if test in PANEL_TESTS
+               else (lambda walks: test(walks[0], det=det)))
+        unit = run(rows)
         refused = []
         for scale in (1e140, 1e-140, 1e-150, 1e-155, 1e-158, 1e-200, 1e150, 1e155):
             try:
-                r = test(data(scale * rows), det=det)
+                r = run(scale * rows)
             except ValueError as exc:
                 assert re.search(r"(E\d|the series) has values of magnitude \d\.\de[+-]\d+, whose "
                                  "squares leave the normal float range$", str(exc)), (scale, str(exc))
@@ -747,7 +749,7 @@ class TestPanelRuns:
         for test in PANEL_TESTS:
             with pytest.warns(PanelWarning, match="constant over their longest run: E0, E2$"):
                 with pytest.raises(ValueError, match="fewer than two usable entities"):
-                    test(make_series(rows))
+                    test(Runs(make_series(rows)))
 
 
     @pytest.mark.parametrize("det", ["n", "c", "ct"])
@@ -785,7 +787,7 @@ def df_design(run, det, lags):
 def llc_reference(series, det="c", lags=None):
     """LLC entity by entity: each run's difference and lagged level projected off
     the lags and deterministic terms with pinv, and one kernel call per entity."""
-    _, Y, lengths, kept = unitroot._Runs(series, det).usable(_shortest_run(det), "llc_test")
+    _, Y, lengths, kept = Runs(series, det).usable(_shortest_run(det), "llc_test")
     lags_pe = unitroot._by_length(lambda T: unitroot._entity_lags(T, det, lags), lengths)
     t_effs = lengths - 1 - lags_pe
     t_tilde = float(np.mean(t_effs))
@@ -854,7 +856,7 @@ class TestLlc:
     def test_single_entity_rejected(self):
         rng = np.random.default_rng(22)
         with pytest.raises(ValueError, match="fewer than two"):
-            llc_test(make_series(rng.standard_normal((1, 40))))
+            llc_test(Runs(make_series(rng.standard_normal((1, 40)))))
 
     def test_short_panel_below_adjustment_table(self, monkeypatch):
         # the table refuses before any entity is partialled out or smoothed
@@ -866,14 +868,20 @@ class TestLlc:
         rng = np.random.default_rng(23)
         rows = np.cumsum(rng.standard_normal((4, 9)), axis=1)
         with pytest.raises(ValueError, match="adjustment table"):
-            llc_test(make_series(rows))
+            llc_test(Runs(make_series(rows)))
+
+    @pytest.mark.parametrize("t_tilde, want", [(250, (-0.509, 0.742)), (500, (-0.5045, 0.7245)),
+                                               (math.inf, (-0.5, 0.707))])
+    def test_adjustment_interpolates_in_inverse_length_past_the_last_row(self, t_tilde, want):
+        # from the last finite row (250) to the asymptote the weight is 250 / t_tilde
+        assert dfc.llc_adjustment(t_tilde, "c") == pytest.approx(want, rel=0, abs=1e-12)
 
     def test_random_walk_size(self):
         rng = np.random.default_rng(20)
         hits = 0
         for _ in range(100):
             rows = np.cumsum(rng.standard_normal((20, 50)), axis=1)
-            if llc_test(make_series(rows)).p_value > 0.05:
+            if llc_test(Runs(make_series(rows))).p_value > 0.05:
                 hits += 1
         assert hits >= 90
 
@@ -881,13 +889,13 @@ class TestLlc:
         rng = np.random.default_rng(11)
         hits = 0
         for _ in range(100):
-            if llc_test(make_series(ar_panel(rng, 20, 50, 0.3))).p_value < 0.05:
+            if llc_test(Runs(make_series(ar_panel(rng, 20, 50, 0.3)))).p_value < 0.05:
                 hits += 1
         assert hits >= 95
 
     def test_p_is_lower_tail(self):
         rng = np.random.default_rng(24)
-        r = llc_test(make_series(ar_panel(rng, 8, 40, 0.5)))
+        r = llc_test(Runs(make_series(ar_panel(rng, 8, 40, 0.5))))
         assert r.p_value == pytest.approx(
             float(0.5 * (1 + math.erf(r.statistic / math.sqrt(2)))), abs=1e-12
         )
@@ -900,7 +908,7 @@ class TestLlc:
             series = llc_panel(seed)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", PanelWarning)
-                got = outcome(llc_test, series, det=det, lags=lags)
+                got = outcome(llc_test, Runs(series, det), lags=lags)
                 want = outcome(llc_reference, series, det=det, lags=lags)
             if isinstance(want, str):
                 assert got == want
@@ -921,7 +929,7 @@ class TestLlc:
         for test in (llc_test, unitroot.fisher_adf, ips_test):
             for det in ("c", "ct"):
                 with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
-                    test(series, det=det)
+                    test(Runs(series, det))
 
     def test_one_fit_per_lag_and_one_kernel_call_per_series(self, monkeypatch):
         series, runs = random_run_series(np.random.default_rng(26))
@@ -939,7 +947,7 @@ class TestLlc:
 
         monkeypatch.setattr(unitroot, "_df_regression", fit_counted)
         monkeypatch.setattr(unitroot, "long_run_covariances", kernel_counted)
-        llc_test(series)
+        llc_test(Runs(series))
         assert len(set(lengths)) > 10
         # each lag's runs, in run order, cut to their longest
         lags = [unitroot._entity_lags(T, "c", None) for T in lengths]
@@ -957,7 +965,7 @@ class TestLlc:
 def test_panel_tests_name_an_unknown_det(test):
     series = make_series(np.cumsum(np.random.default_rng(45).standard_normal((5, 20)), axis=1))
     with pytest.raises(ValueError, match=r"^unknown deterministic case 'x'$"):
-        test(series, det="x")
+        test(Runs(series, "x"))
 
 
 class TestBattery:
@@ -992,7 +1000,7 @@ class TestBattery:
     def test_unknown_det_raises_before_any_cell(self, monkeypatch):
         # an unknown case would fail every cell alike, so the battery refuses it up front
         called = []
-        monkeypatch.setattr(unitroot, "_Runs", lambda *a, **k: called.append(a))
+        monkeypatch.setattr(unitroot, "Runs", lambda *a, **k: called.append(a))
         rows = np.cumsum(np.random.default_rng(45).standard_normal((5, 20)), axis=1)
         with pytest.raises(ValueError, match=r"^unknown deterministic case 'x'$"):
             run_battery(make_dataset(rows), ("v",), det="x")
@@ -1066,7 +1074,7 @@ class TestBatterySharing:
                 for order, series in (("level", ds[name]), ("difference", first_difference(ds[name]))):
                     for test, fn in zip(BATTERY_TESTS, PANEL_TESTS):
                         option = "bandwidth" if fn is unitroot.fisher_pp else "lags"
-                        want[(name, order, test)] = outcome(fn, series, det="ct", **{option: self.OPTIONS[option]})
+                        want[(name, order, test)] = outcome(fn, Runs(series, "ct"), **{option: self.OPTIONS[option]})
         assert got_warnings == [(w.category, str(w.message)) for w in caught]
         assert any("constant over their longest run" in text for _, text in got_warnings)
         assert any("clamped" in text for _, text in got_warnings)
