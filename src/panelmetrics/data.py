@@ -460,8 +460,14 @@ def warn_dropped(what: str, dropped, why: str):
 def pad_runs(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> tuple:
     """(blocks, inside): block i holds rows starts[i] .. starts[i] + lengths[i] - 1 of values
     (1-D, or 2-D keeping its columns), zero-padded at the end to the longest run; inside
-    marks the real rows, so blocks[inside] gives them back in run order."""
-    inside = np.arange(lengths.max(initial=0)) < lengths[:, None]
-    blocks = values.take(starts[:, None] + np.arange(inside.shape[1]), axis=0, mode="clip")
+    marks the real rows, so blocks[inside] gives them back in run order.  When the runs
+    all have one length and each starts where the one before ends, nothing is padded and
+    blocks is a reshaped view of values, not a copy, so callers must not write into it."""
+    n = lengths.max(initial=0)
+    inside = np.arange(n) < lengths[:, None]
+    if inside.all() and starts.size and np.all(np.diff(starts) == n):
+        rows = values[starts[0] : starts[0] + starts.size * n]
+        return rows.reshape(starts.size, n, *values.shape[1:]), inside
+    blocks = values.take(starts[:, None] + np.arange(n), axis=0, mode="clip")
     blocks[~inside] = 0
     return blocks, inside

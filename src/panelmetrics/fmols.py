@@ -17,6 +17,7 @@ reduces exactly to within-OLS on the aligned window.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass, field, replace
 from itertools import compress
@@ -93,7 +94,7 @@ def fmols_panel(dataset: PanelDataset, spec: ModelSpec, bandwidth: int | None = 
         total, so recovered entity intercepts count as explanatory, as in
         the within estimator.
     """
-    if bandwidth is not None and bandwidth < 0:
+    if bandwidth is not None and operator.index(bandwidth) < 0:
         raise ValueError("bandwidth must be nonnegative")
     sample = regression_sample(dataset, spec)
     k = sample.X.shape[1]
@@ -129,7 +130,7 @@ def fmols_panel(dataset: PanelDataset, spec: ModelSpec, bandwidth: int | None = 
     if bandwidth is None:
         bws = neweywest_bandwidth(eta.sum(axis=-1), m)
     else:
-        bws = np.minimum(int(bandwidth), m - 2)
+        bws = np.minimum(bandwidth, m - 2)
         capped = int((bws < bandwidth).sum())
         if capped:
             warnings.warn(

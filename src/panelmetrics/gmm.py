@@ -9,10 +9,10 @@ RegressionSample, sorted by entity then year, and the instruments one
 matrix aligned with it row for row, which carries that sample, so an
 estimate takes the instruments alone.  Moments are formed per group of
 H_GROUP entities, each entity's rows zero-padded to the group's longest
-(`data.pad_runs`), and summed in entity order.  One-step weighting uses
-the tridiagonal second-difference form implied by iid level errors, each
-entity's block built in the same group pass; two-step reweights with the
-clustered outer product of one-step moments.
+(`data.pad_runs`, a view if none needs it), and summed in entity order.
+One-step weighting uses the tridiagonal second-difference form implied by
+iid level errors, each entity's block built in the same group pass; two-step
+reweights with the clustered outer product of one-step moments.
 Overidentification is summarized by the J statistic at the two-step
 weighting, which equals the minimized criterion by construction.
 """
@@ -200,7 +200,7 @@ def gmm_estimate(instruments: InstrumentMatrix, step: str = "twostep") -> GmmRes
 
     Entities are taken H_GROUP at a time, their rows zero-padded to the
     group's longest, with the weighting blocks H_i from `_h_blocks`.  Each
-    group's Z_i, dX_i and dy_i are laid out once and serve every pass.
+    group's Z_i, dX_i and dy_i are laid out once, by `data.pad_runs`.
     Z_i'dX_i, Z_i'dy_i and the moments g_i = Z_i'u_i are one batched matmul
     per group; the L x L terms Z_i'H_i Z_i (of A1) and g_i g_i' (of B) are
     too when H_GROUP * L * L is at most STACK_CELLS, else each is formed and
@@ -211,9 +211,9 @@ def gmm_estimate(instruments: InstrumentMatrix, step: str = "twostep") -> GmmRes
     is the criterion at the reported step's residual moments under the
     clustered one-step-residual weighting (stored as `weighting`); with
     df = instruments - columns equal to zero the p-value is None.  More
-    instruments than entities make that weighting singular; this warns.  A
-    collinear instrumented design is refused, naming a dependent column, and
-    so is a Z whose rows are not the sample's.
+    instruments than entities make that weighting singular: two-step refuses
+    them, naming the equation.  A collinear instrumented design is refused,
+    naming a dependent column, and so is a Z whose rows are not the sample's.
     """
     if step not in ("onestep", "twostep"):
         raise ValueError("step must be 'onestep' or 'twostep'")
@@ -225,20 +225,14 @@ def gmm_estimate(instruments: InstrumentMatrix, step: str = "twostep") -> GmmRes
     N = sample.n_entities
     if L < k:
         raise ValueError(f"underidentified: {L} instruments for {k} parameters")
-    if L > N:  # B below has rank at most N (Roodman 2009)
-        warnings.warn(f"gmm: {L} instruments outnumber {N} entities; two-step SEs and J "
-                      "are unreliable", PanelWarning, stacklevel=2)
+    if L > N and step == "twostep":  # B below has rank at most N (Roodman 2009)
+        raise ValueError(f"gmm({sample.spec.label}): {L} instruments outnumber {N} entities; "
+                         "the two-step weighting is singular")
 
     Z, dy, dX, years = instruments.Z, sample.y, sample.X, sample.periods
     bounds = np.searchsorted(sample.entity_ids, np.arange(N + 1))
     groups = [bounds[g : g + H_GROUP + 1] for g in range(0, N, H_GROUP)]
     stack = H_GROUP * L * L <= STACK_CELLS  # a group's L x L products stacked, or one at a time
-
-    def padded(values, b):  # the group's entities' rows, each zero-padded to the longest
-        n = np.diff(b)
-        if n.min() == n.max():  # nothing to pad: a view of the rows, not a copy
-            return values[b[0] : b[-1]].reshape(n.size, n[0], *values.shape[1:])
-        return pad_runs(values, b[:-1], n)[0]
 
     def add(total, parts):  # total + parts[0] + parts[1] + ..., one after another in entity order
         # not sum/reduce: reduce adds one-element terms (L = 1) pairwise
@@ -247,7 +241,7 @@ def gmm_estimate(instruments: InstrumentMatrix, step: str = "twostep") -> GmmRes
     S_zx, s_zy, A1 = np.zeros((L, k)), np.zeros(L), np.zeros((L, L))
     layouts = []  # each group's Z_i', dX_i and dy_i, laid out once for every pass
     for b in groups:
-        Zp, Xp, yp = padded(Z, b), padded(dX, b), padded(dy, b)
+        Zp, Xp, yp = (pad_runs(v, b[:-1], np.diff(b))[0] for v in (Z, dX, dy))
         Zt = Zp.transpose(0, 2, 1)
         layouts.append((Zt, Xp, yp))
         S_zx = add(S_zx, Zt @ Xp)

@@ -26,13 +26,16 @@ runs in one padded solve, and run_battery calls the four public tests on one
 layout per series.
 Phillips-Perron pads every run's residuals for one bandwidth call and one
 kernel call per series, and refuses an entity whose lag-0 fit is perfect; LLC
-pools the fits' sums and makes one kernel call over the runs' padded
-differences.  All per-entity p-values come from one `mackinnon_p` call.
-adf_test and pp_test are batches of one, and refuse a constant series.
+pools the fits' sums and makes one kernel call.  Both read the runs' zero-padded
+differences from one layout method, `Runs.differences`, formed on each call.
+All per-entity p-values come from one `mackinnon_p` call.  adf_test and pp_test
+are batches of one; they refuse a constant series or one too short for a lag-0
+fit.  A lag or bandwidth that is not an integer is refused, not truncated.
 """
 
 from __future__ import annotations
 
+import operator
 import warnings
 from bisect import bisect_left
 from itertools import compress
@@ -124,6 +127,8 @@ def _check_series(y, det: str, what: str) -> np.ndarray:
         _refuse_extreme(y[None], np.array([y.size]), ("the series",), what)
         if np.all(y == y[0]):
             raise ValueError(f"{what}: the series is constant")
+    if _max_feasible_lags(y.size, det) < 0:
+        raise ValueError(f"{what}: series too short (T={y.size}) for det={det!r}")
     return y
 
 
@@ -218,19 +223,11 @@ def adf_test(y, det: str = "c", lags: int | None = None) -> UnitRootResult:
     y = _check_series(y, det, "adf_test")
     T = y.shape[0]
     cap = _max_feasible_lags(T, det)
-    if lags is None:
-        if cap < 0:
-            raise ValueError(f"adf_test: series too short (T={T}) for det={det!r}")
-        lags = min(default_lags(T), cap)
-    else:
-        lags = int(lags)
-        if lags < 0:
-            raise ValueError("lags must be nonnegative")
-        if lags > cap:
-            raise ValueError(
-                f"adf_test: T={T} cannot support {lags} lags with det={det!r} "
-                f"(maximum {max(cap, 0)})"
-            )
+    lags = min(default_lags(T), cap) if lags is None else operator.index(lags)
+    if lags < 0:
+        raise ValueError("lags must be nonnegative")
+    if lags > cap:
+        raise ValueError(f"adf_test: T={T} cannot support {lags} lags with det={det!r} (maximum {cap})")
     tau, _, _, _, rows = _df_regression(y, det, lags)
     return UnitRootResult(
         test="adf", statistic=float(tau), p_value=_dfc.mackinnon_p(float(tau), det), det=det,
@@ -331,9 +328,7 @@ def pp_test(y, det: str = "c", bandwidth: int | None = None) -> UnitRootResult:
     """
     y = _check_series(y, det, "pp_test")
     T = y.shape[0]
-    if _max_feasible_lags(T, det) < 0:
-        raise ValueError(f"pp_test: series too short (T={T}) for det={det!r}")
-    z, bw = _pp_runs(y[None], np.array([T]), bandwidth, ("the series",),
+    z, bw = _pp_runs(np.diff(y)[None], np.array([T]), bandwidth, ("the series",),
                      lambda: _df_regression(y[None], det, 0)[:4])
     return UnitRootResult(
         test="pp", statistic=float(z[0]), p_value=_dfc.mackinnon_p(float(z[0]), det), det=det,
@@ -341,14 +336,14 @@ def pp_test(y, det: str = "c", bandwidth: int | None = None) -> UnitRootResult:
     )
 
 
-def _pp_runs(Y, lengths, bandwidth: int | None, labels, fit) -> tuple:
-    """Phillips-Perron Z and bandwidth of each zero-padded run of Y.  A fixed bandwidth is
-    checked against every run before fit() gives the runs' lag-0 fits (as `Runs.fit`),
-    whose residuals take one bandwidth call and one kernel call.
-    A fit whose standard error is below PERFECT_FIT times the RMS of the run's
-    differences is refused, naming the run's label: its Z would be rounding noise."""
+def _pp_runs(dY, lengths, bandwidth: int | None, labels, fit) -> tuple:
+    """Phillips-Perron Z and bandwidth of each run of the given lengths, from its differences
+    (a row of dY, zero past its own).  A fixed bandwidth is checked against every run before
+    fit() gives the runs' lag-0 fits (as `Runs.fit`), whose residuals take one bandwidth call
+    and one kernel call.  A fit whose standard error is below PERFECT_FIT times the RMS of
+    the run's differences is refused, naming the run's label: its Z would be rounding noise."""
     if bandwidth is not None:
-        bandwidth = int(bandwidth)
+        bandwidth = operator.index(bandwidth)
         if bandwidth < 0:
             raise ValueError("bandwidth must be nonnegative")
         short = lengths[bandwidth > lengths - 3] - 1
@@ -356,8 +351,7 @@ def _pp_runs(Y, lengths, bandwidth: int | None, labels, fit) -> tuple:
             raise ValueError(f"pp_test: bandwidth {bandwidth} too large for {short[0]} rows")
     rows = lengths - 1
     tau, se_rho, s, resid = fit()
-    dy = np.where(np.arange(1, Y.shape[1]) < lengths[:, None], np.diff(Y), 0.0)  # each run's own
-    perfect = np.flatnonzero(s <= PERFECT_FIT * np.sqrt((dy * dy).sum(axis=1) / rows))
+    perfect = np.flatnonzero(s <= PERFECT_FIT * np.sqrt((dY * dY).sum(axis=1) / rows))
     if perfect.size:
         raise ValueError(f"pp_test: perfect fit for {labels[perfect[0]]} "
                          f"(regression standard error {s[perfect[0]]:.3g})")
@@ -406,8 +400,8 @@ class Runs:
         self.series, self.det, self.fits = series, det, {}
 
     def usable(self, min_len: int, what: str) -> tuple:
-        """Indices, runs (cut to the longest), lengths and labels of the runs test `what` keeps,
-        after its drop warnings; refuses fewer than two, or squares outside the normal range."""
+        """Indices, lengths and labels of the runs test `what` keeps, after its drop
+        warnings; refuses fewer than two, or squares outside the normal range."""
         what = f"{what}({self.series.name})"
         keep = _drop_runs(self.series.entities, self.lengths, self.constant, min_len, what,
                           (f"below {min_len} contiguous observations", "constant over their longest run"))
@@ -415,9 +409,13 @@ class Runs:
             raise ValueError(f"{what}: fewer than two usable entities")
         idx, kept = np.flatnonzero(keep), tuple(compress(self.series.entities, keep))
         lengths = self.lengths[idx]
-        Y = self.Y[idx, : lengths.max()]
-        _refuse_extreme(Y, lengths, kept, what)
-        return idx, Y, lengths, kept
+        _refuse_extreme(self.Y[idx, : lengths.max()], lengths, kept, what)
+        return idx, lengths, kept
+
+    def differences(self, idx) -> np.ndarray:
+        """First differences of runs idx, each zero past its own, formed anew on each call."""
+        dY = np.diff(self.Y[idx, : self.lengths[idx].max()])
+        return np.where(np.arange(dY.shape[1]) < self.lengths[idx, None] - 1, dY, 0.0)
 
     def fit(self, idx, lags_pe, resid: bool = False) -> tuple:
         """tau, se_rho and s of runs idx at their lags; a lag's runs not in the table take one padded
@@ -440,7 +438,7 @@ class Runs:
 
 def _entity_lags(T: int, det: str, lags: int | None, min_df: int = 2) -> int:
     cap = _max_feasible_lags(T, det, min_df=min_df)
-    p = default_lags(T) if lags is None else int(lags)
+    p = default_lags(T) if lags is None else operator.index(lags)
     return max(0, min(p, cap))
 
 
@@ -464,15 +462,16 @@ def _fisher(test: str, det: str, kept: tuple, lengths, stat_pe, extra_pe) -> Uni
 def fisher_adf(runs: Runs, lags: int | None = None) -> UnitRootResult:
     """Fisher combination of per-entity ADF p-values."""
     det = runs.det
-    idx, _, lengths, kept = runs.usable(_shortest_run(det), "fisher_adf")
+    idx, lengths, kept = runs.usable(_shortest_run(det), "fisher_adf")
     lags_pe = _by_length(lambda T: _entity_lags(T, det, lags), lengths)
     return _fisher("fisher-adf", det, kept, lengths, runs.fit(idx, lags_pe)[0], lags_pe.tolist())
 
 
 def fisher_pp(runs: Runs, bandwidth: int | None = None) -> UnitRootResult:
     """Fisher combination of per-entity Phillips-Perron p-values."""
-    idx, Y, lengths, kept = runs.usable(_shortest_run(runs.det), "fisher_pp")
-    z, bw = _pp_runs(Y, lengths, bandwidth, kept, lambda: runs.fit(idx, np.zeros(idx.size, int), resid=True))
+    idx, lengths, kept = runs.usable(_shortest_run(runs.det), "fisher_pp")
+    z, bw = _pp_runs(runs.differences(idx), lengths, bandwidth, kept,
+                     lambda: runs.fit(idx, np.zeros(idx.size, int), resid=True))
     return _fisher("fisher-pp", runs.det, kept, lengths, z, bw)
 
 
@@ -515,7 +514,7 @@ def ips_test(runs: Runs, lags: int | None = None) -> UnitRootResult:
     det = runs.det
     if det not in ("c", "ct"):
         raise ValueError("ips_test supports det 'c' or 'ct' (moment table coverage)")
-    idx, _, lengths, kept = runs.usable(IPS_T_GRID[0], "ips_test")
+    idx, lengths, kept = runs.usable(IPS_T_GRID[0], "ips_test")
     means, variances, lags_pe = _by_length(
         lambda T: _ips_moments(T, _entity_lags(T, det, lags, min_df=3), det), lengths
     ).T
@@ -543,7 +542,7 @@ def llc_test(runs: Runs, lags: int | None = None) -> UnitRootResult:
     rather than extrapolate, before any entity is fitted.
     """
     det, name = runs.det, runs.series.name
-    idx, Y, lengths, kept = runs.usable(_shortest_run(det), "llc_test")
+    idx, lengths, kept = runs.usable(_shortest_run(det), "llc_test")
     lags_pe = _by_length(lambda T: _entity_lags(T, det, lags), lengths)
     rows = lengths - 1 - lags_pe
     t_tilde = float(np.mean(rows))
@@ -573,9 +572,9 @@ def llc_test(runs: Runs, lags: int | None = None) -> UnitRootResult:
     # estimate down by about (K+1)/T and oversizes the test.  The trend
     # model's null leaves a per-entity drift to remove first.
     n = lengths - 1
-    real = np.arange(1, Y.shape[1]) < lengths[:, None]  # each run's own differences
-    dy = np.where(real, np.diff(Y), 0.0)
+    dy = runs.differences(idx)
     if det == "ct":  # a real zero difference is demeaned too
+        real = np.arange(dy.shape[1]) < n[:, None]
         dy = np.where(real, dy - dy.sum(axis=1, keepdims=True) / n[:, None], 0.0)
     K = _by_length(lambda T: max(min(int(np.floor(3.21 * (T - 1) ** (1.0 / 3.0))), T - 3), 0), lengths)
     lrv = long_run_covariances(dy[..., None], K, n)[0][:, 0, 0]

@@ -272,6 +272,17 @@ class TestFmolsPanel:
             res.p_values, 2.0 * stats.norm.sf(np.abs(res.t_stats)), rtol=1e-12
         )
 
+    def test_bandwidth_must_be_a_nonnegative_integer(self):
+        # 2.5 was capped with a warning on 20-year blocks, then used as 2
+        rng = np.random.default_rng(75)
+        x = np.cumsum(rng.standard_normal((6, 21)), axis=1)
+        ds = build_panel(2.0 * x + rng.standard_normal((6, 21)), x)
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            fmols_panel(ds, LEVEL_SPEC, bandwidth=2.5)
+        with pytest.raises(ValueError, match="nonnegative"):
+            fmols_panel(ds, LEVEL_SPEC, bandwidth=-1)
+        assert fmols_panel(ds, LEVEL_SPEC, bandwidth=np.int64(2)).bandwidths == dict.fromkeys(ds.entities, 2)
+
     def test_short_entity_dropped_with_warning(self):
         rng = np.random.default_rng(74)
         x = np.cumsum(rng.standard_normal((3, 12)), axis=1)

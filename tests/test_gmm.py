@@ -534,8 +534,9 @@ class TestGmmEstimate:
         with pytest.raises(ValueError, match="not aligned"):
             gmm_estimate(replace(Z, Z=Z.Z[:-1]))
 
-    def test_more_instruments_than_entities_warns(self):
-        # 20 entities, 20 years, x at lag 1: 171 level columns plus d_x_lag1
+    def test_more_instruments_than_entities_refused_for_two_step(self):
+        # 20 entities, 20 years, x at lag 1: 171 level columns plus d_x_lag1.  B has rank
+        # at most 20, and its inverse used to give two-step SEs of 0.0 and J = 290.9
         rng = np.random.default_rng(20)
         y, _ = ar_panel(rng, 20, 20, 0.5)
         ds = build_panel({"y": y, "x": rng.standard_normal((20, 20))})
@@ -543,11 +544,10 @@ class TestGmmEstimate:
                          lagged_dependent=True)
         s = differenced_sample(ds, spec)
         Z = build_instruments(ds, s)
-        with pytest.warns(PanelWarning) as caught:
-            res = gmm_estimate(Z)
-        assert [str(w.message) for w in caught if "outnumber" in str(w.message)] == [
-            "gmm: 172 instruments outnumber 20 entities; two-step SEs and J are unreliable"
-        ]
+        with pytest.raises(ValueError, match=r"^gmm\(dyn\): 172 instruments outnumber 20 entities; "
+                                             r"the two-step weighting is singular$"):
+            gmm_estimate(Z)
+        res = gmm_estimate(Z, step="onestep")
         assert (res.instrument_count, res.n_entities) == (172, 20)
 
     def test_collinear_design_named(self):
@@ -563,23 +563,20 @@ class TestGmmEstimate:
             gmm_estimate(Z)
 
     def test_singular_weighted_design_named(self):
-        # 4 collapsed instruments over 3 entities: the one-step solve stands, the two-step
-        # weighting B has rank at most 3 and leaves a singular weighted design
-        ds = build_panel({
-            "y": [[0.0, 1.4, 2.6, 2.1, 1.8], [-0.5, 0.0, 0.0, 0.7, -1.1], [1.6, 1.5, 2.2, 2.0, 1.6]],
-            "x": [[0.5, 0.8, -0.2, -0.2, 0.7], [-0.9, -1.5, 0.4, -0.7, -1.9],
-                  [-0.8, -0.5, -1.2, -1.5, 0.0]],
-        }, start=2000)
-        spec = ModelSpec(label="dyn", dependent="y", regressors=(("x", 1),),
-                         lagged_dependent=True)
+        # y halves each year, exactly in binary: the one-step fit leaves no residual, so
+        # with 3 collapsed instruments over 4 entities the two-step weighting B is zero
+        # and the weighted design singular
+        ds = build_panel({"y": [[17.0, 9.0, 5.0, 3.0, 2.0], [-29.0, -13.0, -5.0, -1.0, 1.0],
+                                [62.0, 30.0, 14.0, 6.0, 2.0], [8.5, 4.5, 2.5, 1.5, 1.0]]}, start=2000)
+        spec = ModelSpec(label="dyn", dependent="y", regressors=(), lagged_dependent=True)
         s = differenced_sample(ds, spec)
         Z = build_instruments(ds, s, collapse=True)
-        assert (Z.n_instruments, s.n_entities) == (4, 3)
+        assert (Z.n_instruments, s.n_entities) == (3, 4)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", PanelWarning)
-            assert np.isfinite(gmm_estimate(Z, step="onestep").coefficients).all()
+            assert gmm_estimate(Z, step="onestep").coefficients.tolist() == [0.5]
             with pytest.raises(ValueError, match=r"^gmm\(dyn\): singular weighted design "
-                                                 r"\(4 instruments, 3 entities\)$"):
+                                                 r"\(3 instruments, 4 entities\)$"):
                 gmm_estimate(Z)
 
     def test_as_many_instruments_as_entities_is_silent(self):

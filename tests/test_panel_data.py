@@ -536,6 +536,22 @@ class TestContiguousRun:
         rows = np.concatenate([np.arange(a, a + n) for a, n in zip(starts, lengths)])
         np.testing.assert_array_equal(blocks[inside], values[rows])
 
+    @pytest.mark.parametrize("columns", [None, 2])
+    @pytest.mark.parametrize("starts, lengths, view", [
+        ([2, 5, 8, 11], [3, 3, 3, 3], True),  # one length, end to end
+        ([2, 5, 9, 12], [3, 3, 3, 3], False),  # one length, a gap before the third run
+        ([2, 5, 8, 11], [3, 3, 2, 3], False),  # ragged
+    ], ids=["end_to_end", "gap", "ragged"])
+    def test_pad_runs_views_only_what_needs_no_padding(self, columns, starts, lengths, view):
+        starts, lengths = np.array(starts), np.array(lengths)
+        shape = (15,) if columns is None else (15, columns)
+        values = np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape)
+        blocks, inside = pad_runs(values, starts, lengths)
+        assert np.shares_memory(blocks, values) == view
+        assert blocks.shape == (4, 3) + shape[1:] and not blocks[~inside].any()
+        rows = np.concatenate([np.arange(a, a + n) for a, n in zip(starts, lengths)])
+        np.testing.assert_array_equal(blocks[inside], values[rows])
+
     def test_constant_runs_per_column(self):
         # A: column 0 constant; B: column 1, equal to A's last row across the
         # entity break; C: neither; D: both; E: no rows; F: column 0 over its

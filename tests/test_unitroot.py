@@ -99,8 +99,9 @@ class TestAdf:
         assert hits >= 90
 
     def test_too_short_for_lags(self):
-        with pytest.raises(ValueError, match="cannot support"):
-            adf_test([1.0, 2.0, 1.0], det="c", lags=1)
+        # T=5 with det c supports lag 0 only
+        with pytest.raises(ValueError, match=r"^adf_test: T=5 cannot support 1 lags with det='c' \(maximum 0\)$"):
+            adf_test([1.0, 2.0, 1.0, 3.0, 2.5], det="c", lags=1)
 
     @pytest.mark.parametrize("det", ["n", "c", "ct"])
     def test_shortest_run_is_first_fittable_length(self, det):
@@ -108,8 +109,13 @@ class TestAdf:
         T = _shortest_run(det)
         y = np.arange(T) + np.sin(np.arange(T))
         assert adf_test(y, det=det).lags == 0
-        with pytest.raises(ValueError, match="too short"):
-            adf_test(y[:-1], det=det)
+        # one shorter supports no lag: refused the same way before lags or bandwidth is read
+        too_short = rf"series too short \(T={T - 1}\) for det='{det}'$"
+        for lags in (None, 0, 10):
+            with pytest.raises(ValueError, match=f"^adf_test: {too_short}"):
+                adf_test(y[:-1], det=det, lags=lags)
+        with pytest.raises(ValueError, match=f"^pp_test: {too_short}"):
+            pp_test(y[:-1], det=det, bandwidth=0)
 
     def test_missing_values_rejected(self):
         with pytest.raises(ValueError, match="missing"):
@@ -121,6 +127,13 @@ class TestAdf:
             adf_test(y, det="cc")
         with pytest.raises(ValueError, match="nonnegative"):
             adf_test(y, lags=-1)
+
+    def test_non_integer_lags_refused(self):
+        # not truncated: 1.9 used to fit 1 lag
+        y = np.arange(20.0) + np.sin(np.arange(20.0))
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            adf_test(y, lags=1.9)
+        assert adf_test(y, lags=np.int64(1)).lags == 1
 
     def test_rows_follow_lag_count(self):
         rng = np.random.default_rng(6)
@@ -210,6 +223,15 @@ class TestPhillipsPerron:
             pp_test(y, bandwidth=-1)
         with pytest.raises(ValueError, match="too large"):
             pp_test(y, bandwidth=50)
+
+    def test_non_integer_bandwidth_refused(self):
+        # not truncated: 2.9 used to give bandwidth 2
+        y = np.arange(30.0) + np.cos(np.arange(30.0))
+        runs = Runs(make_series(ar_panel(np.random.default_rng(8), 3, 30, 0.5)))
+        for call in (lambda bw: pp_test(y, bandwidth=bw), lambda bw: unitroot.fisher_pp(runs, bandwidth=bw)):
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                call(2.9)
+            assert call(np.int64(2)) == call(2)
 
     def test_three_residuals_get_bandwidth_zero(self):
         # the automatic rule needs 4 residuals; the shortest "n" run leaves
@@ -669,6 +691,25 @@ class TestPanelRuns:
             # repr prints each float's shortest round-trip form: equal reprs, equal bits
             assert repr(r) == repr(test(Runs(runs_only)))
 
+    def test_differences_are_each_runs_own_zero_padded(self):
+        gappy, _ = longest_run_panel(38)
+        idx = np.array([3, 0, 5])
+        own = [np.diff(longest_run(row)) for row in gappy.values[idx]]
+        assert len({d.size for d in own}) == 3
+        runs = Runs(gappy)
+        dY = runs.differences(idx)
+        assert dY.shape == (3, max(d.size for d in own))
+        for row, d in zip(dY, own):
+            np.testing.assert_array_equal(row, np.pad(d, (0, dY.shape[1] - d.size)))
+        assert runs.differences(idx) is not dY  # formed anew, not kept on the layout
+
+    def test_non_integer_lags_refused(self):
+        # not truncated to an int lag for each entity
+        runs = Runs(make_series(ar_panel(np.random.default_rng(9), 3, 30, 0.5)))
+        for test in (unitroot.fisher_adf, ips_test, llc_test):
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                test(runs, lags=1.5)
+
     def test_length_rules_evaluated_once_per_distinct_length(self, monkeypatch):
         series, _ = longest_run_panel(36)
         lengths = [len(longest_run(row)) for row in series.values]
@@ -787,7 +828,9 @@ def df_design(run, det, lags):
 def llc_reference(series, det="c", lags=None):
     """LLC entity by entity: each run's difference and lagged level projected off
     the lags and deterministic terms with pinv, and one kernel call per entity."""
-    _, Y, lengths, kept = Runs(series, det).usable(_shortest_run(det), "llc_test")
+    runs = Runs(series, det)
+    idx, lengths, kept = runs.usable(_shortest_run(det), "llc_test")
+    Y = runs.Y[idx]
     lags_pe = unitroot._by_length(lambda T: unitroot._entity_lags(T, det, lags), lengths)
     t_effs = lengths - 1 - lags_pe
     t_tilde = float(np.mean(t_effs))

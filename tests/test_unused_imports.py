@@ -1,5 +1,6 @@
-"""Every module of src/ and tools/ uses each name it imports, and each
-module-level private name that one of them binds is read by one of them."""
+"""Every module of src/ and tools/ uses each name it imports, each function
+or lambda there reads each of its parameters, and each module-level private
+name that one of them binds is read by one of them."""
 
 import ast
 from pathlib import Path
@@ -21,6 +22,26 @@ def unused_imports(source: str) -> list:
             imported += [a.asname or a.name for a in node.names]
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [name for name in imported if name not in used]
+
+
+def unread_parameters(source: str) -> list:
+    """(function, parameter) for each parameter, self and cls aside, that the body of its
+    function or lambda never reads, nested functions included; `x += 1` reads x."""
+    unread = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+            read = set()
+            for part in node.body if isinstance(node.body, list) else [node.body]:
+                for n in ast.walk(part):
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                        read.add(n.id)
+                    elif isinstance(n, ast.AugAssign) and isinstance(n.target, ast.Name):
+                        read.add(n.target.id)
+            unread += [(getattr(node, "name", "lambda"), p.arg) for p in params
+                       if p is not None and p.arg not in read | {"self", "cls"}]
+    return unread
 
 
 def private_definitions(tree) -> list:
@@ -71,6 +92,32 @@ def test_check_sees_each_binding_form():
         "    return os.sep\n"
     )
     assert unused_imports(source) == ["np", "b"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[str(p.relative_to(ROOT)) for p in MODULES])
+def test_every_parameter_is_read(path):
+    assert unread_parameters(path.read_text(encoding="utf-8")) == []
+
+
+def test_parameter_check_sees_each_parameter_form():
+    source = (
+        "def f(a, b, /, c, d=1, *args, e, g=2, **kwargs):\n"
+        "    return a + c + e\n"
+        "class K:\n"
+        "    def m(self, x, y):\n"
+        "        x += 1\n"
+        "        return x\n"
+        "    @classmethod\n"
+        "    def n(cls, *rest, **extra):\n"
+        "        def inner(z):\n"
+        "            return rest, z\n"
+        "        return inner\n"
+        "h = lambda u, v: u\n"
+    )
+    assert unread_parameters(source) == [
+        ("f", "b"), ("f", "d"), ("f", "g"), ("f", "args"), ("f", "kwargs"),
+        ("m", "y"), ("n", "extra"), ("lambda", "v"),
+    ]
 
 
 def test_every_private_name_is_read():
