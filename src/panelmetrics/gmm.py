@@ -10,11 +10,11 @@ matrix aligned with it row for row, which carries that sample, so an
 estimate takes the instruments alone.  Moments are formed per group of
 H_GROUP entities, each entity's rows zero-padded to the group's longest
 (`data.pad_runs`, a view if none needs it), and summed in entity order.
-One-step weighting uses the tridiagonal second-difference form implied by
-iid level errors, each entity's block built in the same group pass; two-step
-reweights with the clustered outer product of one-step moments.
-Overidentification is summarized by the J statistic at the two-step
-weighting, which equals the minimized criterion by construction.
+Estimates are two-step.  The one-step weighting is the inverse of the
+tridiagonal second-difference form implied by iid level errors, each
+entity's block built in the same group pass; two-step reweights with the
+inverse of the clustered outer product of one-step moments.  Either matrix,
+if singular, is refused.  Hansen's J is the minimized two-step criterion.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ class InstrumentMatrix:
 class GmmResult(Estimates):
     """Dynamic panel GMM estimates."""
 
-    step: str
     instrument_count: int
     j_stat: float
     j_df: int
@@ -186,17 +185,8 @@ def _h_blocks(years: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     return H.reshape(-1, m, m)
 
 
-def _inv_psd(A: np.ndarray, what: str) -> np.ndarray:
-    try:
-        return np.linalg.inv(A)
-    except np.linalg.LinAlgError:
-        warnings.warn(f"{what}: singular weighting, using pseudo-inverse",
-                      PanelWarning, stacklevel=3)
-        return np.linalg.pinv(A)
-
-
-def gmm_estimate(instruments: InstrumentMatrix, step: str = "twostep") -> GmmResult:
-    """Estimate the differenced equation of instruments.sample by one- or two-step GMM.
+def gmm_estimate(instruments: InstrumentMatrix) -> GmmResult:
+    """Estimate the differenced equation of instruments.sample by two-step GMM.
 
     Entities are taken H_GROUP at a time, their rows zero-padded to the
     group's longest, with the weighting blocks H_i from `_h_blocks`.  Each
@@ -206,18 +196,17 @@ def gmm_estimate(instruments: InstrumentMatrix, step: str = "twostep") -> GmmRes
     too when H_GROUP * L * L is at most STACK_CELLS, else each is formed and
     added on its own.  Every sum adds the entities' terms one after another
     in entity order, as a per-entity loop would.
-    Standard errors: one-step uses the robust sandwich; two-step uses the
-    optimal-weighting form (no small-sample correction).  The J statistic
-    is the criterion at the reported step's residual moments under the
-    clustered one-step-residual weighting (stored as `weighting`); with
-    df = instruments - columns equal to zero the p-value is None.  More
-    instruments than entities make that weighting singular: two-step refuses
-    them, naming the equation.  A collinear instrumented design is refused,
-    naming a dependent column, and so is a Z whose rows are not the sample's.
+    `one_step_coefficients` are the fit under the inverse of A1; the reported
+    ones reweight with the inverse of B, the clustered outer product of their
+    moments (stored as `weighting`), with optimal-weighting SEs (no
+    small-sample correction).  J is Hansen's two-step statistic under
+    `weighting`; with df = instruments - columns equal to zero its p-value is
+    None.  Refused, naming the equation: more instruments than entities (B
+    has rank at most N), a singular A1 or B, a collinear instrumented design,
+    and a Z whose rows are not the sample's.
     """
-    if step not in ("onestep", "twostep"):
-        raise ValueError("step must be 'onestep' or 'twostep'")
     sample = instruments.sample
+    label = sample.spec.label
     if instruments.Z.shape[0] != sample.n_obs:
         raise ValueError("instrument rows are not aligned with the sample")
     k = sample.X.shape[1]
@@ -225,8 +214,8 @@ def gmm_estimate(instruments: InstrumentMatrix, step: str = "twostep") -> GmmRes
     N = sample.n_entities
     if L < k:
         raise ValueError(f"underidentified: {L} instruments for {k} parameters")
-    if L > N and step == "twostep":  # B below has rank at most N (Roodman 2009)
-        raise ValueError(f"gmm({sample.spec.label}): {L} instruments outnumber {N} entities; "
+    if L > N:  # B below has rank at most N (Roodman 2009)
+        raise ValueError(f"gmm({label}): {L} instruments outnumber {N} entities; "
                          "the two-step weighting is singular")
 
     Z, dy, dX, years = instruments.Z, sample.y, sample.X, sample.periods
@@ -252,22 +241,28 @@ def gmm_estimate(instruments: InstrumentMatrix, step: str = "twostep") -> GmmRes
         else:
             for zt, h, z in zip(Zt, H, Zp):
                 A1 += zt @ h @ z
-    _solve_ols(S_zx, s_zy, f"gmm({sample.spec.label})", sample.columns)  # only its refusal is used
-    W1 = _inv_psd(A1, "gmm one-step")
+    _solve_ols(S_zx, s_zy, f"gmm({label})", sample.columns)  # only its refusal is used
+
+    def inverse(A, step):
+        try:
+            return np.linalg.inv(A)
+        except np.linalg.LinAlgError:
+            raise ValueError(f"gmm({label}): singular {step} weighting "
+                             f"({L} instruments, {N} entities)") from None
 
     def solve_beta(W):
         M = S_zx.T @ W @ S_zx
         try:
             return np.linalg.solve(M, S_zx.T @ W @ s_zy), M
         except np.linalg.LinAlgError:
-            raise ValueError(f"gmm({sample.spec.label}): singular weighted design "
+            raise ValueError(f"gmm({label}): singular weighted design "
                              f"({L} instruments, {N} entities)") from None
 
     def moments(beta):  # each group's entity moment vectors Z_i'u_i, (entities, L)
         for Zt, Xp, yp in layouts:
             yield (Zt @ (yp - Xp @ beta)[..., None])[..., 0]
 
-    beta1, M1 = solve_beta(W1)
+    beta1, _ = solve_beta(inverse(A1, "one-step"))
 
     B = np.zeros((L, L))
     for G in moments(beta1):
@@ -276,15 +271,9 @@ def gmm_estimate(instruments: InstrumentMatrix, step: str = "twostep") -> GmmRes
         else:
             for g in G:
                 B += np.outer(g, g)
-    W2 = _inv_psd(B, "gmm two-step")
-
-    if step == "twostep":
-        beta, M2 = solve_beta(W2)
-        cov = np.linalg.inv(M2)
-    else:
-        beta = beta1
-        Minv = np.linalg.inv(M1)
-        cov = Minv @ (S_zx.T @ W1 @ B @ W1 @ S_zx) @ Minv
+    W2 = inverse(B, "two-step")
+    beta, M2 = solve_beta(W2)
+    cov = np.linalg.inv(M2)
 
     m = functools.reduce(add, moments(beta), np.zeros(L))
     j_stat = float(m @ W2 @ m)
@@ -294,7 +283,6 @@ def gmm_estimate(instruments: InstrumentMatrix, step: str = "twostep") -> GmmRes
     se, t, p = _wald(beta, cov)
     return GmmResult(
         method="gmm",
-        step=step,
         columns=sample.columns,
         coefficients=beta,
         std_errors=se,

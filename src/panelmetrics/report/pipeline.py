@@ -205,11 +205,10 @@ def _stage_gmm(config, dataset, store):
     results = []
     for spec in config.models:
         sample = differenced_sample(dataset, spec)
-        results.append(gmm_estimate(
-            build_instruments(dataset, sample, max_depth=config.tests.gmm_depth,
-                              collapse=config.tests.gmm_collapse),
-            step="twostep",
-        ))
+        # no name for the instruments: it would keep their Z alive while the next model's is built
+        results.append(gmm_estimate(build_instruments(
+            dataset, sample, max_depth=config.tests.gmm_depth,
+            collapse=config.tests.gmm_collapse)))
     store["gmm"] = results
     return build_gmm_table(results, [spec.label for spec in config.models])
 

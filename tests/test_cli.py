@@ -270,6 +270,16 @@ class TestFetchCommands:
         assert main(["fetch", "--config", config]) == 3
         assert "FAILED" in capsys.readouterr().err
 
+    def test_run_with_a_failing_indicator_is_3(self, indicator_server, tmp_path, capsys,
+                                              monkeypatch):
+        monkeypatch.setattr(fetch, "BACKOFF_S", 0.01)
+        config = self.write_config(tmp_path, fetch_doc(indicator_server, codes=("VARY", "DOWN")))
+        assert main(["run", "--config", config]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("I/O error: indicator download failed: DOWN: ")
+        assert "VARY" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_corrupt_cache_file_is_fetched_again(self, indicator_server, tmp_path, capsys):
         config = self.write_config(tmp_path, fetch_doc(indicator_server))
         assert main(["fetch", "--config", config]) == 0
@@ -295,8 +305,9 @@ class TestFetchCommands:
         monkeypatch.setattr(fetch, "read_panel_csv", counting)
         monkeypatch.setattr(pipeline, "read_panel_csv", counting)
         cfg = load_config(config).with_overrides(stages=["describe"])
-        bundle = pipeline.run_pipeline(cfg, base_dir=str(tmp_path), write=False)
+        bundle = pipeline.run_pipeline(cfg, base_dir=str(tmp_path))
         assert "describe" in bundle.tables
+        assert bundle.out_dir == str(tmp_path / "out")
         assert sorted(parsed) == sorted(p.name for p in (tmp_path / "cache").iterdir())
         assert len(parsed) == 2
 

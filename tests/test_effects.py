@@ -343,13 +343,13 @@ class TestWald:
 class TestEstimatesRecord:
     SHARED = {"method", "columns", "coefficients", "std_errors", "t_stats", "p_values",
               "cov", "n_obs", "n_entities", "periods_included"}
-    FIELDS = {  # each result's field names as they were before the shared record
+    FIELDS = {  # each result's fields: the shared record's and its own
         EffectsResult: SHARED | {"df_resid", "sigma2", "r_squared", "adj_r_squared",
                                  "residuals", "demeaned_dependent", "entity_effects",
                                  "variance_components"},
         FmolsResult: SHARED | {"r_squared", "adj_r_squared", "long_run_scale", "bandwidths",
                                "residuals", "demeaned_dependent"},
-        GmmResult: SHARED | {"step", "instrument_count", "j_stat", "j_df", "j_p",
+        GmmResult: SHARED | {"instrument_count", "j_stat", "j_df", "j_p",
                              "one_step_coefficients", "weighting"},
     }
 

@@ -243,9 +243,10 @@ class TestBuildInstruments:
         assert build_instruments(ds, s).sample is s
 
 
-def per_entity_gmm(instruments, step):
+def per_entity_gmm(instruments):
     """Both GMM steps summed entity by entity in entity order, each entity's
-    weighting block its own contiguous matrix: (coefficients, SEs, J)."""
+    weighting block its own contiguous matrix: (one-step coefficients,
+    two-step coefficients, SEs, J)."""
     s = instruments.sample
     Z, dy, dX, years = instruments.Z, s.y, s.X, s.periods
     rows = [r for _, r in entity_rows(s)]
@@ -266,20 +267,14 @@ def per_entity_gmm(instruments, step):
     def moments(beta):
         return [Z[r].T @ (dy[r] - dX[r] @ beta) for r in rows]
 
-    W1 = np.linalg.inv(A1)
-    beta, M = solve(W1)
+    beta1, _ = solve(np.linalg.inv(A1))
     B = np.zeros((L, L))
-    for g in moments(beta):
+    for g in moments(beta1):
         B += np.outer(g, g)
     W2 = np.linalg.inv(B)
-    if step == "twostep":
-        beta, M = solve(W2)
-        cov = np.linalg.inv(M)
-    else:
-        Minv = np.linalg.inv(M)
-        cov = Minv @ (S_zx.T @ W1 @ B @ W1 @ S_zx) @ Minv
+    beta, M = solve(W2)
     m = sum(moments(beta), np.zeros(L))
-    return beta, _wald(beta, cov)[0], float(m @ W2 @ m)
+    return beta1, beta, _wald(beta, np.linalg.inv(M))[0], float(m @ W2 @ m)
 
 
 class TestGmmEstimate:
@@ -391,12 +386,12 @@ class TestGmmEstimate:
         # the padded products round differently from the loop's own-length ones
         s, Z = self.dynamic_panel(0.15, collapse)
         assert len({tuple(s.periods[r]) for _, r in entity_rows(s)}) > 50
-        for step in ("onestep", "twostep"):
-            res = gmm_estimate(Z, step=step)
-            beta, se, J = per_entity_gmm(Z, step)
-            np.testing.assert_allclose(res.coefficients, beta, rtol=1e-12, atol=0)
-            np.testing.assert_allclose(res.std_errors, se, rtol=1e-12, atol=0)
-            assert res.j_stat == pytest.approx(J, rel=1e-12, abs=0)
+        res = gmm_estimate(Z)
+        beta1, beta, se, J = per_entity_gmm(Z)
+        np.testing.assert_allclose(res.one_step_coefficients, beta1, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(res.coefficients, beta, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(res.std_errors, se, rtol=1e-12, atol=0)
+        assert res.j_stat == pytest.approx(J, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("collapse, spec, depth, L", [
         (False, DYN_SPEC, 3, 56),
@@ -407,12 +402,12 @@ class TestGmmEstimate:
         # no entity is padded, so every product and every sum is the loop's, bit for bit
         s, Z = self.dynamic_panel(0.0, collapse, spec, depth)
         assert (Z.n_instruments, s.X.shape[1]) == (L, 2 if spec is self.DYN_SPEC else 1)
-        for step in ("onestep", "twostep"):
-            res = gmm_estimate(Z, step=step)
-            beta, se, J = per_entity_gmm(Z, step)
-            np.testing.assert_array_equal(res.coefficients, beta)
-            np.testing.assert_array_equal(res.std_errors, se)
-            assert res.j_stat == J
+        res = gmm_estimate(Z)
+        beta1, beta, se, J = per_entity_gmm(Z)
+        np.testing.assert_array_equal(res.one_step_coefficients, beta1)
+        np.testing.assert_array_equal(res.coefficients, beta)
+        np.testing.assert_array_equal(res.std_errors, se)
+        assert res.j_stat == J
 
     def test_instruments_laid_out_once_per_entity_group(self, monkeypatch):
         # the sums, B's moments and J's moments all read one padded copy of each group's Z
@@ -428,7 +423,7 @@ class TestGmmEstimate:
             return pad_runs(values, run_starts, lengths)
 
         monkeypatch.setattr(gmm, "pad_runs", counted)
-        gmm_estimate(Z, step="twostep")
+        gmm_estimate(Z)
         assert laid_out == groups
 
     def test_stacked_and_entity_by_entity_products_agree(self, monkeypatch):
@@ -437,21 +432,21 @@ class TestGmmEstimate:
         results = []
         for cells in (0, 1 << 40):
             monkeypatch.setattr(gmm, "STACK_CELLS", cells)
-            results.append([gmm_estimate(Z, step=step) for step in ("onestep", "twostep")])
-        for one_at_a_time, stacked in zip(*results):
-            np.testing.assert_array_equal(one_at_a_time.coefficients, stacked.coefficients)
-            np.testing.assert_array_equal(one_at_a_time.std_errors, stacked.std_errors)
-            assert one_at_a_time.j_stat == stacked.j_stat
+            results.append(gmm_estimate(Z))
+        one_at_a_time, stacked = results
+        np.testing.assert_array_equal(one_at_a_time.one_step_coefficients,
+                                      stacked.one_step_coefficients)
+        np.testing.assert_array_equal(one_at_a_time.coefficients, stacked.coefficients)
+        np.testing.assert_array_equal(one_at_a_time.std_errors, stacked.std_errors)
+        assert one_at_a_time.j_stat == stacked.j_stat
 
     def test_matches_hand_matrix_algebra(self):
         y, s, Z = self.hand_panel()
         b1, b2, J = self.hand_formula(y)
-        one = gmm_estimate(Z, step="onestep")
-        two = gmm_estimate(Z, step="twostep")
-        assert abs(one.coefficients - b1).max() < 1e-10
-        assert abs(two.coefficients - b2).max() < 1e-10
-        assert abs(two.j_stat - J) < 1e-10
-        np.testing.assert_array_equal(two.one_step_coefficients, one.coefficients)
+        res = gmm_estimate(Z)
+        assert abs(res.one_step_coefficients - b1).max() < 1e-10
+        assert abs(res.coefficients - b2).max() < 1e-10
+        assert abs(res.j_stat - J) < 1e-10
 
     def test_exactly_identified_is_iv(self):
         rng = np.random.default_rng(1)
@@ -524,11 +519,6 @@ class TestGmmEstimate:
         with pytest.raises(ValueError, match="underidentified"):
             gmm_estimate(empty)
 
-    def test_rejects_unknown_step(self):
-        _, s, Z = self.hand_panel()
-        with pytest.raises(ValueError, match="step"):
-            gmm_estimate(Z, step="three")
-
     def test_rejects_misaligned_blocks(self):
         _, _, Z = self.hand_panel()
         with pytest.raises(ValueError, match="not aligned"):
@@ -547,8 +537,6 @@ class TestGmmEstimate:
         with pytest.raises(ValueError, match=r"^gmm\(dyn\): 172 instruments outnumber 20 entities; "
                                              r"the two-step weighting is singular$"):
             gmm_estimate(Z)
-        res = gmm_estimate(Z, step="onestep")
-        assert (res.instrument_count, res.n_entities) == (172, 20)
 
     def test_collinear_design_named(self):
         # x a copy of y: d_x_lag1 repeats d_y_lag1, so the one-step solve would be singular
@@ -562,22 +550,29 @@ class TestGmmEstimate:
                                              r"column\(s\): x_lag1$"):
             gmm_estimate(Z)
 
-    def test_singular_weighted_design_named(self):
-        # y halves each year, exactly in binary: the one-step fit leaves no residual, so
-        # with 3 collapsed instruments over 4 entities the two-step weighting B is zero
-        # and the weighted design singular
+    def test_singular_one_step_weighting_named(self):
+        # an all-zero instrument column leaves a zero row and column in A1
+        s, Z = self.dynamic_panel(0.0, True)
+        zero = replace(Z, columns=Z.columns + ("zero",),
+                       Z=np.column_stack([Z.Z, np.zeros(s.n_obs)]))
+        assert (zero.n_instruments, s.n_entities) == (5, 150)
+        with pytest.raises(ValueError, match=r"^gmm\(dyn\): singular one-step weighting "
+                                             r"\(5 instruments, 150 entities\)$"):
+            gmm_estimate(zero)
+
+    def test_singular_two_step_weighting_named(self):
+        # y halves each year, exactly in binary: the one-step fit (coefficient exactly
+        # 0.5) leaves no residual, so with 3 collapsed instruments over 4 entities the
+        # two-step weighting B is zero
         ds = build_panel({"y": [[17.0, 9.0, 5.0, 3.0, 2.0], [-29.0, -13.0, -5.0, -1.0, 1.0],
                                 [62.0, 30.0, 14.0, 6.0, 2.0], [8.5, 4.5, 2.5, 1.5, 1.0]]}, start=2000)
         spec = ModelSpec(label="dyn", dependent="y", regressors=(), lagged_dependent=True)
         s = differenced_sample(ds, spec)
         Z = build_instruments(ds, s, collapse=True)
         assert (Z.n_instruments, s.n_entities) == (3, 4)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", PanelWarning)
-            assert gmm_estimate(Z, step="onestep").coefficients.tolist() == [0.5]
-            with pytest.raises(ValueError, match=r"^gmm\(dyn\): singular weighted design "
-                                                 r"\(3 instruments, 4 entities\)$"):
-                gmm_estimate(Z)
+        with pytest.raises(ValueError, match=r"^gmm\(dyn\): singular two-step weighting "
+                                             r"\(3 instruments, 4 entities\)$"):
+            gmm_estimate(Z)
 
     def test_as_many_instruments_as_entities_is_silent(self):
         _, s, Z = self.hand_panel()
@@ -590,7 +585,6 @@ class TestGmmEstimate:
         _, s, Z = self.hand_panel()
         res = gmm_estimate(Z)
         assert res.method == "gmm"
-        assert res.step == "twostep"
         assert res.columns == ("y_lag1",)
         assert res.instrument_count == 3
         assert res.j_df == 2
@@ -611,16 +605,14 @@ class TestJStatistic:
         ds = build_panel({"y": y})
         s = differenced_sample(ds, AR_SPEC)
         Z = build_instruments(ds, s)
-        for step in ("onestep", "twostep"):
-            res = gmm_estimate(Z, step=step)
-            # J is the criterion at the reported coefficients under the
-            # stored weighting, for either step
-            m = sum(
-                Z.Z[r].T @ (s.y[r] - s.X[r] @ res.coefficients) for _, r in entity_rows(s)
-            )
-            assert abs(float(m @ res.weighting @ m) - res.j_stat) < 1e-10
-            assert res.j_df == Z.n_instruments - len(res.columns)
-            assert abs(stats.chi2.sf(res.j_stat, res.j_df) - res.j_p) < 1e-12
+        res = gmm_estimate(Z)
+        # J is the criterion at the reported coefficients under the stored weighting
+        m = sum(
+            Z.Z[r].T @ (s.y[r] - s.X[r] @ res.coefficients) for _, r in entity_rows(s)
+        )
+        assert abs(float(m @ res.weighting @ m) - res.j_stat) < 1e-10
+        assert res.j_df == Z.n_instruments - len(res.columns)
+        assert abs(stats.chi2.sf(res.j_stat, res.j_df) - res.j_p) < 1e-12
 
     def test_valid_instruments_uniform_p(self):
         # under valid moments the J p-values are approximately uniform

@@ -589,11 +589,12 @@ class TestPipeline:
         assert (out["c"].values == 2.0).all()
 
     def test_all_stages_on_small_panel(self, panel_config):
-        bundle = run_pipeline(panel_config, write=False)
+        bundle = run_pipeline(panel_config)
         assert not bundle.failed
         assert set(bundle.tables) == {
             "describe", "correlation", "unitroot", "hausman", "gmm", "fmols", "comparison",
         }
+        assert set(bundle.manifest["artifacts"]) == set(bundle.tables)
         manifest = bundle.manifest
         assert manifest["seed"] == 99
         assert manifest["config_digest"] == panel_config.digest()
@@ -601,7 +602,6 @@ class TestPipeline:
         gmm_values = bundle.tables["gmm"].values.values()
         assert all(v["instrument_count"] < v["n_entities"] for v in gmm_values)
         assert all(se > 0 for v in gmm_values for se in v["std_errors"])
-        assert not any("outnumber" in w["message"] for w in manifest["warnings"])
 
     def test_reruns_byte_identical(self, tmp_path):
         path = write_panel_file(tmp_path / "panel.csv")
@@ -682,7 +682,7 @@ class TestPipeline:
         config = panel_config.with_overrides(
             stages=("describe", "fmols", "comparison")
         )
-        bundle = run_pipeline(config, write=False)
+        bundle = run_pipeline(config)
         assert bundle.failed
         assert "gmm" in bundle.errors["comparison"]
         assert "comparison" not in bundle.tables
@@ -690,10 +690,10 @@ class TestPipeline:
 
     def test_stage_failure_recorded_not_raised(self, tmp_path):
         path = write_panel_file(tmp_path / "panel.csv")
-        doc = config_doc(path)
+        doc = config_doc(path, output={"directory": str(tmp_path / "out")})
         for model in doc["models"]:
             model["lagged_dependent"] = False  # static specs break GMM only
-        bundle = run_pipeline(validate_config(doc), write=False)
+        bundle = run_pipeline(validate_config(doc))
         assert set(bundle.errors) == {"gmm", "comparison"}
         assert "lagged-dependent" in bundle.errors["gmm"]
         assert "fmols" in bundle.tables
@@ -703,7 +703,8 @@ class TestPipeline:
         # the same short-entity warning fires in both equations; the
         # manifest keeps a single record
         path = write_panel_file(tmp_path / "panel.csv", gap_entity=3)
-        bundle = run_pipeline(validate_config(config_doc(path)), write=False)
+        doc = config_doc(path, output={"directory": str(tmp_path / "out")})
+        bundle = run_pipeline(validate_config(doc))
         matching = [
             w["message"]
             for w in bundle.manifest["warnings"]
@@ -721,9 +722,17 @@ class TestPipeline:
                     assert hashlib.sha256(fh.read()).hexdigest() == meta["sha256"]
 
     def test_missing_data_file_is_io_error(self, tmp_path):
-        doc = config_doc(tmp_path / "absent.csv")
+        doc = config_doc(tmp_path / "absent.csv", output={"directory": str(tmp_path / "out")})
         with pytest.raises(PipelineIOError, match="cannot read data file"):
-            run_pipeline(validate_config(doc), write=False)
+            run_pipeline(validate_config(doc))
+        assert not (tmp_path / "out").exists()
+
+    def test_output_directory_under_a_file_is_io_error(self, panel_config, tmp_path):
+        (tmp_path / "blocker").write_text("a file, not a directory\n")
+        out_dir = str(tmp_path / "blocker" / "out")
+        with pytest.raises(PipelineIOError,
+                           match=f"^cannot create output directory {re.escape(out_dir)}: "):
+            run_pipeline(panel_config.with_overrides(out_dir=out_dir))
 
     def test_missing_source_column_is_ingest_error(self, tmp_path):
         path = write_panel_file(tmp_path / "panel.csv")
