@@ -7,7 +7,10 @@ one-period lag at 2015 is missing rather than the 2013 value.
 
 CSV ingest reads the wide and the long schema into one cell table of
 (entity, year, variable, value); the schemas differ only in the header and
-in where a value's variable is named, and one vectorized pass fills every grid.
+in where a value's variable is named.  Records are parsed INGEST_CHUNK at a
+time into numbers, so ingest holds a chunk's strings, not the file's, and
+its memory grows with the panel's cells rather than with the text; after the
+last chunk one vectorized pass checks the cells and fills every grid.
 
 Stacked rows split into calendar runs (`contiguous_run`).  The unit-root
 tests and FMOLS then use one rule for which run each entity contributes
@@ -29,6 +32,9 @@ import numpy as np
 # Tokens accepted as missing on ingest.  Case sensitive by design: "na" or
 # "NaN" in a numeric column is a malformed value, not a missing one.
 MISSING_TOKENS = ("", "NA")
+# read_panel_csv parses this many records at a time, so it holds a chunk's
+# strings, never the whole file's.
+INGEST_CHUNK = 1024
 
 
 class PanelWarning(UserWarning):
@@ -177,52 +183,67 @@ def read_panel_csv(path, schema: str = "wide") -> PanelDataset:
 
     Wide has header ``entity,year,<var1>,<var2>,...`` and one row per
     entity-year; long has header ``entity,year,variable,value`` and one row
-    per cell, its variables in order of first appearance.  Raises ValueError
-    on an empty file, a bad header, a duplicate cell, or a malformed field,
-    naming the line where the first faulty record starts (and the wide
-    column); blank lines and each line of a quoted multi-line field count.
+    per cell, its variables in order of first appearance.  Records are read
+    INGEST_CHUNK at a time, and each chunk's strings become numbers (years,
+    entity and variable codes, a missing mask, values) before the next chunk
+    is read, so at most two chunks of strings are held, not the file's.
+    Raises ValueError on an empty file, a bad header, a duplicate cell, or a
+    malformed field, naming the line where the first faulty record starts
+    (and the wide column); blank lines and each line of a quoted multi-line
+    field count.
     """
     if schema not in ("wide", "long"):
         raise ValueError(f"unknown schema {schema!r}")
     with open(path, newline="") as fh:
-        rows = list(filter(None, csv.reader(fh)))
-    if not rows:
-        raise ValueError(f"{path}: empty file")
-    if len(rows) == 1:
-        raise ValueError(f"{path}: no data rows")
-    header = rows[0]
-    # The schemas differ only in the header and in what names a value's
-    # variable: the header above its column (wide) or its row (long).
-    if schema == "wide":
-        if len(header) < 3 or header[:2] != ["entity", "year"]:
-            raise ValueError(f"{path}: wide header must be entity,year,<variables>")
-        if len(set(header[2:])) != len(header) - 2:
-            raise ValueError(f"{path}: duplicate variable columns")
-        first, labels, what = 2, np.s_[:1, 2:], "entity-year"
-        where = [f" column {name}" for name in header[2:]]
-    else:
-        if header != ["entity", "year", "variable", "value"]:
-            raise ValueError(f"{path}: long header must be entity,year,variable,value")
-        first, labels, what, where = 3, np.s_[1:, 2:3], "cell", [""]
-    try:  # each step in bulk; any failure rescans the rows in file order for the first fault
-        if set(map(len, rows)) != {len(header)}:
-            raise ValueError
-        table = np.array(rows, dtype=object)  # header row first
-        years = np.fromiter(map(int, table[1:, 1]), int, len(rows) - 1)
-        tokens = table[1:, first:]
-        observed = ~np.isin(tokens, MISSING_TOKENS)
-        values = np.fromiter(map(float, tokens[observed]), float)
-        entities, e = _first_seen(table[1:, 0])
-        order = np.argsort(entities)  # sorts the distinct labels only
-        entities, e = entities[order], np.argsort(order)[e]
-        periods, p = np.unique(years, return_inverse=True)
-        names, v = _first_seen(table[labels])
-        # the cell table: each token's flat index in one (variable, entity, period) grid
-        cells = (v * entities.size + e[:, None]) * periods.size + p[:, None]
-        if not np.isfinite(values).all() or np.unique(cells, return_counts=True)[1].max() > 1:
-            raise ValueError
-    except (ValueError, OverflowError):
-        _raise_first_fault(path, first, what, where)
+        records = filter(None, csv.reader(fh))
+        header = next(records, None)
+        chunk = list(itertools.islice(records, INGEST_CHUNK))
+        if header is None:
+            raise ValueError(f"{path}: empty file")
+        if not chunk:
+            raise ValueError(f"{path}: no data rows")
+        # The schemas differ only in the header and in what names a value's
+        # variable: the header above its column (wide) or its row (long).
+        if schema == "wide":
+            if len(header) < 3 or header[:2] != ["entity", "year"]:
+                raise ValueError(f"{path}: wide header must be entity,year,<variables>")
+            if len(set(header[2:])) != len(header) - 2:
+                raise ValueError(f"{path}: duplicate variable columns")
+            first, what = 2, "entity-year"
+            where = [f" column {name}" for name in header[2:]]
+            name_code = {name: i for i, name in enumerate(header[2:])}
+        else:
+            if header != ["entity", "year", "variable", "value"]:
+                raise ValueError(f"{path}: long header must be entity,year,variable,value")
+            first, what, where, name_code = 3, "cell", [""], {}
+        entity_code = {}  # with name_code, each label's code in order of first appearance
+        years, e, v, observed, values = [], [], [], [], []
+        try:  # each step in bulk; any failure rescans the rows in file order for the first fault
+            while chunk:
+                if set(map(len, chunk)) != {len(header)}:
+                    raise ValueError
+                table = np.array(chunk, dtype=object)
+                years.append(np.fromiter(map(int, table[:, 1]), int, len(chunk)))
+                tokens = table[:, first:]
+                observed.append(~np.isin(tokens, MISSING_TOKENS))
+                values.append(np.fromiter(map(float, tokens[observed[-1]]), float))
+                e.append(_codes(table[:, 0].tolist(), entity_code))
+                if schema == "long":
+                    v.append(_codes(table[:, 2].tolist(), name_code))
+                chunk = list(itertools.islice(records, INGEST_CHUNK))
+            years, e, observed, values = map(np.concatenate, (years, e, observed, values))
+            entities = np.array(list(entity_code), dtype=object)
+            order = np.argsort(entities)  # sorts the distinct labels only
+            entities, e = entities[order], np.argsort(order)[e]
+            periods, p = np.unique(years, return_inverse=True)
+            names = np.array(list(name_code), dtype=object)
+            v = np.concatenate(v)[:, None] if schema == "long" else np.arange(names.size)
+            # the cell table: each token's flat index in one (variable, entity, period) grid
+            cells = (v * entities.size + e[:, None]) * periods.size + p[:, None]
+            if not np.isfinite(values).all() or np.unique(cells, return_counts=True)[1].max() > 1:
+                raise ValueError
+        except (ValueError, OverflowError):
+            _raise_first_fault(path, first, what, where)
     grids = np.full((names.size, entities.size, periods.size), np.nan)
     grids.reshape(-1)[cells[observed]] = values
     entities, periods = tuple(entities.tolist()), tuple(periods.tolist())
@@ -232,18 +253,17 @@ def read_panel_csv(path, schema: str = "wide") -> PanelDataset:
     return dataset
 
 
-def _first_seen(labels: np.ndarray) -> tuple:
-    """Distinct labels in order of first appearance, and each label's index in them.
-    Strings are coded through a dict of the few distinct ones, where np.unique would
-    sort the whole object column; numbers go through np.unique."""
-    if labels.dtype == object:
-        flat = labels.ravel().tolist()
-        code = {label: i for i, label in enumerate(dict.fromkeys(flat))}
-        index = np.fromiter(map(code.__getitem__, flat), int, len(flat))
-        return np.array(list(code), dtype=object), index.reshape(labels.shape)
-    distinct, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+def _codes(labels: list, code: dict) -> np.ndarray:
+    """Each label's code: its index among the labels in code, the ones seen so far in
+    order of first appearance, to which labels new here are added."""
+    return np.fromiter((code.setdefault(label, len(code)) for label in labels), int, len(labels))
+
+
+def _first_seen(values: np.ndarray) -> tuple:
+    """Distinct values in order of first appearance, and each value's index in them."""
+    distinct, first, inverse = np.unique(values, return_index=True, return_inverse=True)
     order = np.argsort(first)
-    return distinct[order], np.argsort(order)[inverse].reshape(labels.shape)
+    return distinct[order], np.argsort(order)[inverse].reshape(values.shape)
 
 
 def _raise_first_fault(path, first: int, what: str, where: list):

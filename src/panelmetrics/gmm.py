@@ -145,11 +145,26 @@ def build_instruments(dataset: PanelDataset, sample: RegressionSample, *,
     # level at t - d per row and distance; NaN where the grid has no year t - d
     vals = lag_values(dep.values, periods, dists)[ent, col]
     r, c = np.nonzero((dists <= reach[k, None]) & np.isfinite(vals))
-    Z = np.zeros((years.shape[0], len(columns)))
-    Z[r, c if collapse else last_col[k[r]] - c] = vals[r, c]
-    Z[:, len(level_cols):] = sample.X[:, 1:]
+    level = vals[r, c]
+    del vals
+    if not collapse:
+        c = last_col[k[r]] - c  # each level's column of the uncollapsed layout
+    # Z is allocated once, in its final layout: only the columns holding a nonzero
+    X = sample.X[:, 1:]
+    nonzero = np.zeros(len(columns), dtype=bool)
+    nonzero[c[level != 0.0]] = True
+    nonzero[len(level_cols):] = np.any(X != 0.0, axis=0)
+    width, n_levels = nonzero.sum(), nonzero[: len(level_cols)].sum()
+    hit = nonzero[c]
+    r *= width
+    r += (np.cumsum(nonzero) - 1)[c]  # each level's index in Z, in place of its row
+    flat = r[hit]
+    level = level[hit]
+    del r, c, hit
+    Z = np.zeros((years.shape[0], width))
+    Z.reshape(-1)[flat] = level
+    Z[:, n_levels:] = X[:, nonzero[len(level_cols):]]
 
-    nonzero = np.any(Z != 0.0, axis=0)
     dropped = tuple(c for c, keep in zip(columns, nonzero) if not keep)
     if dropped:
         warnings.warn(
@@ -157,7 +172,6 @@ def build_instruments(dataset: PanelDataset, sample: RegressionSample, *,
             PanelWarning,
             stacklevel=2,
         )
-        Z = Z.compress(nonzero, axis=1)  # one copy, C-ordered like the undropped Z
         columns = [c for c, keep in zip(columns, nonzero) if keep]
     return InstrumentMatrix(
         columns=tuple(columns),

@@ -12,8 +12,15 @@ import argparse
 import os
 import sys
 
-from .config import FORMATS, ConfigError, load_config
-from .pipeline import IngestError, PipelineIOError, fetch_configured, run_pipeline, write_ingested
+# BLAS runs one thread, set before the imports below load numpy: a threaded
+# BLAS may split GMM's products differently from run to run, and so change
+# the tables' last digits with the host's thread setting.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+from .config import FORMATS, ConfigError, load_config  # noqa: E402
+from .pipeline import (IngestError, PipelineIOError, fetch_configured,  # noqa: E402
+                       run_pipeline, write_ingested)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1

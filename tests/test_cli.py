@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import hashlib
 import http.server
 import json
 import os
@@ -402,3 +403,31 @@ def test_benchmark_tracer_sees_a_call_of_every_layer(monkeypatch, tmp_path):
     layers = sorted(name for name, kind in tracer.kinds.items() if kind in ("span", "hot"))
     assert len(layers) > 20
     assert [name for name in layers if not tracer.calls[0][name]] == ["fetch.fetch_indicators"]
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="needs 2 cores for BLAS to run 2 threads")
+def test_run_writes_the_same_bytes_at_any_blas_thread_count(monkeypatch, tmp_path):
+    # the CLI pins BLAS to one thread before numpy loads, so a caller's thread setting
+    # cannot reorder GMM's sums: at 2 threads the balanced 500x20 panel's gmm and
+    # comparison tables came out in other bytes before that pin
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
+    import panels
+    workload = panels.WORKLOADS["balanced-500x20"]
+    data = panels.prepare_inputs(workload, 1, str(tmp_path))
+    config = tmp_path / "run.yaml"
+    config.write_text(yaml.safe_dump(panels.config_document(workload, data, "out")))
+    digests = []
+    for threads in ("2", "1"):
+        env = dict(SRC_ENV, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        out = tmp_path / f"out-{threads}"
+        subprocess.run([sys.executable, "-W", "ignore", "-m", "panelmetrics.report.cli", "run",
+                        "--config", str(config), "--out", str(out)],
+                       env=env, capture_output=True, check=True, timeout=300)
+        # timings.json is the run-variant sidecar; every artifact and the manifest must match
+        digests.append({name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                        for name in artifacts_in(out) if name != "timings.json"})
+    assert len(digests[0]) == 22
+    assert digests[0] == digests[1]
