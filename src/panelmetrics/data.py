@@ -11,6 +11,7 @@ in where a value's variable is named.  Records are parsed INGEST_CHUNK at a
 time into numbers, so ingest holds a chunk's strings, not the file's, and
 its memory grows with the panel's cells rather than with the text; after the
 last chunk one vectorized pass checks the cells and fills every grid.
+Writing makes its tokens INGEST_CHUNK records at a time too.
 
 Stacked rows split into calendar runs (`contiguous_run`).  The unit-root
 tests and FMOLS then use one rule for which run each entity contributes
@@ -32,8 +33,8 @@ import numpy as np
 # Tokens accepted as missing on ingest.  Case sensitive by design: "na" or
 # "NaN" in a numeric column is a malformed value, not a missing one.
 MISSING_TOKENS = ("", "NA")
-# read_panel_csv parses this many records at a time, so it holds a chunk's
-# strings, never the whole file's.
+# read_panel_csv parses, and write_panel_csv formats, this many records at a
+# time, so each holds a chunk's strings, never the whole file's.
 INGEST_CHUNK = 1024
 
 
@@ -308,24 +309,30 @@ def write_panel_csv(dataset: PanelDataset, path, schema: str = "wide"):
     """Write a panel to CSV so that reading it back reproduces the dataset.
 
     Both schemas write one token matrix, a row per (entity, year) and a
-    column per variable: wide row by row, long one row per token.
+    column per variable: wide row by row, long one row per token.  The
+    tokens (`repr` of each float, empty for missing) are made INGEST_CHUNK
+    rows at a time, so the writer holds a chunk's strings, not the file's.
     """
     if schema not in ("wide", "long"):
         raise ValueError(f"unknown schema {schema!r}")
     names = list(dataset.variables)
     shape = (dataset.n_entities * dataset.n_periods, len(names))
-    values = np.reshape([s.values for s in dataset.variables.values()], shape[::-1]).T.ravel()
-    tokens = np.array(list(map(repr, values.tolist())), dtype=object)
-    tokens[np.isnan(values)] = ""
-    rows = zip(itertools.product(dataset.entities, dataset.periods), tokens.reshape(shape).tolist())
+    values = np.reshape([s.values for s in dataset.variables.values()], shape[::-1]).T
+    keys = itertools.product(dataset.entities, dataset.periods)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        if schema == "wide":
-            writer.writerow(["entity", "year", *names])
-            writer.writerows([*key, *row] for key, row in rows)
-        else:
-            writer.writerow(["entity", "year", "variable", "value"])
-            writer.writerows([*key, *cell] for key, row in rows for cell in zip(names, row))
+        writer.writerow(["entity", "year", *names] if schema == "wide"
+                        else ["entity", "year", "variable", "value"])
+        for at in range(0, values.shape[0], INGEST_CHUNK):
+            chunk = values[at : at + INGEST_CHUNK]
+            flat = chunk.ravel()
+            tokens = np.array(list(map(repr, flat.tolist())), dtype=object)
+            tokens[np.isnan(flat)] = ""
+            rows = zip(itertools.islice(keys, len(chunk)), tokens.reshape(chunk.shape).tolist())
+            if schema == "wide":
+                writer.writerows([*key, *row] for key, row in rows)
+            else:
+                writer.writerows([*key, *cell] for key, row in rows for cell in zip(names, row))
 
 
 def natural_log(series: VariableSeries) -> VariableSeries:

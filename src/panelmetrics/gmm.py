@@ -6,10 +6,14 @@ levels of the dependent (optionally depth-limited or collapsed), read
 through the calendar shift `data.lag_values`, while differenced exogenous
 regressors instrument themselves.  The differenced rows are one
 RegressionSample, sorted by entity then year, and the instruments one
-matrix aligned with it row for row, which carries that sample, so an
-estimate takes the instruments alone.  Moments are formed per group of
-H_GROUP entities, each entity's rows zero-padded to the group's longest
-(`data.pad_runs`, a view if none needs it), and summed in entity order.
+(rows, instruments) matrix aligned with it row for row, which carries that
+sample, so an estimate takes the instruments alone.  The matrix is mostly
+zeros and no array holds it: its level cells are kept as indices and
+values, its few dense columns as a (rows, d) array.  Moments are formed per
+group of H_GROUP entities, each entity's rows zero-padded to the group's
+longest (`data.pad_runs`, a view if none needs it); a group's instruments
+are scattered into one reused buffer, as `pad_runs` would lay them out,
+each time a pass needs them.  Every sum adds in entity order.
 Estimates are two-step.  The one-step weighting is the inverse of the
 tridiagonal second-difference form implied by iid level errors, each
 entity's block built in the same group pass; two-step reweights with the
@@ -20,6 +24,8 @@ if singular, is refused.  Hansen's J is the minimized two-step criterion.
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -33,18 +39,24 @@ from .effects import Estimates, _solve_ols, _wald
 
 @dataclass(frozen=True)
 class InstrumentMatrix:
-    """Instruments for the rows of a differenced sample.
+    """Instruments for the rows of a differenced sample, kept without their zeros.
 
-    Z is one C-ordered (rows, instruments) array, aligned row for row with
-    sample, the differenced sample it was built for.  columns are labels:
-    uncollapsed level instruments are "lev[t,s]" for equation year t and
-    source year s, collapsed ones "lev[t-d]" by lag distance d.
-    Cells with no usable level are zero.  Columns that would be entirely
-    zero are dropped (recorded in dropped_columns).
+    The instruments are one (rows, instruments) matrix, aligned row for row
+    with sample, the differenced sample it was built for: the level columns,
+    then the dense ones.  No array holds it.  cells are the flat indices, in
+    ascending order, of the level cells in the (rows, level columns) layout,
+    and levels their values; every other level cell is zero.  dense holds the
+    last d columns as a (rows, d) array: the differenced exogenous regressors,
+    which instrument themselves, or any a caller appends.  columns are
+    labels: uncollapsed level instruments are "lev[t,s]" for equation year t
+    and source year s, collapsed ones "lev[t-d]" by lag distance d.  Columns
+    that would be entirely zero are dropped (recorded in dropped_columns).
     """
 
     columns: tuple
-    Z: np.ndarray
+    cells: np.ndarray
+    levels: np.ndarray
+    dense: np.ndarray
     sample: RegressionSample
     dropped_columns: tuple = ()
 
@@ -132,12 +144,14 @@ def build_instruments(dataset: PanelDataset, sample: RegressionSample, *,
     if max_depth is not None:
         reach = np.minimum(reach, max_depth + 1)
     dists = np.arange(2, reach.max() + 1)
+    first_col = np.zeros(eq_years.size, int)  # year t's column of distance dists[0]
     if collapse:
         level_cols = [f"lev[t-{d}]" for d in dists.tolist()]
     else:
         level_cols = [f"lev[{t},{t - d}]" for t, r in zip(eq_years.tolist(), reach.tolist())
                       for d in range(r, 1, -1)]
-        last_col = np.cumsum(np.maximum(reach - 1, 0)) - 1  # year t's d = 2 column
+        dists = dists[::-1]  # deepest first, so a row's levels come in column order
+        first_col += np.cumsum(np.maximum(reach - 1, 0)) - dists.size
     columns = level_cols + [f"d_{name}" for name in sample.columns[1:]]
 
     k = np.searchsorted(eq_years, years)
@@ -147,23 +161,16 @@ def build_instruments(dataset: PanelDataset, sample: RegressionSample, *,
     r, c = np.nonzero((dists <= reach[k, None]) & np.isfinite(vals))
     level = vals[r, c]
     del vals
-    if not collapse:
-        c = last_col[k[r]] - c  # each level's column of the uncollapsed layout
-    # Z is allocated once, in its final layout: only the columns holding a nonzero
+    c += first_col[k[r]]  # each level's column of the layout, ascending along a row
     X = sample.X[:, 1:]
     nonzero = np.zeros(len(columns), dtype=bool)
     nonzero[c[level != 0.0]] = True
     nonzero[len(level_cols):] = np.any(X != 0.0, axis=0)
-    width, n_levels = nonzero.sum(), nonzero[: len(level_cols)].sum()
     hit = nonzero[c]
-    r *= width
-    r += (np.cumsum(nonzero) - 1)[c]  # each level's index in Z, in place of its row
-    flat = r[hit]
-    level = level[hit]
-    del r, c, hit
-    Z = np.zeros((years.shape[0], width))
-    Z.reshape(-1)[flat] = level
-    Z[:, n_levels:] = X[:, nonzero[len(level_cols):]]
+    r *= nonzero[: len(level_cols)].sum()
+    r += (np.cumsum(nonzero) - 1)[c]  # each level's flat index among the kept columns
+    cells, level = r[hit], level[hit]
+    dense = X[:, nonzero[len(level_cols):]]
 
     dropped = tuple(c for c, keep in zip(columns, nonzero) if not keep)
     if dropped:
@@ -175,7 +182,9 @@ def build_instruments(dataset: PanelDataset, sample: RegressionSample, *,
         columns = [c for c, keep in zip(columns, nonzero) if keep]
     return InstrumentMatrix(
         columns=tuple(columns),
-        Z=Z,
+        cells=cells,
+        levels=level,
+        dense=dense,
         sample=sample,
         dropped_columns=dropped,
     )
@@ -199,12 +208,63 @@ def _h_blocks(years: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     return H.reshape(-1, m, m)
 
 
+def _laid_out(instruments: InstrumentMatrix, bounds: np.ndarray, size: int):
+    """A function of j that returns the instruments' C-ordered (entities, m, L) blocks
+    of entity group j, bit for bit as `data.pad_runs` lays them out from the
+    (rows, instruments) matrix.  Entity i has the rows bounds[i]:bounds[i + 1], and
+    group j the entities size * j onward, size of them or the rest.  Every group is
+    scattered into one buffer, after the cells of the group before are cleared, so
+    a group's blocks hold its values until another group is asked for."""
+    cells, levels, dense = instruments.cells, instruments.levels, instruments.dense
+    L = instruments.n_instruments
+    n_levels = L - dense.shape[1]
+    lengths = np.diff(bounds)
+    first = np.arange(0, lengths.size, size)  # each group's first entity
+    longest = np.maximum.reduceat(lengths, first)
+    shapes = [(min(size, lengths.size - f), m, L)
+              for f, m in zip(first.tolist(), longest.tolist())]
+    # start[r]: where row r begins in its group's blocks, which put entity i of the
+    # group at row i * m; the level cell r * n_levels + c goes to start[r] + c
+    entity = np.arange(lengths.size)
+    start = np.repeat(entity % size * longest[entity // size] - bounds[:-1], lengths)
+    start += np.arange(start.size)
+    start *= L
+    dense_at = start[:, None] + np.arange(n_levels, L)
+    start -= np.arange(start.size) * n_levels  # now start[r] + cell is start[r] + c
+    level_at = cells // n_levels
+    start.take(level_at, out=level_at)
+    level_at += cells
+    rows = bounds[np.append(first, lengths.size)]
+    parts = [(slice(*cut), slice(*span)) for cut, span in
+             zip(itertools.pairwise(np.searchsorted(cells, rows * n_levels).tolist()),
+                 itertools.pairwise(rows.tolist()))]
+    buffer = np.zeros(max(map(math.prod, shapes)))
+    current = None
+
+    def blocks(j: int) -> np.ndarray:
+        nonlocal current
+        if j != current:
+            if current is not None:
+                cut, span = parts[current]
+                buffer[level_at[cut]] = buffer[dense_at[span]] = 0.0
+            cut, span = parts[j]
+            buffer[level_at[cut]] = levels[cut]
+            buffer[dense_at[span]] = dense[span]
+            current = j
+        return buffer[: math.prod(shapes[j])].reshape(shapes[j])
+
+    return blocks
+
+
 def gmm_estimate(instruments: InstrumentMatrix) -> GmmResult:
     """Estimate the differenced equation of instruments.sample by two-step GMM.
 
     Entities are taken H_GROUP at a time, their rows zero-padded to the
     group's longest, with the weighting blocks H_i from `_h_blocks`.  Each
-    group's Z_i, dX_i and dy_i are laid out once, by `data.pad_runs`.
+    group's dX_i and dy_i are laid out once, by `data.pad_runs`; its Z_i are
+    scattered from the instruments' cells into one reused buffer (`_laid_out`)
+    in each of the three passes that read them: the sums and A1, B's moments,
+    and J's moments.  No (rows, instruments) array is formed.
     Z_i'dX_i, Z_i'dy_i and the moments g_i = Z_i'u_i are one batched matmul
     per group; the L x L terms Z_i'H_i Z_i (of A1) and g_i g_i' (of B) are
     too when H_GROUP * L * L is at most STACK_CELLS, else each is formed and
@@ -217,11 +277,11 @@ def gmm_estimate(instruments: InstrumentMatrix) -> GmmResult:
     `weighting`; with df = instruments - columns equal to zero its p-value is
     None.  Refused, naming the equation: more instruments than entities (B
     has rank at most N), a singular A1 or B, a collinear instrumented design,
-    and a Z whose rows are not the sample's.
+    and instruments whose rows are not the sample's.
     """
     sample = instruments.sample
     label = sample.spec.label
-    if instruments.Z.shape[0] != sample.n_obs:
+    if instruments.dense.shape[0] != sample.n_obs:
         raise ValueError("instrument rows are not aligned with the sample")
     k = sample.X.shape[1]
     L = instruments.n_instruments
@@ -232,7 +292,7 @@ def gmm_estimate(instruments: InstrumentMatrix) -> GmmResult:
         raise ValueError(f"gmm({label}): {L} instruments outnumber {N} entities; "
                          "the two-step weighting is singular")
 
-    Z, dy, dX, years = instruments.Z, sample.y, sample.X, sample.periods
+    dy, dX, years = sample.y, sample.X, sample.periods
     bounds = np.searchsorted(sample.entity_ids, np.arange(N + 1))
     groups = [bounds[g : g + H_GROUP + 1] for g in range(0, N, H_GROUP)]
     stack = H_GROUP * L * L <= STACK_CELLS  # a group's L x L products stacked, or one at a time
@@ -241,12 +301,12 @@ def gmm_estimate(instruments: InstrumentMatrix) -> GmmResult:
         # not sum/reduce: reduce adds one-element terms (L = 1) pairwise
         return np.add.accumulate(np.concatenate((total[None], parts)))[-1]
 
+    instrument_blocks = _laid_out(instruments, bounds, H_GROUP)
+    layouts = [[pad_runs(v, b[:-1], np.diff(b))[0] for v in (dX, dy)] for b in groups]
     S_zx, s_zy, A1 = np.zeros((L, k)), np.zeros(L), np.zeros((L, L))
-    layouts = []  # each group's Z_i', dX_i and dy_i, laid out once for every pass
-    for b in groups:
-        Zp, Xp, yp = (pad_runs(v, b[:-1], np.diff(b))[0] for v in (Z, dX, dy))
+    for j, ((Xp, yp), b) in enumerate(zip(layouts, groups)):
+        Zp = instrument_blocks(j)
         Zt = Zp.transpose(0, 2, 1)
-        layouts.append((Zt, Xp, yp))
         S_zx = add(S_zx, Zt @ Xp)
         s_zy = add(s_zy, (Zt @ yp[..., None])[..., 0])
         H = _h_blocks(years, b)
@@ -273,8 +333,8 @@ def gmm_estimate(instruments: InstrumentMatrix) -> GmmResult:
                              f"({L} instruments, {N} entities)") from None
 
     def moments(beta):  # each group's entity moment vectors Z_i'u_i, (entities, L)
-        for Zt, Xp, yp in layouts:
-            yield (Zt @ (yp - Xp @ beta)[..., None])[..., 0]
+        for j, (Xp, yp) in enumerate(layouts):
+            yield (instrument_blocks(j).transpose(0, 2, 1) @ (yp - Xp @ beta)[..., None])[..., 0]
 
     beta1, _ = solve_beta(inverse(A1, "one-step"))
 

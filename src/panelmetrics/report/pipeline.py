@@ -205,7 +205,7 @@ def _stage_gmm(config, dataset, store):
     results = []
     for spec in config.models:
         sample = differenced_sample(dataset, spec)
-        # no name for the instruments: it would keep their Z alive while the next model's is built
+        # no name for the instruments: it would keep them alive while the next model's are built
         results.append(gmm_estimate(build_instruments(
             dataset, sample, max_depth=config.tests.gmm_depth,
             collapse=config.tests.gmm_collapse)))

@@ -307,7 +307,7 @@ def test_criterion_4_monte_carlo_recovery():
         diff_err = eps[i, s.periods - 1] - eps[i, s.periods - 2]
         bad = diff_err + noise_scale * rng.standard_normal(diff_err.size)
         contaminated = replace(
-            Z, columns=Z.columns + ("z_bad",), Z=np.column_stack([Z.Z, bad])
+            Z, columns=Z.columns + ("z_bad",), dense=np.column_stack([Z.dense, bad])
         )
         rejections += gmm_estimate(contaminated).j_p < 0.05
     assert rejections / 200 > 0.50

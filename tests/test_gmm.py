@@ -1,5 +1,6 @@
 """Tests for first-difference dynamic panel GMM."""
 
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -49,6 +50,22 @@ def ar_panel(rng, n, width, rho, effect_scale=0.3):
     for t in range(1, width):
         y[:, t] = c + rho * y[:, t - 1] + eps[:, t]
     return y, eps
+
+
+def dense_z(instruments):
+    """The instruments' (rows, instruments) matrix, every cell written out."""
+    rows, d = instruments.dense.shape
+    n_levels = instruments.n_instruments - d
+    levels = np.zeros(rows * n_levels)
+    levels[instruments.cells] = instruments.levels
+    return np.hstack([levels.reshape(rows, n_levels), instruments.dense])
+
+
+def with_z(instruments, columns, Z):
+    """instruments with the matrix Z under the labels columns, each nonzero a level cell."""
+    cells = np.flatnonzero(Z)
+    return replace(instruments, columns=tuple(columns), cells=cells, levels=Z.reshape(-1)[cells],
+                   dense=Z[:, :0])
 
 
 def entity_rows(rows):
@@ -135,7 +152,7 @@ class TestBuildInstruments:
         ds = build_panel({"y": [1.0, 2.0, 4.0, 7.0]})
         Z = build_instruments(ds, differenced_sample(ds, AR_SPEC))
         assert Z.columns == ("lev[3,1]", "lev[4,1]", "lev[4,2]")
-        np.testing.assert_array_equal(Z.Z, [[1.0, 0.0, 0.0], [0.0, 1.0, 2.0]])
+        np.testing.assert_array_equal(dense_z(Z), [[1.0, 0.0, 0.0], [0.0, 1.0, 2.0]])
         np.testing.assert_array_equal(Z.sample.periods, [3, 4])
 
     def test_t4_collapsed_layout(self):
@@ -143,7 +160,7 @@ class TestBuildInstruments:
         ds = build_panel({"y": [1.0, 2.0, 4.0, 7.0]})
         Z = build_instruments(ds, differenced_sample(ds, AR_SPEC), collapse=True)
         assert Z.columns == ("lev[t-2]", "lev[t-3]")
-        np.testing.assert_array_equal(Z.Z, [[1.0, 0.0], [2.0, 1.0]])
+        np.testing.assert_array_equal(dense_z(Z), [[1.0, 0.0], [2.0, 1.0]])
 
     @pytest.mark.parametrize("width", [5, 6, 8])
     def test_balanced_count_formula(self, width):
@@ -165,7 +182,7 @@ class TestBuildInstruments:
         assert Z.columns[-1] == "d_x_lag1"
         first = s.entity_ids == 0
         hand = np.array([x[0, t - 2] - x[0, t - 3] for t in s.periods[first]])
-        np.testing.assert_array_equal(Z.Z[first, -1], hand)
+        np.testing.assert_array_equal(Z.dense[first, -1], hand)
 
     def test_all_zero_columns_dropped(self):
         rng = np.random.default_rng(4)
@@ -177,9 +194,7 @@ class TestBuildInstruments:
             Z = build_instruments(ds, s)
         assert Z.dropped_columns == ("lev[4,1]", "lev[5,1]")
         assert "lev[4,1]" not in Z.columns
-        # Z still owns a C-ordered array, as without a drop
-        assert Z.Z.flags.owndata and Z.Z.flags.c_contiguous
-        assert Z.Z.shape == (8, 3)
+        assert dense_z(Z).shape == (8, 3)
 
     def test_matches_per_cell_rule_on_random_panels(self):
         # grid years missing, NaN and zero levels, entities with no
@@ -212,15 +227,14 @@ class TestBuildInstruments:
                     assert Z.columns == columns
                     assert Z.dropped_columns == dropped
                     assert any("all-zero" in str(w.message) for w in caught) == bool(dropped)
-                    # one owned C-ordered Z, with or without dropped columns
-                    assert Z.Z.flags.owndata
-                    assert Z.Z.flags.c_contiguous
-                    assert Z.Z.shape[0] == sum(yrs.shape[0] for _, yrs, _ in blocks)
+                    assert np.all(np.diff(Z.cells) > 0)  # ascending, each cell once
+                    Z_dense = dense_z(Z)
+                    assert Z_dense.shape[0] == sum(yrs.shape[0] for _, yrs, _ in blocks)
                     assert len(entity_rows(Z.sample)) == len(blocks)
                     for (e, r), (e_ref, yrs_ref, want) in zip(entity_rows(Z.sample), blocks):
                         assert e == e_ref
                         np.testing.assert_array_equal(Z.sample.periods[r], yrs_ref)
-                        np.testing.assert_array_equal(Z.Z[r], want)
+                        np.testing.assert_array_equal(Z_dense[r], want)
                     checked += 1
         assert checked > 200
 
@@ -248,7 +262,7 @@ def per_entity_gmm(instruments):
     weighting block its own contiguous matrix: (one-step coefficients,
     two-step coefficients, SEs, J)."""
     s = instruments.sample
-    Z, dy, dX, years = instruments.Z, s.y, s.X, s.periods
+    Z, dy, dX, years = dense_z(instruments), s.y, s.X, s.periods
     rows = [r for _, r in entity_rows(s)]
     L, k = Z.shape[1], dX.shape[1]
     S_zx, s_zy, A1 = np.zeros((L, k)), np.zeros(L), np.zeros((L, L))
@@ -409,22 +423,50 @@ class TestGmmEstimate:
         np.testing.assert_array_equal(res.std_errors, se)
         assert res.j_stat == J
 
-    def test_instruments_laid_out_once_per_entity_group(self, monkeypatch):
-        # the sums, B's moments and J's moments all read one padded copy of each group's Z
-        s, Z = self.dynamic_panel(0.15, True)
-        starts = [r.start for _, r in entity_rows(s)] + [s.n_obs]
-        groups = [starts[g : g + gmm.H_GROUP + 1] for g in range(0, s.n_entities, gmm.H_GROUP)]
-        assert all(len(set(np.diff(b))) > 1 for b in groups)  # every group is ragged
-        laid_out = []
-
-        def counted(values, run_starts, lengths):
-            if values is Z.Z:
-                laid_out.append(np.append(run_starts, run_starts[-1] + lengths[-1]).tolist())
-            return pad_runs(values, run_starts, lengths)
-
-        monkeypatch.setattr(gmm, "pad_runs", counted)
-        gmm_estimate(Z)
-        assert laid_out == groups
+    @pytest.mark.parametrize("gap_share, collapse, depth, case", [
+        (0.15, True, 3, None),
+        (0.15, False, None, None),
+        (0.15, False, 2, None),
+        (0.0, True, 3, None),
+        (0.0, False, None, None),
+        (0.15, False, None, "dropped_column"),
+        (0.15, True, 3, "appended_column"),
+    ], ids=["gappy_collapsed", "gappy_uncollapsed", "gappy_depth_capped", "balanced_collapsed",
+            "balanced_uncollapsed", "dropped_column", "appended_column"])
+    def test_groups_laid_out_as_pad_runs_of_the_dense_matrix(self, gap_share, collapse, depth, case):
+        # each group's blocks, whatever group was asked for before, are the padded layout of
+        # the full matrix bit for bit, C-ordered, and written into one buffer for all groups
+        rng = np.random.default_rng(31)
+        y, _ = ar_panel(rng, 150, 12, 0.5)
+        x = rng.standard_normal(y.shape)
+        for v in (y, x):
+            v[rng.random(v.shape) < gap_share] = np.nan
+        if case == "dropped_column":
+            y[:, 0] = np.nan  # no level from the first year, so its columns are all zero
+        ds = build_panel({"y": y, "x": x})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", PanelWarning)
+            Z = build_instruments(ds, differenced_sample(ds, self.DYN_SPEC), max_depth=depth,
+                                  collapse=collapse)
+        assert bool(Z.dropped_columns) == (case == "dropped_column")
+        assert any("all-zero" in str(w.message) for w in caught) == (case == "dropped_column")
+        if case == "appended_column":
+            z = rng.standard_normal(Z.sample.n_obs)
+            z[::7] = 0.0
+            Z = replace(Z, columns=Z.columns + ("z",), dense=np.column_stack([Z.dense, z]))
+        s, full = Z.sample, dense_z(Z)
+        bounds = np.searchsorted(s.entity_ids, np.arange(s.n_entities + 1))
+        for size in (gmm.H_GROUP, 7):
+            groups = [bounds[g : g + size + 1] for g in range(0, s.n_entities, size)]
+            blocks = gmm._laid_out(Z, bounds, size)
+            buffer = blocks(0)
+            order = list(range(len(groups)))
+            for j in order + order[::-1] + rng.permutation(order).tolist():
+                got, b = blocks(j), groups[j]
+                want = pad_runs(full, b[:-1], np.diff(b))[0]
+                assert got.flags.c_contiguous and got.dtype == want.dtype
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                assert np.shares_memory(got, buffer)
 
     def test_stacked_and_entity_by_entity_products_agree(self, monkeypatch):
         # A1 and B summed from a group's stacked products or one product at a time
@@ -456,8 +498,8 @@ class TestGmmEstimate:
         Z = build_instruments(ds, s, max_depth=1, collapse=True)
         assert Z.n_instruments == 1
         res = gmm_estimate(Z)
-        num = sum(Z.Z[r].T @ s.y[r] for _, r in entity_rows(s))
-        den = sum(Z.Z[r].T @ s.X[r] for _, r in entity_rows(s))
+        num = sum(dense_z(Z)[r].T @ s.y[r] for _, r in entity_rows(s))
+        den = sum(dense_z(Z)[r].T @ s.X[r] for _, r in entity_rows(s))
         assert abs(res.coefficients[0] - num[0] / den[0, 0]) < 1e-12
         assert abs(res.j_stat) < 1e-8
         assert res.j_df == 0
@@ -466,7 +508,7 @@ class TestGmmEstimate:
     def test_column_reorder_invariance(self):
         _, s, Z = self.hand_panel()
         perm = [2, 0, 1]
-        Zp = replace(Z, columns=tuple(Z.columns[j] for j in perm), Z=Z.Z[:, perm])
+        Zp = with_z(Z, [Z.columns[j] for j in perm], dense_z(Z)[:, perm])
         base = gmm_estimate(Z)
         permuted = gmm_estimate(Zp)
         assert abs(base.coefficients - permuted.coefficients).max() < 1e-8
@@ -515,14 +557,14 @@ class TestGmmEstimate:
 
     def test_underidentified_is_error(self):
         _, s, Z = self.hand_panel()
-        empty = replace(Z, columns=(), Z=Z.Z[:, :0])
+        empty = with_z(Z, (), dense_z(Z)[:, :0])
         with pytest.raises(ValueError, match="underidentified"):
             gmm_estimate(empty)
 
     def test_rejects_misaligned_blocks(self):
         _, _, Z = self.hand_panel()
         with pytest.raises(ValueError, match="not aligned"):
-            gmm_estimate(replace(Z, Z=Z.Z[:-1]))
+            gmm_estimate(with_z(Z, Z.columns, dense_z(Z)[:-1]))
 
     def test_more_instruments_than_entities_refused_for_two_step(self):
         # 20 entities, 20 years, x at lag 1: 171 level columns plus d_x_lag1.  B has rank
@@ -554,7 +596,7 @@ class TestGmmEstimate:
         # an all-zero instrument column leaves a zero row and column in A1
         s, Z = self.dynamic_panel(0.0, True)
         zero = replace(Z, columns=Z.columns + ("zero",),
-                       Z=np.column_stack([Z.Z, np.zeros(s.n_obs)]))
+                       dense=np.column_stack([Z.dense, np.zeros(s.n_obs)]))
         assert (zero.n_instruments, s.n_entities) == (5, 150)
         with pytest.raises(ValueError, match=r"^gmm\(dyn\): singular one-step weighting "
                                              r"\(5 instruments, 150 entities\)$"):
@@ -598,6 +640,33 @@ class TestGmmEstimate:
         )
 
 
+def test_peak_memory_is_bounded():
+    # 500 entities x 20 years, x at lag 1, every lag: 9000 rows and 172 instruments, 6.1%
+    # of the matrix nonzero.  Held as one dense (rows, instruments) array, which alone
+    # takes 11.8 MiB, the two calls peaked at 13.4 MiB under tracemalloc; kept as cells,
+    # each entity group laid out in one reused buffer, they peak at 5.1 MiB
+    bound_mib = 8.0
+    rng = np.random.default_rng(32)
+    x = rng.standard_normal((500, 20))
+    y = np.empty(x.shape)
+    y[:, 0] = rng.standard_normal(500)
+    for t in range(1, 20):
+        y[:, t] = 0.5 * y[:, t - 1] + 0.3 * x[:, t - 1] + rng.standard_normal(500)
+    ds = build_panel({"y": y, "x": x})
+    s = differenced_sample(ds, TestGmmEstimate.DYN_SPEC)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        Z = build_instruments(ds, s)
+        res = gmm_estimate(Z)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert (Z.n_instruments, s.n_obs) == (172, 9000)
+    assert np.all(np.isfinite(res.std_errors))
+    assert peak < bound_mib * 2**20, f"gmm peaked at {peak / 2**20:.1f} MiB"
+
+
 class TestJStatistic:
     def test_consistency_with_result(self):
         rng = np.random.default_rng(15)
@@ -608,7 +677,7 @@ class TestJStatistic:
         res = gmm_estimate(Z)
         # J is the criterion at the reported coefficients under the stored weighting
         m = sum(
-            Z.Z[r].T @ (s.y[r] - s.X[r] @ res.coefficients) for _, r in entity_rows(s)
+            dense_z(Z)[r].T @ (s.y[r] - s.X[r] @ res.coefficients) for _, r in entity_rows(s)
         )
         assert abs(float(m @ res.weighting @ m) - res.j_stat) < 1e-10
         assert res.j_df == Z.n_instruments - len(res.columns)
@@ -643,7 +712,7 @@ class TestJStatistic:
             diff_err = eps[i, s.periods - 1] - eps[i, s.periods - 2]
             bad = diff_err + noise_scale * rng.standard_normal(diff_err.size)
             contaminated = replace(
-                Z, columns=Z.columns + ("z_bad",), Z=np.column_stack([Z.Z, bad])
+                Z, columns=Z.columns + ("z_bad",), dense=np.column_stack([Z.dense, bad])
             )
             rejections += gmm_estimate(contaminated).j_p < 0.05
         assert rejections > 100
