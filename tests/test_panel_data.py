@@ -313,7 +313,20 @@ def test_chunked_reader_matches_per_cell_reference(tmp_path, monkeypatch, schema
 
 
 class TestChunkedIngest:
-    """read_panel_csv parses INGEST_CHUNK records at a time; chunk edges must not show."""
+    """read_panel_csv parses, and write_panel_csv formats, INGEST_CHUNK records at a time;
+    chunk edges must not show."""
+
+    @pytest.mark.parametrize("schema", ["wide", "long"])
+    def test_chunks_write_as_one(self, tmp_path, monkeypatch, schema):
+        ds = fixture.synthetic_panel()
+        edge = np.resize([np.nan, -0.0, 1e300, 1 / 3], (ds.n_entities, ds.n_periods))
+        ds.add(VariableSeries(name="edge", entities=ds.entities, periods=ds.periods, values=edge))
+        written = []
+        for chunk in (10**9, 2, 3):
+            monkeypatch.setattr(data, "INGEST_CHUNK", chunk)
+            write_panel_csv(ds, tmp_path / "p.csv", schema=schema)
+            written.append((tmp_path / "p.csv").read_bytes())
+        assert written[1] == written[0] and written[2] == written[0]
 
     @pytest.mark.parametrize("schema", ["wide", "long"])
     def test_chunks_read_as_one(self, tmp_path, monkeypatch, schema):
