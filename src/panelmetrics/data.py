@@ -191,12 +191,13 @@ def read_panel_csv(path, schema: str = "wide") -> PanelDataset:
     Raises ValueError on an empty file, a bad header, a duplicate cell, or a
     malformed field, naming the line where the first faulty record starts
     (and the wide column); blank lines and each line of a quoted multi-line
-    field count.
+    field count.  A record the csv module cannot read, such as one with a
+    field over its size limit, raises ValueError naming the line it stopped on.
     """
     if schema not in ("wide", "long"):
         raise ValueError(f"unknown schema {schema!r}")
     with open(path, newline="") as fh:
-        records = filter(None, csv.reader(fh))
+        records = filter(None, _readable(csv.reader(fh), path))
         header = next(records, None)
         chunk = list(itertools.islice(records, INGEST_CHUNK))
         if header is None:
@@ -254,6 +255,15 @@ def read_panel_csv(path, schema: str = "wide") -> PanelDataset:
     return dataset
 
 
+def _readable(reader, path):
+    """The records of a csv reader, a record it cannot read raising ValueError that
+    names path and the line the reader stopped on, not csv.Error."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValueError(f"unreadable record at {path}:{reader.line_num}: {exc}") from None
+
+
 def _codes(labels: list, code: dict) -> np.ndarray:
     """Each label's code: its index among the labels in code, the ones seen so far in
     order of first appearance, to which labels new here are added."""
@@ -279,7 +289,7 @@ def _raise_first_fault(path, first: int, what: str, where: list):
     records, end = [], 0  # (line the record starts on, fields)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        for row in reader:
+        for row in _readable(reader, path):
             start, end = end + 1, reader.line_num
             if row:
                 records.append((start, row))

@@ -11,9 +11,9 @@ sample, so an estimate takes the instruments alone.  The matrix is mostly
 zeros and no array holds it: its level cells are kept as indices and
 values, its few dense columns as a (rows, d) array.  Moments are formed per
 group of H_GROUP entities, each entity's rows zero-padded to the group's
-longest (`data.pad_runs`, a view if none needs it); a group's instruments
-are scattered into one reused buffer, as `pad_runs` would lay them out,
-each time a pass needs them.  Every sum adds in entity order.
+longest (`data.pad_runs`, a view if none needs it), whose mask of real
+rows places each row's instrument cells in the group's blocks, written out
+each time a pass reads them.  Every sum adds in entity order.
 Estimates are two-step.  The one-step weighting is the inverse of the
 tridiagonal second-difference form implied by iid level errors, each
 entity's block built in the same group pass; two-step reweights with the
@@ -24,8 +24,6 @@ if singular, is refused.  Hansen's J is the minimized two-step criterion.
 from __future__ import annotations
 
 import functools
-import itertools
-import math
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -208,63 +206,15 @@ def _h_blocks(years: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     return H.reshape(-1, m, m)
 
 
-def _laid_out(instruments: InstrumentMatrix, bounds: np.ndarray, size: int):
-    """A function of j that returns the instruments' C-ordered (entities, m, L) blocks
-    of entity group j, bit for bit as `data.pad_runs` lays them out from the
-    (rows, instruments) matrix.  Entity i has the rows bounds[i]:bounds[i + 1], and
-    group j the entities size * j onward, size of them or the rest.  Every group is
-    scattered into one buffer, after the cells of the group before are cleared, so
-    a group's blocks hold its values until another group is asked for."""
-    cells, levels, dense = instruments.cells, instruments.levels, instruments.dense
-    L = instruments.n_instruments
-    n_levels = L - dense.shape[1]
-    lengths = np.diff(bounds)
-    first = np.arange(0, lengths.size, size)  # each group's first entity
-    longest = np.maximum.reduceat(lengths, first)
-    shapes = [(min(size, lengths.size - f), m, L)
-              for f, m in zip(first.tolist(), longest.tolist())]
-    # start[r]: where row r begins in its group's blocks, which put entity i of the
-    # group at row i * m; the level cell r * n_levels + c goes to start[r] + c
-    entity = np.arange(lengths.size)
-    start = np.repeat(entity % size * longest[entity // size] - bounds[:-1], lengths)
-    start += np.arange(start.size)
-    start *= L
-    dense_at = start[:, None] + np.arange(n_levels, L)
-    start -= np.arange(start.size) * n_levels  # now start[r] + cell is start[r] + c
-    level_at = cells // n_levels
-    start.take(level_at, out=level_at)
-    level_at += cells
-    rows = bounds[np.append(first, lengths.size)]
-    parts = [(slice(*cut), slice(*span)) for cut, span in
-             zip(itertools.pairwise(np.searchsorted(cells, rows * n_levels).tolist()),
-                 itertools.pairwise(rows.tolist()))]
-    buffer = np.zeros(max(map(math.prod, shapes)))
-    current = None
-
-    def blocks(j: int) -> np.ndarray:
-        nonlocal current
-        if j != current:
-            if current is not None:
-                cut, span = parts[current]
-                buffer[level_at[cut]] = buffer[dense_at[span]] = 0.0
-            cut, span = parts[j]
-            buffer[level_at[cut]] = levels[cut]
-            buffer[dense_at[span]] = dense[span]
-            current = j
-        return buffer[: math.prod(shapes[j])].reshape(shapes[j])
-
-    return blocks
-
-
 def gmm_estimate(instruments: InstrumentMatrix) -> GmmResult:
     """Estimate the differenced equation of instruments.sample by two-step GMM.
 
     Entities are taken H_GROUP at a time, their rows zero-padded to the
     group's longest, with the weighting blocks H_i from `_h_blocks`.  Each
-    group's dX_i and dy_i are laid out once, by `data.pad_runs`; its Z_i are
-    scattered from the instruments' cells into one reused buffer (`_laid_out`)
-    in each of the three passes that read them: the sums and A1, B's moments,
-    and J's moments.  No (rows, instruments) array is formed.
+    group's dX_i and dy_i are laid out once, by `data.pad_runs`, whose mask
+    of real rows places each row's instrument cells in the group's Z_i; those
+    are written in each pass that reads them (the sums and A1, B's moments,
+    J's moments) and cleared after.  No (rows, instruments) array is formed.
     Z_i'dX_i, Z_i'dy_i and the moments g_i = Z_i'u_i are one batched matmul
     per group; the L x L terms Z_i'H_i Z_i (of A1) and g_i g_i' (of B) are
     too when H_GROUP * L * L is at most STACK_CELLS, else each is formed and
@@ -301,11 +251,27 @@ def gmm_estimate(instruments: InstrumentMatrix) -> GmmResult:
         # not sum/reduce: reduce adds one-element terms (L = 1) pairwise
         return np.add.accumulate(np.concatenate((total[None], parts)))[-1]
 
-    instrument_blocks = _laid_out(instruments, bounds, H_GROUP)
-    layouts = [[pad_runs(v, b[:-1], np.diff(b))[0] for v in (dX, dy)] for b in groups]
+    cells, levels, dense = instruments.cells, instruments.levels, instruments.dense
+    n_levels = L - dense.shape[1]
+    layouts = []  # each group's dX_i and dy_i, and where its instrument cells go in Z_i
+    for b in groups:
+        (Xp, inside), (yp, _) = (pad_runs(v, b[:-1], np.diff(b)) for v in (dX, dy))
+        slot = np.flatnonzero(inside) * L  # where each of the group's rows starts in its Z_i
+        cut = slice(*np.searchsorted(cells, b[[0, -1]] * n_levels).tolist())  # its level cells
+        level_at = slot[cells[cut] // n_levels - b[0]]  # cell r * n_levels + c: row r's start,
+        level_at += cells[cut] % n_levels  # then column c
+        layouts.append((Xp, yp, b, cut, level_at, slot[:, None] + np.arange(n_levels, L)))
+    buffer = np.zeros(max(yp.size for _, yp, *_ in layouts) * L)
+
+    def laid_out():  # each group's (Z_i, dX_i, dy_i, rows), Z_i held until the next is asked for
+        for Xp, yp, b, cut, level_at, dense_at in layouts:
+            buffer[level_at] = levels[cut]
+            buffer[dense_at] = dense[b[0] : b[-1]]
+            yield buffer[: yp.size * L].reshape(*yp.shape, L), Xp, yp, b
+            buffer[level_at] = buffer[dense_at] = 0.0
+
     S_zx, s_zy, A1 = np.zeros((L, k)), np.zeros(L), np.zeros((L, L))
-    for j, ((Xp, yp), b) in enumerate(zip(layouts, groups)):
-        Zp = instrument_blocks(j)
+    for Zp, Xp, yp, b in laid_out():
         Zt = Zp.transpose(0, 2, 1)
         S_zx = add(S_zx, Zt @ Xp)
         s_zy = add(s_zy, (Zt @ yp[..., None])[..., 0])
@@ -333,8 +299,8 @@ def gmm_estimate(instruments: InstrumentMatrix) -> GmmResult:
                              f"({L} instruments, {N} entities)") from None
 
     def moments(beta):  # each group's entity moment vectors Z_i'u_i, (entities, L)
-        for j, (Xp, yp) in enumerate(layouts):
-            yield (instrument_blocks(j).transpose(0, 2, 1) @ (yp - Xp @ beta)[..., None])[..., 0]
+        for Zp, Xp, yp, _ in laid_out():
+            yield (Zp.transpose(0, 2, 1) @ (yp - Xp @ beta)[..., None])[..., 0]
 
     beta1, _ = solve_beta(inverse(A1, "one-step"))
 

@@ -166,6 +166,16 @@ class TestExitCodes:
         assert "ingest error" in err
         assert str(workspace.dir / "panel.csv") in err
 
+    def test_unreadable_data_file_is_2(self, workspace, capsys):
+        # a field over the csv module's size limit is an ingest error, not a traceback
+        config = workspace()
+        with open(workspace.dir / "panel.csv", "a", encoding="utf-8") as fh:
+            fh.write("E99,2013," + "1" * 200_000 + ",1.0,1.0\n")
+        assert main(["run", "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert "ingest error" in err
+        assert f"unreadable record at {workspace.dir / 'panel.csv'}:362" in err
+
     def test_stage_failure_is_2(self, workspace, capsys):
         doc = file_doc()
         for model in doc["models"]:

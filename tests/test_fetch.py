@@ -149,7 +149,8 @@ class TestFetch:
         "\x00garbage",
         "entity,year,variable,value\nAAA,2013,OTHER,1.0\n",
         "entity,year,variable,value\nAAA,2013,GOOD,1.0\nAAA,2013,OTHER,1.0\n",
-    ], ids=["garbage", "other-code", "extra-code"])
+        "entity,year,variable,value\n" + "A" * 200_000 + ",2013,GOOD,1.0\n",
+    ], ids=["garbage", "other-code", "extra-code", "oversized-field"])
     def test_invalid_cache_file_is_downloaded_again(self, tmp_path, cached):
         descriptor = FetchDescriptor("prov", "GOOD", "2013:2021")
         path = tmp_path / "cache" / f"{descriptor.cache_key('http://fake')}.csv"
@@ -234,6 +235,16 @@ class TestFetch:
         assert not outcome.ok
         assert "duplicate cell ('AAA', 2013, 'GOOD')" in outcome.error
         assert (outcome.path, outcome.dataset) == (None, None)
+        assert list((tmp_path / "cache").iterdir()) == []
+
+    def test_oversized_entity_id_is_an_error_and_not_cached(self, tmp_path):
+        # reading back the written CSV meets a field over the csv module's size limit
+        session = _FakeSession(lambda page: ({"page": 1, "pages": 1}, [("A" * 200_000, 2013, 1.5)]))
+        (outcome,) = fetch_indicators([FetchDescriptor("prov", "GOOD", "2013:2021")],
+                                      "http://fake", str(tmp_path / "cache"), session=session)
+        assert not outcome.ok
+        assert outcome.error.startswith("invalid payload for 'GOOD': unreadable record at ")
+        assert outcome.error.endswith(":2: field larger than field limit (131072)")
         assert list((tmp_path / "cache").iterdir()) == []
 
     @pytest.mark.parametrize("entity, error", [

@@ -15,7 +15,6 @@ from panelmetrics.data import (
     PanelWarning,
     RegressionSample,
     VariableSeries,
-    pad_runs,
     regression_sample,
 )
 from panelmetrics.effects import _wald, fixed_effects
@@ -433,9 +432,11 @@ class TestGmmEstimate:
         (0.15, True, 3, "appended_column"),
     ], ids=["gappy_collapsed", "gappy_uncollapsed", "gappy_depth_capped", "balanced_collapsed",
             "balanced_uncollapsed", "dropped_column", "appended_column"])
-    def test_groups_laid_out_as_pad_runs_of_the_dense_matrix(self, gap_share, collapse, depth, case):
-        # each group's blocks, whatever group was asked for before, are the padded layout of
-        # the full matrix bit for bit, C-ordered, and written into one buffer for all groups
+    def test_groups_laid_out_as_pad_runs_of_the_dense_matrix(self, gap_share, collapse, depth, case,
+                                                             monkeypatch):
+        # a group's level cells and its dense columns are each placed through pad_runs'
+        # mask: the same matrix held as dense columns only estimates bit for bit the same,
+        # with 64 entities a group or 7, each group laid out in all three passes
         rng = np.random.default_rng(31)
         y, _ = ar_panel(rng, 150, 12, 0.5)
         x = rng.standard_normal(y.shape)
@@ -454,19 +455,21 @@ class TestGmmEstimate:
             z = rng.standard_normal(Z.sample.n_obs)
             z[::7] = 0.0
             Z = replace(Z, columns=Z.columns + ("z",), dense=np.column_stack([Z.dense, z]))
-        s, full = Z.sample, dense_z(Z)
-        bounds = np.searchsorted(s.entity_ids, np.arange(s.n_entities + 1))
-        for size in (gmm.H_GROUP, 7):
-            groups = [bounds[g : g + size + 1] for g in range(0, s.n_entities, size)]
-            blocks = gmm._laid_out(Z, bounds, size)
-            buffer = blocks(0)
-            order = list(range(len(groups)))
-            for j in order + order[::-1] + rng.permutation(order).tolist():
-                got, b = blocks(j), groups[j]
-                want = pad_runs(full, b[:-1], np.diff(b))[0]
-                assert got.flags.c_contiguous and got.dtype == want.dtype
-                assert got.shape == want.shape and got.tobytes() == want.tobytes()
-                assert np.shares_memory(got, buffer)
+        as_dense = replace(Z, cells=Z.cells[:0], levels=Z.levels[:0], dense=dense_z(Z))
+        beta1, beta, se, J = per_entity_gmm(Z)
+        rtol = 0 if gap_share == 0.0 else 1e-12  # no entity padded: the loop's sums exactly
+        for h_group in (64, 7):
+            monkeypatch.setattr(gmm, "H_GROUP", h_group)
+            res, want = gmm_estimate(Z), gmm_estimate(as_dense)
+            for got, exact in zip(
+                (res.one_step_coefficients, res.coefficients, res.std_errors, res.j_stat),
+                (want.one_step_coefficients, want.coefficients, want.std_errors, want.j_stat),
+            ):
+                assert np.asarray(got).tobytes() == np.asarray(exact).tobytes()
+            np.testing.assert_allclose(res.one_step_coefficients, beta1, rtol=rtol, atol=0)
+            np.testing.assert_allclose(res.coefficients, beta, rtol=rtol, atol=0)
+            np.testing.assert_allclose(res.std_errors, se, rtol=rtol, atol=0)
+            assert res.j_stat == pytest.approx(J, rel=rtol, abs=0)
 
     def test_stacked_and_entity_by_entity_products_agree(self, monkeypatch):
         # A1 and B summed from a group's stacked products or one product at a time
@@ -644,7 +647,8 @@ def test_peak_memory_is_bounded():
     # 500 entities x 20 years, x at lag 1, every lag: 9000 rows and 172 instruments, 6.1%
     # of the matrix nonzero.  Held as one dense (rows, instruments) array, which alone
     # takes 11.8 MiB, the two calls peaked at 13.4 MiB under tracemalloc; kept as cells,
-    # each entity group laid out in one reused buffer, they peak at 5.1 MiB
+    # written into each entity group's padded slots (from pad_runs' mask) as a pass reads
+    # the group, they peak at 5.1 MiB
     bound_mib = 8.0
     rng = np.random.default_rng(32)
     x = rng.standard_normal((500, 20))

@@ -158,6 +158,10 @@ MALFORMED = [
      "unparseable year '20x0' at {path}:3"),
     ("long", '\nentity,year,variable,value\nA,2000,"y\nz",1\nA,2000,y,abc\n',
      "unparseable numeric value 'abc' at {path}:5"),
+    # a field over the csv module's size limit, in the first chunk
+    pytest.param("wide", "entity,year,y\nA,2000,1\nB,2000," + "1" * 200_000 + "\n",
+                 "unreadable record at {path}:3: field larger than field limit (131072)",
+                 id="oversized-field"),
 ]
 
 
@@ -366,6 +370,9 @@ class TestChunkedIngest:
         ("F,20x0,1,2", "unparseable year '20x0' at {path}:9"),
         ("F,2000,1,abc", "unparseable numeric value 'abc' at {path}:9 column x"),
         ("F,2000,1", "{path}: row 9 has 3 fields, expected 4"),
+        pytest.param("F,2000,1," + "2" * 200_000,
+                     "unreadable record at {path}:9: field larger than field limit (131072)",
+                     id="oversized-field"),
     ])
     def test_fault_in_a_later_chunk_names_its_line(self, tmp_path, monkeypatch, chunk, row,
                                                    message):
