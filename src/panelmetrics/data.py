@@ -192,18 +192,16 @@ def read_panel_csv(path, schema: str = "wide") -> PanelDataset:
     malformed field, naming the line where the first faulty record starts
     (and the wide column); blank lines and each line of a quoted multi-line
     field count.  A record the csv module cannot read, such as one with a
-    field over its size limit, raises ValueError naming the line it stopped on.
+    field over its size limit, is a faulty record too: ValueError names the
+    line the reader stopped on.
     """
     if schema not in ("wide", "long"):
         raise ValueError(f"unknown schema {schema!r}")
     with open(path, newline="") as fh:
         records = filter(None, _readable(csv.reader(fh), path))
-        header = next(records, None)
-        chunk = list(itertools.islice(records, INGEST_CHUNK))
+        header = next(records, None)  # if unreadable, the first faulty record
         if header is None:
             raise ValueError(f"{path}: empty file")
-        if not chunk:
-            raise ValueError(f"{path}: no data rows")
         # The schemas differ only in the header and in what names a value's
         # variable: the header above its column (wide) or its row (long).
         if schema == "wide":
@@ -220,8 +218,10 @@ def read_panel_csv(path, schema: str = "wide") -> PanelDataset:
             first, what, where, name_code = 3, "cell", [""], {}
         entity_code = {}  # with name_code, each label's code in order of first appearance
         years, e, v, observed, values = [], [], [], [], []
-        try:  # each step in bulk; any failure rescans the rows in file order for the first fault
-            while chunk:
+        # each step in bulk; any failure (an unreadable record too, or no record, which
+        # leaves nothing to concatenate) rescans the rows in file order for the first fault
+        try:
+            while chunk := list(itertools.islice(records, INGEST_CHUNK)):
                 if set(map(len, chunk)) != {len(header)}:
                     raise ValueError
                 table = np.array(chunk, dtype=object)
@@ -232,7 +232,6 @@ def read_panel_csv(path, schema: str = "wide") -> PanelDataset:
                 e.append(_codes(table[:, 0].tolist(), entity_code))
                 if schema == "long":
                     v.append(_codes(table[:, 2].tolist(), name_code))
-                chunk = list(itertools.islice(records, INGEST_CHUNK))
             years, e, observed, values = map(np.concatenate, (years, e, observed, values))
             entities = np.array(list(entity_code), dtype=object)
             order = np.argsort(entities)  # sorts the distinct labels only
@@ -282,37 +281,46 @@ def _raise_first_fault(path, first: int, what: str, where: list):
 
     The file is read again to name the line each record starts on: blank
     lines and quoted fields that span lines make that differ from the
-    record's position.  The header is the first record.  A record's key is
-    its entity, year and any columns before first, where its values start;
-    where[j] locates value j in messages.
+    record's position.  Each record is checked as it is read, so a record
+    the csv module cannot read raises only when every record before it is
+    sound.  The header is the first record; a file with none after it has
+    no data rows.  A record's key is its entity, year and any columns
+    before first, where its values start; where[j] locates value j in
+    messages.
     """
-    records, end = [], 0  # (line the record starts on, fields)
+    header, seen, end = None, set(), 0
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         for row in _readable(reader, path):
-            start, end = end + 1, reader.line_num
-            if row:
-                records.append((start, row))
-    header, seen = records[0][1], set()
-    for lineno, row in records[1:]:
-        if len(row) != len(header):
-            raise ValueError(f"{path}: row {lineno} has {len(row)} fields, expected {len(header)}")
-        try:
-            key = (row[0], int(np.int64(int(row[1]))), *row[2:first])  # periods are int64
-        except (ValueError, OverflowError):
-            raise ValueError(f"unparseable year {row[1]!r} at {path}:{lineno}") from None
-        if key in seen:
-            raise ValueError(f"{path}: duplicate {what} {key!r}")
-        seen.add(key)
-        for token, column in zip(row[first:], where):
+            lineno, end = end + 1, reader.line_num  # the line the record starts on
+            if not row:
+                continue
+            if header is None:
+                header = row
+                continue
+            if len(row) != len(header):
+                raise ValueError(f"{path}: row {lineno} has {len(row)} fields, "
+                                 f"expected {len(header)}")
             try:
-                finite = token in MISSING_TOKENS or math.isfinite(float(token))
-            except ValueError:
-                raise ValueError(
-                    f"unparseable numeric value {token!r} at {path}:{lineno}{column}"
-                ) from None
-            if not finite:
-                raise ValueError(f"non-finite numeric value {token!r} at {path}:{lineno}{column}")
+                key = (row[0], int(np.int64(int(row[1]))), *row[2:first])  # periods are int64
+            except (ValueError, OverflowError):
+                raise ValueError(f"unparseable year {row[1]!r} at {path}:{lineno}") from None
+            if key in seen:
+                raise ValueError(f"{path}: duplicate {what} {key!r}")
+            seen.add(key)
+            for token, column in zip(row[first:], where):
+                try:
+                    finite = token in MISSING_TOKENS or math.isfinite(float(token))
+                except ValueError:
+                    raise ValueError(
+                        f"unparseable numeric value {token!r} at {path}:{lineno}{column}"
+                    ) from None
+                if not finite:
+                    raise ValueError(
+                        f"non-finite numeric value {token!r} at {path}:{lineno}{column}"
+                    )
+    if not seen:
+        raise ValueError(f"{path}: no data rows")
 
 
 def write_panel_csv(dataset: PanelDataset, path, schema: str = "wide"):

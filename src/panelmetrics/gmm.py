@@ -23,7 +23,6 @@ if singular, is refused.  Hansen's J is the minimized two-step criterion.
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -189,7 +188,7 @@ def build_instruments(dataset: PanelDataset, sample: RegressionSample, *,
 
 
 H_GROUP = 64  # entities whose moments and weighting blocks are formed in one batched pass
-STACK_CELLS = 1 << 15  # most cells of a group's stacked L x L products (A1, B)
+STACK_CELLS = 1 << 15  # most cells of a group's stacked L x L products of A1
 
 
 def _h_blocks(years: np.ndarray, bounds: np.ndarray) -> np.ndarray:
@@ -215,11 +214,15 @@ def gmm_estimate(instruments: InstrumentMatrix) -> GmmResult:
     of real rows places each row's instrument cells in the group's Z_i; those
     are written in each pass that reads them (the sums and A1, B's moments,
     J's moments) and cleared after.  No (rows, instruments) array is formed.
-    Z_i'dX_i, Z_i'dy_i and the moments g_i = Z_i'u_i are one batched matmul
-    per group; the L x L terms Z_i'H_i Z_i (of A1) and g_i g_i' (of B) are
-    too when H_GROUP * L * L is at most STACK_CELLS, else each is formed and
-    added on its own.  Every sum adds the entities' terms one after another
-    in entity order, as a per-entity loop would.
+    Z_i'dX_i, Z_i'dy_i, the moments g_i = Z_i'u_i and, when H_GROUP * L * L
+    is at most STACK_CELLS, A1's terms Z_i'H_i Z_i are one batched matmul per
+    group.  Every sum adds the entities' terms one after another in entity
+    order, as a per-entity loop would.  B = sum of g_i g_i' is one pass over
+    all N moments stacked (N, L): numpy's own einsum loop (not BLAS, which
+    would fuse and reorder) rounds each g_ia g_ib and adds it to the total
+    entity after entity, the outer-product loop bit for bit; at L = 1, where
+    einsum unrolls that sum, `add` runs instead.  An einsum with fused
+    multiply-add fails the bit-for-bit tests rather than print other numbers.
     `one_step_coefficients` are the fit under the inverse of A1; the reported
     ones reweight with the inverse of B, the clustered outer product of their
     moments (stored as `weighting`), with optimal-weighting SEs (no
@@ -245,11 +248,11 @@ def gmm_estimate(instruments: InstrumentMatrix) -> GmmResult:
     dy, dX, years = sample.y, sample.X, sample.periods
     bounds = np.searchsorted(sample.entity_ids, np.arange(N + 1))
     groups = [bounds[g : g + H_GROUP + 1] for g in range(0, N, H_GROUP)]
-    stack = H_GROUP * L * L <= STACK_CELLS  # a group's L x L products stacked, or one at a time
+    stack = H_GROUP * L * L <= STACK_CELLS  # a group's A1 terms stacked, or one at a time
 
-    def add(total, parts):  # total + parts[0] + parts[1] + ..., one after another in entity order
-        # not sum/reduce: reduce adds one-element terms (L = 1) pairwise
-        return np.add.accumulate(np.concatenate((total[None], parts)))[-1]
+    def add(total, parts):  # total + parts[0] + parts[1] + ... in entity order, summed in parts
+        parts[0] += total  # not sum/reduce: reduce adds one-element terms (L = 1) pairwise
+        return np.add.accumulate(parts, out=parts)[-1]
 
     cells, levels, dense = instruments.cells, instruments.levels, instruments.dense
     n_levels = L - dense.shape[1]
@@ -298,24 +301,21 @@ def gmm_estimate(instruments: InstrumentMatrix) -> GmmResult:
             raise ValueError(f"gmm({label}): singular weighted design "
                              f"({L} instruments, {N} entities)") from None
 
-    def moments(beta):  # each group's entity moment vectors Z_i'u_i, (entities, L)
-        for Zp, Xp, yp, _ in laid_out():
-            yield (Zp.transpose(0, 2, 1) @ (yp - Xp @ beta)[..., None])[..., 0]
+    def moments(beta, G):  # the entity moment vectors Z_i'u_i, written into G's (N, L) rows
+        for j, (Zp, Xp, yp, _) in enumerate(laid_out()):
+            u = (yp - Xp @ beta)[..., None]
+            G[j * H_GROUP : (j + 1) * H_GROUP] = (Zp.transpose(0, 2, 1) @ u)[..., 0]
+        return G
 
     beta1, _ = solve_beta(inverse(A1, "one-step"))
-
-    B = np.zeros((L, L))
-    for G in moments(beta1):
-        if stack:
-            B = add(B, G[:, :, None] * G[:, None, :])
-        else:
-            for g in G:
-                B += np.outer(g, g)
-    W2 = inverse(B, "two-step")
+    del A1  # not read again: freed before the (N, L) moments are formed
+    G = moments(beta1, np.empty((N, L)))  # B in entity order: einsum's own loop unless L = 1
+    W2 = inverse(np.einsum("ia,ib->ab", G, G, optimize=False) if L > 1
+                 else add(np.zeros((1, 1)), G[:, :, None] * G[:, None, :]), "two-step")
     beta, M2 = solve_beta(W2)
     cov = np.linalg.inv(M2)
 
-    m = functools.reduce(add, moments(beta), np.zeros(L))
+    m = add(np.zeros(L), moments(beta, G))
     j_stat = float(m @ W2 @ m)
     j_df = L - k
     j_p = chdtrc(j_df, j_stat) if j_df > 0 else None

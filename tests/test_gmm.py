@@ -472,7 +472,7 @@ class TestGmmEstimate:
             assert res.j_stat == pytest.approx(J, rel=rtol, abs=0)
 
     def test_stacked_and_entity_by_entity_products_agree(self, monkeypatch):
-        # A1 and B summed from a group's stacked products or one product at a time
+        # A1 summed from a group's stacked products or one product at a time
         s, Z = self.dynamic_panel(0.15, True)
         results = []
         for cells in (0, 1 << 40):
@@ -643,13 +643,10 @@ class TestGmmEstimate:
         )
 
 
-def test_peak_memory_is_bounded():
-    # 500 entities x 20 years, x at lag 1, every lag: 9000 rows and 172 instruments, 6.1%
-    # of the matrix nonzero.  Held as one dense (rows, instruments) array, which alone
-    # takes 11.8 MiB, the two calls peaked at 13.4 MiB under tracemalloc; kept as cells,
-    # written into each entity group's padded slots (from pad_runs' mask) as a pass reads
-    # the group, they peak at 5.1 MiB
-    bound_mib = 8.0
+def balanced_500x20():
+    """500 entities x 20 years of y and x, x at lag 1, every lag: the GMM shape of the
+    balanced benchmark, 9000 differenced rows and 172 instruments.  The dataset and its
+    differenced sample."""
     rng = np.random.default_rng(32)
     x = rng.standard_normal((500, 20))
     y = np.empty(x.shape)
@@ -657,7 +654,30 @@ def test_peak_memory_is_bounded():
     for t in range(1, 20):
         y[:, t] = 0.5 * y[:, t - 1] + 0.3 * x[:, t - 1] + rng.standard_normal(500)
     ds = build_panel({"y": y, "x": x})
-    s = differenced_sample(ds, TestGmmEstimate.DYN_SPEC)
+    return ds, differenced_sample(ds, TestGmmEstimate.DYN_SPEC)
+
+
+def test_equals_per_entity_loop_at_benchmark_shape():
+    # N = 500 and L = 172: B is one einsum pass over all 500 moment vectors, which must
+    # add them as the per-entity outer-product loop does, bit for bit
+    ds, s = balanced_500x20()
+    Z = build_instruments(ds, s)
+    assert (Z.n_instruments, s.n_entities) == (172, 500)
+    res = gmm_estimate(Z)
+    beta1, beta, se, J = per_entity_gmm(Z)
+    np.testing.assert_array_equal(res.one_step_coefficients, beta1)
+    np.testing.assert_array_equal(res.coefficients, beta)
+    np.testing.assert_array_equal(res.std_errors, se)
+    assert res.j_stat == J
+
+
+def test_peak_memory_is_bounded():
+    # the benchmark's shape, 6.1% of the instrument matrix nonzero.  Held as one dense
+    # (rows, instruments) array, which alone takes 11.8 MiB, the two calls peaked at
+    # 13.4 MiB under tracemalloc; kept as cells, written into each entity group's padded
+    # slots (from pad_runs' mask) as a pass reads the group, they peak at 5.1 MiB
+    bound_mib = 8.0
+    ds, s = balanced_500x20()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]

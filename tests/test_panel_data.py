@@ -162,6 +162,12 @@ MALFORMED = [
     pytest.param("wide", "entity,year,y\nA,2000,1\nB,2000," + "1" * 200_000 + "\n",
                  "unreadable record at {path}:3: field larger than field limit (131072)",
                  id="oversized-field"),
+    pytest.param("wide", "entity,year," + "y" * 200_000 + "\nA,2000,1\n",
+                 "unreadable record at {path}:1: field larger than field limit (131072)",
+                 id="oversized-header"),
+    # the header is the first record: its fault comes before a missing body's
+    ("wide", "entity,yr,y\n", "{path}: wide header must be entity,year,<variables>"),
+    ("wide", "entity,year,y\n\n\n", "{path}: no data rows"),
 ]
 
 
@@ -379,6 +385,23 @@ class TestChunkedIngest:
         monkeypatch.setattr(data, "INGEST_CHUNK", chunk)
         path = tmp_path / "p.csv"
         path.write_text(self.PREFIX + row + "\nG,2000,1,2\n")
+        with pytest.raises(ValueError) as err:
+            read_panel_csv(path)
+        assert str(err.value) == message.format(path=path)
+
+    @pytest.mark.parametrize("chunk", [1024, 1])
+    @pytest.mark.parametrize("value,message", [
+        ("abc", "unparseable numeric value 'abc' at {path}:2 column x"),
+        ("2", "unreadable record at {path}:4: field larger than field limit (131072)"),
+    ], ids=["malformed-first", "unreadable-first"])
+    def test_unreadable_record_named_only_if_first_fault(self, tmp_path, monkeypatch, chunk,
+                                                         value, message):
+        # line 4 cannot be read: in the first chunk read, or in a later one.  A faulty
+        # line 2 comes first in file order, so it is the one named
+        monkeypatch.setattr(data, "INGEST_CHUNK", chunk)
+        path = tmp_path / "p.csv"
+        path.write_text(f"entity,year,y,x\nA,2000,1,{value}\nB,2000,1,2\n"
+                        f"C,2000,1,{'2' * 200_000}\nD,2000,1,2\n")
         with pytest.raises(ValueError) as err:
             read_panel_csv(path)
         assert str(err.value) == message.format(path=path)
