@@ -250,7 +250,7 @@ def gmm_estimate(instruments: InstrumentMatrix) -> GmmResult:
     groups = [bounds[g : g + H_GROUP + 1] for g in range(0, N, H_GROUP)]
     stack = H_GROUP * L * L <= STACK_CELLS  # a group's A1 terms stacked, or one at a time
 
-    def add(total, parts):  # total + parts[0] + parts[1] + ... in entity order, summed in parts
+    def add(total, parts):  # total + parts[0] + parts[1] + ... in entity order, overwriting parts
         parts[0] += total  # not sum/reduce: reduce adds one-element terms (L = 1) pairwise
         return np.add.accumulate(parts, out=parts)[-1]
 
