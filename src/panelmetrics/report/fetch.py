@@ -11,14 +11,21 @@ download is cached only when it parses as a long-schema panel holding
 exactly the descriptor's code, and a cache file is reused only under the
 same condition; any other file is downloaded again.  Either way the parsed
 panel rides on the outcome, so callers never read the file again.  A
-provider reporting more than MAX_PAGES pages is refused, not followed, and
-a page is tried at most MAX_ATTEMPTS times; these are constants, not options.
+provider reporting more than MAX_PAGES pages is refused, not followed, a
+page whose body is over MAX_PAGE_BYTES is refused, and a page is tried at
+most MAX_ATTEMPTS times; these are constants, not options.
+
+Pages are fetched with the standard library's urllib.request, imported on
+the fetch path only.  HTTPS is checked against Python's default trust
+store, the *_proxy environment variables are honoured, and each page opens
+its own connection.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import json
 import os
 import time
 from dataclasses import dataclass, field
@@ -26,6 +33,7 @@ from dataclasses import dataclass, field
 from ..data import PanelDataset, read_panel_csv
 
 MAX_PAGES = 1000  # bounds the requests one descriptor can make
+MAX_PAGE_BYTES = 16 * 1024 * 1024  # bounds the body read for one page
 PER_PAGE = 1000  # records asked for per page
 MAX_ATTEMPTS = 3  # tries per page before a descriptor's download is given up
 BACKOFF_S = 0.5  # wait before the first retry; doubled before each later one
@@ -90,15 +98,63 @@ def _parse_payload(payload):
     return payload[0], payload[1]
 
 
+class _Reply:
+    """Status and raw body of one page, with the status_code, text and json()
+    that _fetch_one reads."""
+
+    def __init__(self, status_code: int, content: bytes):
+        self.status_code = status_code
+        self.content = content
+
+    @property
+    def text(self) -> str:
+        return self.content.decode("utf-8", errors="replace")
+
+    def json(self):
+        return json.loads(self.content)
+
+
+class _Client:
+    """GET-only HTTP client on urllib.request, behind the session.get seam.
+
+    A 4xx or 5xx answer is a reply like any other; connection failures and a
+    body cut short of its Content-Length raise OSError or
+    http.client.HTTPException, and a URL that is not http(s), or a body over
+    MAX_PAGE_BYTES, raises ValueError.
+    """
+
+    def get(self, url, params, timeout):
+        from http.client import IncompleteRead
+        from urllib.error import HTTPError
+        from urllib.parse import urlencode, urlsplit
+        from urllib.request import urlopen
+
+        if urlsplit(url).scheme not in ("http", "https"):
+            raise ValueError(f"not an http or https URL: {url!r}")
+        try:
+            reply = urlopen(f"{url}?{urlencode(params)}", timeout=timeout)
+        except HTTPError as error:
+            reply = error
+        with reply:
+            content = reply.read(MAX_PAGE_BYTES + 1)
+            missing = getattr(reply, "length", None)  # Content-Length bytes not received
+        if len(content) > MAX_PAGE_BYTES:
+            raise ValueError(f"body over the limit of {MAX_PAGE_BYTES} bytes")
+        if missing:
+            raise IncompleteRead(content, missing)
+        return _Reply(reply.status, content)
+
+
 def _get_page(session, url, params):
     """One page with bounded-retry semantics.
 
     Connection failures and 5xx responses are retried, MAX_ATTEMPTS tries in
     all, with exponential backoff from BACKOFF_S; 4xx responses are provider
-    errors and surface immediately.
+    errors and surface immediately, and a ValueError from the session is
+    raised at once.
     Returns the response object.
     """
-    import requests  # imported on the fetch path only; file-source runs never load it
+    from http.client import HTTPException  # imported on the fetch path only
 
     last_exc = None
     for attempt in range(MAX_ATTEMPTS):
@@ -106,7 +162,7 @@ def _get_page(session, url, params):
             time.sleep(BACKOFF_S * 2 ** (attempt - 1))
         try:
             response = session.get(url, params=params, timeout=30)
-        except requests.RequestException as exc:
+        except (OSError, HTTPException) as exc:
             last_exc = exc
             continue
         if response.status_code >= 500:
@@ -146,6 +202,8 @@ def _fetch_one(descriptor, base_url, cache_dir, session):
             response = _get_page(session, url, params)
         except ConnectionError as exc:
             return FetchOutcome(descriptor, error=str(exc))
+        except ValueError as exc:
+            return FetchOutcome(descriptor, error=f"page {page} of {descriptor.code!r}: {exc}")
         if response.status_code >= 400:
             return FetchOutcome(
                 descriptor,
@@ -202,12 +260,5 @@ def fetch_indicators(descriptors, base_url: str, cache_dir: str, session=None) -
     or malformed-payload diagnostics (raw body preserved for the last
     two).  Cached descriptors are returned without network traffic.
     """
-    import requests
-
-    own_session = session is None
-    session = session or requests.Session()
-    try:
-        return [_fetch_one(d, base_url, cache_dir, session) for d in descriptors]
-    finally:
-        if own_session:
-            session.close()
+    session = session or _Client()
+    return [_fetch_one(d, base_url, cache_dir, session) for d in descriptors]

@@ -358,8 +358,9 @@ class TestIngestFileSource:
 
 def test_cli_import_and_run_load_no_scipy(workspace):
     # tail probabilities come from panelmetrics._special, so neither the import nor a run of all
-    # seven stages may load any scipy module, lazily or not; requests loads on the fetch path only
-    loaded = "print(sorted(m for m in sys.modules if m.partition('.')[0] in ('scipy', 'requests')))"
+    # seven stages may load any scipy module, lazily or not; the HTTP client (urllib.request and
+    # http.client) loads on the fetch path only
+    loaded = "print(sorted(m for m in sys.modules if m.partition('.')[0] in ('scipy', 'http')))"
     run = f"assert main(['run', '--config', {workspace()!r}]) == 0"
     for code in (f"import sys, panelmetrics.report.cli; {loaded}",
                  f"import sys; from panelmetrics.report.cli import main; {run}; {loaded}"):

@@ -25,9 +25,14 @@ def _records(page):
     ]
 
 
+# the one page served for ONE and SHORT, and the same page with a Latin-1 entity id for LATIN1
+ONE_PAGE = json.dumps([{"page": 1, "pages": 1}, _records(PAGES[2])])
+LATIN1_PAGE = ONE_PAGE.replace("CCC", "\u00c5LA").encode("latin-1")
+
+
 class _Handler(http.server.BaseHTTPRequestHandler):
     def _reply(self, status, body, content_type="application/json"):
-        data = body.encode("utf-8")
+        data = body if isinstance(body, bytes) else body.encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(data)))
@@ -55,6 +60,19 @@ class _Handler(http.server.BaseHTTPRequestHandler):
                 self._reply(200, json.dumps([{"page": 1, "pages": 1}, _records(PAGES[2])]))
         elif code == "DOWN":
             self._reply(500, "permanent failure", content_type="text/plain")
+        elif code == "ONE":
+            self._reply(200, ONE_PAGE)
+        elif code == "SHORT":
+            # the first reply promises more bytes than it sends before the connection closes
+            if self.server.hits[code] == 1:
+                self.send_response(200)
+                self.send_header("Content-Length", str(len(ONE_PAGE) + 10))
+                self.end_headers()
+                self.wfile.write(ONE_PAGE.encode("utf-8"))
+            else:
+                self._reply(200, ONE_PAGE)
+        elif code == "LATIN1":
+            self._reply(200, LATIN1_PAGE)
         else:
             self._reply(404, '{"message": "unknown path"}')
 
@@ -211,6 +229,44 @@ class TestFetch:
         )
         assert not outcome.ok
         assert f"{MAX_ATTEMPTS} attempts" in outcome.error
+
+    @pytest.mark.parametrize("base", ["not-a-url", "ftp://127.0.0.1:9"])
+    def test_url_the_client_cannot_open_is_an_error_at_once(self, tmp_path, base):
+        outcome, = fetch_indicators(
+            [FetchDescriptor("prov", "GOOD", "2013:2021")], base, str(tmp_path / "cache")
+        )
+        assert not outcome.ok
+        assert outcome.error == (
+            f"page 1 of 'GOOD': not an http or https URL: '{base}/prov/indicator/GOOD'"
+        )
+        assert not (tmp_path / "cache").exists()
+
+    def test_body_not_utf8_is_malformed_and_not_cached(self, server, tmp_path):
+        outcome = fetch_one(server, tmp_path, "LATIN1")
+        assert not outcome.ok
+        assert outcome.error.startswith("malformed payload on page 1: 'utf-8' codec can't decode")
+        assert outcome.status == 200
+        assert outcome.raw_body == LATIN1_PAGE.decode("utf-8", errors="replace")
+        assert "\ufffdLA" in outcome.raw_body
+        assert not (tmp_path / "cache").exists()
+
+    @pytest.mark.parametrize("spare, error", [
+        (0, None),
+        (-1, "page 1 of 'ONE': body over the limit of {} bytes"),
+    ], ids=["at-limit", "one-byte-over"])
+    def test_page_body_over_limit_is_refused(self, server, tmp_path, monkeypatch, spare, error):
+        limit = len(ONE_PAGE) + spare
+        monkeypatch.setattr(fetch, "MAX_PAGE_BYTES", limit)
+        outcome = fetch_one(server, tmp_path, "ONE")
+        assert server.hits["ONE"] == 1
+        assert outcome.error == (error and error.format(limit))
+        # a refused page leaves no .part or cache file
+        assert (tmp_path / "cache").exists() == (error is None)
+
+    def test_body_cut_short_is_retried(self, server, tmp_path):
+        outcome = fetch_one(server, tmp_path, "SHORT")
+        assert (outcome.ok, outcome.rows) == (True, 1)
+        assert server.hits["SHORT"] == 2
 
     @pytest.mark.parametrize("reported, requests", [
         (lambda page: 10**9, 1),

@@ -1,14 +1,18 @@
-"""Every module of src/ and tools/ uses each name it imports, each function
-or lambda there reads each of its parameters, and each module-level private
-name that one of them binds is read by one of them."""
+"""Every module of src/ and tools/ uses each name it imports, imports nothing
+outside the standard library, numpy, PyYAML and the package itself, each
+function or lambda there reads each of its parameters, and each module-level
+private name that one of them binds is read by one of them."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(p for d in ("src", "tools") for p in (ROOT / d).rglob("*.py"))
+# the package's dependencies (pyproject.toml) and the package itself
+ALLOWED_IMPORTS = frozenset(sys.stdlib_module_names) | {"numpy", "yaml", "panelmetrics"}
 
 
 def unused_imports(source: str) -> list:
@@ -22,6 +26,22 @@ def unused_imports(source: str) -> list:
             imported += [a.asname or a.name for a in node.names]
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [name for name in imported if name not in used]
+
+
+def foreign_imports(source: str) -> list:
+    """Top-level package of each absolute import, at any depth of the module, that
+    ALLOWED_IMPORTS does not hold, in import order."""
+    foreign = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        tops = [n.partition(".")[0] for n in names]
+        foreign += [top for top in tops if top not in ALLOWED_IMPORTS]
+    return foreign
 
 
 def unread_parameters(source: str) -> list:
@@ -92,6 +112,27 @@ def test_check_sees_each_binding_form():
         "    return os.sep\n"
     )
     assert unused_imports(source) == ["np", "b"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[str(p.relative_to(ROOT)) for p in MODULES])
+def test_imports_only_stdlib_and_dependencies(path):
+    assert foreign_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_dependency_check_sees_each_import_form():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path, requests\n"
+        "import numpy as np, urllib3.util as u\n"
+        "from yaml import safe_load\n"
+        "from charset_normalizer.api import from_bytes\n"
+        "from . import sibling\n"
+        "from .pkg import name\n"
+        "def f():\n"
+        "    import certifi\n"
+        "    from panelmetrics.data import PanelDataset\n"
+    )
+    assert foreign_imports(source) == ["requests", "urllib3", "charset_normalizer", "certifi"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[str(p.relative_to(ROOT)) for p in MODULES])
