@@ -12,7 +12,8 @@ from panelmetrics import _dfconstants as dfc
 from panelmetrics import unitroot
 from panelmetrics._dfconstants import mackinnon_p
 from panelmetrics._special import ndtr
-from panelmetrics.data import PanelDataset, PanelWarning, VariableSeries, first_difference
+from panelmetrics.data import PanelDataset, PanelWarning, VariableSeries, first_difference, natural_log, read_panel_csv
+from panelmetrics.fixture import RAW_VARIABLES, fixture_path
 from panelmetrics.unitroot import (
     BATTERY_TESTS,
     Runs,
@@ -35,6 +36,14 @@ def make_series(rows, name="v", start=1950):
     entities = tuple(f"E{i}" for i in range(rows.shape[0]))
     periods = tuple(range(start, start + rows.shape[1]))
     return VariableSeries(name=name, entities=entities, periods=periods, values=rows)
+
+
+def panel(test, series, det="c", **options):
+    """A panel test on one series laid out alone: its result, or its refusal raised."""
+    (out,) = test(Runs((series,), det), **options)
+    if isinstance(out, ValueError):
+        raise out
+    return out
 
 
 def make_dataset(rows, name="v", start=1950):
@@ -227,8 +236,8 @@ class TestPhillipsPerron:
     def test_non_integer_bandwidth_refused(self):
         # not truncated: 2.9 used to give bandwidth 2
         y = np.arange(30.0) + np.cos(np.arange(30.0))
-        runs = Runs(make_series(ar_panel(np.random.default_rng(8), 3, 30, 0.5)))
-        for call in (lambda bw: pp_test(y, bandwidth=bw), lambda bw: unitroot.fisher_pp(runs, bandwidth=bw)):
+        series = make_series(ar_panel(np.random.default_rng(8), 3, 30, 0.5))
+        for call in (lambda bw: pp_test(y, bandwidth=bw), lambda bw: panel(unitroot.fisher_pp, series, bandwidth=bw)):
             with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
                 call(2.9)
             assert call(np.int64(2)) == call(2)
@@ -244,7 +253,7 @@ class TestPhillipsPerron:
     def test_fisher_pp_keeps_a_shortest_run_entity(self):
         rows = ar_panel(np.random.default_rng(21), 3, 10, 0.5)
         rows[2, 4:] = np.nan  # E2 observed for 4 years, the "n" shortest run
-        r = unitroot.fisher_pp(Runs(make_series(rows), "n"))
+        r = panel(unitroot.fisher_pp, make_series(rows), "n")
         assert r.n_entities == 3
         assert r.per_entity[2][3] == 0
 
@@ -255,12 +264,12 @@ class TestPhillipsPerron:
         rows[2] = 3.0 + 2.0 * np.arange(40)
         for det in ("c", "ct"):
             with pytest.raises(ValueError, match=r"pp_test: perfect fit for E2 \(regression standard error"):
-                unitroot.fisher_pp(Runs(make_series(rows), det))
+                panel(unitroot.fisher_pp, make_series(rows), det)
             with pytest.raises(ValueError, match="perfect fit for the series"):
                 pp_test(rows[2], det=det)
         # the tolerance is relative: a tiny but genuine scale is kept
         rest = np.delete(rows, 2, axis=0)
-        small, unit = unitroot.fisher_pp(Runs(make_series(1e-100 * rest))), unitroot.fisher_pp(Runs(make_series(rest)))
+        small, unit = panel(unitroot.fisher_pp, make_series(1e-100 * rest)), panel(unitroot.fisher_pp, make_series(rest))
         assert small.statistic == pytest.approx(unit.statistic, rel=1e-9)
 
 
@@ -372,7 +381,7 @@ class TestIps:
     def test_identical_entities_share_tau(self):
         rng = np.random.default_rng(3)
         y = np.cumsum(np.abs(rng.standard_normal(30)))
-        r = ips_test(Runs(make_series([y, y.copy()])))
+        r = panel(ips_test, make_series([y, y.copy()]))
         taus = {round(row[1], 12) for row in r.per_entity}
         assert len(taus) == 1
         direct = adf_test(y, det="c", lags=r.per_entity[0][3])
@@ -381,7 +390,7 @@ class TestIps:
     def test_per_entity_rows_match_direct_adf(self):
         rng = np.random.default_rng(19)
         rows = [ar_panel(rng, 1, 40, rho)[0] for rho in (0.2, 0.5, 0.8)]
-        r = ips_test(Runs(make_series(rows)))
+        r = panel(ips_test, make_series(rows))
         for i, (entity, tau, p, lags) in enumerate(r.per_entity):
             direct = adf_test(rows[i], det="c", lags=lags)
             assert tau == pytest.approx(direct.statistic, abs=1e-10)
@@ -389,7 +398,7 @@ class TestIps:
 
     def test_stationary_pair_has_negative_statistic(self):
         rng = np.random.default_rng(13)
-        r = ips_test(Runs(make_series(ar_panel(rng, 2, 50, 0.2))))
+        r = panel(ips_test, make_series(ar_panel(rng, 2, 50, 0.2)))
         assert r.statistic < 0.0
         assert r.p_value == pytest.approx(
             float(0.5 * (1 + math.erf(r.statistic / math.sqrt(2)))), abs=1e-12
@@ -401,14 +410,14 @@ class TestIps:
         for _ in range(100):
             rows = [np.cumsum(rng.standard_normal(50)) for _ in range(10)]
             rows.extend(ar_panel(rng, 10, 50, 0.3))
-            if ips_test(Runs(make_series(rows))).p_value < 0.05:
+            if panel(ips_test, make_series(rows)).p_value < 0.05:
                 hits += 1
         assert hits >= 80
 
     def test_unsupported_det_rejected(self):
         rng = np.random.default_rng(14)
         with pytest.raises(ValueError, match="moment table"):
-            ips_test(Runs(make_series(ar_panel(rng, 3, 30, 0.3)), "n"))
+            panel(ips_test, make_series(ar_panel(rng, 3, 30, 0.3)), "n")
 
     def test_each_entity_fitted_once_at_table_lag(self, monkeypatch):
         # T=16 allows 5 lags, but the table's lower grid length 15 holds 4
@@ -421,7 +430,7 @@ class TestIps:
             return kernel(y, det, lags, lengths)
 
         monkeypatch.setattr(unitroot, "_df_regression", recording)
-        r = ips_test(Runs(make_series(ar_panel(rng, 3, 16, 0.5))), lags=5)
+        r = panel(ips_test, make_series(ar_panel(rng, 3, 16, 0.5)), lags=5)
         assert calls == [((3, 16), 4, [16, 16, 16])]
         assert [row[3] for row in r.per_entity] == [4, 4, 4]
 
@@ -429,7 +438,7 @@ class TestIps:
         rng = np.random.default_rng(18)
         with pytest.warns(PanelWarning, match="dropped"):
             with pytest.raises(ValueError, match="fewer than two"):
-                ips_test(Runs(make_series(rng.standard_normal((3, 6)))))
+                panel(ips_test, make_series(rng.standard_normal((3, 6))))
 
 
 def longest_run(values):
@@ -471,7 +480,7 @@ class TestStackedKernel:
         runs = [longest_run(row) for row in series.values]
         assert len({len(r) for r in runs}) > 10
         for test in (unitroot.fisher_adf, ips_test):
-            r = test(Runs(series, det), lags=lags)
+            r = panel(test, series, det, lags=lags)
             assert [row[0] for row in r.per_entity] == list(series.entities)
             for (entity, tau, p, p_lags), run in zip(r.per_entity, runs):
                 direct = adf_test(run, det=det, lags=p_lags)
@@ -485,7 +494,7 @@ class TestStackedKernel:
     def test_pp_rows_equal_single_series_fits(self, det, bandwidth):
         series = gappy_series(32)
         runs = [longest_run(row) for row in series.values]
-        r = unitroot.fisher_pp(Runs(series, det), bandwidth=bandwidth)
+        r = panel(unitroot.fisher_pp, series, det, bandwidth=bandwidth)
         assert [row[0] for row in r.per_entity] == list(series.entities)
         for (entity, z, p, bw), run in zip(r.per_entity, runs):
             direct = pp_test(run, det=det, bandwidth=bandwidth)
@@ -508,7 +517,7 @@ class TestStackedKernel:
 
         counted("long_run_covariances", long_run_covariances)
         counted("neweywest_bandwidth", neweywest_bandwidth)
-        unitroot.fisher_pp(Runs(series), bandwidth=bandwidth)
+        panel(unitroot.fisher_pp, series, bandwidth=bandwidth)
         assert len(set(rows)) > 10
         # every run's residuals, zero-padded to the longest: (runs, max rows[, 1])
         padded = (len(rows), max(rows))
@@ -523,7 +532,7 @@ class TestStackedKernel:
         rows[3, 6:] = np.nan  # 5 rows
         monkeypatch.setattr(unitroot, "_df_regression", None)
         with pytest.raises(ValueError, match="^pp_test: bandwidth 6 too large for 6 rows$"):
-            unitroot.fisher_pp(Runs(make_series(rows)), bandwidth=6)
+            panel(unitroot.fisher_pp, make_series(rows), bandwidth=6)
 
 
 def padded_blocks(rng, n, m, lo=5, hi=60):
@@ -600,7 +609,7 @@ class TestPaddedKernel:
         series, runs = random_run_series(np.random.default_rng(97 + seed))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", PanelWarning)  # det ct drops runs of 5
-            r = unitroot.fisher_pp(Runs(series, det), bandwidth=bandwidth)
+            r = panel(unitroot.fisher_pp, series, det, bandwidth=bandwidth)
         kept = dict(zip(series.entities, runs))
         assert len({len(kept[e]) for e, *_ in r.per_entity}) > 10
         for entity, z, p, bw in r.per_entity:
@@ -675,7 +684,7 @@ class TestPanelRuns:
         rows[short, 8:] = np.nan
         rows[short, 4] = np.nan  # eight observed years in two runs of four
         with pytest.warns(PanelWarning) as caught:
-            r = unitroot.fisher_adf(Runs(make_series(rows)))
+            r = panel(unitroot.fisher_adf, make_series(rows))
         assert [str(w.message) for w in caught] == [
             "fisher_adf(v): dropped 10 entity(ies) below 5 contiguous observations: "
             "E0, E1, E2, E3, E4, E6, E7, E8..."
@@ -686,17 +695,17 @@ class TestPanelRuns:
         gappy, runs_only = longest_run_panel(35)
         assert np.isfinite(gappy.values).sum() > np.isfinite(runs_only.values).sum()
         for test in (unitroot.fisher_adf, unitroot.fisher_pp, ips_test, llc_test):
-            r = test(Runs(gappy))
+            r = panel(test, gappy)
             assert math.isfinite(r.statistic)
             # repr prints each float's shortest round-trip form: equal reprs, equal bits
-            assert repr(r) == repr(test(Runs(runs_only)))
+            assert repr(r) == repr(panel(test, runs_only))
 
     def test_differences_are_each_runs_own_zero_padded(self):
         gappy, _ = longest_run_panel(38)
         idx = np.array([3, 0, 5])
         own = [np.diff(longest_run(row)) for row in gappy.values[idx]]
         assert len({d.size for d in own}) == 3
-        runs = Runs(gappy)
+        runs = Runs((gappy,))
         dY = runs.differences(idx)
         assert dY.shape == (3, max(d.size for d in own))
         for row, d in zip(dY, own):
@@ -705,10 +714,10 @@ class TestPanelRuns:
 
     def test_non_integer_lags_refused(self):
         # not truncated to an int lag for each entity
-        runs = Runs(make_series(ar_panel(np.random.default_rng(9), 3, 30, 0.5)))
+        series = make_series(ar_panel(np.random.default_rng(9), 3, 30, 0.5))
         for test in (unitroot.fisher_adf, ips_test, llc_test):
             with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
-                test(runs, lags=1.5)
+                panel(test, series, lags=1.5)
 
     def test_length_rules_evaluated_once_per_distinct_length(self, monkeypatch):
         series, _ = longest_run_panel(36)
@@ -730,7 +739,7 @@ class TestPanelRuns:
         monkeypatch.setattr(unitroot, "_ips_moments", moments_counted)
         for test in (unitroot.fisher_adf, ips_test, llc_test):
             lag_calls.clear()
-            test(Runs(series))
+            panel(test, series)
             assert lag_calls == first_seen
         assert moment_calls == first_seen
 
@@ -751,14 +760,14 @@ class TestPanelRuns:
             full, reduced = first_difference(full), first_difference(reduced)
         for test in PANEL_TESTS:
             with pytest.warns(PanelWarning) as caught:
-                r = test(Runs(full))
+                r = panel(test, full)
             assert [str(w.message) for w in caught if "dropped" in str(w.message)] == [
                 f"{test.__name__}({full.name}): dropped {len(constant)} entity(ies) "
                 f"constant over their longest run: {', '.join(constant)}"
             ]
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", PanelWarning)
-                assert repr(r) == repr(test(Runs(reduced)))
+                assert repr(r) == repr(panel(test, reduced))
 
     @pytest.mark.parametrize("det", ["c", "ct"])
     @pytest.mark.parametrize("test", [unitroot.fisher_pp, unitroot.fisher_adf, ips_test, llc_test,
@@ -768,7 +777,7 @@ class TestPanelRuns:
         # single tests on E0; at 1e-150 LLC read -89% (c) and -95% (ct) off, and below it
         # the tests gave NaN or garbage
         rows = np.delete(np.cumsum(np.random.default_rng(25).standard_normal((6, 40)), axis=1), 2, 0)
-        run = ((lambda walks: test(Runs(make_series(walks), det))) if test in PANEL_TESTS
+        run = ((lambda walks: panel(test, make_series(walks), det)) if test in PANEL_TESTS
                else (lambda walks: test(walks[0], det=det)))
         unit = run(rows)
         refused = []
@@ -790,7 +799,7 @@ class TestPanelRuns:
         for test in PANEL_TESTS:
             with pytest.warns(PanelWarning, match="constant over their longest run: E0, E2$"):
                 with pytest.raises(ValueError, match="fewer than two usable entities"):
-                    test(Runs(make_series(rows)))
+                    panel(test, make_series(rows))
 
 
     @pytest.mark.parametrize("det", ["n", "c", "ct"])
@@ -828,8 +837,11 @@ def df_design(run, det, lags):
 def llc_reference(series, det="c", lags=None):
     """LLC entity by entity: each run's difference and lagged level projected off
     the lags and deterministic terms with pinv, and one kernel call per entity."""
-    runs = Runs(series, det)
-    idx, lengths, kept = runs.usable(_shortest_run(det), "llc_test")
+    runs = Runs((series,), det)
+    usable = runs.usable(_shortest_run(det), "llc_test")
+    if usable.out[0] is not None:
+        raise usable.out[0]
+    idx, lengths, kept = usable.idx, usable.lengths, tuple(usable.labels)
     Y = runs.Y[idx]
     lags_pe = unitroot._by_length(lambda T: unitroot._entity_lags(T, det, lags), lengths)
     t_effs = lengths - 1 - lags_pe
@@ -887,10 +899,10 @@ def llc_panel(seed):
     return make_series(rows)
 
 
-def outcome(test, series, **options):
-    """A test's result, or the text of the ValueError it raised."""
+def outcome(call, *args, **options):
+    """A call's result, or the text of the ValueError it raised."""
     try:
-        return test(series, **options)
+        return call(*args, **options)
     except ValueError as exc:
         return str(exc)
 
@@ -899,7 +911,7 @@ class TestLlc:
     def test_single_entity_rejected(self):
         rng = np.random.default_rng(22)
         with pytest.raises(ValueError, match="fewer than two"):
-            llc_test(Runs(make_series(rng.standard_normal((1, 40)))))
+            panel(llc_test, make_series(rng.standard_normal((1, 40))))
 
     def test_short_panel_below_adjustment_table(self, monkeypatch):
         # the table refuses before any entity is partialled out or smoothed
@@ -911,7 +923,7 @@ class TestLlc:
         rng = np.random.default_rng(23)
         rows = np.cumsum(rng.standard_normal((4, 9)), axis=1)
         with pytest.raises(ValueError, match="adjustment table"):
-            llc_test(Runs(make_series(rows)))
+            panel(llc_test, make_series(rows))
 
     @pytest.mark.parametrize("t_tilde, want", [(250, (-0.509, 0.742)), (500, (-0.5045, 0.7245)),
                                                (math.inf, (-0.5, 0.707))])
@@ -924,7 +936,7 @@ class TestLlc:
         hits = 0
         for _ in range(100):
             rows = np.cumsum(rng.standard_normal((20, 50)), axis=1)
-            if llc_test(Runs(make_series(rows))).p_value > 0.05:
+            if panel(llc_test, make_series(rows)).p_value > 0.05:
                 hits += 1
         assert hits >= 90
 
@@ -932,13 +944,13 @@ class TestLlc:
         rng = np.random.default_rng(11)
         hits = 0
         for _ in range(100):
-            if llc_test(Runs(make_series(ar_panel(rng, 20, 50, 0.3)))).p_value < 0.05:
+            if panel(llc_test, make_series(ar_panel(rng, 20, 50, 0.3))).p_value < 0.05:
                 hits += 1
         assert hits >= 95
 
     def test_p_is_lower_tail(self):
         rng = np.random.default_rng(24)
-        r = llc_test(Runs(make_series(ar_panel(rng, 8, 40, 0.5))))
+        r = panel(llc_test, make_series(ar_panel(rng, 8, 40, 0.5)))
         assert r.p_value == pytest.approx(
             float(0.5 * (1 + math.erf(r.statistic / math.sqrt(2)))), abs=1e-12
         )
@@ -951,7 +963,7 @@ class TestLlc:
             series = llc_panel(seed)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", PanelWarning)
-                got = outcome(llc_test, Runs(series, det), lags=lags)
+                got = outcome(panel, llc_test, series, det, lags=lags)
                 want = outcome(llc_reference, series, det=det, lags=lags)
             if isinstance(want, str):
                 assert got == want
@@ -964,15 +976,18 @@ class TestLlc:
         assert fitted >= 10
 
     def test_rank_deficient_entity_raises_like_adf(self):
-        # an exact linear trend: its lagged differences repeat the intercept
+        # an exact linear trend: its lagged differences repeat the intercept; the
+        # cells read a bare "Singular matrix" before the refusal named the entity
         rows = np.cumsum(np.random.default_rng(25).standard_normal((6, 40)), axis=1)
         rows[2] = 3.0 + 2.0 * np.arange(40)
         series = make_series(rows)
         assert math.isfinite(llc_reference(series).statistic)  # pinv hid the singular design
-        for test in (llc_test, unitroot.fisher_adf, ips_test):
-            for det in ("c", "ct"):
-                with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
-                    test(Runs(series, det))
+        for det in ("c", "ct"):
+            with pytest.raises(ValueError, match="^adf_test: singular Dickey-Fuller design for the series$"):
+                adf_test(rows[2], det=det)
+            for test in (llc_test, unitroot.fisher_adf, ips_test):
+                with pytest.raises(ValueError, match=rf"^{test.__name__}\(v\): singular Dickey-Fuller design for E2$"):
+                    panel(test, series, det)
 
     def test_one_fit_per_lag_and_one_kernel_call_per_series(self, monkeypatch):
         series, runs = random_run_series(np.random.default_rng(26))
@@ -990,7 +1005,7 @@ class TestLlc:
 
         monkeypatch.setattr(unitroot, "_df_regression", fit_counted)
         monkeypatch.setattr(unitroot, "long_run_covariances", kernel_counted)
-        llc_test(Runs(series))
+        panel(llc_test, series)
         assert len(set(lengths)) > 10
         # each lag's runs, in run order, cut to their longest
         lags = [unitroot._entity_lags(T, "c", None) for T in lengths]
@@ -1008,7 +1023,7 @@ class TestLlc:
 def test_panel_tests_name_an_unknown_det(test):
     series = make_series(np.cumsum(np.random.default_rng(45).standard_normal((5, 20)), axis=1))
     with pytest.raises(ValueError, match=r"^unknown deterministic case 'x'$"):
-        test(Runs(series, "x"))
+        panel(test, series, "x")
 
 
 class TestBattery:
@@ -1099,29 +1114,39 @@ def flat_numbers(result):
 
 
 class TestBatterySharing:
-    """run_battery lays out each series once and fits each run once per lag, and
-    still gives what the four public tests give on each series in turn."""
+    """run_battery lays out each chunk of series once and fits each run once per lag, and
+    still gives what the four public tests give on each series laid out alone."""
 
     OPTIONS = {"det": "ct", "lags": 1, "bandwidth": 2}
 
     def test_battery_equals_public_tests_in_order(self):
         ds = sharing_dataset()
+        battery_series = [(name, order, series) for name in ds.variables
+                          for order, series in (("level", ds[name]), ("difference", first_difference(ds[name])))]
+        # one chunk: six series of 30 x 60 cells
+        assert sum(series.values.size for _, _, series in battery_series) <= unitroot.BATTERY_CELLS
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             battery = run_battery(ds, ("walk", "noise", "sparse"), **self.OPTIONS)
         got_warnings = [(w.category, str(w.message)) for w in caught]
-        want = {}
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            for name in ds.variables:
-                for order, series in (("level", ds[name]), ("difference", first_difference(ds[name]))):
-                    for test, fn in zip(BATTERY_TESTS, PANEL_TESTS):
-                        option = "bandwidth" if fn is unitroot.fisher_pp else "lags"
-                        want[(name, order, test)] = outcome(fn, Runs(series, "ct"), **{option: self.OPTIONS[option]})
-        assert got_warnings == [(w.category, str(w.message)) for w in caught]
+        want, want_warnings = {}, []
+        # the battery's order: chunk, then test, then series; within a test, the drop
+        # warnings of every series come first, since they are given before any fit
+        for test, fn in zip(BATTERY_TESTS, PANEL_TESTS):
+            option = "bandwidth" if fn is unitroot.fisher_pp else "lags"
+            drops, others = [], []
+            for name, order, series in battery_series:
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    want[(name, order, test)] = outcome(panel, fn, series, "ct", **{option: self.OPTIONS[option]})
+                for w in caught:
+                    (drops if ": dropped " in str(w.message) else others).append((w.category, str(w.message)))
+            want_warnings += drops + others
+        assert got_warnings == want_warnings
         assert any("constant over their longest run" in text for _, text in got_warnings)
         assert any("clamped" in text for _, text in got_warnings)
-        assert list(battery.cells) == list(want)
+        assert list(battery.cells) == [(name, order, test) for name, order, _ in battery_series
+                                       for test in BATTERY_TESTS]
         errors = {key for key, value in want.items() if isinstance(value, str)}
         assert {("sparse", "level", "ips"), ("sparse", "level", "llc")} <= errors
         assert ("walk", "level", "llc") not in errors
@@ -1152,11 +1177,14 @@ class TestBatterySharing:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", PanelWarning)
             run_battery(ds, ("walk", "noise", "sparse"), **self.OPTIONS)
-        assert len(layouts) == 2 * len(ds.variables)
+        assert len(layouts) == 1  # the six series make one chunk
         pairs = [pair for call in fits for pair in call]
         assert len(pairs) == len(set(pairs))  # no (run, lag) fitted twice
+        # over the chunk, PP's lag-0 fits and Fisher-ADF's lag-1 fits, which IPS and LLC read
+        assert [{lag for lag, _ in call} for call in fits] == [{0}, {1}]
 
-        # balanced, default lags: PP's lag-0 fits, then Fisher-ADF's, which IPS and LLC read
+        # balanced, default lags: PP's lag-0 fits, then Fisher-ADF's, which IPS and LLC read,
+        # each one call over the chunk's four series of eight runs
         del layouts[:], fits[:]
         rng = np.random.default_rng(47)
         ds = PanelDataset(entities=tuple(f"E{i}" for i in range(8)), periods=tuple(range(1950, 1990)))
@@ -1165,5 +1193,131 @@ class TestBatterySharing:
                                   values=np.cumsum(rng.standard_normal((8, 40)), axis=1)))
         battery = run_battery(ds, ("a", "b"))
         assert all(cell.error is None for cell in battery.cells.values())
-        assert len(layouts) == 4
-        assert [{lag for lag, _ in call} for call in fits] == [{0}, {3}] * 4
+        assert len(layouts) == 1
+        assert [{lag for lag, _ in call} for call in fits] == [{0}, {3}]
+        assert [len(call) for call in fits] == [32, 32]
+
+
+def fixture_logs():
+    """The paper analysis' unit-root input: the shipped fixture's six series, logged."""
+    raw = read_panel_csv(fixture_path())
+    ds = PanelDataset(entities=raw.entities, periods=raw.periods)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PanelWarning)  # one zero aid value
+        for name in RAW_VARIABLES:
+            ds.add(natural_log(raw[name]))
+    return ds
+
+
+class TestChunks:
+    """run_battery tests chunks of consecutive series together; each cell is what the
+    series' own one-series layout gives."""
+
+    @pytest.mark.parametrize("panel_name", ["fixture", "gappy"])
+    def test_chunked_cells_equal_one_series_at_a_time(self, panel_name):
+        ds = fixture_logs() if panel_name == "fixture" else sharing_dataset(seed=48, n=40, T=30)
+        names = tuple(ds.variables)
+        battery_series = [(name, order, series) for name in names
+                          for order, series in (("level", ds[name]), ("difference", first_difference(ds[name])))]
+        # one chunk each: the fixture's twelve series of 74 x 9 cells, six of 40 x 30
+        assert sum(series.values.size for _, _, series in battery_series) <= unitroot.BATTERY_CELLS
+        width = Runs([series for _, _, series in battery_series]).Y.shape[1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PanelWarning)
+            battery = run_battery(ds, names)
+            fitted = 0
+            for name, order, series in battery_series:
+                # a chunk padding a series wider than its own runs may move the last bits
+                exact = Runs((series,)).Y.shape[1] == width
+                for test, fn in zip(BATTERY_TESTS, PANEL_TESTS):
+                    alone, cell = outcome(panel, fn, series), battery.cell(name, order, test)
+                    if isinstance(alone, str):
+                        assert (cell.result, cell.error) == (None, alone)
+                        continue
+                    fitted += 1
+                    numbers, other = flat_numbers(cell.result)
+                    want_numbers, want_other = flat_numbers(alone)
+                    assert cell.error is None and other == want_other  # entities, lags, bandwidths
+                    if exact:
+                        assert repr(numbers) == repr(want_numbers)
+                    else:
+                        assert numbers == pytest.approx(want_numbers, rel=1e-13, abs=0, nan_ok=True)
+        assert fitted >= 12
+
+    @pytest.mark.parametrize("n, T, per_chunk", [(600, 30, [1, 1, 1, 1]), (500, 20, [3, 1])])
+    def test_chunks_keep_to_the_cell_budget(self, monkeypatch, n, T, per_chunk):
+        rng = np.random.default_rng(49)
+        ds = PanelDataset(entities=tuple(f"E{i}" for i in range(n)), periods=tuple(range(1950, 1950 + T)))
+        for name in ("a", "b"):
+            ds.add(VariableSeries(name=name, entities=ds.entities, periods=ds.periods,
+                                  values=np.cumsum(rng.standard_normal((n, T)), axis=1)))
+        layouts, cells = [], []
+        layout, kernel = unitroot.Runs, unitroot._df_regression
+
+        def counted(series, det):
+            layouts.append(len(series))
+            return layout(series, det)
+
+        def measured(y, det, lags, lengths=None):
+            cells.append(y.size)
+            return kernel(y, det, lags, lengths)
+
+        monkeypatch.setattr(unitroot, "Runs", counted)
+        monkeypatch.setattr(unitroot, "_df_regression", measured)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PanelWarning)
+            run_battery(ds, ("a", "b"))
+        assert layouts == per_chunk
+        assert cells and max(cells) <= unitroot.BATTERY_CELLS
+
+
+class TestRoundingNoiseFits:
+    """A fit made of rounding noise, or of an exactly singular design, refuses its series at
+    every lag, naming the entity, and leaves the other series of its chunk alone."""
+
+    def test_singular_design_leaves_the_stack_alone(self):
+        rng = np.random.default_rng(50)
+        Y = np.cumsum(rng.standard_normal((5, 20)), axis=1)
+        Y[2] = 5.0 + 2.0 * np.arange(20)  # its lagged differences repeat the intercept
+        got = _df_regression(Y, "c", 2)
+        want = _df_regression(np.delete(Y, 2, axis=0), "c", 2)
+        for a, b in zip(got[:4], want[:4]):
+            assert np.all(np.isnan(a[2]))
+            assert np.delete(a, 2, axis=0).tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("det", ["c", "ct"])
+    @pytest.mark.parametrize("trend", [lambda t: 1.0 + 0.1 * t, lambda t: 5.0 + 2.0 * t], ids=["1+0.1t", "5+2t"])
+    def test_probe_panel_refuses_only_its_own_cells(self, det, trend):
+        # at the parent of this check: E0's tau of 0.494 from a rounding-noise fit (c), a
+        # NaN tau that IPS and LLC printed and Fisher-ADF met with "p-values must be finite
+        # and at most 1" (ct), and bare "Singular matrix" cells (5 + 2t)
+        rng = np.random.default_rng(3)
+        probe = np.cumsum(rng.standard_normal((20, 30)), axis=1)
+        probe[0] = trend(np.arange(30.0))
+        ds = make_dataset(probe, name="probe")
+        walk = make_series(np.cumsum(np.random.default_rng(51).standard_normal((20, 30)), axis=1), name="walk")
+        ds.add(walk)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            warnings.simplefilter("ignore", PanelWarning)
+            battery = run_battery(ds, ("probe", "walk"), det=det)
+            alone = run_battery(make_dataset(walk.values, name="walk"), ("walk",), det=det)
+        for (name, order, test), cell in battery.cells.items():
+            if name == "walk":
+                assert repr(cell) == repr(alone.cell(name, order, test))
+            elif cell.error is not None:
+                fn = dict(zip(BATTERY_TESTS, PANEL_TESTS))[test].__name__
+                assert re.fullmatch(rf"(pp_test|{fn}\((d_)?probe\)): (perfect fit for E0 \(regression "
+                                    r"standard error [^)]+\)|singular Dickey-Fuller design for E0)", cell.error)
+            else:
+                assert order == "difference" and math.isfinite(cell.result.statistic)
+                assert all(math.isfinite(x) for row in cell.result.per_entity for x in row[1:3]
+                           if test != "llc")
+        assert all(battery.cell("probe", "level", test).error for test in BATTERY_TESTS)
+
+    def test_adf_test_refuses_the_same_fits(self):
+        y = 5.0 + 2.0 * np.arange(20)
+        with pytest.raises(ValueError, match=r"^adf_test: perfect fit for the series \(regression standard error 0\)$"):
+            adf_test(y, lags=0)
+        with pytest.raises(ValueError, match="^adf_test: singular Dickey-Fuller design for the series$"):
+            adf_test(y, lags=2)
