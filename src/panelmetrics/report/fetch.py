@@ -15,10 +15,12 @@ provider reporting more than MAX_PAGES pages is refused, not followed, a
 page whose body is over MAX_PAGE_BYTES is refused, and a page is tried at
 most MAX_ATTEMPTS times; these are constants, not options.
 
-Pages are fetched with the standard library's urllib.request, imported on
-the fetch path only.  HTTPS is checked against Python's default trust
-store, the *_proxy environment variables are honoured, and each page opens
-its own connection.
+Pages are fetched by _Client on the standard library's urllib.request,
+imported on the fetch path only; the client owns the retries and answers
+each page as (status, raw body bytes).  HTTPS is checked against Python's
+default trust store, the *_proxy environment variables are honoured, and
+each page opens its own connection.  Every failed download leaves
+_fetch_one through one place that builds the failed FetchOutcome.
 """
 
 from __future__ import annotations
@@ -98,78 +100,48 @@ def _parse_payload(payload):
     return payload[0], payload[1]
 
 
-class _Reply:
-    """Status and raw body of one page, with the status_code, text and json()
-    that _fetch_one reads."""
-
-    def __init__(self, status_code: int, content: bytes):
-        self.status_code = status_code
-        self.content = content
-
-    @property
-    def text(self) -> str:
-        return self.content.decode("utf-8", errors="replace")
-
-    def json(self):
-        return json.loads(self.content)
-
-
 class _Client:
-    """GET-only HTTP client on urllib.request, behind the session.get seam.
+    """GET-only HTTP client on urllib.request: the session.get seam, retries
+    included.
 
-    A 4xx or 5xx answer is a reply like any other; connection failures and a
-    body cut short of its Content-Length raise OSError or
-    http.client.HTTPException, and a URL that is not http(s), or a body over
-    MAX_PAGE_BYTES, raises ValueError.
+    get(url, params, timeout) answers one page as (status, body), body the raw
+    bytes.  A connection failure, a body cut short of its Content-Length or a
+    5xx answer is tried MAX_ATTEMPTS times in all, with waits of BACKOFF_S and
+    then double, before ConnectionError; a 4xx answer is returned at once.  A
+    URL that is not http(s), or a body over MAX_PAGE_BYTES, raises ValueError
+    at once.
     """
 
     def get(self, url, params, timeout):
-        from http.client import IncompleteRead
+        from http.client import HTTPException, IncompleteRead
         from urllib.error import HTTPError
         from urllib.parse import urlencode, urlsplit
         from urllib.request import urlopen
 
         if urlsplit(url).scheme not in ("http", "https"):
             raise ValueError(f"not an http or https URL: {url!r}")
-        try:
-            reply = urlopen(f"{url}?{urlencode(params)}", timeout=timeout)
-        except HTTPError as error:
-            reply = error
-        with reply:
-            content = reply.read(MAX_PAGE_BYTES + 1)
-            missing = getattr(reply, "length", None)  # Content-Length bytes not received
-        if len(content) > MAX_PAGE_BYTES:
-            raise ValueError(f"body over the limit of {MAX_PAGE_BYTES} bytes")
-        if missing:
-            raise IncompleteRead(content, missing)
-        return _Reply(reply.status, content)
-
-
-def _get_page(session, url, params):
-    """One page with bounded-retry semantics.
-
-    Connection failures and 5xx responses are retried, MAX_ATTEMPTS tries in
-    all, with exponential backoff from BACKOFF_S; 4xx responses are provider
-    errors and surface immediately, and a ValueError from the session is
-    raised at once.
-    Returns the response object.
-    """
-    from http.client import HTTPException  # imported on the fetch path only
-
-    last_exc = None
-    for attempt in range(MAX_ATTEMPTS):
-        if attempt:
-            time.sleep(BACKOFF_S * 2 ** (attempt - 1))
-        try:
-            response = session.get(url, params=params, timeout=30)
-        except (OSError, HTTPException) as exc:
-            last_exc = exc
-            continue
-        if response.status_code >= 500:
-            last_exc = RuntimeError(f"HTTP {response.status_code}")
-            continue
-        return response
-    raise ConnectionError(f"gave up after {MAX_ATTEMPTS} attempts: {last_exc}")
+        for attempt in range(MAX_ATTEMPTS):
+            if attempt:
+                time.sleep(BACKOFF_S * 2 ** (attempt - 1))
+            try:
+                try:
+                    reply = urlopen(f"{url}?{urlencode(params)}", timeout=timeout)
+                except HTTPError as error:
+                    reply = error  # a 4xx or 5xx answer is read like any other
+                with reply:
+                    body = reply.read(MAX_PAGE_BYTES + 1)
+                    missing = getattr(reply, "length", None)  # Content-Length bytes not received
+                if len(body) > MAX_PAGE_BYTES:
+                    raise ValueError(f"body over the limit of {MAX_PAGE_BYTES} bytes")
+                if missing:
+                    raise IncompleteRead(body, missing)
+            except (OSError, HTTPException) as exc:
+                last = exc
+                continue
+            if reply.status < 500:
+                return reply.status, body
+            last = f"HTTP {reply.status}"
+        raise ConnectionError(f"gave up after {MAX_ATTEMPTS} attempts: {last}")
 
 
 def _read_holding(path: str, code: str) -> PanelDataset:
@@ -181,73 +153,59 @@ def _read_holding(path: str, code: str) -> PanelDataset:
 
 
 def _fetch_one(descriptor, base_url, cache_dir, session):
-    key = descriptor.cache_key(base_url)
-    path = os.path.join(cache_dir, f"{key}.csv")
+    code = descriptor.code
+    path = os.path.join(cache_dir, f"{descriptor.cache_key(base_url)}.csv")
     try:
         return FetchOutcome(descriptor, path=path, from_cache=True,
-                            dataset=_read_holding(path, descriptor.code))
+                            dataset=_read_holding(path, code))
     except (OSError, ValueError):
         pass  # absent or invalid: download again
 
-    url = f"{base_url.rstrip('/')}/{descriptor.provider}/indicator/{descriptor.code}"
+    url = f"{base_url.rstrip('/')}/{descriptor.provider}/indicator/{code}"
     rows, page, pages = [], 1, 1
-    while page <= pages:
-        params = {
-            "date": descriptor.years,
-            "format": "json",
-            "page": page,
-            "per_page": PER_PAGE,
-        }
-        try:
-            response = _get_page(session, url, params)
-        except ConnectionError as exc:
-            return FetchOutcome(descriptor, error=str(exc))
-        except ValueError as exc:
-            return FetchOutcome(descriptor, error=f"page {page} of {descriptor.code!r}: {exc}")
-        if response.status_code >= 400:
-            return FetchOutcome(
-                descriptor,
-                error=f"provider error for {descriptor.code!r}: HTTP {response.status_code}",
-                status=response.status_code,
-                raw_body=response.text,
-            )
-        try:
-            meta, records = _parse_payload(response.json())
-            pages = int(meta.get("pages", 1))
-            for record in records:
-                entity = _record_entity(record)
-                year = int(record["date"])
-                value = record.get("value")
-                rows.append((entity, year, "" if value is None else repr(float(value))))
-        except (ValueError, KeyError, TypeError) as exc:
-            return FetchOutcome(
-                descriptor,
-                error=f"malformed payload on page {page}: {exc}",
-                status=response.status_code,
-                raw_body=response.text,
-            )
-        if pages > MAX_PAGES:
-            return FetchOutcome(
-                descriptor,
-                error=f"provider reports {pages} pages for {descriptor.code!r}, "
-                f"above the limit of {MAX_PAGES}",
-                status=response.status_code,
-            )
-        page += 1
-
-    rows.sort(key=lambda r: (r[0], r[1]))
-    os.makedirs(cache_dir, exist_ok=True)
-    tmp = path + ".part"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["entity", "year", "variable", "value"])
-        for entity, year, value in rows:
-            writer.writerow([entity, year, descriptor.code, value])
     try:
-        dataset = _read_holding(tmp, descriptor.code)
-    except ValueError as exc:
-        os.remove(tmp)
-        return FetchOutcome(descriptor, error=f"invalid payload for {descriptor.code!r}: {exc}")
+        while page <= pages:
+            status = body = None  # this page's answer, kept on a failed outcome
+            params = {"date": descriptor.years, "format": "json", "page": page,
+                      "per_page": PER_PAGE}
+            try:
+                status, body = session.get(url, params=params, timeout=30)
+            except ValueError as exc:
+                raise ValueError(f"page {page} of {code!r}: {exc}")
+            if status >= 400:
+                raise ValueError(f"provider error for {code!r}: HTTP {status}")
+            try:
+                meta, records = _parse_payload(json.loads(body))
+                pages = int(meta.get("pages", 1))
+                for record in records:
+                    entity = _record_entity(record)
+                    year = int(record["date"])
+                    value = record.get("value")
+                    rows.append((entity, year, "" if value is None else repr(float(value))))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ValueError(f"malformed payload on page {page}: {exc}")
+            if pages > MAX_PAGES:
+                raise ValueError(f"provider reports {pages} pages for {code!r}, "
+                                 f"above the limit of {MAX_PAGES}")
+            page += 1
+
+        status = body = None  # a failure from here on is not one page's answer
+        rows.sort(key=lambda r: (r[0], r[1]))
+        os.makedirs(cache_dir, exist_ok=True)
+        tmp = path + ".part"
+        try:
+            with open(tmp, "w", encoding="utf-8", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["entity", "year", "variable", "value"])
+                for entity, year, value in rows:
+                    writer.writerow([entity, year, code, value])
+            dataset = _read_holding(tmp, code)
+        except ValueError as exc:
+            os.remove(tmp)
+            raise ValueError(f"invalid payload for {code!r}: {exc}")
+    except (ConnectionError, ValueError) as exc:
+        return FetchOutcome(descriptor, error=str(exc), status=status,
+                            raw_body=None if body is None else body.decode("utf-8", "replace"))
     os.replace(tmp, path)
     return FetchOutcome(descriptor, path=path, pages=pages, rows=len(rows), dataset=dataset)
 
@@ -256,9 +214,14 @@ def fetch_indicators(descriptors, base_url: str, cache_dir: str, session=None) -
     """Download (or reuse) one long-schema CSV per descriptor.
 
     Never raises for per-descriptor problems; each descriptor gets a
-    FetchOutcome whose error field carries retries-exhausted, provider,
-    or malformed-payload diagnostics (raw body preserved for the last
-    two).  Cached descriptors are returned without network traffic.
+    FetchOutcome whose error field carries retries-exhausted, refused-page,
+    provider, page-count, malformed- or invalid-payload diagnostics, with the
+    status and raw body of the page that failed when a page was answered.
+    Cached descriptors are returned without network traffic.
+
+    session stands in for the whole network layer, retries included: its
+    get(url, params, timeout) returns (status, body bytes) as _Client.get
+    does.  Only tests pass one; a requests.Session does not fit this seam.
     """
     session = session or _Client()
     return [_fetch_one(d, base_url, cache_dir, session) for d in descriptors]

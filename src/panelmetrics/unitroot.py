@@ -144,8 +144,9 @@ def _check_series(y, det: str, what: str) -> np.ndarray:
 
 def _extreme(peak, lengths):
     """Whether runs whose largest |value| is peak are below sqrt(tiny) or, times
-    sqrt(length), above sqrt(max): their fits would be rounding noise or overflow."""
-    return (peak < SQUARE_RANGE[0]) | (peak * np.sqrt(lengths) > SQUARE_RANGE[1])
+    2 sqrt(length), above sqrt(max): their fits would be rounding noise or overflow.
+    The factor 2 bounds the first differences, which reach twice the peak."""
+    return (peak < SQUARE_RANGE[0]) | (2.0 * peak * np.sqrt(lengths) > SQUARE_RANGE[1])
 
 
 def _magnitude_message(what: str, label, peak: float) -> str:

@@ -1,10 +1,11 @@
-"""The benchmark's output check, run in tier-1.
+"""The benchmark's output check and its selfcheck, run in tier-1.
 
 Each perfbench workload's seed-1 panel (panels.py) goes through run_pipeline
 in a fresh interpreter with BLAS pinned to one thread, as the benchmark runs
 it, and must pass check.compare against perfbench/references/.  A change that
 reorders float sums past the check's tolerance then fails here, not only in
-the benchmark.
+the benchmark.  perfbench/selfcheck.py runs here too, so the paper analysis
+also goes through the fetch client, not only in a benchmark rep.
 """
 
 import json
@@ -13,6 +14,7 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+ENV = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
 
 SCRIPT = """
 import dataclasses, json, os, sys
@@ -40,8 +42,17 @@ print(json.dumps(outcome))
 
 
 def test_seed_one_panels_pass_the_benchmark_check(tmp_path):
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     out = subprocess.run([sys.executable, "-W", "ignore", "-c", SCRIPT, ROOT, str(tmp_path)],
-                         env=env, capture_output=True, text=True, check=True, timeout=300)
+                         env=ENV, capture_output=True, text=True, check=True, timeout=300)
     outcome = json.loads(out.stdout.strip().splitlines()[-1])
     assert outcome == {"paper-fetch-74x9": None, "balanced-500x20": None, "gappy-600x30": None}
+
+
+def test_fetched_fixture_writes_the_shipped_csv_runs_bytes():
+    # perfbench's selfcheck: the stub serves the fixture in 84 pages and 84 requests, the
+    # run on the fetched indicators records no stage error, and its 21 artifacts' sha256s
+    # equal those of the run on the shipped CSV; the fetch client's end-to-end guard
+    out = subprocess.run([sys.executable, "-W", "ignore", os.path.join(ROOT, "perfbench", "selfcheck.py")],
+                         env=ENV, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert out.stdout.splitlines()[-1] == "selfcheck passed"

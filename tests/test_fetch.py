@@ -114,7 +114,7 @@ class _FakeSession:
         self.calls += 1
         meta, page = self.reply(params["page"])
         body = [meta, self.records(page)]
-        return type("Response", (), {"status_code": 200, "text": "", "json": lambda _: body})()
+        return 200, json.dumps(body).encode("utf-8")
 
 
 def base_url(srv):
@@ -192,12 +192,14 @@ class TestFetch:
         assert outcome.status == 404
         assert "no such indicator" in outcome.raw_body
         assert outcome.path is None
+        assert server.hits["MISSING"] == 1
 
     def test_malformed_payload_preserves_raw_body(self, server, tmp_path):
         outcome = fetch_one(server, tmp_path, "BAD")
         assert not outcome.ok
         assert "malformed payload" in outcome.error
         assert outcome.raw_body == '{"oops": "not a [metadata, records] pair"}'
+        assert server.hits["BAD"] == 1
 
     def test_server_error_retried_then_succeeds(self, server, tmp_path):
         outcome = fetch_one(server, tmp_path, "FLAKY")
@@ -249,6 +251,7 @@ class TestFetch:
         assert outcome.raw_body == LATIN1_PAGE.decode("utf-8", errors="replace")
         assert "\ufffdLA" in outcome.raw_body
         assert not (tmp_path / "cache").exists()
+        assert server.hits["LATIN1"] == 1
 
     @pytest.mark.parametrize("spare, error", [
         (0, None),
@@ -301,6 +304,15 @@ class TestFetch:
         assert not outcome.ok
         assert outcome.error.startswith("invalid payload for 'GOOD': unreadable record at ")
         assert outcome.error.endswith(":2: field larger than field limit (131072)")
+        assert list((tmp_path / "cache").iterdir()) == []
+
+    def test_entity_id_not_utf8_encodable_is_an_error_and_not_cached(self, tmp_path):
+        # JSON's "\ud800" decodes to a lone surrogate, which the UTF-8 cache file cannot hold
+        session = _FakeSession(lambda page: ({"page": 1, "pages": 1}, [("\ud800", 2013, 1.5)]))
+        (outcome,) = fetch_indicators([FetchDescriptor("prov", "GOOD", "2013:2021")],
+                                      "http://fake", str(tmp_path / "cache"), session=session)
+        assert outcome.error == ("invalid payload for 'GOOD': 'utf-8' codec can't encode character "
+                                 "'\\ud800' in position 0: surrogates not allowed")
         assert list((tmp_path / "cache").iterdir()) == []
 
     @pytest.mark.parametrize("entity, error", [

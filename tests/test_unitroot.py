@@ -793,6 +793,22 @@ class TestPanelRuns:
                 assert r.p_value == pytest.approx(unit.p_value, rel=1e-9), scale
         assert refused == [1e-155, 1e-158, 1e-200, 1e155]
 
+    def test_differences_twice_the_peak_refused_by_magnitude(self):
+        # E0 alternates about +-0.9 sqrt(max/20): its values pass peak * sqrt(20) < sqrt(max),
+        # but its differences, twice as large, would overflow the Dickey-Fuller fits
+        rows = np.cumsum(np.random.default_rng(3).standard_normal((5, 20)), axis=1)
+        rows[0] = 0.9 * np.sqrt(np.finfo(float).max / 20) * (-1.0) ** np.arange(20)
+        magnitude = r"has values of magnitude \d\.\de\+153, whose squares leave the normal float range$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            battery = run_battery(make_dataset(rows, name="probe"), ("probe",), det="c")
+            for test in (adf_test, pp_test):
+                with pytest.raises(ValueError, match=f"^{test.__name__}: the series {magnitude}"):
+                    test(rows[0])
+        assert len(battery.cells) == 8
+        for cell in battery.cells.values():
+            assert re.search(f"E0 {magnitude}", cell.error), cell.error
+
     def test_constant_runs_leaving_one_entity_refused(self):
         rows = np.cumsum(np.random.default_rng(38).standard_normal((3, 40)), axis=1)
         rows[[0, 2]] = 1.5
